@@ -13,11 +13,13 @@ from .condense import (
     BinaryCode,
     CondensationSpec,
     CondensedCode,
+    Sketches,
     build_condensation,
     condense,
     l1_distance,
     operator_bound,
     pack_condensed,
+    pairwise_l1_blocks,
     unpack_condensed,
 )
 from .errors import (

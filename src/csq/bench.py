@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .condense import build_condensation, condense_real_batch
+from .condense import build_condensation, condense_real_batch, pairwise_l1_blocks
 from .errors import DegenerateInputError, ParameterError
 from .pipeline import (
     Dataset,
@@ -90,16 +90,6 @@ def pairwise_l2(vectors: np.ndarray) -> np.ndarray:
     for i in range(k):
         diff = vectors[i + 1 :] - vectors[i]
         out.append(np.linalg.norm(diff, axis=1))
-    return np.concatenate(out) if out else np.zeros(0)
-
-
-def pairwise_l1(rows: np.ndarray) -> np.ndarray:
-    """Condensed pairwise l1 distances between the rows (any dtype)."""
-    k = rows.shape[0]
-    out = []
-    for i in range(k):
-        diff = np.abs(rows[i + 1 :] - rows[i])
-        out.append(diff.sum(axis=1))
     return np.concatenate(out) if out else np.zeros(0)
 
 
@@ -187,8 +177,9 @@ def _quantized_cell(cfg: BenchConfig, r: int, p: int, m: int) -> BenchCell:
             seed=[cfg.seed, r, p, m, trial, _MODEL_TAG],
         )
         result = embed_dataset(model, data)
-        entries = np.stack([code.entries for code in result.condensed])
-        estimates = pairwise_l1(entries) * model.condensation.norm_factor
+        blocks = pairwise_l1_blocks(result.condensed.entries)
+        l1 = np.concatenate([sums for _, _, sums in blocks])
+        estimates = l1 * model.condensation.norm_factor
         truths = pairwise_l2(data.vectors)
         scores.append(mape(estimates, truths))
         violations.append(result.diagnostics.amplitude_violations.mean())
@@ -225,7 +216,9 @@ def _reference_cell(cfg: BenchConfig, p: int, m: int) -> BenchCell:
         )
         projections = project_dataset(model, data.vectors)
         sketches = condense_real_batch(spec, projections)
-        estimates = pairwise_l1(sketches)
+        estimates = np.concatenate(
+            [sums for _, _, sums in pairwise_l1_blocks(sketches)]
+        )
         truths = pairwise_l2(data.vectors)
         scores.append(mape(estimates, truths))
     wall_ms = (time.perf_counter() - start) * 1000.0

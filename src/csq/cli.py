@@ -9,6 +9,7 @@ in the benchmark CSV's wall_ms column.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import pipeline, store
+from .condense import check_geometry, pairwise_l1_blocks
 from .errors import CsqError, ParameterError
 
 
@@ -149,37 +151,55 @@ def _cmd_embed(args) -> int:
     return 0
 
 
+def _write_all_pairs(out, sketches, divisor: float) -> None:
+    """Stream the ``i,j,estimate`` CSV one block of rows at a time.
+
+    An estimate is a pure function of its integer l1 sum, computed with the
+    same float operations as :func:`pipeline.estimate_distance`, so each
+    distinct sum of a block is formatted once and shared by its pairs.
+    """
+    out.write("i,j,estimate\n")
+    k = len(sketches)
+    j_prefix = np.array([f"{j}," for j in range(k)], dtype=object)
+    for start, stop, sums in pairwise_l1_blocks(sketches.entries):
+        distinct, index = np.unique(sums, return_inverse=True)
+        ests = (distinct.astype(np.float64) * sketches.norm_factor / divisor).tolist()
+        texts = np.array([repr(est) for est in ests], dtype=object)[index]
+        parts, off = [], 0
+        for i in range(start, stop):
+            n = k - 1 - i
+            lines = (j_prefix[i + 1 :] + texts[off : off + n]).tolist()
+            parts.append(f"{i}," + f"\n{i},".join(lines) + "\n")
+            off += n
+        out.write("".join(parts))
+
+
 def _cmd_query(args) -> int:
     model = store.read_model(args.model)
-    codes = store.read_condensed(args.condensed)
-    k = len(codes)
+    sketches = store.read_condensed(args.condensed)
+    check_geometry(sketches, model.condensation)
+    k = len(sketches)
     divisor = 1.0
     if args.original_units:
         if args.multiplier <= 0.0:
             raise ParameterError("--multiplier must be positive")
         divisor = args.multiplier
 
-    lines = []
     if args.pair is not None:
         i, j = args.pair
         if not (0 <= i < k and 0 <= j < k):
             raise ParameterError(f"pair indices must lie in [0, {k})")
-        est = pipeline.estimate_distance(model, codes[i], codes[j]) / divisor
-        lines.append(repr(est))
-    else:
-        lines.append("i,j,estimate")
-        for i in range(k):
-            for j in range(i + 1, k):
-                est = pipeline.estimate_distance(model, codes[i], codes[j]) / divisor
-                lines.append(f"{i},{j},{est!r}")
+        est = pipeline.estimate_distance(model, sketches[i], sketches[j]) / divisor
 
-    text = "\n".join(lines) + "\n"
+    sink = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w")
+    with sink as out:
+        if args.pair is not None:
+            out.write(repr(est) + "\n")
+        else:
+            _write_all_pairs(out, sketches, divisor)
     if args.out is not None:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {len(lines)} line(s) to {args.out}")
-    else:
-        sys.stdout.write(text)
+        count = 1 if args.pair is not None else 1 + k * (k - 1) // 2
+        print(f"wrote {count} line(s) to {args.out}")
     return 0
 
 

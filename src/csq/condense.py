@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -122,6 +123,95 @@ class CondensedCode:
     entries: np.ndarray
 
 
+def _check_fits(entries: np.ndarray, bit_width: int) -> None:
+    half = 1 << (bit_width - 1)
+    if entries.size and (entries.min() < -half or entries.max() >= half):
+        raise CapacityError("entry does not fit the declared bit width")
+
+
+def entry_dtype(bit_width: int) -> np.dtype:
+    """Smallest signed integer dtype holding ``bit_width + 1`` bits, so the
+    difference of two entries never overflows."""
+    if not 1 <= bit_width <= 63:
+        raise CapacityError(f"bit width {bit_width} is outside [1, 63]")
+    for dtype in (np.int8, np.int16, np.int32):
+        if bit_width < 8 * np.dtype(dtype).itemsize:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class Sketches:
+    """k condensed codes of one geometry stored as a single (k, p) matrix.
+
+    ``entries`` uses :func:`entry_dtype`; row access (indexing, iteration)
+    returns :class:`CondensedCode` views of single rows.
+    """
+
+    p: int
+    bit_width: int
+    norm_factor: float
+    entries: np.ndarray
+
+    def __post_init__(self):
+        entries = np.asarray(self.entries)
+        if entries.ndim != 2 or entries.shape[1] != self.p:
+            raise ShapeError(f"expected (k, {self.p}) entries, got {entries.shape}")
+        if not np.issubdtype(entries.dtype, np.integer):
+            raise ShapeError("sketch entries must be integers")
+        _check_fits(entries, self.bit_width)
+        dtype = entry_dtype(self.bit_width)
+        object.__setattr__(self, "entries", entries.astype(dtype, copy=False))
+
+    @classmethod
+    def of(cls, spec: CondensationSpec, entries: np.ndarray) -> "Sketches":
+        return cls(spec.p, spec.bit_width, spec.norm_factor, entries)
+
+    @classmethod
+    def from_codes(
+        cls, spec: CondensationSpec, codes: list[CondensedCode]
+    ) -> "Sketches":
+        """Stack per-point codes, all of which must match ``spec``."""
+        for code in codes:
+            check_geometry(code, spec)
+            if np.shape(code.entries) != (spec.p,):
+                raise ShapeError(f"code entries must have shape ({spec.p},)")
+        rows = [code.entries for code in codes]
+        return cls.of(spec, np.stack(rows) if rows else np.zeros((0, spec.p), np.int64))
+
+    @cached_property
+    def _rows(self) -> list[CondensedCode]:
+        # Built on the first iteration only, so callers that loop over the
+        # rows repeatedly make the per-point objects once and whole-matrix
+        # callers never.
+        return [
+            CondensedCode(self.p, self.bit_width, self.norm_factor, row)
+            for row in self.entries
+        ]
+
+    def __len__(self) -> int:
+        return self.entries.shape[0]
+
+    def __getitem__(self, i):
+        """Row i as a :class:`CondensedCode`; a slice gives :class:`Sketches`."""
+        if isinstance(i, slice):
+            return Sketches(self.p, self.bit_width, self.norm_factor, self.entries[i])
+        return CondensedCode(self.p, self.bit_width, self.norm_factor, self.entries[i])
+
+    def __iter__(self):
+        return iter(self._rows)
+
+
+def check_geometry(got, want) -> None:
+    """Refuse to mix sketches, codes or specs of different condensations."""
+    a = (got.p, got.bit_width, got.norm_factor)
+    b = (want.p, want.bit_width, want.norm_factor)
+    if a != b:
+        raise IncompatibilityError(
+            f"condensation (p, bit_width, norm_factor) = {a} does not match {b}"
+        )
+
+
 def condense(spec: CondensationSpec, code: BinaryCode) -> CondensedCode:
     """Condense one binary code; all arithmetic is exact int64."""
     if code.length != spec.m:
@@ -158,13 +248,6 @@ def condense_real_batch(spec: CondensationSpec, zs: np.ndarray) -> np.ndarray:
     return (blocks @ spec.kernel.astype(np.float64)) * spec.norm_factor
 
 
-def _check_compatible(a: CondensedCode, b: CondensedCode) -> None:
-    if a.p != b.p or a.bit_width != b.bit_width or a.norm_factor != b.norm_factor:
-        raise IncompatibilityError(
-            "condensed codes come from different condensation parameters"
-        )
-
-
 def l1_distance(a: CondensedCode, b: CondensedCode) -> float:
     """Distance estimate between two condensed codes.
 
@@ -172,9 +255,36 @@ def l1_distance(a: CondensedCode, b: CondensedCode) -> float:
     scaled by ``norm_factor`` in a single floating-point multiplication, so
     the result is a deterministic function of the integer entries.
     """
-    _check_compatible(a, b)
+    check_geometry(a, b)
     total = int(np.abs(a.entries - b.entries).sum())
     return total * a.norm_factor
+
+
+def pairwise_l1_blocks(rows: np.ndarray, block_pairs: int = 1 << 17):
+    """Yield ``(start, stop, sums)``: the l1 distances of rows start..stop-1
+    to every later row, in (i, j), i < j order, about ``block_pairs`` at a
+    time. Integer rows give exact int64 sums when their differences fit
+    the row dtype (see :func:`entry_dtype`).
+    """
+    rows = np.asarray(rows)
+    k = rows.shape[0]
+    diff = np.empty_like(rows)
+    dtype = rows[:0].sum(axis=1).dtype
+    start = 0
+    while start < k - 1:
+        stop, count = start + 1, k - 1 - start
+        while stop < k - 1 and count + k - 1 - stop <= block_pairs:
+            count += k - 1 - stop
+            stop += 1
+        sums = np.empty(count, dtype=dtype)
+        off = 0
+        for i in range(start, stop):
+            n = k - 1 - i
+            d = np.subtract(rows[i + 1 :], rows[i], out=diff[:n])
+            np.abs(d, out=d).sum(axis=1, out=sums[off : off + n])
+            off += n
+        yield start, stop, sums
+        start = stop
 
 
 def operator_bound(spec: CondensationSpec) -> float:
@@ -187,33 +297,65 @@ def operator_bound(spec: CondensationSpec) -> float:
     return math.sqrt(math.pi / 2.0) * float(8 * r) ** (r + 1) * lam ** (-r + 0.5)
 
 
+def _row_blocks(k: int, bits_per_row: int):
+    """Row slices whose unpacked bits take about 4 MiB of scratch each."""
+    step = max(1, (1 << 22) // max(bits_per_row, 1))
+    for start in range(0, k, step):
+        yield slice(start, min(start + step, k))
+
+
+def pack_rows(entries: np.ndarray, bit_width: int) -> np.ndarray:
+    """Pack (k, p) entries as fixed-width two's complement -> (k, record) bytes.
+
+    Entry e of a row occupies bits ``e * bit_width`` onwards, LSB first, and
+    each row is zero-padded to ``ceil(p * bit_width / 8)`` bytes.
+    """
+    w = bit_width
+    dtype = entry_dtype(w).newbyteorder("<")
+    entries = np.asarray(entries)
+    _check_fits(entries, w)
+    k, p = entries.shape
+    out = np.empty((k, (p * w + 7) // 8), dtype=np.uint8)
+    for rows in _row_blocks(k, p * 8 * dtype.itemsize):
+        # The low w bits of a little-endian two's-complement value are its
+        # first w bits in LSB-first order.
+        raw = entries[rows].astype(dtype).view(np.uint8).reshape(-1, p, dtype.itemsize)
+        bits = np.unpackbits(raw, axis=2, bitorder="little")[:, :, :w]
+        out[rows] = np.packbits(bits.reshape(-1, p * w), axis=1, bitorder="little")
+    return out
+
+
+def unpack_rows(payload: np.ndarray, p: int, bit_width: int) -> np.ndarray:
+    """Inverse of :func:`pack_rows`: (k, record) bytes -> (k, p) entries."""
+    w = bit_width
+    dtype = entry_dtype(w)
+    out = np.empty((payload.shape[0], p), dtype=dtype)
+    wide_bits = 8 * dtype.itemsize
+    for rows in _row_blocks(payload.shape[0], p * wide_bits):
+        bits = np.unpackbits(payload[rows], axis=1, count=p * w, bitorder="little")
+        # Widen every field to the dtype's width by repeating its sign bit.
+        wide = np.empty((bits.shape[0], p, wide_bits), dtype=np.uint8)
+        wide[:, :, :w] = bits.reshape(-1, p, w)
+        wide[:, :, w:] = wide[:, :, w - 1 : w]
+        raw = np.packbits(wide, axis=2, bitorder="little")
+        out[rows] = raw.view(dtype.newbyteorder("<"))[:, :, 0]
+    return out
+
+
 def pack_condensed(code: CondensedCode) -> bytes:
-    """Pack entries as fixed-width two's complement, LSB-first bit order."""
-    w = code.bit_width
-    lo = -(1 << (w - 1))
-    hi = (1 << (w - 1)) - 1
-    entries = code.entries
-    if entries.size and (entries.min() < lo or entries.max() > hi):
-        raise CapacityError("entry does not fit the declared bit width")
-    mask = (1 << w) - 1
-    unsigned = entries & mask
-    bits = ((unsigned[:, None] >> np.arange(w, dtype=np.int64)) & 1).astype(np.uint8)
-    return np.packbits(bits.ravel(), bitorder="little").tobytes()
+    """Pack one code's entries; see :func:`pack_rows` for the layout."""
+    return pack_rows(np.asarray(code.entries)[None, :], code.bit_width).tobytes()
 
 
 def unpack_condensed(
     data: bytes, p: int, bit_width: int, norm_factor: float
 ) -> CondensedCode:
     """Inverse of :func:`pack_condensed` given the record geometry."""
-    w = bit_width
-    expected = (p * w + 7) // 8
+    expected = (p * bit_width + 7) // 8
     if len(data) != expected:
         raise ShapeError(f"record has {len(data)} bytes, expected {expected}")
-    flat = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=p * w,
-                         bitorder="little")
-    weights = np.int64(1) << np.arange(w, dtype=np.int64)
-    vals = flat.reshape(p, w).astype(np.int64) @ weights
-    vals = np.where(vals >= (np.int64(1) << (w - 1)), vals - (np.int64(1) << w), vals)
+    payload = np.frombuffer(data, dtype=np.uint8)[None, :]
     return CondensedCode(
-        p=p, bit_width=bit_width, norm_factor=norm_factor, entries=vals
+        p=p, bit_width=bit_width, norm_factor=norm_factor,
+        entries=unpack_rows(payload, p, bit_width)[0],
     )

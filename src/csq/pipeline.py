@@ -27,13 +27,14 @@ from .condense import (
     BinaryCode,
     CondensationSpec,
     CondensedCode,
+    Sketches,
     build_condensation,
+    check_geometry,
     condense_signs_batch,
     l1_distance,
 )
 from .errors import (
     DegenerateInputError,
-    IncompatibilityError,
     InputError,
     ParameterError,
     ShapeError,
@@ -261,7 +262,7 @@ class EmbedDiagnostics:
 @dataclass
 class EmbedResult:
     codes: list[BinaryCode]
-    condensed: list[CondensedCode]
+    condensed: Sketches
     diagnostics: EmbedDiagnostics
 
 
@@ -287,7 +288,7 @@ def embed_dataset(model: EmbeddingModel, data: Dataset) -> EmbedResult:
     if k == 0:
         return EmbedResult(
             codes=[],
-            condensed=[],
+            condensed=Sketches.from_codes(model.condensation, []),
             diagnostics=EmbedDiagnostics(
                 amplitude_violations=np.zeros(0, dtype=bool),
                 wellspread_failures=np.zeros(0, dtype=bool),
@@ -315,19 +316,10 @@ def embed_dataset(model: EmbeddingModel, data: Dataset) -> EmbedResult:
 
     projections = project_dataset(model, data.vectors)
     quant = quantize_batch(model.quantizer, projections)
-    entries = condense_signs_batch(model.condensation, quant.codes)
-
+    condensed = Sketches.of(
+        model.condensation, condense_signs_batch(model.condensation, quant.codes)
+    )
     codes = [BinaryCode.from_signs(quant.codes[i]) for i in range(k)]
-    spec = model.condensation
-    condensed = [
-        CondensedCode(
-            p=spec.p,
-            bit_width=spec.bit_width,
-            norm_factor=spec.norm_factor,
-            entries=entries[i],
-        )
-        for i in range(k)
-    ]
     diagnostics = EmbedDiagnostics(
         amplitude_violations=quant.amplitude_violations,
         wellspread_failures=wellspread_failures,
@@ -341,14 +333,7 @@ def estimate_distance(
     model: EmbeddingModel, a: CondensedCode, b: CondensedCode
 ) -> float:
     """Distance estimate between two sketches produced under ``model``."""
-    spec = model.condensation
-    for code in (a, b):
-        if (
-            code.p != spec.p
-            or code.bit_width != spec.bit_width
-            or code.norm_factor != spec.norm_factor
-        ):
-            raise IncompatibilityError("condensed code does not match the model")
+    check_geometry(a, model.condensation)
     return l1_distance(a, b)
 
 

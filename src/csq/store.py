@@ -31,7 +31,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .condense import BinaryCode, CondensationSpec, CondensedCode
+from .condense import (
+    BinaryCode,
+    CondensationSpec,
+    CondensedCode,
+    Sketches,
+    check_geometry,
+    entry_dtype,
+    pack_rows,
+    unpack_rows,
+)
 from .errors import (
     CorruptionError,
     FormatError,
@@ -53,6 +62,10 @@ CURVE_HEADER = ["m", "p", "r", "mape", "wall_ms"]
 
 _METHOD_BYTES = {"sparse": 0, "fjlt": 1}
 _BYTE_METHODS = {v: k for k, v in _METHOD_BYTES.items()}
+
+# Largest in-memory sketch row read_condensed accepts; NumPy cannot
+# describe a (k, p) matrix, even an empty one, much beyond this.
+_MAX_ROW_BYTES = 2**62
 
 
 class _Reader:
@@ -237,6 +250,8 @@ def read_model(path) -> EmbeddingModel:
         if method == "fjlt":
             if sign_count != n_pad:
                 raise FormatError(f"{path}: diagonal sign count != n_pad")
+            if not np.all(np.abs(signs) == 1):
+                raise FormatError(f"{path}: diagonal signs must be +1 or -1")
             explicit_signs = signs
         elif sign_count != 0:
             raise FormatError(f"{path}: sparse model carries diagonal signs")
@@ -263,8 +278,10 @@ def read_model(path) -> EmbeddingModel:
     )
     try:
         model.validate()
+        if explicit_matrix is not None:
+            explicit_matrix.validate()
     except Exception as exc:
-        raise FormatError(f"{path}: inconsistent model header: {exc}") from exc
+        raise FormatError(f"{path}: inconsistent model: {exc}") from exc
     return model
 
 
@@ -305,55 +322,49 @@ def read_codes(path) -> list[BinaryCode]:
 
 
 def write_condensed(
-    path, codes: list[CondensedCode], spec: CondensationSpec
+    path, codes: Sketches | list[CondensedCode], spec: CondensationSpec
 ) -> None:
-    from .condense import pack_condensed
-
-    for code in codes:
-        if (
-            code.p != spec.p
-            or code.bit_width != spec.bit_width
-            or code.norm_factor != spec.norm_factor
-        ):
-            raise IncompatibilityError(
-                "condensed code disagrees with the declared condensation"
-            )
+    """Write sketches (or a list of per-point codes) made under ``spec``."""
+    if isinstance(codes, Sketches):
+        check_geometry(codes, spec)
+        sketches = codes
+    else:
+        sketches = Sketches.from_codes(spec, codes)
     with open(path, "wb") as fh:
         fh.write(MAGIC_CONDENSED)
         fh.write(
             struct.pack(
                 "<IQQId",
                 FILE_VERSION,
-                len(codes),
+                len(sketches),
                 spec.p,
                 spec.bit_width,
                 spec.norm_factor,
             )
         )
-        for code in codes:
-            fh.write(pack_condensed(code))
+        fh.write(pack_rows(sketches.entries, spec.bit_width).tobytes())
 
 
-def read_condensed(path) -> list[CondensedCode]:
-    from .condense import unpack_condensed
-
+def read_condensed(path) -> Sketches:
     reader = _Reader(_read_file(path), str(path))
     _check_header(reader, MAGIC_CONDENSED)
     k, p, bit_width, norm_factor = reader.unpack("QQId")
     if p < 1 or bit_width < 1 or bit_width > 63:
         raise FormatError(f"{path}: implausible condensed geometry")
+    if not (math.isfinite(norm_factor) and norm_factor > 0.0):
+        raise FormatError(f"{path}: norm_factor must be finite and positive")
+    if p * entry_dtype(bit_width).itemsize > _MAX_ROW_BYTES:
+        raise FormatError(f"{path}: sketch length p={p} is too large")
     record = (p * bit_width + 7) // 8
-    expected = reader.off + k * record
-    if len(reader.data) != expected:
+    payload = len(reader.data) - reader.off
+    if payload != k * record:
         raise CorruptionError(
-            f"{path}: payload is {len(reader.data) - reader.off} bytes, "
+            f"{path}: payload is {payload} bytes, "
             f"expected {k * record} ({k} records of {record})"
         )
-    out = []
-    for _ in range(k):
-        raw = reader.take(record)
-        out.append(unpack_condensed(raw, p, bit_width, norm_factor))
-    return out
+    rows = np.frombuffer(reader.data, dtype=np.uint8, offset=reader.off)
+    entries = unpack_rows(rows.reshape(k, record), p, bit_width)
+    return Sketches(p, bit_width, norm_factor, entries)
 
 
 def write_curve(path, rows: list[tuple]) -> None:

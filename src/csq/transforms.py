@@ -73,10 +73,13 @@ class SparseGaussianMatrix:
             self.col_indices.min() < 0 or self.col_indices.max() >= self.cols
         ):
             raise ShapeError("column index out of range")
-        for i in range(self.rows):
-            lo, hi = self.row_offsets[i], self.row_offsets[i + 1]
-            if np.any(np.diff(self.col_indices[lo:hi]) <= 0):
-                raise ShapeError("column indices must be strictly increasing per row")
+        # Step t compares entries t and t + 1; it crosses a row boundary
+        # when t + 1 starts a row.
+        within = np.ones(max(len(self.col_indices) - 1, 0), dtype=bool)
+        starts = self.row_offsets[1:-1]
+        within[starts[(starts > 0) & (starts < len(self.col_indices))] - 1] = False
+        if np.any(np.diff(self.col_indices)[within] <= 0):
+            raise ShapeError("column indices must be strictly increasing per row")
         if not np.all(np.isfinite(self.values)) or np.any(self.values == 0.0):
             raise InputError("stored values must be finite and nonzero")
 

@@ -1,10 +1,13 @@
 """End-to-end tests for the csq command line, driven in-process via main()."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from csq import bench, pipeline, store
+from csq import bench, cli, pipeline, store
 from csq.cli import main
+from csq.condense import Sketches, build_condensation, pairwise_l1_blocks
 
 
 def _make_dataset(tmp_path, k=6, n=64, seed=77, name="points.csqv"):
@@ -232,3 +235,77 @@ def test_bench_stability_empty_m_list(tmp_path, capsys):
     assert rc == 0
     capsys.readouterr()
     assert out_path.read_text() == "r,m,max_u_inf\n"
+
+
+def _per_pair_csv(model, condensed, divisor):
+    lines = ["i,j,estimate"]
+    for i in range(len(condensed)):
+        for j in range(i + 1, len(condensed)):
+            est = pipeline.estimate_distance(model, condensed[i], condensed[j]) / divisor
+            lines.append(f"{i},{j},{est!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("units", [(), ("--original-units", "--multiplier", "0.37")])
+@pytest.mark.parametrize("block_pairs", [1, 5, 1 << 17])
+def test_query_all_pairs_equals_per_pair_estimates(
+    tmp_path, capsys, monkeypatch, units, block_pairs
+):
+    inp, _ = _make_dataset(tmp_path, k=11)
+    assert main(_embed_argv(inp, tmp_path)) == 0
+    model = store.read_model(tmp_path / "model.csqm")
+    condensed = store.read_condensed(tmp_path / "cond.csqd")
+    want = _per_pair_csv(model, condensed, 0.37 if units else 1.0)
+    monkeypatch.setattr(
+        cli, "pairwise_l1_blocks",
+        functools.partial(pairwise_l1_blocks, block_pairs=block_pairs),
+    )
+    argv = [
+        "query", "--model", str(tmp_path / "model.csqm"),
+        "--condensed", str(tmp_path / "cond.csqd"), "--all-pairs", *units,
+    ]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+    out_path = tmp_path / "pairs.csv"
+    assert main(argv + ["--out", str(out_path)]) == 0
+    assert out_path.read_bytes() == want.encode()
+    assert capsys.readouterr().out == f"wrote {1 + 11 * 10 // 2} line(s) to {out_path}\n"
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("r,lambda_tilde,p", [(1, 5, 4), (1, 4, 5), (2, 4, 4)])
+@pytest.mark.parametrize("which", [("--all-pairs",), ("--pair", "0", "0")])
+def test_query_rejects_sketches_of_another_condensation(
+    embedded, capsys, k, r, lambda_tilde, p, which
+):
+    tmp_path, _, _ = embedded
+    other = build_condensation(r, lambda_tilde, p)
+    path = tmp_path / "foreign.csqd"
+    store.write_condensed(path, Sketches.of(other, np.zeros((k, p), np.int64)), other)
+    capsys.readouterr()
+    rc = main([
+        "query", "--model", str(tmp_path / "model.csqm"),
+        "--condensed", str(path), *which,
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("incompatibility error:")
+
+
+def test_query_with_corrupt_explicit_model_exits_2(embedded, capsys):
+    tmp_path, model, _ = embedded
+    bad = tmp_path / "bad.csqm"
+    store.write_model(bad, model, explicit=True)
+    raw = bytearray(bad.read_bytes())
+    # The first column index follows the 94-byte header, nnz and m + 1
+    # row offsets.
+    off = 94 + 8 + 8 * (model.m + 1)
+    raw[off : off + 8] = (10**6).to_bytes(8, "little")
+    bad.write_bytes(bytes(raw))
+    capsys.readouterr()
+    rc = main([
+        "query", "--model", str(bad),
+        "--condensed", str(tmp_path / "cond.csqd"), "--pair", "0", "1",
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("format error:")

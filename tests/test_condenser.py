@@ -9,14 +9,19 @@ import pytest
 from csq.condense import (
     BinaryCode,
     CondensedCode,
+    Sketches,
     build_condensation,
     condense,
     condense_real_batch,
     condense_signs_batch,
+    entry_dtype,
     l1_distance,
     operator_bound,
     pack_condensed,
+    pack_rows,
+    pairwise_l1_blocks,
     unpack_condensed,
+    unpack_rows,
 )
 from csq.errors import (
     CapacityError,
@@ -309,3 +314,147 @@ def test_packed_size_is_ceil_of_bits():
     signs = np.ones(spec.m, dtype=np.int8)
     code = condense(spec, BinaryCode.from_signs(signs))
     assert len(pack_condensed(code)) == (16 * spec.bit_width + 7) // 8
+
+
+def reference_record(entries, bit_width):
+    """One record as documented: entry e fills bits e*w .. e*w + w - 1 of a
+    little-endian bit string, two's complement, zero-padded to whole bytes."""
+    acc = 0
+    for idx, value in enumerate(entries):
+        acc |= (int(value) & ((1 << bit_width) - 1)) << (idx * bit_width)
+    return acc.to_bytes((len(entries) * bit_width + 7) // 8, "little")
+
+
+def test_pack_rows_matches_per_record_layout_for_random_specs():
+    rng = np.random.default_rng(4242)
+    for _ in range(60):
+        r = int(rng.integers(1, 5))
+        lt = int(rng.integers(2, 40))
+        p = int(rng.integers(1, 20))
+        spec = build_condensation(r, lt, p)
+        k = int(rng.integers(0, 6))
+        peak = lt**r
+        entries = rng.integers(-peak, peak + 1, size=(k, p))
+        packed = pack_rows(entries, spec.bit_width)
+        assert packed.shape == (k, (p * spec.bit_width + 7) // 8)
+        for row, got in zip(entries, packed):
+            assert got.tobytes() == reference_record(row, spec.bit_width)
+            code = CondensedCode(p, spec.bit_width, spec.norm_factor, row)
+            assert pack_condensed(code) == got.tobytes()
+        back = unpack_rows(packed, p, spec.bit_width)
+        assert back.dtype == entry_dtype(spec.bit_width)
+        assert np.array_equal(back, entries)
+
+
+@pytest.mark.parametrize("bit_width", list(range(1, 64)))
+def test_pack_rows_round_trips_extremes_of_every_width(bit_width):
+    half = 1 << (bit_width - 1)
+    row = [-half, half - 1, 0, -1 if bit_width > 1 else 0, half // 3]
+    entries = np.array([row, row[::-1]], dtype=np.int64)
+    packed = pack_rows(entries, bit_width)
+    for want, got in zip(entries, packed):
+        assert got.tobytes() == reference_record(want, bit_width)
+    assert np.array_equal(unpack_rows(packed, len(row), bit_width), entries)
+    code = unpack_condensed(packed[0].tobytes(), len(row), bit_width, 1.0)
+    assert code.entries.tolist() == row
+
+
+def test_pack_rows_rejects_overflow_at_width_63():
+    with pytest.raises(CapacityError):
+        pack_rows(np.array([[1 << 62]], dtype=np.int64), 63)
+
+
+def test_entry_dtype_leaves_room_for_differences():
+    assert entry_dtype(7) == np.int8
+    assert entry_dtype(8) == np.int16
+    assert entry_dtype(10) == np.int16
+    assert entry_dtype(31) == np.int32
+    assert entry_dtype(32) == np.int64
+    assert entry_dtype(63) == np.int64
+    with pytest.raises(CapacityError):
+        entry_dtype(64)
+
+
+# ------------------------------------------------------------ sketches
+
+
+def random_sketches(rng, spec, k):
+    signs = np.where(rng.random((k, spec.m)) < 0.5, -1, 1).astype(np.int8)
+    return Sketches.of(spec, condense_signs_batch(spec, signs))
+
+
+def test_sketches_rows_are_condensed_codes():
+    spec = build_condensation(2, 5, 3)
+    sk = random_sketches(np.random.default_rng(3), spec, 4)
+    assert len(sk) == 4
+    assert sk.entries.dtype == entry_dtype(spec.bit_width)
+    rows = list(sk)
+    assert len(rows) == 4
+    for i, code in enumerate(rows):
+        assert isinstance(code, CondensedCode)
+        assert (code.p, code.bit_width, code.norm_factor) == (
+            spec.p, spec.bit_width, spec.norm_factor,
+        )
+        assert np.array_equal(code.entries, sk.entries[i])
+        assert np.array_equal(sk[i].entries, code.entries)
+    assert np.array_equal(sk[-1].entries, sk.entries[3])
+    tail = sk[1:]
+    assert isinstance(tail, Sketches) and len(tail) == 3
+
+
+def test_sketches_reject_bad_entries():
+    spec = build_condensation(1, 4, 2)
+    with pytest.raises(ShapeError):
+        Sketches.of(spec, np.zeros((3, 5), dtype=np.int64))
+    with pytest.raises(ShapeError):
+        Sketches.of(spec, np.zeros((3, 2)))
+    with pytest.raises(CapacityError):
+        Sketches.of(spec, np.full((1, 2), 1 << spec.bit_width))
+
+
+def test_sketches_from_codes_checks_geometry():
+    spec = build_condensation(1, 4, 2)
+    other = build_condensation(1, 4, 3)
+    code = condense(other, BinaryCode.from_signs(np.ones(12, dtype=np.int8)))
+    with pytest.raises(IncompatibilityError):
+        Sketches.from_codes(spec, [code])
+    empty = Sketches.from_codes(spec, [])
+    assert len(empty) == 0 and empty.entries.shape == (0, 2)
+
+
+def naive_pairwise_l1(rows):
+    k = rows.shape[0]
+    return [
+        float(np.abs(rows[i].astype(np.float64) - rows[j]).sum())
+        for i in range(k)
+        for j in range(i + 1, k)
+    ]
+
+
+@pytest.mark.parametrize("block_pairs", [1, 5, 1 << 17])
+def test_pairwise_l1_blocks_match_naive_pairs(block_pairs):
+    rng = np.random.default_rng(91)
+    spec = build_condensation(2, 6, 5)
+    sk = random_sketches(rng, spec, 9)
+    blocks = list(pairwise_l1_blocks(sk.entries, block_pairs))
+    starts = [start for start, _, _ in blocks]
+    stops = [stop for _, stop, _ in blocks]
+    assert starts == [0] + stops[:-1] and stops[-1] == 8
+    for start, stop, sums in blocks:
+        assert sums.dtype == np.int64
+        assert sums.size == sum(9 - 1 - i for i in range(start, stop))
+    got = np.concatenate([sums for _, _, sums in blocks])
+    assert got.tolist() == naive_pairwise_l1(sk.entries)
+
+
+def test_pairwise_l1_blocks_sum_beyond_the_entry_dtype():
+    """int8 entries at the extremes of width 7: the sums leave int8 and
+    int16 range and must still be exact."""
+    rows = np.array([[-64] * 600, [63] * 600, [0] * 600], dtype=np.int8)
+    got = np.concatenate([s for _, _, s in pairwise_l1_blocks(rows)])
+    assert got.tolist() == [127 * 600, 64 * 600, 63 * 600]
+
+
+def test_pairwise_l1_blocks_need_two_rows():
+    assert list(pairwise_l1_blocks(np.zeros((1, 3), dtype=np.int16))) == []
+    assert list(pairwise_l1_blocks(np.zeros((0, 3), dtype=np.int16))) == []

@@ -146,7 +146,8 @@ def test_model_operator_regenerates_same_matrix():
 def test_embed_empty_dataset():
     model = build_model(method="sparse", n=16, p=2, lambda_tilde=2, r=1, seed=0)
     res = embed_dataset(model, dataset_from_matrix(np.zeros((0, 16))))
-    assert res.codes == [] and res.condensed == []
+    assert res.codes == [] and len(res.condensed) == 0
+    assert res.condensed.entries.shape == (0, model.p)
 
 
 def test_embed_dimension_mismatch():

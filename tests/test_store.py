@@ -1,12 +1,21 @@
 """Round trips and corruption handling for every on-disk format."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from csq.condense import BinaryCode, build_condensation, condense
-from csq.errors import CorruptionError, FormatError
+from csq.condense import (
+    BinaryCode,
+    Sketches,
+    build_condensation,
+    condense,
+    condense_signs_batch,
+)
+from csq.errors import CorruptionError, CsqError, FormatError, IncompatibilityError
 from csq.pipeline import build_model, dataset_from_matrix, embed_dataset
 from csq.store import (
     CURVE_HEADER,
@@ -134,6 +143,52 @@ def test_model_round_trip_explicit_matrix(tmp_path):
         assert np.array_equal(a.codes[i].bits, b.codes[i].bits)
 
 
+# Offset of the explicit-matrix section: magic, version, method byte,
+# n/n_pad/m/p, r/lambda_tilde/sigma, mu/sparsity/wellspread_const, the two
+# seeds and the explicit flag.
+_EXPLICIT_AT = 4 + 4 + 1 + 32 + 12 + 24 + 16 + 1
+
+
+def _explicit_model_bytes(tmp_path, method):
+    path = tmp_path / f"{method}_x.csqm"
+    # p=2 gives sparsity 1: every row stores all n column indices.
+    model = build_model(method=method, n=16, p=2, lambda_tilde=4, r=1, seed=3)
+    write_model(path, model, explicit=True)
+    return path, bytearray(path.read_bytes()), model
+
+
+def _col_index_offset(model, entry):
+    return _EXPLICIT_AT + 8 + 8 * (model.m + 1) + 8 * entry
+
+
+def test_model_explicit_column_out_of_range_is_a_format_error(tmp_path):
+    path, raw, model = _explicit_model_bytes(tmp_path, "sparse")
+    off = _col_index_offset(model, 0)
+    raw[off : off + 8] = (10**6).to_bytes(8, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError):
+        read_model(path)
+
+
+def test_model_explicit_unsorted_row_is_a_format_error(tmp_path):
+    path, raw, model = _explicit_model_bytes(tmp_path, "sparse")
+    first, second = _col_index_offset(model, 0), _col_index_offset(model, 1)
+    raw[first : first + 8], raw[second : second + 8] = (
+        raw[second : second + 8], raw[first : first + 8],
+    )
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError):
+        read_model(path)
+
+
+def test_model_explicit_bad_diagonal_sign_is_a_format_error(tmp_path):
+    path, raw, _ = _explicit_model_bytes(tmp_path, "fjlt")
+    raw[-1] = 0
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError):
+        read_model(path)
+
+
 def test_model_bad_magic(tmp_path):
     path = tmp_path / "bad.csqm"
     path.write_bytes(b"NOPE" + bytes(60))
@@ -229,6 +284,88 @@ def test_condensed_truncation(tmp_path):
     path.write_bytes(path.read_bytes()[:-2])
     with pytest.raises(CorruptionError):
         read_condensed(path)
+
+
+CSQD_HEADER = struct.Struct("<4sIQQId")
+
+
+def test_condensed_sketches_and_code_lists_write_the_same_bytes(tmp_path):
+    spec = build_condensation(3, 7, 5)
+    rng = np.random.default_rng(8)
+    signs = np.where(rng.random((6, spec.m)) < 0.5, -1, 1).astype(np.int8)
+    sk = Sketches.of(spec, condense_signs_batch(spec, signs))
+    write_condensed(tmp_path / "a.csqd", sk, spec)
+    write_condensed(tmp_path / "b.csqd", list(sk), spec)
+    assert (tmp_path / "a.csqd").read_bytes() == (tmp_path / "b.csqd").read_bytes()
+    back = read_condensed(tmp_path / "a.csqd")
+    assert isinstance(back, Sketches) and np.array_equal(back.entries, sk.entries)
+    assert (back.p, back.bit_width, back.norm_factor) == (
+        spec.p, spec.bit_width, spec.norm_factor,
+    )
+
+
+def test_condensed_writer_rejects_foreign_sketches(tmp_path):
+    spec = build_condensation(1, 4, 2)
+    other = build_condensation(1, 5, 2)
+    sk = Sketches.of(other, np.zeros((1, 2), dtype=np.int64))
+    with pytest.raises(IncompatibilityError):
+        write_condensed(tmp_path / "x.csqd", sk, spec)
+
+
+def test_condensed_empty_header_with_huge_p(tmp_path):
+    path = tmp_path / "empty.csqd"
+    p = 2**61  # int16 rows of 2**62 bytes, the largest NumPy can describe
+    path.write_bytes(CSQD_HEADER.pack(b"CSQD", 1, 0, p, 10, 0.5))
+    sk = read_condensed(path)
+    assert len(sk) == 0 and sk.entries.shape == (0, p)
+    for p in (2**63 - 1, 2**64 - 1):
+        path.write_bytes(CSQD_HEADER.pack(b"CSQD", 1, 0, p, 63, 0.5))
+        with pytest.raises(FormatError):
+            read_condensed(path)
+
+
+@pytest.mark.parametrize("norm_factor", [0.0, -1.0, math.inf, math.nan])
+def test_condensed_rejects_bad_norm_factor(tmp_path, norm_factor):
+    path = tmp_path / "nf.csqd"
+    path.write_bytes(CSQD_HEADER.pack(b"CSQD", 1, 0, 4, 10, norm_factor))
+    with pytest.raises(FormatError):
+        read_condensed(path)
+
+
+@st.composite
+def csqd_bytes(draw):
+    """CSQD-shaped byte strings: mostly plausible headers, a quarter of
+    each field hostile, payloads of the exact size or not, sometimes
+    truncated."""
+
+    def field(plausible, hostile):
+        return draw(plausible if draw(st.integers(0, 3)) else hostile)
+
+    u64 = st.sampled_from([2**61 + 1, 2**63 - 1, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+    k = field(st.sampled_from([0, 1, 3]), u64)
+    p = field(st.integers(1, 24), u64)
+    w = field(st.integers(1, 63), st.integers(0, 2**32 - 1))
+    nf = field(st.just(0.25), st.floats())
+    size = k * ((p * w + 7) // 8)
+    body = field(
+        st.binary(min_size=size, max_size=size) if size <= 256 else st.just(b""),
+        st.binary(max_size=48),
+    )
+    raw = CSQD_HEADER.pack(b"CSQD", 1, k, p, w, nf) + body
+    return field(st.just(raw), st.builds(lambda n: raw[:n], st.integers(0, len(raw))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.binary(max_size=64) | csqd_bytes())
+def test_condensed_reader_fuzz(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csqd"
+    path.write_bytes(raw)
+    try:
+        sk = read_condensed(path)
+    except CsqError:
+        return
+    assert isinstance(sk, Sketches)
+    assert sk.entries.shape == (len(sk), sk.p)
 
 
 # ---------------------------------------------------------------- curves

@@ -9,6 +9,7 @@ import pytest
 from csq.errors import ParameterError, ShapeError
 from csq.transforms import (
     FjltOperator,
+    SparseGaussianMatrix,
     apply_fjlt,
     apply_fjlt_batch,
     build_fjlt,
@@ -129,6 +130,29 @@ def test_sparse_gaussian_occupancy_and_variance():
 def test_sparse_gaussian_dense_limit():
     mat = build_sparse_gaussian(10, 10, 1.0, 0)
     assert mat.nnz == 100
+
+
+def _csr(offsets, cols, n_cols=6):
+    cols = np.array(cols, dtype=np.int64)
+    return SparseGaussianMatrix(
+        rows=len(offsets) - 1, cols=n_cols, sparsity=0.5, seed=0,
+        row_offsets=np.array(offsets, dtype=np.int64), col_indices=cols,
+        values=np.ones(cols.size),
+    )
+
+
+def test_validate_checks_column_order_within_rows_only():
+    build_sparse_gaussian(40, 30, 0.3, 5).validate()
+    # Column indices may drop across a row boundary, empty rows included.
+    _csr([0, 0, 3, 3, 5, 5], [1, 2, 5, 0, 4]).validate()
+    _csr([0, 0, 0], []).validate()
+    for offsets, cols in (
+        ([0, 3, 5], [1, 1, 5, 0, 4]),   # repeated index in row 0
+        ([0, 3, 5], [1, 2, 5, 4, 0]),   # decreasing in the last row
+        ([0, 0, 2, 2], [3, 2]),         # decreasing after an empty row
+    ):
+        with pytest.raises(ShapeError):
+            _csr(offsets, cols).validate()
 
 
 def test_sparse_gaussian_argument_errors():
