@@ -100,10 +100,7 @@ class BinaryCode:
         signs = np.asarray(signs)
         if signs.ndim != 1:
             raise ShapeError("signs must be a 1-d vector")
-        if not np.all(np.abs(signs) == 1):
-            raise InputError("signs must be +1 or -1")
-        bits = np.packbits((signs > 0).astype(np.uint8), bitorder="little")
-        return cls(length=signs.shape[0], bits=bits)
+        return codes_from_signs(signs[None, :])[0]
 
     def to_signs(self) -> np.ndarray:
         flat = np.unpackbits(self.bits, count=self.length, bitorder="little")
@@ -111,6 +108,21 @@ class BinaryCode:
 
     def byte_size(self) -> int:
         return (self.length + 7) // 8
+
+
+def codes_from_signs(signs: np.ndarray) -> list[BinaryCode]:
+    """Pack k sign rows (k, m) into k codes with one ``packbits`` call.
+
+    The codes' bits are rows of one (k, ceil(m/8)) array.
+    """
+    signs = np.asarray(signs)
+    if signs.ndim != 2:
+        raise ShapeError("expected a (k, m) sign array")
+    up = signs == 1
+    if np.count_nonzero(up) + np.count_nonzero(signs == -1) != signs.size:
+        raise InputError("signs must be +1 or -1")
+    bits = np.packbits(np.ascontiguousarray(up), axis=1, bitorder="little")
+    return [BinaryCode(length=signs.shape[1], bits=row) for row in bits]
 
 
 @dataclass
@@ -161,7 +173,10 @@ class Sketches:
             raise ShapeError("sketch entries must be integers")
         _check_fits(entries, self.bit_width)
         dtype = entry_dtype(self.bit_width)
-        object.__setattr__(self, "entries", entries.astype(dtype, copy=False))
+        # C order: pack_rows and the row views need a contiguous last axis.
+        object.__setattr__(
+            self, "entries", np.ascontiguousarray(entries, dtype=dtype)
+        )
 
     @classmethod
     def of(cls, spec: CondensationSpec, entries: np.ndarray) -> "Sketches":
@@ -227,12 +242,21 @@ def condense(spec: CondensationSpec, code: BinaryCode) -> CondensedCode:
 
 
 def condense_signs_batch(spec: CondensationSpec, signs: np.ndarray) -> np.ndarray:
-    """Condense k sign rows (k, m) -> integer entries (k, p)."""
+    """Condense k sign rows (k, m) -> integer entries (k, p), exact in int64.
+
+    The block sums read ``signs.T`` as (p, lam, k) blocks, so the ``.T``
+    view of a C-ordered (m, k) int8 array (what :func:`csq.sigma_delta.quantize_batch`
+    returns) is condensed without a widened copy.
+    """
     signs = np.asarray(signs)
     if signs.ndim != 2 or signs.shape[1] != spec.m:
         raise ShapeError(f"expected (k, {spec.m}) sign array, got {signs.shape}")
-    blocks = signs.astype(np.int64).reshape(signs.shape[0], spec.p, spec.lam)
-    return blocks @ spec.kernel
+    blocks = signs.T.reshape(spec.p, spec.lam, signs.shape[0])
+    return np.ascontiguousarray(
+        np.einsum(
+            "l,plk->kp", spec.kernel, blocks, dtype=np.int64, casting="unsafe"
+        )
+    )
 
 
 def condense_real_batch(spec: CondensationSpec, zs: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from .condense import (
     Sketches,
     build_condensation,
     check_geometry,
+    codes_from_signs,
     condense_signs_batch,
     l1_distance,
 )
@@ -121,7 +122,8 @@ class EmbeddingModel:
 
     The projection matrix is regenerated on demand from
     ``(matrix_seed, diagonal_seed)`` unless explicit arrays were loaded from
-    a model file written with verbatim storage.
+    a model file written with verbatim storage. :func:`model_operator`
+    caches the result on the model, keyed on the fields it is built from.
     """
 
     method: str
@@ -140,6 +142,9 @@ class EmbeddingModel:
     version: int = FILE_VERSION
     explicit_matrix: SparseGaussianMatrix | None = field(default=None, repr=False)
     explicit_signs: np.ndarray | None = field(default=None, repr=False)
+    _operator: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def validate(self) -> None:
         if self.method not in METHODS:
@@ -226,7 +231,30 @@ def build_model(
 
 
 def model_operator(model: EmbeddingModel) -> SparseGaussianMatrix | FjltOperator:
-    """Materialize the projection (explicit arrays win over regeneration)."""
+    """Materialize the projection (explicit arrays win over regeneration).
+
+    The operator is cached on the model and rebuilt when a field it is built
+    from changes: method, shape, sparsity, seeds, or the identity of the
+    explicit arrays.
+    """
+    key = (
+        model.method, model.n, model.n_pad, model.m, model.sparsity,
+        model.matrix_seed, model.diagonal_seed,
+    )
+    explicit = (model.explicit_matrix, model.explicit_signs)
+    cached = model._operator
+    if (
+        cached is not None
+        and cached[0] == key
+        and all(a is b for a, b in zip(cached[1], explicit))
+    ):
+        return cached[2]
+    op = _build_operator(model)
+    model._operator = (key, explicit, op)
+    return op
+
+
+def _build_operator(model: EmbeddingModel) -> SparseGaussianMatrix | FjltOperator:
     if model.method == "sparse":
         if model.explicit_matrix is not None:
             return model.explicit_matrix
@@ -267,7 +295,11 @@ class EmbedResult:
 
 
 def project_dataset(model: EmbeddingModel, vectors: np.ndarray) -> np.ndarray:
-    """Apply the model's linear map to rows of ``vectors`` -> (k, m)."""
+    """Apply the model's linear map to rows of ``vectors`` -> (k, m).
+
+    The result is the ``.T`` view of a C-ordered (m, k) array: the embed
+    stages carry points on the last axis.
+    """
     op = model_operator(model)
     if isinstance(op, FjltOperator):
         return sparse_matmat(op.matrix, op.precondition(vectors))
@@ -319,7 +351,7 @@ def embed_dataset(model: EmbeddingModel, data: Dataset) -> EmbedResult:
     condensed = Sketches.of(
         model.condensation, condense_signs_batch(model.condensation, quant.codes)
     )
-    codes = [BinaryCode.from_signs(quant.codes[i]) for i in range(k)]
+    codes = codes_from_signs(quant.codes)
     diagnostics = EmbedDiagnostics(
         amplitude_violations=quant.amplitude_violations,
         wellspread_failures=wellspread_failures,

@@ -141,43 +141,58 @@ def quantize(spec: QuantizerSpec, y: np.ndarray) -> QuantizationResult:
 
 @dataclass
 class BatchQuantizationResult:
+    """Codes of k vectors and their loudness flags.
+
+    ``codes`` is (k, m) int8, the ``.T`` view of a C-ordered (m, k) array.
+    """
+
     codes: np.ndarray
-    states: np.ndarray
     amplitude_violations: np.ndarray
 
 
 def quantize_batch(spec: QuantizerSpec, ys: np.ndarray) -> BatchQuantizationResult:
-    """Quantize k vectors of common length m (rows of ``ys``) in lockstep."""
+    """Quantize k vectors of common length m (rows of ``ys``) in lockstep.
+
+    Step i handles sample i of every vector at once, reading ``ys.T`` as a
+    C-ordered (m, k) array (no copy when ``ys`` is the ``.T`` view of one).
+    Only the last ``reach + 1`` filter states are kept, in a ring of rows.
+    The floating-point operations per sample are those of :func:`quantize`,
+    so the codes agree with it bit for bit.
+    """
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim != 2:
         raise ShapeError("quantize_batch expects a (k, m) array")
-    if not np.all(np.isfinite(ys)):
-        raise InputError("input must be finite")
     k, m = ys.shape
-    pad = spec.reach
-    buf = np.zeros((pad + m, k), dtype=np.float64)
-    codes = np.empty((m, k), dtype=np.int8)
+    violations = np.zeros(k, dtype=bool)
+    if m:
+        # max |y| is max(max y, -min y); NaN propagates through both.
+        peaks = np.maximum(ys.max(axis=1), -ys.min(axis=1))
+        if not np.all(np.isfinite(peaks)):
+            raise InputError("input must be finite")
+        violations = peaks > spec.mu
     yt = np.ascontiguousarray(ys.T)
-    offsets = [pad - nj for nj in spec.positions]
-    weights = spec.weights
+    ring_len = spec.reach + 1
+    ring = np.zeros((ring_len, k), dtype=np.float64)
+    up = np.empty((m, k), dtype=bool)
+    term = np.empty(k, dtype=np.float64)
+    q = np.empty(k, dtype=np.float64)
+    (n1, d1), *taps = zip(spec.positions, spec.weights)
     for i in range(m):
-        a = np.zeros(k, dtype=np.float64)
-        for off, d in zip(offsets, weights):
-            a += d * buf[off + i]
-        s = a + yt[i]
-        q = np.where(s >= 0.0, 1.0, -1.0)
-        buf[pad + i] = s - q
-        codes[i] = q.astype(np.int8)
-    violations = (
-        np.max(np.abs(ys), axis=1) > spec.mu
-        if m
-        else np.zeros(k, dtype=bool)
-    )
-    return BatchQuantizationResult(
-        codes=np.ascontiguousarray(codes.T),
-        states=np.ascontiguousarray(buf[pad:].T),
-        amplitude_violations=violations,
-    )
+        # s starts from the first tap's product rather than 0.0 + product;
+        # that can only change the sign of a zero, which neither the
+        # comparison nor the state s - q can see.
+        s = np.multiply(ring[(i - n1) % ring_len], d1, out=ring[i % ring_len])
+        for nj, d in taps:
+            s += np.multiply(ring[(i - nj) % ring_len], d, out=term)
+        s += yt[i]
+        np.greater_equal(s, 0.0, out=up[i])
+        np.multiply(up[i], 2.0, out=q)
+        q -= 1.0
+        s -= q
+    codes = up.view(np.int8)
+    codes *= 2
+    codes -= 1
+    return BatchQuantizationResult(codes=codes.T, amplitude_violations=violations)
 
 
 def reconstruct_state_u(r: int, y: np.ndarray, q: np.ndarray) -> np.ndarray:

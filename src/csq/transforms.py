@@ -26,6 +26,12 @@ from .errors import CapacityError, InputError, ParameterError, ShapeError
 # be indexed that way.
 _MAX_ENTRIES = 2**62
 
+# Float64 elements in one working tile of the projection (256 KiB), and
+# points per block of the Walsh-Hadamard butterfly (two (n, 256) scratch
+# buffers, 4 MiB at n = 1024); both keep the working set in cache.
+_TILE = 1 << 15
+_FWHT_BLOCK = 256
+
 
 @dataclass
 class SparseGaussianMatrix:
@@ -43,7 +49,7 @@ class SparseGaussianMatrix:
     row_offsets: np.ndarray
     col_indices: np.ndarray
     values: np.ndarray
-    _row_ids: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def nnz(self) -> int:
@@ -52,12 +58,34 @@ class SparseGaussianMatrix:
     def density(self) -> float:
         return self.nnz / float(self.rows * self.cols)
 
-    def row_ids(self) -> np.ndarray:
-        """Row index of every stored entry (cached; used by matvec)."""
-        if self._row_ids is None:
-            counts = np.diff(self.row_offsets)
-            self._row_ids = np.repeat(np.arange(self.rows, dtype=np.int64), counts)
-        return self._row_ids
+    def plan(self, chunk: int) -> list:
+        """Visiting order of the stored entries for :func:`sparse_matmat`.
+
+        Rows are sorted by stored length, longest first, and cut into chunks
+        of ``chunk`` rows. For each chunk the result is ``(rows, steps)``:
+        the row indices in that order, and for each entry position t one
+        ``(cols, vals)`` pair holding the t-th stored entry of every chunk
+        row that has one. Those rows are always a prefix of the chunk.
+        Cached per chunk size.
+        """
+        if chunk not in self._plans:
+            lengths = np.diff(self.row_offsets)
+            order = np.argsort(-lengths, kind="stable")
+            plan = []
+            for lo in range(0, self.rows, chunk):
+                rows = order[lo : lo + chunk]
+                lens = lengths[rows]
+                # Position of every entry of these rows within its row,
+                # then the entries position-major (stable: rows stay in order).
+                pos = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
+                entry = np.repeat(self.row_offsets[rows], lens) + pos
+                entry = entry[np.argsort(pos, kind="stable")]
+                cols, vals = self.col_indices[entry], self.values[entry][:, None]
+                ends = np.cumsum(np.bincount(pos)).tolist()
+                steps = [(cols[a:b], vals[a:b]) for a, b in zip([0] + ends, ends)]
+                plan.append((rows, steps))
+            self._plans[chunk] = plan
+        return self._plans[chunk]
 
     def validate(self) -> None:
         """Check the CSR invariants; raises on violation."""
@@ -137,25 +165,44 @@ def sparse_matvec(matrix: SparseGaussianMatrix, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (matrix.cols,):
         raise ShapeError(f"expected vector of length {matrix.cols}, got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InputError("input vector must be finite")
-    products = matrix.values * x[matrix.col_indices]
-    return np.bincount(matrix.row_ids(), weights=products, minlength=matrix.rows)
+    return sparse_matmat(matrix, x[None, :])[0]
 
 
 def sparse_matmat(matrix: SparseGaussianMatrix, xs: np.ndarray) -> np.ndarray:
-    """Apply the matrix to every row of ``xs`` (shape (k, cols) -> (k, rows))."""
+    """Apply the matrix to every row of ``xs`` (shape (k, cols) -> (k, rows)).
+
+    Points travel on the last axis: the kernel reads ``xs.T`` as a C-ordered
+    (cols, k) array, which costs no copy when ``xs`` is itself the ``.T``
+    view of one, and returns the ``.T`` view of a C-ordered (rows, k)
+    result. Output row i starts at 0.0 and adds ``value * x[col]`` for its
+    stored entries in storage order, the additions ``np.bincount`` makes,
+    so every result is bit-identical to a per-point bincount. Rows go in
+    chunks of similar stored length (see :meth:`SparseGaussianMatrix.plan`)
+    sized so that one chunk of all k points stays in cache.
+    """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != matrix.cols:
         raise ShapeError(f"expected (k, {matrix.cols}) array, got {xs.shape}")
     if not np.all(np.isfinite(xs)):
         raise InputError("input vectors must be finite")
-    out = np.empty((xs.shape[0], matrix.rows), dtype=np.float64)
-    rid = matrix.row_ids()
-    for i in range(xs.shape[0]):
-        products = matrix.values * xs[i, matrix.col_indices]
-        out[i] = np.bincount(rid, weights=products, minlength=matrix.rows)
-    return out
+    points = np.ascontiguousarray(xs.T)
+    k = points.shape[1]
+    out = np.empty((matrix.rows, k), dtype=np.float64)
+    # Rows per chunk: about _TILE floats, rounded down to a power of two so
+    # that few plans are cached.
+    chunk = min(matrix.rows, 1 << (max(_TILE // max(k, 1), 1).bit_length() - 1))
+    acc = np.empty((chunk, k), dtype=np.float64)
+    prod = np.empty_like(acc)
+    for rows, steps in matrix.plan(chunk):
+        a = acc[: rows.size]
+        a.fill(0.0)
+        for cols, vals in steps:
+            g = prod[: cols.size]
+            np.take(points, cols, axis=0, out=g)
+            g *= vals
+            a[: cols.size] += g
+        out[rows] = a
+    return out.T
 
 
 def fwht_inplace(x: np.ndarray) -> np.ndarray:
@@ -164,22 +211,36 @@ def fwht_inplace(x: np.ndarray) -> np.ndarray:
     Implements the orthogonal matrix ``H[i, j] = n**-0.5 * (-1)**popcount(i & j)``
     (0-indexed) via the standard butterfly, so applying it twice restores the
     input. The last-axis length must be a power of two.
+
+    The butterfly runs down axis 0 of the (n, points) view ``x.T``, a block
+    of points at a time, and ping-pongs between two scratch buffers. For a
+    2-d ``x`` that is the ``.T`` view of a C-ordered (n, k) buffer, every
+    load and store is contiguous; other layouts give the same numbers
+    through strided loads.
     """
     if x.dtype != np.float64 or not x.flags.writeable:
         raise InputError("fwht_inplace requires a writable float64 array")
     n = x.shape[-1]
     if n < 1 or (n & (n - 1)) != 0:
         raise ShapeError("transform length must be a power of two")
-    lead = x.shape[:-1]
-    h = 1
-    while h < n:
-        y = x.reshape(lead + (n // (2 * h), 2, h))
-        even = y[..., 0, :].copy()
-        odd = y[..., 1, :]
-        y[..., 0, :] = even + odd
-        y[..., 1, :] = even - odd
-        h *= 2
-    x *= 1.0 / math.sqrt(n)
+    rows = x.reshape(-1, n)
+    if rows.size and not np.may_share_memory(rows, x):
+        raise InputError("fwht_inplace needs an array whose rows form a view")
+    cols = rows.T
+    width = max(1, min(_FWHT_BLOCK, cols.shape[1]))
+    scratch = (np.empty((n, width)), np.empty((n, width)))
+    scale = 1.0 / math.sqrt(n)
+    for lo in range(0, cols.shape[1], width):
+        block = cols[:, lo : lo + width]
+        src, h = block, 1
+        while h < n:
+            dst = scratch[h.bit_length() & 1][:, : block.shape[1]]
+            s4 = src.reshape(n // (2 * h), 2, h, -1)
+            d4 = dst.reshape(n // (2 * h), 2, h, -1)
+            np.add(s4[:, 0], s4[:, 1], out=d4[:, 0])
+            np.subtract(s4[:, 0], s4[:, 1], out=d4[:, 1])
+            src, h = dst, 2 * h
+        np.multiply(src, scale, out=block)
     return x
 
 
@@ -236,11 +297,15 @@ class FjltOperator:
             raise ShapeError(f"expected (k, {self.input_dim}) array, got {xs.shape}")
         if not np.all(np.isfinite(xs)):
             raise InputError("input vectors must be finite")
-        np_ = self.diagonal.dim
-        padded = np.zeros((xs.shape[0], np_), dtype=np.float64)
-        padded[:, : self.input_dim] = xs
-        padded *= self.diagonal.signs
-        return fwht_inplace(padded)
+        # Built feature-major: the result is the .T view of a C-ordered
+        # (padded, k) buffer. The padding holds 0.0 * sign, as a zero pad
+        # multiplied by D would.
+        n, signs = self.input_dim, self.diagonal.signs[:, None]
+        padded = np.empty((self.diagonal.dim, xs.shape[0]), dtype=np.float64)
+        np.multiply(xs.T, signs[:n], out=padded[:n])
+        np.multiply(0.0, signs[n:], out=padded[n:])
+        fwht_inplace(padded.T)
+        return padded.T
 
 
 def build_fjlt(
@@ -261,11 +326,6 @@ def apply_fjlt(op: FjltOperator, x: np.ndarray) -> np.ndarray:
         raise ShapeError("apply_fjlt expects a 1-d vector")
     pre = op.precondition(x[None, :])
     return sparse_matvec(op.matrix, pre[0])
-
-
-def apply_fjlt_batch(op: FjltOperator, xs: np.ndarray) -> np.ndarray:
-    pre = op.precondition(xs)
-    return sparse_matmat(op.matrix, pre)
 
 
 def recommended_sparsity(

@@ -309,3 +309,51 @@ def test_query_with_corrupt_explicit_model_exits_2(embedded, capsys):
     ])
     assert rc == 2
     assert capsys.readouterr().err.startswith("format error:")
+
+
+# sha256 of the CSQM, CSQC and CSQD files `csq embed` writes for fixed
+# inputs. The embed kernels must reproduce these bytes exactly: a kernel
+# change that moves one rounding shows up here.
+EMBED_DIGESTS = {
+    ("sparse", 1): (
+        "5bbe8286cf3de532c6c1ba3f1102e9277ee971b93b010081e6cd4dd4122bacbf",
+        "70ca0411888ed199bc0fec313d309b722e99f42209b6532e0e543ca4102a4f72",
+        "2cdb9cad0488e17016c7fdd42cfc41825a77c53f2485b55d5ef7b96e19875e4e",
+    ),
+    ("sparse", 3): (
+        "78e5c020912979270f5810fd559e96787656fb324e384fc931d5116b7bfc1b91",
+        "54eb5016da322b659a758fda67444b2c893eba348842aebc9e0eefce5ccd920c",
+        "90414a8915631acf4c6b2856a30d5f4814a4e5346651c2bf3f651f309eb5a670",
+    ),
+    ("fjlt", 2): (
+        "2b8a926ca6e3fbbbcddbcdf5ec67034c1d5efa723d3d01f64e2893f08e67f8f2",
+        "7e9894fc0c5b85724a7a4c2c4792d21a0589ef5e5a6a09d9c86ba21aec49ea41",
+        "3bf6c74e75a0497d3bcde44da51cff7fc8930ac9fd33b8e477e79a6a09ac1aa6",
+    ),
+    ("fjlt", 3): (
+        "42957f6bc0329367f47d37af1dcfe858a8d1b8ac4ccc5daf4add8b8e2aa8a75c",
+        "afcf2e21c7f88252be66972365ee89fb2ad7c0a596bcc7a746ec3641001d57c7",
+        "470315e319df89236981add3150cfe86b25ab2894e614b9e588e3613d15ad897",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method, r", sorted(EMBED_DIGESTS))
+def test_embed_output_bytes_are_pinned(tmp_path, capsys, method, r):
+    import hashlib
+
+    rng = np.random.default_rng([2026, r])
+    mat = rng.standard_normal((9, 37))
+    mat[4] = 0.0
+    mat *= 0.1 / np.linalg.norm(mat, axis=1).max()
+    inp = tmp_path / "points.csqv"
+    store.write_vectors(inp, pipeline.dataset_from_matrix(mat))
+    argv = _embed_argv(inp, tmp_path)
+    argv[argv.index("--r") + 1] = str(r)
+    assert main(argv + ["--method", method]) == 0
+    got = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("model.csqm", "codes.csqc", "cond.csqd")
+    )
+    assert got == EMBED_DIGESTS[(method, r)]

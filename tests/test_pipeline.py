@@ -140,6 +140,65 @@ def test_model_operator_regenerates_same_matrix():
     assert np.array_equal(op1.col_indices, op2.col_indices)
 
 
+def test_model_operator_is_built_once_per_model(monkeypatch):
+    import csq.pipeline as pipeline_mod
+
+    builds = []
+    real = pipeline_mod.build_fjlt
+    monkeypatch.setattr(
+        pipeline_mod, "build_fjlt", lambda *a: builds.append(a) or real(*a)
+    )
+    model = build_model(method="fjlt", n=20, p=2, lambda_tilde=4, r=2, seed=3)
+    data = flat_dataset(20, 5, 0.05, seed=1)
+    first = embed_dataset(model, data)
+    second = embed_dataset(model, data)
+    assert len(builds) == 1
+    assert np.array_equal(first.condensed.entries, second.condensed.entries)
+    assert [c.bits.tobytes() for c in first.codes] == [
+        c.bits.tobytes() for c in second.codes
+    ]
+    # The cache is not part of the model's value.
+    import dataclasses
+
+    (cache,) = [f for f in dataclasses.fields(model) if f.name == "_operator"]
+    assert not cache.compare and not cache.repr and not cache.init
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda m: setattr(m, "matrix_seed", m.matrix_seed + 1),
+        lambda m: setattr(m, "diagonal_seed", m.diagonal_seed + 1),
+        lambda m: setattr(m, "sparsity", m.sparsity / 2),
+    ],
+    ids=["matrix_seed", "diagonal_seed", "sparsity"],
+)
+def test_model_operator_rebuilds_after_mutation(mutate):
+    model = build_model(method="fjlt", n=20, p=2, lambda_tilde=4, r=2, seed=3)
+    before = model_operator(model)
+    mutate(model)
+    after = model_operator(model)
+    assert after is not before
+    fresh = build_model(method="fjlt", n=20, p=2, lambda_tilde=4, r=2, seed=3)
+    mutate(fresh)
+    xs = flat_dataset(20, 4, 0.05, seed=2).vectors
+    assert np.array_equal(project_dataset(model, xs), project_dataset(fresh, xs))
+
+
+def test_model_operator_follows_explicit_arrays():
+    model = build_model(method="sparse", n=16, p=2, lambda_tilde=4, r=1, seed=3)
+    regenerated = model_operator(model)
+    explicit = build_model(
+        method="sparse", n=16, p=2, lambda_tilde=4, r=1, seed=4
+    )
+    model.explicit_matrix = model_operator(explicit)
+    assert model_operator(model) is model.explicit_matrix
+    model.explicit_matrix = None
+    again = model_operator(model)
+    assert again is not regenerated
+    assert np.array_equal(again.values, regenerated.values)
+
+
 # ---------------------------------------------------------- embedding
 
 

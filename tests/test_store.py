@@ -304,6 +304,23 @@ def test_condensed_sketches_and_code_lists_write_the_same_bytes(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "layout",
+    [np.asfortranarray, lambda e: np.ascontiguousarray(e.T).T, lambda e: e[:, ::-1]],
+    ids=["fortran", "transposed", "reversed"],
+)
+def test_condensed_round_trip_of_non_c_ordered_entries(tmp_path, layout):
+    spec = build_condensation(2, 5, 7)
+    rng = np.random.default_rng(12)
+    signs = np.where(rng.random((9, spec.m)) < 0.5, -1, 1).astype(np.int8)
+    entries = condense_signs_batch(spec, signs)
+    sk = Sketches.of(spec, layout(entries))
+    assert sk.entries.flags.c_contiguous
+    write_condensed(tmp_path / "sk.csqd", sk, spec)
+    back = read_condensed(tmp_path / "sk.csqd")
+    assert np.array_equal(back.entries, layout(entries))
+
+
 def test_condensed_writer_rejects_foreign_sketches(tmp_path):
     spec = build_condensation(1, 4, 2)
     other = build_condensation(1, 5, 2)

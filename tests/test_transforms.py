@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from csq.errors import ParameterError, ShapeError
+from csq.pipeline import build_model, model_operator, project_dataset
 from csq.transforms import (
     FjltOperator,
     SparseGaussianMatrix,
     apply_fjlt,
-    apply_fjlt_batch,
     build_fjlt,
     build_sign_diagonal,
     build_sparse_gaussian,
@@ -223,12 +223,14 @@ def test_fjlt_equals_composed_parts():
 
 
 def test_fjlt_batch_matches_single():
-    op = build_fjlt(16, 20, 0.8, matrix_seed=1, diagonal_seed=2)
+    model = build_model("fjlt", 20, 4, 4, 1, seed=2)
+    op = model_operator(model)
     rng = np.random.default_rng(11)
     xs = rng.standard_normal((6, 20))
-    got = apply_fjlt_batch(op, xs)
+    got = project_dataset(model, xs)
+    assert got.shape == (6, model.m)
     for i in range(6):
-        assert np.allclose(got[i], apply_fjlt(op, xs[i]), atol=1e-12)
+        assert np.array_equal(got[i], apply_fjlt(op, xs[i]))
 
 
 def test_fjlt_preconditioning_spreads_a_spike():
