@@ -1,0 +1,267 @@
+"""Build, cache and load the compiled embed kernels of ``_kernels.c``.
+
+The source ships with the package. The first :func:`load` compiles it with
+the system C compiler ``cc`` into a per-user cache directory and loads the
+shared library with ``ctypes``; later calls, and later processes, reuse it.
+The file name carries the sha256 of the source, the compiler flags and the
+machine type, so a changed source or flag set builds a new library. When
+anything fails (no compiler, a compile error, an unusable cache directory,
+a library that does not load) :func:`load` returns None, :func:`failure`
+says why, and the caller runs the numpy kernels instead. Nothing here runs
+at import.
+
+The flags leave out ``-ffast-math`` (which reorders floating-point sums)
+and ``-march=native`` (which may enable fused multiply-add and makes the
+library depend on the build host); ``-ffp-contract=off`` forbids fusing
+``a * b + c`` even where the target has such an instruction. Those keep
+every result bit-identical to the numpy kernels.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import shutil
+from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
+
+from .errors import ShapeError
+
+FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+
+# Points per tile of the preconditioned block; TILE in _kernels.c.
+TILE = 16
+
+_i64, _f64, _ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+_SIGNATURES = {
+    "csq_precondition": (ctypes.c_int, [_ptr, _i64, _i64, _ptr, _i64, _f64, _ptr]),
+    "csq_project": (None, [_ptr, _ptr, _ptr, _i64, _ptr, _i64, _i64, _ptr]),
+    "csq_quantize": (None, [_ptr, _i64, _i64, _ptr, _ptr, _i64, _ptr, _ptr, _ptr]),
+    "csq_embed_block": (
+        ctypes.c_int,
+        [_ptr, _i64, _i64, _ptr, _i64, _f64, _ptr, _ptr, _ptr, _i64, _ptr, _ptr,
+         _i64, _ptr, _i64, _ptr, _ptr, _ptr, _ptr],
+    ),
+}
+
+
+def source() -> bytes:
+    """The kernel source shipped as package data."""
+    from importlib import resources
+
+    return resources.files(__package__).joinpath("_kernels.c").read_bytes()
+
+
+def cache_dir() -> Path:
+    """``$XDG_CACHE_HOME/csq``, else ``~/.cache/csq``."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache"
+    )
+    return Path(base) / "csq"
+
+
+class Csr(NamedTuple):
+    """A sparse matrix's CSR arrays, checked for :meth:`Kernels.project`."""
+
+    rows: int
+    n_cols: int
+    offsets: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+
+def checked_csr(matrix) -> Csr:
+    """The CSR arrays of a :class:`csq.transforms.SparseGaussianMatrix` as
+    contiguous int64/float64, after checking every bound the kernel relies
+    on: offsets rise from 0 to nnz and every column lies in range."""
+    offsets = np.ascontiguousarray(matrix.row_offsets, dtype=np.int64)
+    cols = np.ascontiguousarray(matrix.col_indices, dtype=np.int64)
+    vals = np.ascontiguousarray(matrix.values, dtype=np.float64)
+    nnz = cols.size
+    if (
+        offsets.shape != (matrix.rows + 1,)
+        or offsets[0] != 0
+        or offsets[-1] != nnz
+        or vals.shape != (nnz,)
+        or np.any(np.diff(offsets) < 0)
+        or (nnz and (cols.min() < 0 or cols.max() >= matrix.cols))
+    ):
+        raise ShapeError("sparse matrix arrays are not a valid CSR layout")
+    return Csr(matrix.rows, matrix.cols, offsets, cols, vals)
+
+
+def _taps(quantizer) -> tuple[np.ndarray, np.ndarray]:
+    """A :class:`csq.sigma_delta.QuantizerSpec`'s tap positions and weights
+    as the kernels take them."""
+    return (
+        np.array(quantizer.positions, dtype=np.int64),
+        np.array(quantizer.weights, dtype=np.float64),
+    )
+
+
+def _check(a: np.ndarray, dtype, size: int) -> int:
+    """Address of a C-contiguous array of at least ``size`` items."""
+    if a.dtype != dtype or not a.flags.c_contiguous or a.size < size:
+        raise ValueError(f"kernel buffer must be C-contiguous {dtype} of >= {size}")
+    return a.ctypes.data
+
+
+class Kernels:
+    """Typed entry points into the loaded library; each checks its buffers
+    before passing pointers. ctypes releases the GIL during every call.
+
+    :meth:`embed_block` is the embed path; :meth:`precondition`,
+    :meth:`project` and :meth:`quantize` run one stage each, so that every
+    kernel can be compared with its numpy counterpart on its own.
+    """
+
+    def __init__(self, lib: ctypes.CDLL):
+        self._lib = lib
+        for name, (restype, argtypes) in _SIGNATURES.items():
+            fn = getattr(lib, name)
+            fn.restype, fn.argtypes = restype, argtypes
+
+    @staticmethod
+    def tiled_size(b: int, n_pad: int) -> int:
+        """Doubles in a tiled block of b points (see ``_kernels.c``)."""
+        return -(-b // TILE) * TILE * n_pad
+
+    def precondition(self, x, signs, n_pad, scale, out) -> bool:
+        """Tile the rows of x (b, n), optionally padding, sign-flipping and
+        transforming them; False when some input is not finite."""
+        b, n = x.shape
+        if n > n_pad or (signs is None and n_pad != n):
+            raise ValueError("block dimensions disagree")
+        bad = self._lib.csq_precondition(
+            _check(x, np.float64, b * n), b, n,
+            None if signs is None else _check(signs, np.float64, n_pad),
+            n_pad, scale,
+            _check(out, np.float64, self.tiled_size(b, n_pad)),
+        )
+        return bad == 0
+
+    def project(self, csr: Csr, x, b, out) -> None:
+        """The matrix applied to the tiled block x of b points, written
+        tiled into out."""
+        self._lib.csq_project(
+            csr.offsets.ctypes.data, csr.cols.ctypes.data, csr.vals.ctypes.data,
+            csr.rows,
+            _check(x, np.float64, self.tiled_size(b, csr.n_cols)),
+            csr.n_cols, b,
+            _check(out, np.float64, self.tiled_size(b, csr.rows)),
+        )
+
+    def quantize(self, y, quantizer, ring, codes, peaks) -> None:
+        """Codes (m, b) and peaks (b) of the tiled projections y of b
+        points; see ``_kernels.c``."""
+        m, b = codes.shape
+        positions, weights = _taps(quantizer)
+        self._lib.csq_quantize(
+            _check(y, np.float64, self.tiled_size(b, m)), m, b,
+            positions.ctypes.data, weights.ctypes.data, positions.size,
+            _check(ring, np.float64, (quantizer.reach + 1) * TILE),
+            _check(codes, np.int8, m * b),
+            _check(peaks, np.float64, b),
+        )
+
+    @staticmethod
+    def scratch_size(n_pad: int, m: int, reach: int) -> int:
+        """Doubles of scratch :meth:`embed_block` needs."""
+        return (n_pad + m + reach + 1) * TILE + -(-m * TILE // 8)
+
+    def embed_block(
+        self, x, signs, scale, csr: Csr, quantizer, kernel, scratch,
+        entries, bits, peaks,
+    ) -> bool:
+        """Embed the rows of x (b, n): ``entries`` (b, p) and ``bits``
+        (b, ceil(m/8)) get the condensed sketches and packed codes the
+        numpy stages give, and ``peaks`` (b) each point's largest
+        |projection|. False when some input is not finite."""
+        b, n = x.shape
+        m, lam = csr.rows, kernel.size
+        positions, weights = _taps(quantizer)
+        if (
+            n > csr.n_cols
+            or (signs is None and csr.n_cols != n)
+            or m % lam
+            or entries.shape != (b, m // lam)
+            or bits.shape != (b, (m + 7) // 8)
+        ):
+            raise ValueError("block dimensions disagree")
+        bad = self._lib.csq_embed_block(
+            _check(x, np.float64, b * n), b, n,
+            None if signs is None else _check(signs, np.float64, csr.n_cols),
+            csr.n_cols, scale,
+            csr.offsets.ctypes.data, csr.cols.ctypes.data, csr.vals.ctypes.data,
+            m,
+            positions.ctypes.data, weights.ctypes.data, positions.size,
+            _check(kernel, np.int64, lam), lam,
+            _check(scratch, np.float64, self.scratch_size(csr.n_cols, m, quantizer.reach)),
+            _check(entries, np.int64, entries.size),
+            _check(bits, np.uint8, bits.size),
+            _check(peaks, np.float64, b),
+        )
+        return bad == 0
+
+
+def _build(cache: Path) -> Path:
+    """The shared library for the current source and flags, compiled into
+    ``cache`` unless it is there already. Raises OSError or
+    subprocess.SubprocessError."""
+    import subprocess
+    import tempfile
+
+    src = source()
+    key = hashlib.sha256(
+        b"\0".join([src, " ".join(FLAGS).encode(), platform.machine().encode()])
+    ).hexdigest()[:24]
+    lib = cache / f"kernels-{key}.so"
+    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+    info = cache.stat()
+    if info.st_uid != os.getuid() or info.st_mode & 0o022:
+        raise PermissionError(f"{cache} is not a private directory of this user")
+    if lib.is_file():
+        return lib
+    cc = shutil.which("cc")
+    if cc is None:
+        raise FileNotFoundError("no C compiler 'cc' on PATH")
+    with tempfile.TemporaryDirectory(dir=cache) as work:
+        c_file = Path(work) / "_kernels.c"
+        c_file.write_bytes(src)
+        so_file = Path(work) / "kernels.so"
+        subprocess.run(
+            [cc, *FLAGS, "-o", str(so_file), str(c_file)],
+            check=True, capture_output=True, timeout=120,
+        )
+        os.replace(so_file, lib)
+    return lib
+
+
+@functools.cache
+def _load() -> tuple[Kernels | None, str]:
+    import subprocess
+
+    try:
+        return Kernels(ctypes.CDLL(str(_build(cache_dir())))), ""
+    except subprocess.CalledProcessError as exc:
+        lines = exc.stderr.decode(errors="replace").strip().splitlines()
+        return None, "compile failed: " + (lines[0] if lines else f"exit {exc.returncode}")
+    except (OSError, subprocess.SubprocessError) as exc:
+        return None, str(exc)
+    except AttributeError as exc:  # a library without the kernel symbols
+        return None, f"broken kernel library: {exc}"
+
+
+def load() -> Kernels | None:
+    """The compiled kernels, built on first use; None when they cannot be."""
+    return _load()[0]
+
+
+def failure() -> str:
+    """Why :func:`load` gives None ('' when it does not)."""
+    return _load()[1]

@@ -136,6 +136,10 @@ def _cmd_embed(args) -> int:
         f"well-spread failures: {int(diag.wellspread_failures.sum())}/{data.k}; "
         f"implied eps: {diag.implied_eps:.3g}"
     )
+    if diag.kernels == "native":
+        print(f"kernels: native ({diag.workers} workers)")
+    else:
+        print(f"kernels: numpy ({diag.kernels_note})")
     suggested = pipeline.kappa_bound(model.quantizer.mu, np.log(2.0), model.m)
     if data.kappa > suggested:
         print(

@@ -110,19 +110,23 @@ class BinaryCode:
         return (self.length + 7) // 8
 
 
-def codes_from_signs(signs: np.ndarray) -> list[BinaryCode]:
-    """Pack k sign rows (k, m) into k codes with one ``packbits`` call.
-
-    The codes' bits are rows of one (k, ceil(m/8)) array.
-    """
+def pack_signs(signs: np.ndarray) -> np.ndarray:
+    """Pack k sign rows (k, m) into a (k, ceil(m/8)) array of code bits with
+    one ``packbits`` call (the layout of :class:`BinaryCode`)."""
     signs = np.asarray(signs)
     if signs.ndim != 2:
         raise ShapeError("expected a (k, m) sign array")
     up = signs == 1
     if np.count_nonzero(up) + np.count_nonzero(signs == -1) != signs.size:
         raise InputError("signs must be +1 or -1")
-    bits = np.packbits(np.ascontiguousarray(up), axis=1, bitorder="little")
-    return [BinaryCode(length=signs.shape[1], bits=row) for row in bits]
+    return np.packbits(np.ascontiguousarray(up), axis=1, bitorder="little")
+
+
+def codes_from_signs(signs: np.ndarray) -> list[BinaryCode]:
+    """Pack k sign rows (k, m) into k codes; their bits are rows of one
+    :func:`pack_signs` array."""
+    m = np.shape(signs)[-1]
+    return [BinaryCode(length=m, bits=row) for row in pack_signs(signs)]
 
 
 @dataclass

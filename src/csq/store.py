@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -63,9 +64,12 @@ CURVE_HEADER = ["m", "p", "r", "mape", "wall_ms"]
 _METHOD_BYTES = {"sparse": 0, "fjlt": 1}
 _BYTE_METHODS = {v: k for k, v in _METHOD_BYTES.items()}
 
-# Largest in-memory sketch row read_condensed accepts; NumPy cannot
-# describe a (k, p) matrix, even an empty one, much beyond this.
+# Largest in-memory row (a sketch or a vector) the readers accept; NumPy
+# cannot describe a (k, width) matrix, even an empty one, much beyond this.
 _MAX_ROW_BYTES = 2**62
+
+# Magic, version, k and n.
+_VECTORS_HEADER = 24
 
 
 class _Reader:
@@ -130,13 +134,16 @@ def _read_vectors_csv(data: bytes, path: str) -> Dataset:
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: neither a CSQV file nor text CSV") from exc
     rows = []
-    for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
-        if not row:
-            continue
-        try:
-            rows.append([float(cell) for cell in row])
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: non-numeric CSV cell") from exc
+    try:
+        for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+            if not row:
+                continue
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: non-numeric CSV cell") from exc
+    except csv.Error as exc:
+        raise FormatError(f"{path}: malformed CSV: {exc}") from exc
     if not rows:
         raise FormatError(f"{path}: empty vector file")
     width = len(rows[0])
@@ -149,16 +156,35 @@ def _read_vectors_csv(data: bytes, path: str) -> Dataset:
 
 
 def read_vectors(path) -> Dataset:
-    data = _read_file(path)
-    if data[:4] != MAGIC_VECTORS:
-        return _read_vectors_csv(data, str(path))
-    reader = _Reader(data, str(path))
-    _check_header(reader, MAGIC_VECTORS)
-    k, n = reader.unpack("QQ")
-    if k > 0 and n == 0:
-        raise FormatError(f"{path}: zero-dimensional vectors")
-    vectors = reader.array("f8", k * n).reshape(k, n)
-    reader.expect_end()
+    """Read a CSQV file (or CSV text) into a :class:`Dataset`.
+
+    The CSQV payload is read once, straight into the final array, and only
+    after the header's ``k * n`` has been checked against the file size, so
+    a header claiming more data than the file holds allocates nothing.
+    """
+    p = Path(path)
+    if not p.is_file():
+        raise FormatError(f"no such input file: {p}")
+    with open(p, "rb") as fh:
+        head = fh.read(_VECTORS_HEADER)
+        if head[:4] != MAGIC_VECTORS:
+            return _read_vectors_csv(head + fh.read(), str(path))
+        reader = _Reader(head, str(path))
+        _check_header(reader, MAGIC_VECTORS)
+        k, n = reader.unpack("QQ")
+        if k > 0 and n == 0:
+            raise FormatError(f"{path}: zero-dimensional vectors")
+        if 8 * n > _MAX_ROW_BYTES:
+            raise FormatError(f"{path}: vector dimension n={n} is too large")
+        payload = os.fstat(fh.fileno()).st_size - _VECTORS_HEADER
+        if payload != 8 * k * n:
+            raise CorruptionError(
+                f"{path}: payload is {payload} bytes, "
+                f"expected {8 * k * n} ({k} vectors of {n} float64)"
+            )
+        vectors = np.empty((k, n), dtype="<f8")
+        if fh.readinto(vectors.reshape(-1).view(np.uint8)) != payload:
+            raise CorruptionError(f"{path}: truncated file")
     from .pipeline import dataset_from_matrix
 
     return dataset_from_matrix(vectors)

@@ -7,6 +7,10 @@ Walsh-Hadamard butterfly, one ``np.bincount`` per point for the sparse
 projection, a quantizer that keeps every filter state, an int64
 condensation and one ``packbits`` per code. Every comparison is exact
 (``np.array_equal``), never a tolerance.
+
+``embed_dataset`` runs the compiled block kernels when they load; the
+same cases run on the numpy kernels from ``test_kernels_numpy.py``. The
+compiled kernels are also checked one at a time against the oracles.
 """
 
 import math
@@ -14,8 +18,11 @@ import math
 import numpy as np
 import pytest
 
+from csq import _native, pipeline
 from csq.condense import BinaryCode, codes_from_signs, condense_signs_batch
+from csq.errors import InputError
 from csq.pipeline import (
+    Dataset,
     build_model,
     dataset_from_matrix,
     embed_dataset,
@@ -25,12 +32,15 @@ from csq.pipeline import (
 from csq.sigma_delta import build_quantizer, quantize_batch
 from csq.transforms import (
     FjltOperator,
+    RandomSignDiagonal,
+    build_fjlt,
     build_sparse_gaussian,
     fwht_inplace,
     sparse_matmat,
 )
 
 KS = [0, 1, 2, 3, 8, 257]
+BLOCK = pipeline._BLOCK
 
 
 # ---------------------------------------------------------------- oracles
@@ -251,8 +261,6 @@ def test_condense_and_pack_match_oracle(r, k):
 
 
 def test_codes_from_signs_refuses_non_signs():
-    from csq.errors import InputError
-
     with pytest.raises(InputError):
         codes_from_signs(np.array([[1, 0, -1]]))
     with pytest.raises(InputError):
@@ -262,13 +270,8 @@ def test_codes_from_signs_refuses_non_signs():
 # ------------------------------------------------------- the whole path
 
 
-@pytest.mark.parametrize("k", KS)
-@pytest.mark.parametrize("r", [1, 2, 3])
-@pytest.mark.parametrize("method", ["sparse", "fjlt"])
-def test_embed_matches_row_layout_oracles(method, r, k):
-    model = build_model(method, 37, 4, 4, r, seed=k)
-    xs = _points(k, 37, seed=r + k)
-    xs *= 0.1 / max(1.0, float(np.abs(xs).max(initial=0.0)))
+def _check_embed(model, xs):
+    """embed_dataset of xs equals the oracles; returns its result."""
     proj = project_oracle(model, xs)
     assert np.array_equal(project_dataset(model, xs), proj)
     codes, _, _ = quantize_oracle(model.quantizer, proj)
@@ -277,6 +280,180 @@ def test_embed_matches_row_layout_oracles(method, r, k):
         res.condensed.entries, condense_oracle(model.condensation, codes)
     )
     assert res.condensed.entries.flags.c_contiguous
-    assert len(res.codes) == k
+    assert len(res.codes) == xs.shape[0]
     for code, bits in zip(res.codes, bits_oracle(codes)):
         assert np.array_equal(code.bits, bits)
+    assert np.array_equal(
+        res.diagnostics.amplitude_violations,
+        np.abs(proj).max(axis=1, initial=0.0) > model.quantizer.mu,
+    )
+    return res
+
+
+@pytest.mark.parametrize("k", KS)
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("method", ["sparse", "fjlt"])
+def test_embed_matches_row_layout_oracles(method, r, k):
+    model = build_model(method, 37, 4, 4, r, seed=k)
+    xs = _points(k, 37, seed=r + k)
+    xs *= 0.1 / max(1.0, float(np.abs(xs).max(initial=0.0)))
+    _check_embed(model, xs)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("k", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("method", ["sparse", "fjlt"])
+def test_embed_block_edges_match_oracles(monkeypatch, method, r, k, workers):
+    """Outputs do not depend on where blocks start or which thread runs
+    them; zero and negative-zero rows sit on both sides of a boundary."""
+    monkeypatch.setattr(pipeline, "_worker_count", lambda: workers)
+    model = build_model(method, 37, 4, 4, r, seed=3)
+    xs = _points(k, 37, seed=k)
+    xs *= 0.3 / max(1.0, float(np.abs(xs).max(initial=0.0)))
+    for row, value in ((BLOCK - 1, 0.0), (BLOCK, -0.0), (2 * BLOCK, 0.0)):
+        if row < k:
+            xs[row] = value
+    diag = _check_embed(model, xs).diagnostics
+    if diag.kernels == "native":
+        assert diag.workers == max(1, min(workers, -(-k // BLOCK)))
+    else:
+        assert diag.workers == 1 and diag.kernels_note
+
+
+@pytest.mark.parametrize("method", ["sparse", "fjlt"])
+def test_embed_refuses_non_finite_vectors(method):
+    """Refused wherever the value sits, even in a column the projection
+    never reads (the sparse matrix here leaves some columns empty)."""
+    model = build_model(method, 37, 4, 4, 2, sparsity=0.05)
+    op = model_operator(model)
+    unread = np.setdiff1d(np.arange(37), getattr(op, "matrix", op).col_indices)
+    if method == "sparse":
+        assert unread.size
+    for row in (2, 39):
+        for bad in (np.nan, np.inf, -np.inf):
+            xs = _points(40, 37, seed=1) * 0.01
+            xs[row, unread[0] if unread.size else 5] = bad
+            with pytest.raises(InputError):
+                embed_dataset(model, Dataset(k=40, n=37, vectors=xs))
+
+
+@pytest.mark.parametrize("method", ["sparse", "fjlt"])
+def test_embed_refuses_overflowing_projections(method):
+    model = build_model(method, 37, 4, 4, 2)
+    xs = np.full((3, 37), 1e308)
+    with pytest.raises(InputError):
+        embed_dataset(model, Dataset(k=3, n=37, vectors=xs))
+
+
+# ------------------------------------------- compiled kernels one by one
+
+
+@pytest.fixture
+def kernels():
+    kern = _native.load()
+    if kern is None:
+        pytest.skip("compiled kernels unavailable: " + _native.failure())
+    return kern
+
+
+def untile(tiled, b, n_pad):
+    """(b, n_pad) rows of the tiled block layout of ``_kernels.c``."""
+    tiles = tiled[: _native.Kernels.tiled_size(b, n_pad)]
+    tiles = tiles.reshape(-1, n_pad, _native.TILE).transpose(0, 2, 1)
+    return tiles.reshape(-1, n_pad)[:b]
+
+
+def tile(rows):
+    """The tiled layout of ``_kernels.c`` for (b, n) rows, zero lanes
+    after the last point."""
+    b, n = rows.shape
+    padded = np.zeros((-(-b // _native.TILE) * _native.TILE, n))
+    padded[:b] = rows
+    tiles = padded.reshape(-1, _native.TILE, n).transpose(0, 2, 1)
+    return np.ascontiguousarray(tiles).reshape(-1)
+
+
+def same_bits(a, b):
+    """Equal float arrays, down to the sign of every zero."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("b", [1, 15, 16, 17, 40])
+@pytest.mark.parametrize("n", [1, 5, 37, 64, 129, 300])
+def test_native_precondition_matches_oracle(kernels, n, b):
+    op = build_fjlt(8, n, 0.5, 1, 2)
+    n_pad = op.diagonal.dim
+    xs = _points(b, n, seed=n + b)
+    tiled = np.full(kernels.tiled_size(b, n_pad), np.nan)
+    scale = 1.0 / math.sqrt(n_pad)
+    assert kernels.precondition(xs, op.diagonal.signs, n_pad, scale, tiled)
+    assert same_bits(untile(tiled, b, n_pad), precondition_oracle(op, xs))
+    copied = np.full(kernels.tiled_size(b, n), np.nan)
+    assert kernels.precondition(xs, None, n, 1.0, copied)
+    assert same_bits(copied, tile(xs))
+    for bad in (np.nan, np.inf):
+        xs[b - 1, n - 1] = bad
+        assert not kernels.precondition(xs, op.diagonal.signs, n_pad, scale, tiled)
+
+
+def test_native_precondition_pads_with_signed_zeros(kernels):
+    """The padding is 0.0 * sign, as in FjltOperator.precondition: for an
+    input whose signed entries are all -0.0, output 0 is -0.0 only when a
+    negative sign turns the pad into -0.0 too."""
+    signs = np.array([1.0, -1.0, 1.0, -1.0])
+    op = FjltOperator(
+        input_dim=3,
+        matrix=build_sparse_gaussian(2, 4, 1.0, seed=0),
+        diagonal=RandomSignDiagonal(dim=4, seed=0, signs=signs),
+    )
+    xs = (-0.0 * signs[:3])[None, :]
+    want = precondition_oracle(op, xs)
+    assert np.signbit(want[0, 0])
+    tiled = np.full(kernels.tiled_size(1, 4), np.nan)
+    assert kernels.precondition(xs, signs, 4, 0.5, tiled)
+    assert same_bits(untile(tiled, 1, 4), want)
+
+
+@pytest.mark.parametrize("b", [1, 16, 17, 40])
+def test_native_project_matches_bincount(kernels, b):
+    mat = build_sparse_gaussian(64, 40, 0.05, seed=3)
+    assert np.any(np.diff(mat.row_offsets) == 0)
+    xs = _points(b, 40, seed=b)
+    out = np.full(kernels.tiled_size(b, 64), np.nan)
+    kernels.project(_native.checked_csr(mat), tile(xs), b, out)
+    assert same_bits(untile(out, b, 64), matmat_oracle(mat, xs))
+
+
+@pytest.mark.parametrize("b", [1, 5, 33])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_native_quantize_exact_sign_ties(kernels, r, b):
+    spec = build_quantizer(r)
+    rng = np.random.default_rng(r + b)
+    ys = rng.uniform(-0.5, 0.5, size=(b, 200))
+    ties = rng.random((b, 200)) < 0.3
+    want, _, tied = quantize_oracle(spec, ys, ties)
+    codes = np.empty((tied.shape[1], b), dtype=np.int8)
+    peaks = np.full(b, np.nan)
+    ring = np.full((spec.reach + 1) * _native.TILE, np.nan)
+    kernels.quantize(tile(tied), spec, ring, codes, peaks)
+    assert np.array_equal(codes.T, want)
+    assert np.all(want[ties] == 1)
+    assert np.array_equal(peaks, np.abs(tied).max(axis=1))
+    for bad in (np.nan, np.inf):
+        tied[b - 1, 7] = bad
+        kernels.quantize(tile(tied), spec, ring, codes, peaks)
+        assert not np.isfinite(peaks[b - 1])
+        assert np.all(np.isfinite(peaks[: b - 1]))
+
+
+def test_checked_csr_refuses_out_of_range_columns():
+    from csq.errors import ShapeError
+
+    mat = build_sparse_gaussian(8, 10, 0.5, seed=1)
+    mat.col_indices = mat.col_indices.copy()
+    mat.col_indices[-1] = 10
+    with pytest.raises(ShapeError):
+        _native.checked_csr(mat)

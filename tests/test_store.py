@@ -85,6 +85,13 @@ def test_vectors_csv_rejects_empty(tmp_path):
         read_vectors(path)
 
 
+def test_vectors_csv_rejects_oversized_field(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text('"' + "1" * 200_000 + "\n")
+    with pytest.raises(FormatError):
+        read_vectors(path)
+
+
 def test_missing_file_is_a_format_error(tmp_path):
     with pytest.raises(FormatError):
         read_vectors(tmp_path / "nope.csqv")
@@ -105,6 +112,66 @@ def test_vectors_trailing_garbage_detected(tmp_path):
     path.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(CorruptionError):
         read_vectors(path)
+
+
+CSQV_HEADER = struct.Struct("<4sIQQ")
+
+
+def test_vectors_huge_header_allocates_nothing(tmp_path):
+    """A header claiming far more data than the file holds is refused
+    before any payload buffer exists."""
+    import tracemalloc
+
+    path = tmp_path / "huge.csqv"
+    for k, n in ((2**40, 2**20), (2**64 - 1, 2**64 - 1), (1, 2**61)):
+        path.write_bytes(CSQV_HEADER.pack(b"CSQV", 1, k, n) + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CsqError):
+                read_vectors(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def test_vectors_empty_header_with_huge_dimension(tmp_path):
+    path = tmp_path / "wide.csqv"
+    path.write_bytes(CSQV_HEADER.pack(b"CSQV", 1, 0, 2**63))
+    with pytest.raises(FormatError):
+        read_vectors(path)
+    path.write_bytes(CSQV_HEADER.pack(b"CSQV", 1, 0, 2**40))
+    assert read_vectors(path).vectors.shape == (0, 2**40)
+
+
+@st.composite
+def csqv_bytes(draw):
+    """CSQV-shaped byte strings: plausible or hostile k and n, payloads of
+    the exact size or not, sometimes truncated."""
+    u64 = st.sampled_from([2**61, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+    k = draw(st.sampled_from([0, 1, 3]) | u64)
+    n = draw(st.integers(0, 5) | u64)
+    size = 8 * k * n
+    body = draw(
+        st.binary(min_size=size, max_size=size) if size <= 256 else st.just(b"")
+        | st.binary(max_size=48)
+    )
+    raw = CSQV_HEADER.pack(b"CSQV", draw(st.sampled_from([1, 1, 1, 2])), k, n) + body
+    return draw(st.just(raw) | st.builds(lambda c: raw[:c], st.integers(0, len(raw))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.binary(max_size=64) | st.text(max_size=64).map(str.encode) | csqv_bytes())
+def test_vectors_reader_fuzz(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csqv"
+    path.write_bytes(raw)
+    try:
+        ds = read_vectors(path)
+    except CsqError:
+        return
+    assert ds.vectors.shape == (ds.k, ds.n)
+    assert ds.vectors.dtype == np.float64
+    assert np.all(np.isfinite(ds.vectors))
 
 
 # -------------------------------------------------------------- models
