@@ -11,6 +11,7 @@ from .bench import (
 )
 from .condense import (
     BinaryCode,
+    Codes,
     CondensationSpec,
     CondensedCode,
     Sketches,

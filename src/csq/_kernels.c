@@ -230,7 +230,7 @@ void csq_quantize(const double *y, int64_t m, int64_t b, const int64_t *pos,
  * for point j, entries[j * p + e] gets the sum over l < lam of
  * kernel[l] * code[e * lam + l], exact in int64 as condense_signs_batch
  * computes it, and bits[j * nbytes + i / 8] bit i % 8 (LSB first) is set
- * when code i is +1, the layout of pack_signs.
+ * when code i is +1, the layout of Codes.from_signs.
  */
 static void condense_tile(const int8_t *restrict codes, int64_t m, int64_t t,
                           const int64_t *restrict kernel, int64_t lam,

@@ -116,7 +116,7 @@ def _cmd_embed(args) -> int:
     result = pipeline.embed_dataset(model, data)
     t_embed = time.perf_counter()
     store.write_model(args.out_model, model)
-    store.write_codes(args.out_codes, result.codes, m=model.m)
+    store.write_codes(args.out_codes, result.codes)
     store.write_condensed(args.out_condensed, result.condensed, model.condensation)
     t_write = time.perf_counter()
 

@@ -17,7 +17,7 @@ as blocks grow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -29,10 +29,15 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
+from .sigma_delta import MAX_ORDER
 
 # Kernel dot products are accumulated in int64; keep peak magnitudes below
 # 2**62 so sums and packed widths always fit.
 _MAX_PEAK = 2**62
+
+# Longest kernel (block length lam) accepted: building it takes about
+# r * lam * lambda_tilde steps, which a model header must not make hours.
+MAX_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,13 @@ def build_condensation(r: int, lambda_tilde: int, p: int) -> CondensationSpec:
     """
     if r < 1 or lambda_tilde < 1 or p < 1:
         raise ParameterError("r, lambda_tilde and p must be positive integers")
+    lam = r * lambda_tilde - r + 1
+    # Checked before the power and the O(r * lam * lambda_tilde) kernel.
+    if r > MAX_ORDER or lam > MAX_BLOCK:
+        raise ParameterError(
+            f"order {r} or block length {lam} is above its limit, "
+            f"{MAX_ORDER} or {MAX_BLOCK}"
+        )
     peak = lambda_tilde**r
     if peak >= _MAX_PEAK:
         raise CapacityError("lambda_tilde**r exceeds the integer accumulator range")
@@ -70,7 +82,6 @@ def build_condensation(r: int, lambda_tilde: int, p: int) -> CondensationSpec:
     kernel = np.ones(1, dtype=np.int64)
     for _ in range(r):
         kernel = np.convolve(kernel, window)
-    lam = r * lambda_tilde - r + 1
     if kernel.shape[0] != lam:
         raise ParameterError("kernel length disagrees with r * lt - r + 1")
     l2 = math.sqrt(sum(int(c) ** 2 for c in kernel))
@@ -100,7 +111,7 @@ class BinaryCode:
         signs = np.asarray(signs)
         if signs.ndim != 1:
             raise ShapeError("signs must be a 1-d vector")
-        return codes_from_signs(signs[None, :])[0]
+        return Codes.from_signs(signs[None, :])[0]
 
     def to_signs(self) -> np.ndarray:
         flat = np.unpackbits(self.bits, count=self.length, bitorder="little")
@@ -108,25 +119,6 @@ class BinaryCode:
 
     def byte_size(self) -> int:
         return (self.length + 7) // 8
-
-
-def pack_signs(signs: np.ndarray) -> np.ndarray:
-    """Pack k sign rows (k, m) into a (k, ceil(m/8)) array of code bits with
-    one ``packbits`` call (the layout of :class:`BinaryCode`)."""
-    signs = np.asarray(signs)
-    if signs.ndim != 2:
-        raise ShapeError("expected a (k, m) sign array")
-    up = signs == 1
-    if np.count_nonzero(up) + np.count_nonzero(signs == -1) != signs.size:
-        raise InputError("signs must be +1 or -1")
-    return np.packbits(np.ascontiguousarray(up), axis=1, bitorder="little")
-
-
-def codes_from_signs(signs: np.ndarray) -> list[BinaryCode]:
-    """Pack k sign rows (k, m) into k codes; their bits are rows of one
-    :func:`pack_signs` array."""
-    m = np.shape(signs)[-1]
-    return [BinaryCode(length=m, bits=row) for row in pack_signs(signs)]
 
 
 @dataclass
@@ -156,8 +148,69 @@ def entry_dtype(bit_width: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
+class _Rows:
+    """Rows of one geometry in one C-ordered matrix, the last dataclass
+    field (the fields before it are the geometry). ``len()``, indexing and
+    iteration give ``_row(*geometry, row)``; a slice gives the same type."""
+
+    def _split(self) -> tuple[list, np.ndarray]:
+        *geometry, matrix = (getattr(self, f.name) for f in fields(self))
+        return geometry, matrix
+
+    def __len__(self) -> int:
+        return self._split()[1].shape[0]
+
+    def __getitem__(self, i):
+        geometry, matrix = self._split()
+        if isinstance(i, slice):
+            return type(self)(*geometry, matrix[i])
+        return self._row(*geometry, matrix[i])
+
+    @cached_property
+    def _rows(self) -> list:
+        # Built on the first iteration only, so callers that loop over the
+        # rows repeatedly make the per-point objects once and whole-matrix
+        # callers never.
+        geometry, matrix = self._split()
+        return [self._row(*geometry, row) for row in matrix]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+
 @dataclass(frozen=True, eq=False)
-class Sketches:
+class Codes(_Rows):
+    """k binary codes of length m as one (k, ceil(m/8)) uint8 matrix, rows
+    packed as in :class:`BinaryCode`, which row access returns."""
+
+    length: int
+    bits: np.ndarray
+    _row = BinaryCode
+
+    def __post_init__(self):
+        bits = np.asarray(self.bits)
+        width = (self.length + 7) // 8
+        if bits.ndim != 2 or bits.shape[1] != width or bits.dtype != np.uint8:
+            raise ShapeError(
+                f"expected (k, {width}) uint8 code bits, got {bits.shape} {bits.dtype}"
+            )
+        object.__setattr__(self, "bits", np.ascontiguousarray(bits))
+
+    @classmethod
+    def from_signs(cls, signs: np.ndarray) -> "Codes":
+        """Pack k sign rows (k, m) with one ``packbits`` call."""
+        signs = np.asarray(signs)
+        if signs.ndim != 2:
+            raise ShapeError("expected a (k, m) sign array")
+        up = signs == 1
+        if np.count_nonzero(up) + np.count_nonzero(signs == -1) != signs.size:
+            raise InputError("signs must be +1 or -1")
+        bits = np.packbits(np.ascontiguousarray(up), axis=1, bitorder="little")
+        return cls(signs.shape[1], bits)
+
+
+@dataclass(frozen=True, eq=False)
+class Sketches(_Rows):
     """k condensed codes of one geometry stored as a single (k, p) matrix.
 
     ``entries`` uses :func:`entry_dtype`; row access (indexing, iteration)
@@ -168,6 +221,7 @@ class Sketches:
     bit_width: int
     norm_factor: float
     entries: np.ndarray
+    _row = CondensedCode
 
     def __post_init__(self):
         entries = np.asarray(self.entries)
@@ -185,40 +239,6 @@ class Sketches:
     @classmethod
     def of(cls, spec: CondensationSpec, entries: np.ndarray) -> "Sketches":
         return cls(spec.p, spec.bit_width, spec.norm_factor, entries)
-
-    @classmethod
-    def from_codes(
-        cls, spec: CondensationSpec, codes: list[CondensedCode]
-    ) -> "Sketches":
-        """Stack per-point codes, all of which must match ``spec``."""
-        for code in codes:
-            check_geometry(code, spec)
-            if np.shape(code.entries) != (spec.p,):
-                raise ShapeError(f"code entries must have shape ({spec.p},)")
-        rows = [code.entries for code in codes]
-        return cls.of(spec, np.stack(rows) if rows else np.zeros((0, spec.p), np.int64))
-
-    @cached_property
-    def _rows(self) -> list[CondensedCode]:
-        # Built on the first iteration only, so callers that loop over the
-        # rows repeatedly make the per-point objects once and whole-matrix
-        # callers never.
-        return [
-            CondensedCode(self.p, self.bit_width, self.norm_factor, row)
-            for row in self.entries
-        ]
-
-    def __len__(self) -> int:
-        return self.entries.shape[0]
-
-    def __getitem__(self, i):
-        """Row i as a :class:`CondensedCode`; a slice gives :class:`Sketches`."""
-        if isinstance(i, slice):
-            return Sketches(self.p, self.bit_width, self.norm_factor, self.entries[i])
-        return CondensedCode(self.p, self.bit_width, self.norm_factor, self.entries[i])
-
-    def __iter__(self):
-        return iter(self._rows)
 
 
 def check_geometry(got, want) -> None:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .condense import (
     BinaryCode,
+    Codes,
     CondensationSpec,
     CondensedCode,
     Sketches,
@@ -33,7 +34,6 @@ from .condense import (
     check_geometry,
     condense_signs_batch,
     l1_distance,
-    pack_signs,
 )
 from .errors import (
     DegenerateInputError,
@@ -77,17 +77,28 @@ class Dataset:
     kappa: float = 0.0
 
 
+def _finite_row_norms(matrix: np.ndarray) -> np.ndarray:
+    """Row l2 norms, bit for bit as ``np.linalg.norm(axis=1)`` gives them
+    for the C-ordered float64 matrix whatever the layout of ``matrix``,
+    computed (and checked finite) one block of about 2 MiB of rows at a
+    time, so no (k, n) temporary is made."""
+    k, n = matrix.shape
+    norms = np.empty(k)
+    step = max(1, (1 << 18) // max(n, 1))
+    for lo in range(0, k, step):
+        block = np.ascontiguousarray(matrix[lo : lo + step], dtype=np.float64)
+        if not np.isfinite(block).all():
+            raise InputError("dataset entries must be finite")
+        norms[lo : lo + step] = np.sqrt(np.add.reduce(block * block, axis=1))
+    return norms
+
+
 def dataset_from_matrix(matrix: np.ndarray) -> Dataset:
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ShapeError("expected a (k, n) matrix")
-    if not np.all(np.isfinite(matrix)):
-        raise InputError("dataset entries must be finite")
-    norms = np.linalg.norm(matrix, axis=1) if matrix.shape[0] else np.zeros(0)
-    kappa = float(norms.max()) if norms.size else 0.0
-    return Dataset(
-        k=matrix.shape[0], n=matrix.shape[1], vectors=matrix, kappa=kappa
-    )
+    kappa = float(_finite_row_norms(matrix).max(initial=0.0))
+    return Dataset(k=matrix.shape[0], n=matrix.shape[1], vectors=matrix, kappa=kappa)
 
 
 def kappa_bound(mu: float, beta: float, m: int) -> float:
@@ -129,41 +140,51 @@ class EmbeddingModel:
     ``(matrix_seed, diagonal_seed)`` unless explicit arrays were loaded from
     a model file written with verbatim storage. :func:`model_operator`
     caches the result on the model, keyed on the fields it is built from.
+    The geometry is stated once: ``n_pad`` follows from ``method`` and
+    ``n``, and ``m``, ``p``, ``r`` and ``lambda_tilde`` are read from the
+    condensation.
     """
 
     method: str
     n: int
-    n_pad: int
-    m: int
-    p: int
-    r: int
-    lambda_tilde: int
     sparsity: float
     wellspread_const: float
     matrix_seed: int
     diagonal_seed: int
     quantizer: QuantizerSpec
     condensation: CondensationSpec
-    version: int = FILE_VERSION
     explicit_matrix: SparseGaussianMatrix | None = field(default=None, repr=False)
     explicit_signs: np.ndarray | None = field(default=None, repr=False)
     _operator: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
+    @property
+    def n_pad(self) -> int:
+        """Input dimension after padding: n, or for fjlt the next power of two."""
+        return self.n if self.method == "sparse" else padded_dim(self.n)
+
+    @property
+    def m(self) -> int:
+        return self.condensation.m
+
+    @property
+    def p(self) -> int:
+        return self.condensation.p
+
+    @property
+    def r(self) -> int:
+        return self.condensation.r
+
+    @property
+    def lambda_tilde(self) -> int:
+        return self.condensation.lambda_tilde
+
     def validate(self) -> None:
         if self.method not in METHODS:
             raise ParameterError(f"unknown method {self.method!r}")
-        if self.m != self.condensation.m or self.p != self.condensation.p:
-            raise ParameterError("condensation disagrees with model geometry")
-        if self.r != self.quantizer.order or self.r != self.condensation.r:
-            raise ParameterError("quantizer order disagrees with model r")
-        if self.lambda_tilde != self.condensation.lambda_tilde:
-            raise ParameterError("lambda_tilde disagrees with condensation")
-        if self.method == "sparse" and self.n_pad != self.n:
-            raise ParameterError("sparse method requires n_pad == n")
-        if self.method == "fjlt" and self.n_pad != padded_dim(self.n):
-            raise ParameterError("fjlt n_pad must be the next power of two")
+        if self.quantizer.order != self.condensation.r:
+            raise ParameterError("quantizer order disagrees with condensation r")
         if not (0.0 < self.sparsity <= 1.0):
             raise ParameterError("sparsity must lie in (0, 1]")
 
@@ -197,40 +218,29 @@ def build_model(
         raise ParameterError(f"method must be one of {METHODS}")
     if n < 1:
         raise ParameterError("n must be positive")
-    quantizer = build_quantizer(r, sigma=sigma, mu=mu)
-    condensation = build_condensation(r, lambda_tilde, p)
-    n_pad = n if method == "sparse" else padded_dim(n)
-    if sparsity is None:
-        eps = 1.0 / math.sqrt(p)
-        if eps >= 0.5:
-            # The sparsity recommendation is only meaningful for accuracy
-            # targets below 1/2; with p <= 4 blocks fall back to dense.
-            sparsity = 1.0
-        else:
-            sparsity = recommended_sparsity(
-                n_pad,
-                eps=eps,
-                v_inf_over_v2_sq=condensation.kernel_inf_over_l2_sq(),
-                wellspread_const=wellspread_const,
-                fjlt_mode=(method == "fjlt"),
-                multiplier=sparsity_multiplier,
-            )
     matrix_seed, diagonal_seed = derive_seeds(seed)
     model = EmbeddingModel(
         method=method,
         n=n,
-        n_pad=n_pad,
-        m=condensation.m,
-        p=p,
-        r=r,
-        lambda_tilde=lambda_tilde,
-        sparsity=float(sparsity),
+        sparsity=1.0 if sparsity is None else float(sparsity),
         wellspread_const=float(wellspread_const),
         matrix_seed=matrix_seed,
         diagonal_seed=diagonal_seed,
-        quantizer=quantizer,
-        condensation=condensation,
+        quantizer=build_quantizer(r, sigma=sigma, mu=mu),
+        condensation=build_condensation(r, lambda_tilde, p),
     )
+    eps = 1.0 / math.sqrt(p)
+    # The sparsity recommendation is only meaningful for accuracy targets
+    # below 1/2; with p <= 4 blocks the default stays dense.
+    if sparsity is None and eps < 0.5:
+        model.sparsity = recommended_sparsity(
+            model.n_pad,
+            eps=eps,
+            v_inf_over_v2_sq=model.condensation.kernel_inf_over_l2_sq(),
+            wellspread_const=wellspread_const,
+            fjlt_mode=(method == "fjlt"),
+            multiplier=sparsity_multiplier,
+        )
     model.validate()
     return model
 
@@ -243,7 +253,7 @@ def model_operator(model: EmbeddingModel) -> SparseGaussianMatrix | FjltOperator
     explicit arrays.
     """
     key = (
-        model.method, model.n, model.n_pad, model.m, model.sparsity,
+        model.method, model.n, model.m, model.sparsity,
         model.matrix_seed, model.diagonal_seed,
     )
     explicit = (model.explicit_matrix, model.explicit_signs)
@@ -302,7 +312,7 @@ class EmbedDiagnostics:
 
 @dataclass
 class EmbedResult:
-    codes: list[BinaryCode]
+    codes: Codes
     condensed: Sketches
     diagnostics: EmbedDiagnostics
 
@@ -331,7 +341,7 @@ def _embed_numpy(model: EmbeddingModel, vectors: np.ndarray):
     projections = project_dataset(model, vectors)
     quant = quantize_batch(model.quantizer, projections)
     entries = condense_signs_batch(model.condensation, quant.codes)
-    bits = pack_signs(quant.codes)
+    bits = Codes.from_signs(quant.codes).bits
     return entries, bits, quant.amplitude_violations
 
 
@@ -410,7 +420,7 @@ def embed_dataset(model: EmbeddingModel, data: Dataset) -> EmbedResult:
     k = data.k
     wellspread_failures = np.zeros(k, dtype=bool)
     if model.method == "sparse" and k:
-        norms = np.linalg.norm(data.vectors, axis=1)
+        norms = _finite_row_norms(data.vectors)
         peaks = np.abs(data.vectors).max(axis=1)
         threshold = model.wellspread_const / math.sqrt(model.n)
         # The tiny slack keeps exact-boundary points (norm computed with
@@ -446,7 +456,7 @@ def embed_dataset(model: EmbeddingModel, data: Dataset) -> EmbedResult:
         kernels_note="" if kern else _native.failure() or "native kernels not loaded",
     )
     return EmbedResult(
-        codes=[BinaryCode(length=model.m, bits=row) for row in bits],
+        codes=Codes(model.m, bits),
         condensed=Sketches.of(model.condensation, entries),
         diagnostics=diagnostics,
     )

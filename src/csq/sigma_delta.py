@@ -29,6 +29,11 @@ import numpy as np
 
 from .errors import InputError, ParameterError, ShapeError
 
+# Largest order accepted. Building a spec is O(order**2) Python work, and
+# no condensation with lambda_tilde >= 2 goes past it anyway, since
+# lambda_tilde**r must stay below 2**62.
+MAX_ORDER = 61
+
 
 @dataclass(frozen=True)
 class QuantizerSpec:
@@ -67,8 +72,8 @@ def build_quantizer(
     below 6 void the boundedness guarantee and are refused unless
     ``allow_unsafe_sigma`` is set.
     """
-    if order < 1:
-        raise ParameterError("order must be a positive integer")
+    if not 1 <= order <= MAX_ORDER:
+        raise ParameterError(f"order must be an integer in [1, {MAX_ORDER}]")
     if sigma < 1:
         raise ParameterError("sigma must be a positive integer")
     if sigma < 6 and not allow_unsafe_sigma:

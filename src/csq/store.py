@@ -33,22 +33,15 @@ from pathlib import Path
 import numpy as np
 
 from .condense import (
-    BinaryCode,
+    Codes,
     CondensationSpec,
-    CondensedCode,
     Sketches,
     check_geometry,
     entry_dtype,
     pack_rows,
     unpack_rows,
 )
-from .errors import (
-    CorruptionError,
-    FormatError,
-    IncompatibilityError,
-    InputError,
-    ShapeError,
-)
+from .errors import CorruptionError, FormatError, InputError
 from .pipeline import FILE_VERSION, Dataset, EmbeddingModel
 from .sigma_delta import build_quantizer
 from .condense import build_condensation
@@ -68,8 +61,9 @@ _BYTE_METHODS = {v: k for k, v in _METHOD_BYTES.items()}
 # cannot describe a (k, width) matrix, even an empty one, much beyond this.
 _MAX_ROW_BYTES = 2**62
 
-# Magic, version, k and n.
-_VECTORS_HEADER = 24
+# Header bytes: magic, version and two u64 (CSQV, CSQC); CSQD adds a u32 and an f64.
+_ROWS_HEADER = 24
+_CONDENSED_HEADER = 36
 
 
 class _Reader:
@@ -101,11 +95,30 @@ class _Reader:
             raise CorruptionError(f"{self.path}: trailing bytes after payload")
 
 
-def _read_file(path) -> bytes:
+def _input_file(path) -> Path:
     p = Path(path)
     if not p.is_file():
         raise FormatError(f"no such input file: {p}")
-    return p.read_bytes()
+    return p
+
+
+def _read_rows(fh, path, shape: tuple[int, int], dtype: str) -> np.ndarray:
+    """Read the rest of ``fh`` into a new ``shape`` array of little-endian
+    ``dtype``, once the file size says it holds exactly that many bytes,
+    so a header claiming more data than the file holds allocates nothing.
+    """
+    k, width = shape
+    record = width * np.dtype(dtype).itemsize
+    payload = os.fstat(fh.fileno()).st_size - fh.tell()
+    if payload != k * record:
+        raise CorruptionError(
+            f"{path}: payload is {payload} bytes, "
+            f"expected {k * record} ({k} records of {record})"
+        )
+    rows = np.empty(shape, dtype=np.dtype(dtype).newbyteorder("<"))
+    if fh.readinto(rows.reshape(-1).view(np.uint8)) != payload:
+        raise CorruptionError(f"{path}: truncated file")
+    return rows
 
 
 def _check_header(reader: _Reader, magic: bytes) -> None:
@@ -158,15 +171,11 @@ def _read_vectors_csv(data: bytes, path: str) -> Dataset:
 def read_vectors(path) -> Dataset:
     """Read a CSQV file (or CSV text) into a :class:`Dataset`.
 
-    The CSQV payload is read once, straight into the final array, and only
-    after the header's ``k * n`` has been checked against the file size, so
-    a header claiming more data than the file holds allocates nothing.
+    The CSQV payload is read once, straight into the final array (see
+    :func:`_read_rows`).
     """
-    p = Path(path)
-    if not p.is_file():
-        raise FormatError(f"no such input file: {p}")
-    with open(p, "rb") as fh:
-        head = fh.read(_VECTORS_HEADER)
+    with open(_input_file(path), "rb") as fh:
+        head = fh.read(_ROWS_HEADER)
         if head[:4] != MAGIC_VECTORS:
             return _read_vectors_csv(head + fh.read(), str(path))
         reader = _Reader(head, str(path))
@@ -176,15 +185,7 @@ def read_vectors(path) -> Dataset:
             raise FormatError(f"{path}: zero-dimensional vectors")
         if 8 * n > _MAX_ROW_BYTES:
             raise FormatError(f"{path}: vector dimension n={n} is too large")
-        payload = os.fstat(fh.fileno()).st_size - _VECTORS_HEADER
-        if payload != 8 * k * n:
-            raise CorruptionError(
-                f"{path}: payload is {payload} bytes, "
-                f"expected {8 * k * n} ({k} vectors of {n} float64)"
-            )
-        vectors = np.empty((k, n), dtype="<f8")
-        if fh.readinto(vectors.reshape(-1).view(np.uint8)) != payload:
-            raise CorruptionError(f"{path}: truncated file")
+        vectors = _read_rows(fh, path, (k, n), "f8")
     from .pipeline import dataset_from_matrix
 
     return dataset_from_matrix(vectors)
@@ -232,7 +233,7 @@ def write_model(path, model: EmbeddingModel, explicit: bool = False) -> None:
 
 
 def read_model(path) -> EmbeddingModel:
-    reader = _Reader(_read_file(path), str(path))
+    reader = _Reader(_input_file(path).read_bytes(), str(path))
     _check_header(reader, MAGIC_MODEL)
     (method_byte,) = reader.unpack("B")
     if method_byte not in _BYTE_METHODS:
@@ -245,18 +246,26 @@ def read_model(path) -> EmbeddingModel:
     (explicit_flag,) = reader.unpack("B")
 
     try:
-        quantizer = build_quantizer(r, sigma=sigma, mu=mu)
-        condensation = build_condensation(r, lambda_tilde, p)
+        model = EmbeddingModel(
+            method=method,
+            n=n,
+            sparsity=sparsity,
+            wellspread_const=wellspread_const,
+            matrix_seed=matrix_seed,
+            diagonal_seed=diagonal_seed,
+            quantizer=build_quantizer(r, sigma=sigma, mu=mu),
+            condensation=build_condensation(r, lambda_tilde, p),
+        )
+        model.validate()
+        implied = (model.n_pad, model.m)
     except Exception as exc:
         raise FormatError(f"{path}: invalid model parameters: {exc}") from exc
-    if condensation.m != m:
+    if implied != (n_pad, m):
         raise FormatError(
-            f"{path}: header m={m} but r={r}, lambda_tilde={lambda_tilde}, "
-            f"p={p} imply m={condensation.m}"
+            f"{path}: header (n_pad, m) = {(n_pad, m)} but method={method}, "
+            f"n={n}, r={r}, lambda_tilde={lambda_tilde}, p={p} imply {implied}"
         )
 
-    explicit_matrix = None
-    explicit_signs = None
     if explicit_flag == 1:
         (nnz,) = reader.unpack("Q")
         row_offsets = reader.array("u8", m + 1).astype(np.int64)
@@ -264,7 +273,7 @@ def read_model(path) -> EmbeddingModel:
         values = reader.array("f8", nnz)
         (sign_count,) = reader.unpack("Q")
         signs = reader.array("i1", sign_count)
-        explicit_matrix = SparseGaussianMatrix(
+        model.explicit_matrix = SparseGaussianMatrix(
             rows=m,
             cols=n_pad,
             sparsity=sparsity,
@@ -278,84 +287,43 @@ def read_model(path) -> EmbeddingModel:
                 raise FormatError(f"{path}: diagonal sign count != n_pad")
             if not np.all(np.abs(signs) == 1):
                 raise FormatError(f"{path}: diagonal signs must be +1 or -1")
-            explicit_signs = signs
+            model.explicit_signs = signs
         elif sign_count != 0:
             raise FormatError(f"{path}: sparse model carries diagonal signs")
+        try:
+            model.explicit_matrix.validate()
+        except Exception as exc:
+            raise FormatError(f"{path}: inconsistent model: {exc}") from exc
     elif explicit_flag != 0:
         raise FormatError(f"{path}: bad explicit-matrix flag {explicit_flag}")
     reader.expect_end()
-
-    model = EmbeddingModel(
-        method=method,
-        n=n,
-        n_pad=n_pad,
-        m=m,
-        p=p,
-        r=r,
-        lambda_tilde=lambda_tilde,
-        sparsity=sparsity,
-        wellspread_const=wellspread_const,
-        matrix_seed=matrix_seed,
-        diagonal_seed=diagonal_seed,
-        quantizer=quantizer,
-        condensation=condensation,
-        explicit_matrix=explicit_matrix,
-        explicit_signs=explicit_signs,
-    )
-    try:
-        model.validate()
-        if explicit_matrix is not None:
-            explicit_matrix.validate()
-    except Exception as exc:
-        raise FormatError(f"{path}: inconsistent model: {exc}") from exc
     return model
 
 
-def write_codes(path, codes: list[BinaryCode], m: int | None = None) -> None:
-    if codes:
-        if m is None:
-            m = codes[0].length
-        if any(code.length != m for code in codes):
-            raise IncompatibilityError("all codes in a file must share length")
-    elif m is None:
-        m = 0
-    record = (m + 7) // 8
+def write_codes(path, codes: Codes) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC_CODES)
-        fh.write(struct.pack("<IQQ", FILE_VERSION, len(codes), m))
-        for code in codes:
-            if code.bits.shape[0] != record:
-                raise ShapeError("packed code has the wrong byte count")
-            fh.write(code.bits.tobytes())
+        fh.write(struct.pack("<IQQ", FILE_VERSION, len(codes), codes.length))
+        fh.write(codes.bits)
 
 
-def read_codes(path) -> list[BinaryCode]:
-    reader = _Reader(_read_file(path), str(path))
-    _check_header(reader, MAGIC_CODES)
-    k, m = reader.unpack("QQ")
-    record = (m + 7) // 8
-    expected = reader.off + k * record
-    if len(reader.data) != expected:
-        raise CorruptionError(
-            f"{path}: payload is {len(reader.data) - reader.off} bytes, "
-            f"expected {k * record} ({k} records of {record})"
-        )
-    codes = []
-    for _ in range(k):
-        bits = reader.array("u1", record)
-        codes.append(BinaryCode(length=m, bits=bits))
-    return codes
+def read_codes(path) -> Codes:
+    """Read a CSQC file straight into its bit matrix (see :func:`_read_rows`)."""
+    with open(_input_file(path), "rb") as fh:
+        reader = _Reader(fh.read(_ROWS_HEADER), str(path))
+        _check_header(reader, MAGIC_CODES)
+        k, m = reader.unpack("QQ")
+        if k > 0 and m == 0:
+            raise FormatError(f"{path}: zero-length codes")
+        record = (m + 7) // 8
+        if record > _MAX_ROW_BYTES:
+            raise FormatError(f"{path}: code length m={m} is too large")
+        return Codes(m, _read_rows(fh, path, (k, record), "u1"))
 
 
-def write_condensed(
-    path, codes: Sketches | list[CondensedCode], spec: CondensationSpec
-) -> None:
-    """Write sketches (or a list of per-point codes) made under ``spec``."""
-    if isinstance(codes, Sketches):
-        check_geometry(codes, spec)
-        sketches = codes
-    else:
-        sketches = Sketches.from_codes(spec, codes)
+def write_condensed(path, sketches: Sketches, spec: CondensationSpec) -> None:
+    """Write sketches made under ``spec``."""
+    check_geometry(sketches, spec)
     with open(path, "wb") as fh:
         fh.write(MAGIC_CONDENSED)
         fh.write(
@@ -368,29 +336,23 @@ def write_condensed(
                 spec.norm_factor,
             )
         )
-        fh.write(pack_rows(sketches.entries, spec.bit_width).tobytes())
+        fh.write(pack_rows(sketches.entries, spec.bit_width))
 
 
 def read_condensed(path) -> Sketches:
-    reader = _Reader(_read_file(path), str(path))
-    _check_header(reader, MAGIC_CONDENSED)
-    k, p, bit_width, norm_factor = reader.unpack("QQId")
-    if p < 1 or bit_width < 1 or bit_width > 63:
-        raise FormatError(f"{path}: implausible condensed geometry")
-    if not (math.isfinite(norm_factor) and norm_factor > 0.0):
-        raise FormatError(f"{path}: norm_factor must be finite and positive")
-    if p * entry_dtype(bit_width).itemsize > _MAX_ROW_BYTES:
-        raise FormatError(f"{path}: sketch length p={p} is too large")
-    record = (p * bit_width + 7) // 8
-    payload = len(reader.data) - reader.off
-    if payload != k * record:
-        raise CorruptionError(
-            f"{path}: payload is {payload} bytes, "
-            f"expected {k * record} ({k} records of {record})"
-        )
-    rows = np.frombuffer(reader.data, dtype=np.uint8, offset=reader.off)
-    entries = unpack_rows(rows.reshape(k, record), p, bit_width)
-    return Sketches(p, bit_width, norm_factor, entries)
+    with open(_input_file(path), "rb") as fh:
+        reader = _Reader(fh.read(_CONDENSED_HEADER), str(path))
+        _check_header(reader, MAGIC_CONDENSED)
+        k, p, bit_width, norm_factor = reader.unpack("QQId")
+        if p < 1 or bit_width < 1 or bit_width > 63:
+            raise FormatError(f"{path}: implausible condensed geometry")
+        if not (math.isfinite(norm_factor) and norm_factor > 0.0):
+            raise FormatError(f"{path}: norm_factor must be finite and positive")
+        if p * entry_dtype(bit_width).itemsize > _MAX_ROW_BYTES:
+            raise FormatError(f"{path}: sketch length p={p} is too large")
+        record = (p * bit_width + 7) // 8
+        payload = _read_rows(fh, path, (k, record), "u1")
+    return Sketches(p, bit_width, norm_factor, unpack_rows(payload, p, bit_width))
 
 
 def write_curve(path, rows: list[tuple]) -> None:

@@ -14,8 +14,8 @@ import pytest
 from csq.bench import BenchConfig, nearest_lambda_tilde, run_mape_bench
 from csq.cli import main as cli_main
 from csq.condense import (
-    BinaryCode,
-    CondensedCode,
+    Codes,
+    Sketches,
     build_condensation,
     condense_real_batch,
     operator_bound,
@@ -268,9 +268,9 @@ def test_criterion_08_storage_sizes_and_round_trips(tmp_path):
     k, m = 10**4, 37
     rng = np.random.default_rng(np.random.SeedSequence([88, 1]))
     signs = np.where(rng.random((k, m)) < 0.5, -1, 1).astype(np.int8)
-    codes = [BinaryCode.from_signs(row) for row in signs]
+    codes = Codes.from_signs(signs)
     code_path = tmp_path / "codes.csqc"
-    store.write_codes(code_path, codes, m=m)
+    store.write_codes(code_path, codes)
     assert code_path.stat().st_size == 24 + k * math.ceil(m / 8)
     back = store.read_codes(code_path)
     assert len(back) == k
@@ -280,13 +280,7 @@ def test_criterion_08_storage_sizes_and_round_trips(tmp_path):
     spec = build_condensation(2, 9, 16)
     peak = 9**2
     entries = rng.integers(-peak, peak + 1, size=(k, 16))
-    condensed = [
-        CondensedCode(
-            p=16, bit_width=spec.bit_width, norm_factor=spec.norm_factor,
-            entries=row,
-        )
-        for row in entries
-    ]
+    condensed = Sketches.of(spec, entries)
     cond_path = tmp_path / "sketch.csqd"
     store.write_condensed(cond_path, condensed, spec)
     record = math.ceil(16 * spec.bit_width / 8)

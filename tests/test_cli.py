@@ -1,6 +1,8 @@
 """End-to-end tests for the csq command line, driven in-process via main()."""
 
 import functools
+import struct
+import time
 
 import numpy as np
 import pytest
@@ -310,6 +312,36 @@ def test_query_with_corrupt_explicit_model_exits_2(embedded, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith("format error:")
 
+
+
+@pytest.mark.parametrize("r, lambda_tilde", [(100_000, 1), (2**32 - 1, 2**32 - 1)])
+def test_query_with_hostile_model_order_exits_2_quickly(embedded, capsys, r, lambda_tilde):
+    tmp_path, _, _ = embedded
+    bad = tmp_path / "hostile.csqm"
+    bad.write_bytes(struct.pack(
+        "<4sIBQQQQIIIdddQQB",
+        b"CSQM", 1, 0, 4, 4, 4, 4, r, lambda_tilde, 6, 0.5, 1.0, 1.0, 1, 2, 0,
+    ))
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    rc = main([
+        "query", "--model", str(bad),
+        "--condensed", str(tmp_path / "cond.csqd"), "--pair", "0", "1",
+    ])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("format error:")
+
+
+def test_embed_with_huge_order_exits_2_quickly(tmp_path, capsys):
+    inp, _ = _make_dataset(tmp_path)
+    argv = _embed_argv(inp, tmp_path)
+    argv[argv.index("--r") + 1] = "100000"
+    t0 = time.perf_counter()
+    rc = main(argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("parameter error:")
 
 # sha256 of the CSQM, CSQC and CSQD files `csq embed` writes for fixed
 # inputs. The embed kernels must reproduce these bytes exactly: a kernel

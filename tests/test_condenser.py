@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from csq.condense import (
+    MAX_BLOCK,
     BinaryCode,
+    Codes,
     CondensedCode,
     Sketches,
     build_condensation,
@@ -402,6 +404,50 @@ def test_sketches_rows_are_condensed_codes():
     assert isinstance(tail, Sketches) and len(tail) == 3
 
 
+def test_codes_rows_are_binary_codes():
+    signs = np.where(np.random.default_rng(4).random((5, 13)) < 0.5, -1, 1)
+    codes = Codes.from_signs(signs)
+    assert len(codes) == 5 and codes.length == 13
+    assert codes.bits.shape == (5, 2) and codes.bits.dtype == np.uint8
+    assert codes.bits.flags.c_contiguous
+    for i, code in enumerate(codes):
+        assert isinstance(code, BinaryCode) and code.length == 13
+        assert np.array_equal(code.to_signs(), signs[i])
+        assert np.array_equal(codes[i].bits, BinaryCode.from_signs(signs[i]).bits)
+    assert np.array_equal(codes[-1].bits, codes.bits[4])
+    tail = codes[1:3]
+    assert isinstance(tail, Codes) and len(tail) == 2 and tail.length == 13
+    assert np.array_equal(tail.bits, codes.bits[1:3])
+    empty = Codes.from_signs(np.zeros((0, 13), dtype=np.int8))
+    assert len(empty) == 0 and empty.bits.shape == (0, 2) and list(empty) == []
+
+
+def test_codes_reject_bad_bits():
+    with pytest.raises(ShapeError):
+        Codes(13, np.zeros((3, 3), dtype=np.uint8))
+    with pytest.raises(ShapeError):
+        Codes(13, np.zeros(2, dtype=np.uint8))
+    with pytest.raises(ShapeError):
+        Codes(13, np.zeros((3, 2), dtype=np.int64))
+    with pytest.raises(ShapeError):
+        Codes.from_signs(np.ones(4))
+    bits = np.asfortranarray(np.arange(6, dtype=np.uint8).reshape(3, 2))
+    assert Codes(16, bits).bits.flags.c_contiguous
+
+
+def test_condensation_limits_are_checked_before_any_work():
+    assert build_condensation(1, MAX_BLOCK, 1).lam == MAX_BLOCK
+    with pytest.raises(ParameterError):
+        build_condensation(1, MAX_BLOCK + 1, 1)
+    with pytest.raises(ParameterError):
+        build_condensation(2, MAX_BLOCK // 2 + 1, 1)
+    # Orders past the quantizer's limit, and huge lambda_tilde, would take
+    # hours of big-integer powers or convolutions if checked afterwards.
+    for r, lt in ((62, 1), (2**32 - 1, 1), (2**32 - 1, 2**32 - 1), (1, 2**32 - 1)):
+        with pytest.raises(ParameterError):
+            build_condensation(r, lt, 4)
+
+
 def test_sketches_reject_bad_entries():
     spec = build_condensation(1, 4, 2)
     with pytest.raises(ShapeError):
@@ -410,16 +456,6 @@ def test_sketches_reject_bad_entries():
         Sketches.of(spec, np.zeros((3, 2)))
     with pytest.raises(CapacityError):
         Sketches.of(spec, np.full((1, 2), 1 << spec.bit_width))
-
-
-def test_sketches_from_codes_checks_geometry():
-    spec = build_condensation(1, 4, 2)
-    other = build_condensation(1, 4, 3)
-    code = condense(other, BinaryCode.from_signs(np.ones(12, dtype=np.int8)))
-    with pytest.raises(IncompatibilityError):
-        Sketches.from_codes(spec, [code])
-    empty = Sketches.from_codes(spec, [])
-    assert len(empty) == 0 and empty.entries.shape == (0, 2)
 
 
 def naive_pairwise_l1(rows):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from csq import _native, pipeline
-from csq.condense import BinaryCode, codes_from_signs, condense_signs_batch
+from csq.condense import BinaryCode, Codes, condense_signs_batch
 from csq.errors import InputError
 from csq.pipeline import (
     Dataset,
@@ -253,7 +253,7 @@ def test_condense_and_pack_match_oracle(r, k):
         got = condense_signs_batch(spec, layout)
         assert got.flags.c_contiguous and got.dtype == np.int64
         assert np.array_equal(got, condense_oracle(spec, signs))
-        codes = codes_from_signs(layout)
+        codes = Codes.from_signs(layout)
         assert len(codes) == k
         for code, bits in zip(codes, bits_oracle(signs)):
             assert code.length == spec.m
@@ -262,7 +262,7 @@ def test_condense_and_pack_match_oracle(r, k):
 
 def test_codes_from_signs_refuses_non_signs():
     with pytest.raises(InputError):
-        codes_from_signs(np.array([[1, 0, -1]]))
+        Codes.from_signs(np.array([[1, 0, -1]]))
     with pytest.raises(InputError):
         BinaryCode.from_signs(np.array([1, 2]))
 

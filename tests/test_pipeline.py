@@ -1,7 +1,9 @@
 """Model assembly and the embed path: project, quantize, condense,
 estimate, plus the memoryless sign baseline."""
 
+import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +19,8 @@ from csq.errors import (
 )
 from csq.pipeline import (
     Dataset,
+    EmbeddingModel,
+    _finite_row_norms,
     build_model,
     dataset_from_matrix,
     derive_seeds,
@@ -29,7 +33,7 @@ from csq.pipeline import (
     scale_dataset,
     sign_msq_baseline_embed,
 )
-from csq.sigma_delta import quantize
+from csq.sigma_delta import build_quantizer, quantize
 from csq.transforms import sparse_matmat
 
 
@@ -48,6 +52,37 @@ def test_dataset_from_matrix_records_extent():
     assert ds.k == 2 and ds.n == 2
     assert ds.kappa == pytest.approx(5.0)
     assert ds.scale_applied == 1.0
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (3, 7), (1000, 1000), (257, 4096), (5, 100003)]
+)
+def test_row_norms_and_kappa_match_numpy_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[1])
+    # Row scales from 1e-13 to 1e13 exercise the rounding of every sum.
+    x = rng.standard_normal(shape) * np.exp(rng.uniform(-30, 30, (shape[0], 1)))
+    want = np.linalg.norm(x, axis=1)
+    for layout in (x, np.asfortranarray(x), np.ascontiguousarray(x.T).T):
+        got = _finite_row_norms(layout)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert dataset_from_matrix(layout).kappa == float(want.max())
+
+
+def test_dataset_from_matrix_makes_no_full_size_temporary():
+    x = np.random.default_rng(0).standard_normal((2000, 1000))  # 16 MB
+    x[1999, 999] = np.nan
+    for matrix, error in ((x[:1999], None), (x, InputError)):
+        tracemalloc.start()
+        try:
+            if error is None:
+                dataset_from_matrix(matrix)
+            else:
+                with pytest.raises(error):
+                    dataset_from_matrix(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 def test_scale_dataset_puts_points_in_ball():
@@ -99,6 +134,23 @@ def test_build_model_fjlt_pads_dimension():
     model = build_model(method="fjlt", n=48, p=4, lambda_tilde=4, r=1, seed=1)
     assert model.n == 48
     assert model.n_pad == 64
+
+
+def test_model_states_its_geometry_once():
+    init = [f.name for f in dataclasses.fields(EmbeddingModel) if f.init]
+    assert len(init) == 10
+    for derived in ("n_pad", "m", "p", "r", "lambda_tilde", "version"):
+        assert derived not in init
+    model = build_model(method="fjlt", n=48, p=4, lambda_tilde=4, r=2, seed=1)
+    spec = model.condensation
+    assert (model.m, model.p, model.r, model.lambda_tilde) == (
+        spec.m, spec.p, spec.r, spec.lambda_tilde,
+    )
+    model.method = "sparse"
+    assert model.n_pad == 48
+    model.quantizer = build_quantizer(3)
+    with pytest.raises(ParameterError):
+        model.validate()
 
 
 def test_build_model_default_sparsity_uses_kernel_ratio():
@@ -205,7 +257,8 @@ def test_model_operator_follows_explicit_arrays():
 def test_embed_empty_dataset():
     model = build_model(method="sparse", n=16, p=2, lambda_tilde=2, r=1, seed=0)
     res = embed_dataset(model, dataset_from_matrix(np.zeros((0, 16))))
-    assert res.codes == [] and len(res.condensed) == 0
+    assert len(res.codes) == 0 and len(res.condensed) == 0
+    assert res.codes.bits.shape == (0, (model.m + 7) // 8)
     assert res.condensed.entries.shape == (0, model.p)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from csq.errors import InputError, ParameterError, ShapeError
 from csq.sigma_delta import (
+    MAX_ORDER,
     build_quantizer,
     extremal_probe_input,
     quantize,
@@ -81,6 +82,14 @@ def test_build_quantizer_argument_errors():
         build_quantizer(1, mu=1.0)
     with pytest.raises(ParameterError):
         build_quantizer(1, mu=0.0)
+
+
+def test_order_limit_is_checked_before_the_taps():
+    assert build_quantizer(MAX_ORDER).order == MAX_ORDER
+    # Tap weights are O(order**2) Python work: 2**32 - 1 would never end.
+    for order in (MAX_ORDER + 1, 100_000, 2**32 - 1):
+        with pytest.raises(ParameterError):
+            build_quantizer(order)
 
 
 # -------------------------------------------------------- recursion

@@ -1,22 +1,27 @@
 """Round trips and corruption handling for every on-disk format."""
 
+import functools
 import math
 import struct
+import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csq.condense import (
     BinaryCode,
+    Codes,
     Sketches,
     build_condensation,
     condense,
     condense_signs_batch,
 )
 from csq.errors import CorruptionError, CsqError, FormatError, IncompatibilityError
-from csq.pipeline import build_model, dataset_from_matrix, embed_dataset
+from csq.pipeline import EmbeddingModel, build_model, dataset_from_matrix, embed_dataset
 from csq.store import (
     CURVE_HEADER,
     read_codes,
@@ -272,6 +277,126 @@ def test_model_truncation(tmp_path):
         read_model(path)
 
 
+CSQM_HEADER = struct.Struct("<4sIBQQQQIIIdddQQB")
+
+
+def csqm_header(method=0, n=4, n_pad=4, m=4, p=4, r=1, lambda_tilde=1, sigma=6,
+                mu=0.5, sparsity=1.0, wellspread_const=1.0, seeds=(1, 2), flag=0):
+    """A CSQM header; the defaults describe a valid sparse model."""
+    return CSQM_HEADER.pack(
+        b"CSQM", 1, method, n, n_pad, m, p, r, lambda_tilde, sigma,
+        mu, sparsity, wellspread_const, *seeds, flag,
+    )
+
+
+def test_model_header_default_is_valid(tmp_path):
+    path = tmp_path / "model.csqm"
+    path.write_bytes(csqm_header())
+    model = read_model(path)
+    assert (model.n, model.n_pad, model.m, model.p) == (4, 4, 4, 4)
+    write_model(tmp_path / "back.csqm", model)
+    assert (tmp_path / "back.csqm").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("method, n, n_pad", [(0, 4, 8), (1, 5, 5), (1, 5, 16)])
+def test_model_header_n_pad_must_match_the_derived_one(tmp_path, method, n, n_pad):
+    path = tmp_path / "model.csqm"
+    path.write_bytes(csqm_header(method=method, n=n, n_pad=n_pad))
+    with pytest.raises(FormatError):
+        read_model(path)
+
+
+HOSTILE_ORDERS = [
+    (r, lambda_tilde)
+    for r in (100_000, 2**32 - 1)
+    for lambda_tilde in (1, 2**32 - 1)
+] + [(1, 2**32 - 1)]
+
+
+@pytest.mark.parametrize("r, lambda_tilde", HOSTILE_ORDERS)
+def test_model_hostile_order_is_refused_quickly(tmp_path, r, lambda_tilde):
+    """O(r**2) tap weights, lambda_tilde**r and an r-fold convolution of a
+    lambda_tilde window are all refused before they start."""
+    path = tmp_path / "hostile.csqm"
+    path.write_bytes(csqm_header(r=r, lambda_tilde=lambda_tilde))
+    assert path.stat().st_size == 94
+    t0 = time.perf_counter()
+    with pytest.raises(FormatError):
+        read_model(path)
+    assert time.perf_counter() - t0 < 1.0
+
+
+@functools.cache
+def _written_models() -> tuple[bytes, ...]:
+    """Small valid models of both methods, by seed and explicit."""
+    models = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csqm"
+        for method in ("sparse", "fjlt"):
+            model = build_model(method=method, n=6, p=2, lambda_tilde=3, r=2, seed=1)
+            for explicit in (False, True):
+                write_model(path, model, explicit=explicit)
+                models.append(path.read_bytes())
+    return tuple(models)
+
+
+@st.composite
+def csqm_bytes(draw):
+    """CSQM-shaped byte strings: headers with mostly plausible fields and
+    an eighth of each hostile, or written models with a few bytes replaced,
+    sometimes truncated."""
+
+    def field(plausible, hostile):
+        return draw(plausible if draw(st.integers(0, 7)) else hostile)
+
+    u32 = st.sampled_from([2**31, 2**32 - 1]) | st.integers(0, 2**32 - 1)
+    u64 = st.sampled_from([2**61 + 1, 2**63 - 1, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+    if draw(st.booleans()):
+        raw = bytearray(draw(st.sampled_from(_written_models())))
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(raw) - 1))
+            chunk = draw(st.binary(min_size=1, max_size=8))
+            raw[at : at + len(chunk)] = chunk
+        raw = bytes(raw)
+    else:
+        method = field(st.sampled_from([0, 1]), st.integers(0, 255))
+        n = field(st.integers(1, 40), u64)
+        n_pad = field(st.just(n if method != 1 else 1 << (n - 1).bit_length()), u64)
+        n_pad %= 2**64
+        r = field(st.integers(1, 3), u32)
+        lambda_tilde = field(st.integers(1, 6), u32)
+        p = field(st.integers(1, 5), u64)
+        m = field(st.just((r * lambda_tilde - r + 1) * p), u64)
+        floats = st.floats(width=64)
+        raw = csqm_header(
+            method, n, n_pad, m % 2**64, p, r, lambda_tilde,
+            field(st.just(6), u32),
+            field(st.just(0.5), floats),
+            field(st.just(1.0), floats),
+            field(st.just(1.0), floats),
+            (draw(u64), draw(u64)),
+            field(st.just(0), st.integers(0, 255)),
+        ) + field(st.just(b""), st.binary(max_size=48))
+    return field(st.just(raw), st.builds(lambda c: raw[:c], st.integers(0, len(raw))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.binary(max_size=96) | csqm_bytes())
+@example(raw=csqm_header(r=100_000, lambda_tilde=1))
+@example(raw=csqm_header(r=2**32 - 1, lambda_tilde=2**32 - 1))
+@example(raw=csqm_header(r=1, lambda_tilde=2**32 - 1))
+def test_model_reader_fuzz(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csqm"
+    path.write_bytes(raw)
+    try:
+        model = read_model(path)
+    except CsqError:
+        return
+    assert isinstance(model, EmbeddingModel)
+    model.validate()
+    assert model.quantizer.order == model.condensation.r
+
+
 # --------------------------------------------------------------- codes
 
 
@@ -279,10 +404,7 @@ def test_codes_round_trip_and_size(tmp_path):
     path = tmp_path / "codes.csqc"
     rng = np.random.default_rng(5)
     m = 37
-    codes = [
-        BinaryCode.from_signs(np.where(rng.random(m) < 0.5, -1, 1).astype(np.int8))
-        for _ in range(6)
-    ]
+    codes = Codes.from_signs(np.where(rng.random((6, m)) < 0.5, -1, 1).astype(np.int8))
     write_codes(path, codes)
     back = read_codes(path)
     assert len(back) == 6
@@ -294,17 +416,73 @@ def test_codes_round_trip_and_size(tmp_path):
 
 def test_codes_empty_list_with_declared_length(tmp_path):
     path = tmp_path / "empty.csqc"
-    write_codes(path, [], m=12)
-    assert read_codes(path) == []
+    write_codes(path, Codes(12, np.zeros((0, 2), dtype=np.uint8)))
+    back = read_codes(path)
+    assert len(back) == 0 and back.length == 12 and back.bits.shape == (0, 2)
 
 
 def test_codes_truncation(tmp_path):
     path = tmp_path / "codes.csqc"
-    codes = [BinaryCode.from_signs(np.ones(64, dtype=np.int8))]
-    write_codes(path, codes)
+    write_codes(path, Codes.from_signs(np.ones((1, 64), dtype=np.int8)))
     path.write_bytes(path.read_bytes()[:-1])
     with pytest.raises(CorruptionError):
         read_codes(path)
+
+
+CSQC_HEADER = struct.Struct("<4sIQQ")
+
+
+def test_codes_hostile_headers(tmp_path):
+    path = tmp_path / "hostile.csqc"
+    # Zero-length codes would pass the size check with no payload and give
+    # 2**63 empty rows.
+    path.write_bytes(CSQC_HEADER.pack(b"CSQC", 1, 2**63, 0))
+    t0 = time.perf_counter()
+    with pytest.raises(FormatError):
+        read_codes(path)
+    assert time.perf_counter() - t0 < 1.0
+    for k, m in ((2**64 - 1, 8), (2**40, 2**20), (1, 2**64 - 1)):
+        path.write_bytes(CSQC_HEADER.pack(b"CSQC", 1, k, m) + bytes(64))
+        with pytest.raises(CorruptionError):
+            read_codes(path)
+    path.write_bytes(CSQC_HEADER.pack(b"CSQC", 1, 0, 2**64 - 1))
+    empty = read_codes(path)
+    assert len(empty) == 0 and empty.bits.shape == (0, 2**61)
+
+
+@st.composite
+def csqc_bytes(draw):
+    """CSQC-shaped byte strings: plausible or hostile k and m, payloads of
+    the exact size or not, sometimes truncated."""
+
+    def field(plausible, hostile):
+        return draw(plausible if draw(st.integers(0, 3)) else hostile)
+
+    u64 = st.sampled_from([2**61 + 1, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+    k = field(st.sampled_from([0, 1, 3]), u64)
+    m = field(st.integers(0, 40), u64)
+    size = k * ((m + 7) // 8)
+    body = field(
+        st.binary(min_size=size, max_size=size) if size <= 256 else st.just(b""),
+        st.binary(max_size=48),
+    )
+    raw = CSQC_HEADER.pack(b"CSQC", field(st.just(1), st.integers(0, 3)), k, m) + body
+    return field(st.just(raw), st.builds(lambda c: raw[:c], st.integers(0, len(raw))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.binary(max_size=64) | csqc_bytes())
+@example(raw=CSQC_HEADER.pack(b"CSQC", 1, 2**63, 0))
+def test_codes_reader_fuzz(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csqc"
+    path.write_bytes(raw)
+    try:
+        codes = read_codes(path)
+    except CsqError:
+        return
+    assert isinstance(codes, Codes)
+    assert codes.bits.shape == (len(codes), (codes.length + 7) // 8)
+    assert codes.bits.dtype == np.uint8
 
 
 # ----------------------------------------------------------- condensed
@@ -318,9 +496,9 @@ def test_condensed_round_trip_and_size(tmp_path):
     for _ in range(9):
         signs = np.where(rng.random(spec.m) < 0.5, -1, 1).astype(np.int8)
         codes.append(condense(spec, BinaryCode.from_signs(signs)))
-    write_condensed(path, codes, spec)
+    write_condensed(path, Sketches.of(spec, [code.entries for code in codes]), spec)
     back = read_condensed(path)
-    assert len(back) == 9
+    assert isinstance(back, Sketches) and len(back) == 9 and back.p == 16
     for a, b in zip(codes, back):
         assert np.array_equal(a.entries, b.entries)
         assert a.bit_width == b.bit_width
@@ -333,7 +511,7 @@ def test_condensed_rejects_nonsense_bit_width(tmp_path):
     path = tmp_path / "sk.csqd"
     spec = build_condensation(1, 4, 2)
     code = condense(spec, BinaryCode.from_signs(np.ones(8, dtype=np.int8)))
-    write_condensed(path, [code], spec)
+    write_condensed(path, Sketches.of(spec, [code.entries]), spec)
     raw = bytearray(path.read_bytes())
     # bit_width field sits after magic+version+k+p
     off = 4 + 4 + 8 + 8
@@ -347,28 +525,13 @@ def test_condensed_truncation(tmp_path):
     path = tmp_path / "sk.csqd"
     spec = build_condensation(1, 8, 4)
     code = condense(spec, BinaryCode.from_signs(np.ones(spec.m, dtype=np.int8)))
-    write_condensed(path, [code, code], spec)
+    write_condensed(path, Sketches.of(spec, [code.entries, code.entries]), spec)
     path.write_bytes(path.read_bytes()[:-2])
     with pytest.raises(CorruptionError):
         read_condensed(path)
 
 
 CSQD_HEADER = struct.Struct("<4sIQQId")
-
-
-def test_condensed_sketches_and_code_lists_write_the_same_bytes(tmp_path):
-    spec = build_condensation(3, 7, 5)
-    rng = np.random.default_rng(8)
-    signs = np.where(rng.random((6, spec.m)) < 0.5, -1, 1).astype(np.int8)
-    sk = Sketches.of(spec, condense_signs_batch(spec, signs))
-    write_condensed(tmp_path / "a.csqd", sk, spec)
-    write_condensed(tmp_path / "b.csqd", list(sk), spec)
-    assert (tmp_path / "a.csqd").read_bytes() == (tmp_path / "b.csqd").read_bytes()
-    back = read_condensed(tmp_path / "a.csqd")
-    assert isinstance(back, Sketches) and np.array_equal(back.entries, sk.entries)
-    assert (back.p, back.bit_width, back.norm_factor) == (
-        spec.p, spec.bit_width, spec.norm_factor,
-    )
 
 
 @pytest.mark.parametrize(
