@@ -1,9 +1,11 @@
 /*
- * Compiled embed kernels for csq, loaded through ctypes (no Python API).
+ * Compiled kernels for csq, loaded through ctypes (no Python API): the
+ * embed stages, then the l1 sums and CSV line assembly of the all-pairs
+ * query (at the end of the file, integer and byte work only).
  *
- * Each kernel performs exactly the floating-point operations of the numpy
- * kernel it mirrors, in the same order per output value, so results are
- * bit-identical to that kernel. That holds only when the compiler neither
+ * Each embed kernel performs exactly the floating-point operations of the
+ * numpy kernel it mirrors, in the same order per output value, so results
+ * are bit-identical to that kernel. That holds only when the compiler neither
  * contracts a*b + c into a fused multiply-add nor reassociates: build with
  * -ffp-contract=off and without -ffast-math.
  *
@@ -282,4 +284,127 @@ int csq_embed_block(const double *x, int64_t b, int64_t n,
                       bits + p0 * ((m + 7) / 8));
     }
     return bad;
+}
+
+/*
+ * l1 sums between sketch rows, for pairwise_l1_blocks. rows is a C-ordered
+ * (k, p) matrix of one signed integer type T; for each i in start..stop-1
+ * and each later row j, in (i, j) order, *sums++ gets the sum over e of
+ * |rows[i][e] - rows[j][e]|. The term is max - min in the unsigned type U
+ * of T's width, exact whenever the difference fits T (entry_dtype holds
+ * bit_width + 1 bits, so sketch entries always do). A block of at most
+ * CHUNK_E terms is summed in the accumulator type A before it is added
+ * to the int64 total, so the sums are exact in int64 for any p; int64
+ * rows sum modulo 2**64 as the numpy loop does.
+ */
+#define L1_PAIRS(name, T, U, A, CHUNK_E)                                     \
+    void name(const T *rows, int64_t k, int64_t p, int64_t start,            \
+              int64_t stop, int64_t *sums)                                   \
+    {                                                                        \
+        for (int64_t i = start; i < stop; i++) {                             \
+            const T *restrict a = rows + i * p;                              \
+            for (int64_t j = i + 1; j < k; j++) {                            \
+                const T *restrict b = rows + j * p;                          \
+                uint64_t total = 0;                                          \
+                for (int64_t e0 = 0; e0 < p; e0 += CHUNK_E) {                \
+                    const int64_t e1 = p - e0 < CHUNK_E ? p : e0 + CHUNK_E;  \
+                    A acc = 0;                                               \
+                    for (int64_t e = e0; e < e1; e++) {                      \
+                        const T hi = a[e] > b[e] ? a[e] : b[e];              \
+                        const T lo = a[e] > b[e] ? b[e] : a[e];              \
+                        acc += (U)((U)hi - (U)lo);                           \
+                    }                                                        \
+                    total += acc;                                            \
+                }                                                            \
+                *sums++ = (int64_t)total;                                    \
+            }                                                                \
+        }                                                                    \
+    }
+
+L1_PAIRS(csq_l1_pairs_i8, int8_t, uint8_t, uint32_t, INT64_C(1) << 24)
+L1_PAIRS(csq_l1_pairs_i16, int16_t, uint16_t, uint32_t, INT64_C(1) << 16)
+L1_PAIRS(csq_l1_pairs_i32, int32_t, uint32_t, uint64_t, INT64_C(1) << 32)
+L1_PAIRS(csq_l1_pairs_i64, int64_t, uint64_t, uint64_t, INT64_C(1) << 62)
+
+/* Bytes of the number buffers below: 20 digits and a comma fit. */
+#define NUM 24
+/* Texts up to this long are copied as one fixed-size block. */
+#define TEXT 32
+
+/* The decimal digits of v >= 0 followed by a comma at out; returns their
+   length. */
+static int64_t decimal(char *out, int64_t v)
+{
+    char digits[20];
+    int64_t n = 0, len = 0;
+    do {
+        digits[n++] = (char)('0' + v % 10);
+        v /= 10;
+    } while (v);
+    while (n)
+        out[len++] = digits[--n];
+    out[len++] = ',';
+    return len;
+}
+
+/* Add one to the number that decimal wrote at out, in place. */
+static int64_t increment(char *out, int64_t len)
+{
+    int64_t d = len - 2;
+    while (d >= 0 && out[d] == '9')
+        out[d--] = '0';
+    if (d >= 0) {
+        out[d]++;
+        return len;
+    }
+    memmove(out + 1, out, (size_t)len);
+    out[0] = '1';
+    return len + 1;
+}
+
+/*
+ * The CSV lines "i,j,<estimate>\n" of count pairs in (i, j), i < j order,
+ * starting at (start, start + 1), among k rows, written to out. The
+ * estimate of pair n is text t = lut[sums[n] - lo], the bytes
+ * texts[offsets[t]] .. texts[offsets[t + 1] - 1] of the size-byte texts.
+ * Numbers and short texts are copied as fixed-size blocks that may run
+ * past the line, so out needs 2 * NUM + TEXT bytes of room beyond it.
+ * Returns the bytes written, or -1 if they would not fit in capacity.
+ */
+int64_t csq_pair_lines(const int64_t *sums, int64_t count, int64_t start,
+                       int64_t k, int64_t lo, const int32_t *lut,
+                       const int64_t *offsets, const char *texts, int64_t size,
+                       char *out, int64_t capacity)
+{
+    char *o = out, *const end = out + capacity;
+    char row[NUM], col[NUM];
+    int64_t i = start, j = start + 1;
+    int64_t row_len = decimal(row, i), col_len = decimal(col, j);
+    for (int64_t n = 0; n < count; n++) {
+        const int32_t t = lut[sums[n] - lo];
+        const char *text = texts + offsets[t];
+        const int64_t len = offsets[t + 1] - offsets[t];
+        const int fixed = len <= TEXT && offsets[t] + TEXT <= size;
+        if (end - o < 2 * NUM + (fixed ? TEXT : len) + 1)
+            return -1;
+        memcpy(o, row, NUM);
+        o += row_len;
+        memcpy(o, col, NUM);
+        o += col_len;
+        if (fixed)
+            memcpy(o, text, TEXT);
+        else
+            memcpy(o, text, (size_t)len);
+        o += len;
+        *o++ = '\n';
+        if (++j == k) {
+            i++;
+            j = i + 1;
+            row_len = decimal(row, i);
+            col_len = decimal(col, j);
+        } else {
+            col_len = increment(col, col_len);
+        }
+    }
+    return o - out;
 }

@@ -1,4 +1,5 @@
-"""Build, cache and load the compiled embed kernels of ``_kernels.c``.
+"""Build, cache and load the compiled kernels of ``_kernels.c``: the embed
+path, and the l1 sums and CSV line assembly of ``csq query --all-pairs``.
 
 The source ships with the package. The first :func:`load` compiles it with
 the system C compiler ``cc`` into a per-user cache directory and loads the
@@ -14,7 +15,8 @@ The flags leave out ``-ffast-math`` (which reorders floating-point sums)
 and ``-march=native`` (which may enable fused multiply-add and makes the
 library depend on the build host); ``-ffp-contract=off`` forbids fusing
 ``a * b + c`` even where the target has such an instruction. Those keep
-every result bit-identical to the numpy kernels.
+every result bit-identical to the numpy kernels. The query kernels do
+integer arithmetic and copy bytes, so their results are exact.
 """
 
 from __future__ import annotations
@@ -36,8 +38,18 @@ FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 # Points per tile of the preconditioned block; TILE in _kernels.c.
 TILE = 16
+# Bytes csq_pair_lines copies per number and per short text; NUM and TEXT
+# in _kernels.c.
+NUM, TEXT = 24, 32
 
 _i64, _f64, _ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+# The l1 pair kernel of each row dtype.
+L1_KERNELS = {
+    np.dtype(np.int8): "csq_l1_pairs_i8",
+    np.dtype(np.int16): "csq_l1_pairs_i16",
+    np.dtype(np.int32): "csq_l1_pairs_i32",
+    np.dtype(np.int64): "csq_l1_pairs_i64",
+}
 _SIGNATURES = {
     "csq_precondition": (ctypes.c_int, [_ptr, _i64, _i64, _ptr, _i64, _f64, _ptr]),
     "csq_project": (None, [_ptr, _ptr, _ptr, _i64, _ptr, _i64, _i64, _ptr]),
@@ -46,6 +58,13 @@ _SIGNATURES = {
         ctypes.c_int,
         [_ptr, _i64, _i64, _ptr, _i64, _f64, _ptr, _ptr, _ptr, _i64, _ptr, _ptr,
          _i64, _ptr, _i64, _ptr, _ptr, _ptr, _ptr],
+    ),
+    **{
+        name: (None, [_ptr, _i64, _i64, _i64, _i64, _ptr])
+        for name in L1_KERNELS.values()
+    },
+    "csq_pair_lines": (
+        _i64, [_ptr, _i64, _i64, _i64, _i64, _ptr, _ptr, _ptr, _i64, _ptr, _i64]
     ),
 }
 
@@ -118,6 +137,7 @@ class Kernels:
     :meth:`embed_block` is the embed path; :meth:`precondition`,
     :meth:`project` and :meth:`quantize` run one stage each, so that every
     kernel can be compared with its numpy counterpart on its own.
+    :meth:`l1_pairs` and :meth:`pair_lines` serve the all-pairs query.
     """
 
     def __init__(self, lib: ctypes.CDLL):
@@ -207,6 +227,52 @@ class Kernels:
             _check(peaks, np.float64, b),
         )
         return bad == 0
+
+    def l1_pairs(self, rows, start: int, stop: int, sums) -> None:
+        """The l1 sums of rows start..stop-1 of the C-ordered (k, p) matrix
+        ``rows`` (a dtype of :data:`L1_KERNELS`) against every later row,
+        in (i, j), i < j order, into the int64 vector ``sums``."""
+        k, p = rows.shape
+        if not 0 <= start <= stop <= k:
+            raise ValueError("row range out of bounds")
+        count = (stop - start) * (2 * k - start - stop - 1) // 2
+        if sums.shape != (count,):
+            raise ValueError(f"expected {count} sums, got {sums.shape}")
+        getattr(self._lib, L1_KERNELS[rows.dtype])(
+            _check(rows, rows.dtype, k * p), k, p, start, stop,
+            _check(sums, np.int64, count),
+        )
+
+    @staticmethod
+    def lines_size(count: int, k: int, longest: int) -> int:
+        """Bytes of buffer :meth:`pair_lines` needs for ``count`` lines among
+        k rows whose texts have at most ``longest`` bytes."""
+        return count * (2 * len(str(k)) + 3 + longest) + 2 * NUM + TEXT
+
+    def pair_lines(self, sums, start: int, k: int, lo: int, lut, texts, out) -> int:
+        """Write the CSV lines ``i,j,<text>\\n`` of the pairs from (start,
+        start + 1) on, one per int64 sum, into the uint8 buffer ``out``
+        (see :meth:`lines_size`); pair n gets the bytes
+        ``texts[lut[sums[n] - lo]]``. Returns the bytes written."""
+        count = sums.size
+        if not 0 <= start < k:
+            raise ValueError("first row out of bounds")
+        if count and (sums.min() < lo or sums.max() - lo >= lut.size):
+            raise ValueError("sums outside the lookup table")
+        if lut.size and (lut.min() < 0 or lut.max() >= len(texts)):
+            raise ValueError("lookup table outside the texts")
+        offsets = np.zeros(len(texts) + 1, dtype=np.int64)
+        np.cumsum([len(t) for t in texts], out=offsets[1:])
+        # Padded so that every text can be copied as one TEXT-byte block.
+        blob = b"".join(texts) + bytes(TEXT)
+        written = self._lib.csq_pair_lines(
+            _check(sums, np.int64, count), count, start, k, lo,
+            _check(lut, np.int32, lut.size), offsets.ctypes.data,
+            blob, len(blob), _check(out, np.uint8, 0), out.size,
+        )
+        if written < 0:
+            raise ValueError("line buffer too small")
+        return written
 
 
 def _build(cache: Path) -> Path:

@@ -141,7 +141,9 @@ def _cmd_embed(args) -> int:
     else:
         print(f"kernels: numpy ({diag.kernels_note})")
     suggested = pipeline.kappa_bound(model.quantizer.mu, np.log(2.0), model.m)
-    if data.kappa > suggested:
+    # The slack of the well-spread check: data scaled to exactly the bound
+    # has a kappa that rounding may put a few ulps above it.
+    if data.kappa > suggested * (1.0 + 1e-9):
         print(
             f"note: max input norm {data.kappa:.4g} exceeds the suggested "
             f"ball radius {suggested:.4g} for mu={model.quantizer.mu}; "
@@ -155,27 +157,73 @@ def _cmd_embed(args) -> int:
     return 0
 
 
+def _distinct_sums(sums: np.ndarray):
+    """``(distinct, keys, lo, lut)``: the sorted distinct values of
+    ``sums``, and int64 keys with ``distinct[lut[keys - lo]]`` equal to
+    ``sums``."""
+    lo, hi = int(sums.min()), int(sums.max())
+    if hi - lo > 4 * sums.size:
+        distinct, keys = np.unique(sums, return_inverse=True)
+        return distinct, keys, 0, np.arange(distinct.size, dtype=np.int32)
+    # The sums of a block span a narrow range, so a count per value finds
+    # the distinct ones far faster than sorting.
+    present = np.flatnonzero(np.bincount(sums - lo))
+    lut = np.zeros(hi - lo + 1, dtype=np.int32)
+    lut[present] = np.arange(present.size, dtype=np.int32)
+    return present + lo, sums, lo, lut
+
+
 def _write_all_pairs(out, sketches, divisor: float) -> None:
-    """Stream the ``i,j,estimate`` CSV one block of rows at a time.
+    """Stream the ``i,j,estimate`` CSV to the binary stream ``out`` one
+    block of rows at a time.
 
     An estimate is a pure function of its integer l1 sum, computed with the
     same float operations as :func:`pipeline.estimate_distance`, so each
-    distinct sum of a block is formatted once and shared by its pairs.
+    distinct sum of a block is formatted once and shared by its pairs. The
+    compiled kernels copy those texts into a block's lines in one reused
+    buffer; without them, Python strings make the lines.
     """
-    out.write("i,j,estimate\n")
-    k = len(sketches)
-    j_prefix = np.array([f"{j}," for j in range(k)], dtype=object)
+    from . import _native
+
+    out.write(b"i,j,estimate\n")
+    k, norm_factor = len(sketches), sketches.norm_factor
+    kern = _native.load()
+    if kern is None:
+        j_prefix = np.array([f"{j}," for j in range(k)], dtype=object)
+    buf = np.empty(0, dtype=np.uint8)
     for start, stop, sums in pairwise_l1_blocks(sketches.entries):
-        distinct, index = np.unique(sums, return_inverse=True)
-        ests = (distinct.astype(np.float64) * sketches.norm_factor / divisor).tolist()
-        texts = np.array([repr(est) for est in ests], dtype=object)[index]
+        distinct, keys, lo, lut = _distinct_sums(sums)
+        ests = (distinct.astype(np.float64) * norm_factor / divisor).tolist()
+        texts = [repr(est) for est in ests]
+        if kern is not None:
+            texts = [t.encode() for t in texts]
+            need = kern.lines_size(sums.size, k, max(map(len, texts)))
+            if buf.size < need:
+                buf = np.empty(need, dtype=np.uint8)
+            out.write(buf[: kern.pair_lines(keys, start, k, lo, lut, texts, buf)])
+            continue
+        texts = np.array(texts, dtype=object)[lut[keys - lo]]
         parts, off = [], 0
         for i in range(start, stop):
             n = k - 1 - i
             lines = (j_prefix[i + 1 :] + texts[off : off + n]).tolist()
             parts.append(f"{i}," + f"\n{i},".join(lines) + "\n")
             off += n
-        out.write("".join(parts))
+        out.write("".join(parts).encode())
+
+
+class _TextSink:
+    """Binary writes to a text stream that has no binary buffer under it
+    (an ``io.StringIO`` put in place of ``sys.stdout``, say)."""
+
+    def __init__(self, text):
+        self._text = text
+
+    def write(self, data) -> None:
+        self._text.write(bytes(data).decode("ascii"))
+
+    def flush(self) -> None:
+        self._text.flush()
 
 
 def _cmd_query(args) -> int:
@@ -195,12 +243,20 @@ def _cmd_query(args) -> int:
             raise ParameterError(f"pair indices must lie in [0, {k})")
         est = pipeline.estimate_distance(model, sketches[i], sketches[j]) / divisor
 
-    sink = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w")
+    if args.out is None:
+        # Bytes go straight to the stream under sys.stdout, after what was
+        # printed before them.
+        sys.stdout.flush()
+        stream = getattr(sys.stdout, "buffer", None) or _TextSink(sys.stdout)
+        sink = contextlib.nullcontext(stream)
+    else:
+        sink = open(args.out, "wb")
     with sink as out:
         if args.pair is not None:
-            out.write(repr(est) + "\n")
+            out.write(repr(est).encode() + b"\n")
         else:
             _write_all_pairs(out, sketches, divisor)
+        out.flush()
     if args.out is not None:
         count = 1 if args.pair is not None else 1 + k * (k - 1) // 2
         print(f"wrote {count} line(s) to {args.out}")

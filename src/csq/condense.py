@@ -308,22 +308,25 @@ def l1_distance(a: CondensedCode, b: CondensedCode) -> float:
     return total * a.norm_factor
 
 
-def pairwise_l1_blocks(rows: np.ndarray, block_pairs: int = 1 << 17):
-    """Yield ``(start, stop, sums)``: the l1 distances of rows start..stop-1
-    to every later row, in (i, j), i < j order, about ``block_pairs`` at a
-    time. Integer rows give exact int64 sums when their differences fit
-    the row dtype (see :func:`entry_dtype`).
-    """
-    rows = np.asarray(rows)
-    k = rows.shape[0]
-    diff = np.empty_like(rows)
-    dtype = rows[:0].sum(axis=1).dtype
+def _pair_blocks(k: int, block_pairs: int):
+    """``(start, stop, count)``: consecutive row ranges whose ``count``
+    pairs with later rows come to about ``block_pairs``, at least one row
+    each."""
     start = 0
     while start < k - 1:
         stop, count = start + 1, k - 1 - start
         while stop < k - 1 and count + k - 1 - stop <= block_pairs:
             count += k - 1 - stop
             stop += 1
+        yield start, stop, count
+        start = stop
+
+
+def _numpy_l1_blocks(rows: np.ndarray, blocks):
+    k = rows.shape[0]
+    diff = np.empty_like(rows)
+    dtype = rows[:0].sum(axis=1).dtype
+    for start, stop, count in blocks:
         sums = np.empty(count, dtype=dtype)
         off = 0
         for i in range(start, stop):
@@ -332,7 +335,57 @@ def pairwise_l1_blocks(rows: np.ndarray, block_pairs: int = 1 << 17):
             np.abs(d, out=d).sum(axis=1, out=sums[off : off + n])
             off += n
         yield start, stop, sums
-        start = stop
+
+
+def _native_l1_blocks(kern, rows: np.ndarray, blocks):
+    """:func:`_numpy_l1_blocks` with the compiled kernel. With more than
+    one CPU, a thread computes the next block while the caller consumes
+    the current one."""
+    rows = np.ascontiguousarray(rows)
+
+    def compute(start: int, stop: int, count: int):
+        sums = np.empty(count, dtype=np.int64)
+        kern.l1_pairs(rows, start, stop, sums)
+        return start, stop, sums
+
+    from .pipeline import _worker_count
+
+    if _worker_count() == 1:
+        for block in blocks:
+            yield compute(*block)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as pool:
+        pending = None
+        for block in blocks:
+            ahead = pool.submit(compute, *block)
+            if pending is not None:
+                yield pending.result()
+            pending = ahead
+        if pending is not None:
+            yield pending.result()
+
+
+def pairwise_l1_blocks(rows: np.ndarray, block_pairs: int = 1 << 17):
+    """Yield ``(start, stop, sums)``: the l1 distances of rows start..stop-1
+    to every later row, in (i, j), i < j order, about ``block_pairs`` at a
+    time. Integer rows give exact int64 sums when their differences fit
+    the row dtype (see :func:`entry_dtype`).
+
+    Signed integer rows run on the compiled kernel when it loads (see
+    :mod:`csq._native`); other rows, and every row without it, on a numpy
+    loop that gives the same sums.
+    """
+    rows = np.asarray(rows)
+    blocks = _pair_blocks(rows.shape[0], block_pairs)
+    # Imported here, not at the top, as in pipeline.embed_dataset.
+    from . import _native
+
+    kern = _native.load() if rows.dtype in _native.L1_KERNELS else None
+    if kern is None:
+        return _numpy_l1_blocks(rows, blocks)
+    return _native_l1_blocks(kern, rows, blocks)
 
 
 def operator_bound(spec: CondensationSpec) -> float:
@@ -374,19 +427,40 @@ def pack_rows(entries: np.ndarray, bit_width: int) -> np.ndarray:
 
 
 def unpack_rows(payload: np.ndarray, p: int, bit_width: int) -> np.ndarray:
-    """Inverse of :func:`pack_rows`: (k, record) bytes -> (k, p) entries."""
+    """Inverse of :func:`pack_rows`: (k, record) bytes -> (k, p) entries.
+
+    Entry e starts at byte ``e * w // 8``, bit ``e * w % 8``: it is read as
+    the little-endian u64 of the 8 bytes from there, shifted right, with
+    the 9th byte ORed in where the field runs past them (w >= 58), then
+    masked to w bits and sign-extended.
+    """
     w = bit_width
-    dtype = entry_dtype(w)
-    out = np.empty((payload.shape[0], p), dtype=dtype)
-    wide_bits = 8 * dtype.itemsize
-    for rows in _row_blocks(payload.shape[0], p * wide_bits):
-        bits = np.unpackbits(payload[rows], axis=1, count=p * w, bitorder="little")
-        # Widen every field to the dtype's width by repeating its sign bit.
-        wide = np.empty((bits.shape[0], p, wide_bits), dtype=np.uint8)
-        wide[:, :, :w] = bits.reshape(-1, p, w)
-        wide[:, :, w:] = wide[:, :, w - 1 : w]
-        raw = np.packbits(wide, axis=2, bitorder="little")
-        out[rows] = raw.view(dtype.newbyteorder("<"))[:, :, 0]
+    k, record = payload.shape
+    out = np.empty((k, p), dtype=entry_dtype(w))
+    if k == 0:  # p may be too large for the per-field arrays below
+        return out
+    first = np.arange(p, dtype=np.int64) * w
+    byte, shift = first // 8, (first % 8).astype(np.uint64)
+    over = np.flatnonzero(shift + w > 64)
+    mask, sign = np.uint64((1 << w) - 1), np.uint64(1 << (w - 1))
+    # Two u64 temporaries per entry: 128 bits of scratch.
+    for rows in _row_blocks(k, 128 * p):
+        n = rows.stop - rows.start
+        # Zero-padded so the 9 bytes from every field's first stay in the row.
+        padded = np.zeros((n, record + 9), dtype=np.uint8)
+        padded[:, :record] = payload[rows]
+        # The u64 at every byte offset of a row, as an overlapping view.
+        words = np.ndarray(
+            (n, record + 2), dtype="<u8", buffer=padded, strides=(record + 9, 1)
+        )
+        v = words[:, byte] >> shift
+        if over.size:
+            ninth = padded[:, byte[over] + 8].astype(np.uint64)
+            v[:, over] |= ninth << (np.uint64(64) - shift[over])
+        v &= mask
+        v ^= sign
+        v -= sign
+        out[rows] = v.view(np.int64)
     return out
 
 

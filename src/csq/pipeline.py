@@ -77,11 +77,14 @@ class Dataset:
     kappa: float = 0.0
 
 
-def _finite_row_norms(matrix: np.ndarray) -> np.ndarray:
+def _finite_row_norms(
+    matrix: np.ndarray, peaks: np.ndarray | None = None
+) -> np.ndarray:
     """Row l2 norms, bit for bit as ``np.linalg.norm(axis=1)`` gives them
     for the C-ordered float64 matrix whatever the layout of ``matrix``,
     computed (and checked finite) one block of about 2 MiB of rows at a
-    time, so no (k, n) temporary is made."""
+    time, so no (k, n) temporary is made. ``peaks``, when given, gets each
+    row's largest |entry| from the same blocks."""
     k, n = matrix.shape
     norms = np.empty(k)
     step = max(1, (1 << 18) // max(n, 1))
@@ -90,6 +93,8 @@ def _finite_row_norms(matrix: np.ndarray) -> np.ndarray:
         if not np.isfinite(block).all():
             raise InputError("dataset entries must be finite")
         norms[lo : lo + step] = np.sqrt(np.add.reduce(block * block, axis=1))
+        if peaks is not None:
+            np.abs(block).max(axis=1, out=peaks[lo : lo + step], initial=0.0)
     return norms
 
 
@@ -420,8 +425,8 @@ def embed_dataset(model: EmbeddingModel, data: Dataset) -> EmbedResult:
     k = data.k
     wellspread_failures = np.zeros(k, dtype=bool)
     if model.method == "sparse" and k:
-        norms = _finite_row_norms(data.vectors)
-        peaks = np.abs(data.vectors).max(axis=1)
+        peaks = np.empty(k)
+        norms = _finite_row_norms(data.vectors, peaks)
         threshold = model.wellspread_const / math.sqrt(model.n)
         # The tiny slack keeps exact-boundary points (norm computed with
         # rounding) from being flagged.

@@ -34,6 +34,12 @@ from .errors import InputError, ParameterError, ShapeError
 # lambda_tilde**r must stay below 2**62.
 MAX_ORDER = 61
 
+# Largest tap position (reach) accepted. The quantizers keep reach + 1
+# filter states per point, which a model header must not make terabytes:
+# the compiled path's per-worker ring is then at most 8 MiB. MAX_ORDER
+# fits with sigma up to 18.
+MAX_REACH = 2**16
+
 
 @dataclass(frozen=True)
 class QuantizerSpec:
@@ -83,6 +89,12 @@ def build_quantizer(
         )
     if not (0.0 < mu < 1.0):
         raise ParameterError("mu must lie in (0, 1)")
+    reach = sigma * (order - 1) ** 2 + 1
+    if reach > MAX_REACH:
+        raise ParameterError(
+            f"sigma {sigma} at order {order} reaches {reach} samples back, "
+            f"above the limit {MAX_REACH}"
+        )
     positions = tuple(sigma * (j - 1) ** 2 + 1 for j in range(1, order + 1))
     weights = []
     for j, nj in enumerate(positions):

@@ -343,6 +343,31 @@ def test_embed_with_huge_order_exits_2_quickly(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith("parameter error:")
 
+def test_embed_with_huge_sigma_exits_2(tmp_path, capsys):
+    """The quantizer's ring of sigma * (r - 1)**2 + 2 states is bounded
+    before anything is allocated."""
+    inp, _ = _make_dataset(tmp_path)
+    argv = _embed_argv(inp, tmp_path)
+    argv[argv.index("--r") + 1] = "2"
+    rc = main(argv + ["--sigma", "4294967295"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("parameter error:")
+
+
+def test_embed_of_data_scaled_to_the_bound_prints_no_note(tmp_path, capsys):
+    """Data scaled to exactly kappa_bound, as README recommends, is inside
+    the suggested ball even where rounding puts its norm an ulp above."""
+    m = 16  # p 4 times lambda 4, the model _embed_argv builds
+    bound = pipeline.kappa_bound(0.95, np.log(2.0), m)
+    raw = np.random.default_rng(3).standard_normal((6, 64))
+    inp = tmp_path / "scaled.csqv"
+    store.write_vectors(inp, pipeline.scale_dataset(raw, bound))
+    assert store.read_vectors(inp).kappa > bound
+    assert main(_embed_argv(inp, tmp_path)) == 0
+    out = capsys.readouterr().out
+    assert "m=16" in out and "note:" not in out
+
+
 # sha256 of the CSQM, CSQC and CSQD files `csq embed` writes for fixed
 # inputs. The embed kernels must reproduce these bytes exactly: a kernel
 # change that moves one rounding shows up here.
@@ -389,3 +414,77 @@ def test_embed_output_bytes_are_pinned(tmp_path, capsys, method, r):
         for name in ("model.csqm", "codes.csqc", "cond.csqd")
     )
     assert got == EMBED_DIGESTS[(method, r)]
+
+
+# sha256 of the CSV `csq query --all-pairs` writes for the sketches of
+# fixed inputs (int16 entries), in scaled and in original units. Both
+# kernel sets, and stdout as well as --out, must give these bytes.
+ALL_PAIRS_DIGESTS = {
+    (): "311aa1286fd5d244f485d55294ae65e38ef6f73186df440e56201bcb952bd59d",
+    ("--original-units", "--multiplier", "0.37"): (
+        "2b97df51d644c25fc7581b5503edcbf217f60203bf0e114f149015ab7bd97b3e"
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("to_stdout", [False, True])
+@pytest.mark.parametrize("units", sorted(ALL_PAIRS_DIGESTS))
+def test_all_pairs_csv_bytes_are_pinned(tmp_path, capsys, units, to_stdout):
+    import hashlib
+
+    inp, _ = _make_dataset(tmp_path, k=70, seed=2026)
+    argv = _embed_argv(inp, tmp_path)
+    for flag, value in (("--lambda-tilde", "16"), ("--r", "2"), ("--p", "8")):
+        argv[argv.index(flag) + 1] = value
+    assert main(argv) == 0
+    assert store.read_condensed(tmp_path / "cond.csqd").entries.dtype == np.int16
+    out_path = tmp_path / "pairs.csv"
+    query = [
+        "query", "--model", str(tmp_path / "model.csqm"),
+        "--condensed", str(tmp_path / "cond.csqd"), "--all-pairs", *units,
+    ]
+    capsys.readouterr()
+    assert main(query if to_stdout else query + ["--out", str(out_path)]) == 0
+    out = capsys.readouterr().out
+    got = out.encode() if to_stdout else out_path.read_bytes()
+    assert hashlib.sha256(got).hexdigest() == ALL_PAIRS_DIGESTS[units]
+
+
+@pytest.mark.parametrize("divisor", [1.0, 0.37])
+@pytest.mark.parametrize("bit_width", [5, 10, 40])
+def test_all_pairs_lines_match_python_formatting(bit_width, divisor):
+    """Sums spread over a range far wider than the block (bit width 40)
+    find their distinct values by sorting instead of counting."""
+    import io
+
+    half = 1 << (bit_width - 1)
+    rng = np.random.default_rng(bit_width)
+    entries = rng.integers(-half, half, size=(23, 6))
+    sketches = Sketches(6, bit_width, 0.0123, entries)
+    out = io.BytesIO()
+    cli._write_all_pairs(out, sketches, divisor)
+    rows = entries.tolist()
+    want = ["i,j,estimate"]
+    for i in range(23):
+        for j in range(i + 1, 23):
+            l1 = sum(abs(a - b) for a, b in zip(rows[i], rows[j]))
+            want.append(f"{i},{j},{l1 * 0.0123 / divisor!r}")
+    assert out.getvalue().decode() == "\n".join(want) + "\n"
+
+
+def test_all_pairs_to_a_text_stdout(embedded, capsys):
+    """stdout replaced by a text stream with no binary buffer under it."""
+    import contextlib
+    import io
+
+    tmp_path, _, _ = embedded
+    query = [
+        "query", "--model", str(tmp_path / "model.csqm"),
+        "--condensed", str(tmp_path / "cond.csqd"), "--all-pairs",
+    ]
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(query) == 0
+    assert main(query + ["--out", str(tmp_path / "pairs.csv")]) == 0
+    assert text.getvalue() == (tmp_path / "pairs.csv").read_text()

@@ -1,5 +1,5 @@
 """The feature-major embed kernels against the row-layout loops they
-replaced, bit for bit.
+replaced, bit for bit, and the all-pairs l1 kernel against the numpy loop.
 
 The oracles below are the per-point implementations the package used
 before its embed path carried points on the last axis: a row-layout
@@ -19,7 +19,13 @@ import numpy as np
 import pytest
 
 from csq import _native, pipeline
-from csq.condense import BinaryCode, Codes, condense_signs_batch
+from csq.condense import (
+    BinaryCode,
+    Codes,
+    condense_signs_batch,
+    entry_dtype,
+    pairwise_l1_blocks,
+)
 from csq.errors import InputError
 from csq.pipeline import (
     Dataset,
@@ -457,3 +463,105 @@ def test_checked_csr_refuses_out_of_range_columns():
     mat.col_indices[-1] = 10
     with pytest.raises(ShapeError):
         _native.checked_csr(mat)
+
+
+# ------------------------------------------------ all-pairs query kernels
+
+
+def numpy_l1_blocks(rows, block_pairs):
+    from csq.condense import _numpy_l1_blocks, _pair_blocks
+
+    return list(_numpy_l1_blocks(rows, _pair_blocks(len(rows), block_pairs)))
+
+
+def extreme_rows(bit_width, k, p, seed):
+    """k rows of p entries of the given width, most at its two extremes."""
+    half = 1 << (bit_width - 1)
+    rng = np.random.default_rng([bit_width, k, p, seed])
+    rows = rng.integers(-half, half, size=(k, p))
+    ends = rng.random((k, p)) < 0.7
+    rows[ends] = np.where(rng.random(int(ends.sum())) < 0.5, -half, half - 1)
+    return rows.astype(entry_dtype(bit_width))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("block_pairs", [1, 5, 1 << 17])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 40])
+@pytest.mark.parametrize("bit_width", [1, 7, 8, 15, 16, 31, 32, 62, 63])
+def test_pairwise_l1_blocks_match_numpy_loop(
+    monkeypatch, bit_width, k, block_pairs, workers
+):
+    """Widths 7, 15, 31 and 63 are the widest of int8, int16, int32 and
+    int64 entries; at 63 the sums wrap modulo 2**64 in both. With two
+    CPUs the next block is computed while the current one is read."""
+    monkeypatch.setattr(pipeline, "_worker_count", lambda: workers)
+    rows = extreme_rows(bit_width, k, 37, seed=1)
+    got = list(pairwise_l1_blocks(rows, block_pairs))
+    want = numpy_l1_blocks(rows, block_pairs)
+    assert [(a, b) for a, b, _ in got] == [(a, b) for a, b, _ in want]
+    for (_, _, g), (_, _, w) in zip(got, want):
+        assert g.dtype == w.dtype == np.int64
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("bit_width", [7, 15])
+def test_pairwise_l1_sums_longer_than_a_chunk(bit_width):
+    """Rows longer than the kernel sums in its narrow accumulator."""
+    rows = extreme_rows(bit_width, 3, (1 << 16) + 3, seed=2)
+    rows[0], rows[1] = rows.min(), rows.max()
+    got = np.concatenate([s for _, _, s in pairwise_l1_blocks(rows)])
+    want = np.abs(rows[:, None, :].astype(np.int64) - rows[None, :, :]).sum(axis=2)
+    assert got.tolist() == [want[0, 1], want[0, 2], want[1, 2]]
+
+
+def test_pairwise_l1_blocks_stop_early():
+    """A caller may stop reading after any block."""
+    rows = extreme_rows(10, 300, 16, seed=4)
+    want = numpy_l1_blocks(rows, 1000)
+    blocks = pairwise_l1_blocks(rows, 1000)
+    start, stop, sums = next(blocks)
+    blocks.close()
+    assert (start, stop) == want[0][:2] and np.array_equal(sums, want[0][2])
+
+
+def test_pairwise_l1_blocks_take_any_layout_and_dtype():
+    rows = extreme_rows(10, 9, 12, seed=3)
+    want = np.concatenate([s for _, _, s in numpy_l1_blocks(rows, 1 << 17)])
+    strided = np.repeat(rows, 2, axis=1)[:, ::2]
+    layouts = (np.asfortranarray(rows), strided, rows.astype(np.int32))
+    for other in layouts:
+        got = np.concatenate([s for _, _, s in pairwise_l1_blocks(other)])
+        assert np.array_equal(got, want)
+    floats = np.concatenate([s for _, _, s in pairwise_l1_blocks(rows.astype(float))])
+    assert floats.dtype == np.float64 and np.array_equal(floats, want)
+
+
+def test_native_pair_lines_match_python_formatting(kernels):
+    k, start = 12, 3
+    count = sum(k - 1 - i for i in range(start, k))
+    rng = np.random.default_rng(4)
+    sums = rng.integers(100, 140, size=count)
+    texts = [repr(float(v) / 7).encode() for v in range(100, 140)]
+    texts[5] = b"x" * 70  # longer than one fixed-size copy
+    lut = np.arange(40, dtype=np.int32)[::-1].copy()
+    out = np.empty(kernels.lines_size(count, k, 70), dtype=np.uint8)
+    n = kernels.pair_lines(sums, start, k, 100, lut, texts, out)
+    pairs = [(i, j) for i in range(start, k) for j in range(i + 1, k)]
+    want = b"".join(
+        b"%d,%d,%s\n" % (i, j, texts[lut[s - 100]]) for (i, j), s in zip(pairs, sums)
+    )
+    assert out[:n].tobytes() == want
+
+
+def test_native_pair_lines_refuse_what_does_not_fit(kernels):
+    sums = np.array([5, 6, 7], dtype=np.int64)
+    lut = np.zeros(3, dtype=np.int32)
+    texts = [b"0.5"]
+    out = np.empty(kernels.lines_size(3, 4, 3), dtype=np.uint8)
+    assert kernels.pair_lines(sums, 0, 4, 5, lut, texts, out) == 3 * len(b"0,1,0.5\n")
+    with pytest.raises(ValueError):
+        kernels.pair_lines(sums, 0, 4, 5, lut, texts, out[:40])
+    with pytest.raises(ValueError):
+        kernels.pair_lines(sums, 0, 4, 6, lut, texts, out)
+    with pytest.raises(ValueError):
+        kernels.pair_lines(sums, 0, 4, 5, lut + 1, texts, out)

@@ -85,6 +85,34 @@ def test_dataset_from_matrix_makes_no_full_size_temporary():
         assert peak < 4 << 20
 
 
+def test_row_peaks_match_numpy_exactly():
+    x = np.random.default_rng(8).standard_normal((300, 1500))
+    x[7] = -0.0
+    x[9, 4] = -50.0
+    for layout in (x, np.asfortranarray(x)):
+        peaks = np.full(300, np.nan)
+        _finite_row_norms(layout, peaks)
+        assert np.array_equal(peaks, np.abs(x).max(axis=1))
+
+
+def test_sparse_embed_well_spread_check_makes_no_full_size_temporary():
+    """The (k, n) inputs are 16 MB; the check reads them in blocks."""
+    model = build_model("sparse", n=1000, p=8, lambda_tilde=4, r=1, seed=1)
+    model_operator(model)
+    x = np.random.default_rng(0).standard_normal((2000, 1000))
+    data = dataset_from_matrix(x * (0.01 / np.linalg.norm(x, axis=1).max()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tracemalloc.start()
+        try:
+            res = embed_dataset(model, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert res.diagnostics.wellspread_failures.all()
+    assert peak < 8 << 20
+
+
 def test_scale_dataset_puts_points_in_ball():
     rng = np.random.default_rng(0)
     raw = rng.standard_normal((20, 16)) * 3.0

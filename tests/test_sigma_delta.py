@@ -9,6 +9,7 @@ import pytest
 from csq.errors import InputError, ParameterError, ShapeError
 from csq.sigma_delta import (
     MAX_ORDER,
+    MAX_REACH,
     build_quantizer,
     extremal_probe_input,
     quantize,
@@ -90,6 +91,16 @@ def test_order_limit_is_checked_before_the_taps():
     for order in (MAX_ORDER + 1, 100_000, 2**32 - 1):
         with pytest.raises(ParameterError):
             build_quantizer(order)
+
+
+def test_reach_limit_bounds_sigma():
+    """reach = sigma * (order - 1)**2 + 1 states back; order 1 has reach 1
+    whatever sigma is."""
+    assert build_quantizer(1, sigma=2**32 - 1).reach == 1
+    assert build_quantizer(2, sigma=MAX_REACH - 1).reach == MAX_REACH
+    for order, sigma in ((2, MAX_REACH), (3, MAX_REACH // 4), (2, 2**32 - 1)):
+        with pytest.raises(ParameterError, match="sigma"):
+            build_quantizer(order, sigma=sigma)
 
 
 # -------------------------------------------------------- recursion

@@ -326,6 +326,16 @@ def test_model_hostile_order_is_refused_quickly(tmp_path, r, lambda_tilde):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("r", [2, 3, 61])
+def test_model_hostile_sigma_is_refused(tmp_path, r):
+    """A tap spacing that would make the quantizer keep billions of states
+    per point is refused when the model is read."""
+    path = tmp_path / "hostile.csqm"
+    path.write_bytes(csqm_header(r=r, lambda_tilde=2, sigma=2**32 - 1))
+    with pytest.raises(FormatError, match="sigma"):
+        read_model(path)
+
+
 @functools.cache
 def _written_models() -> tuple[bytes, ...]:
     """Small valid models of both methods, by seed and explicit."""
@@ -385,6 +395,7 @@ def csqm_bytes(draw):
 @example(raw=csqm_header(r=100_000, lambda_tilde=1))
 @example(raw=csqm_header(r=2**32 - 1, lambda_tilde=2**32 - 1))
 @example(raw=csqm_header(r=1, lambda_tilde=2**32 - 1))
+@example(raw=csqm_header(r=2, sigma=2**32 - 1))
 def test_model_reader_fuzz(tmp_path_factory, raw):
     path = tmp_path_factory.getbasetemp() / "fuzz.csqm"
     path.write_bytes(raw)
