@@ -19,9 +19,7 @@ from .condense import (
     condense,
     l1_distance,
     operator_bound,
-    pack_condensed,
     pairwise_l1_blocks,
-    unpack_condensed,
 )
 from .errors import (
     CapacityError,
@@ -69,16 +67,13 @@ from .store import (
     write_vectors,
 )
 from .transforms import (
-    FjltOperator,
-    RandomSignDiagonal,
+    Projection,
     SparseGaussianMatrix,
-    apply_fjlt,
-    build_fjlt,
-    build_sign_diagonal,
     build_sparse_gaussian,
     fwht_inplace,
     padded_dim,
     recommended_sparsity,
+    sign_diagonal,
     sparse_matmat,
     sparse_matvec,
 )

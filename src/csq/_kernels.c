@@ -57,7 +57,7 @@ static void butterflies(double *restrict x, int64_t rows, int64_t h)
  * Copy t <= TILE point-major rows x (t, n) into one tile and return 1 if
  * any of them is not finite, else 0. With signs == NULL the values are
  * copied as they are (n_pad must equal n) and nothing else happens.
- * Otherwise, as FjltOperator.precondition and fwht_inplace: feature f
+ * Otherwise, as Projection.precondition and fwht_inplace: feature f
  * becomes x * signs[f], the padding features 0.0 * signs[f], and every
  * point goes through the butterfly stages h = 1, 2, 4, ..., n_pad / 2
  * (see butterflies), followed by one multiplication by scale

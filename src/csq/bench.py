@@ -68,7 +68,7 @@ def synth_wellspread(n: int, k: int, generator: str, seed) -> Dataset:
             norm = np.linalg.norm(g)
             vectors[i] = g / norm
     norms = np.linalg.norm(vectors, axis=1)
-    return Dataset(k=k, n=n, vectors=vectors, kappa=float(norms.max()))
+    return Dataset(vectors=vectors, kappa=float(norms.max()))
 
 
 def mape(estimates: np.ndarray, truths: np.ndarray) -> float:

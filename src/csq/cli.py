@@ -1,15 +1,18 @@
 """Command-line interface: embed datasets, query distances, run benchmarks.
 
 Exit codes: 0 on success, 2 for usage, parameter and file-format problems,
-1 for anything unexpected. All output files are pure functions of the
-flags and the seed; wall-clock milliseconds appear only in diagnostics and
-in the benchmark CSV's wall_ms column.
+141 (128 + SIGPIPE) when the reader of standard output goes away, as in
+``csq query --all-pairs | head``, and 1 for anything unexpected. All
+output files are pure functions of the flags and the seed; wall-clock
+milliseconds appear only in diagnostics and in the benchmark CSV's wall_ms
+column.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 import time
 
@@ -322,6 +325,14 @@ def main(argv: list[str] | None = None) -> int:
     except CsqError as exc:
         print(f"{exc.kind}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # End quietly, as a filter killed by SIGPIPE does. Standard output
+        # now points at the null device, so the interpreter's final flush
+        # of what is still buffered cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

@@ -462,22 +462,3 @@ def unpack_rows(payload: np.ndarray, p: int, bit_width: int) -> np.ndarray:
         v -= sign
         out[rows] = v.view(np.int64)
     return out
-
-
-def pack_condensed(code: CondensedCode) -> bytes:
-    """Pack one code's entries; see :func:`pack_rows` for the layout."""
-    return pack_rows(np.asarray(code.entries)[None, :], code.bit_width).tobytes()
-
-
-def unpack_condensed(
-    data: bytes, p: int, bit_width: int, norm_factor: float
-) -> CondensedCode:
-    """Inverse of :func:`pack_condensed` given the record geometry."""
-    expected = (p * bit_width + 7) // 8
-    if len(data) != expected:
-        raise ShapeError(f"record has {len(data)} bytes, expected {expected}")
-    payload = np.frombuffer(data, dtype=np.uint8)[None, :]
-    return CondensedCode(
-        p=p, bit_width=bit_width, norm_factor=norm_factor,
-        entries=unpack_rows(payload, p, bit_width)[0],
-    )

@@ -1,10 +1,12 @@
 """End-to-end embedding: project, quantize, condense, estimate distances.
 
-A model bundles a random projection (sparse Gaussian, or the same matrix
-behind a Walsh-Hadamard/sign preconditioner), an order-r one-bit quantizer
-and a condensation. Embedding a dataset yields one binary code and one
-condensed integer sketch per point; the l1 pseudometric on sketches
-approximates Euclidean distances of the (suitably scaled) inputs.
+A model bundles a random projection (one :class:`csq.transforms.Projection`:
+a sparse Gaussian matrix, or the same matrix behind a Walsh-Hadamard/sign
+preconditioner), an order-r one-bit quantizer and a condensation. Models
+are immutable and checked when made, and each builds its projection once.
+Embedding a dataset yields one binary code and one condensed integer
+sketch per point; the l1 pseudometric on sketches approximates Euclidean
+distances of the (suitably scaled) inputs.
 
 Scaling matters: the quantizer's guarantee needs ``||Ax||_inf <= mu``,
 which holds with high probability once every point lies in the l2 ball of
@@ -17,10 +19,12 @@ is included for comparison benchmarks.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,13 +47,11 @@ from .errors import (
 )
 from .sigma_delta import QuantizerSpec, build_quantizer, quantize_batch
 from .transforms import (
-    FjltOperator,
-    SparseGaussianMatrix,
-    build_fjlt,
+    Projection,
     build_sparse_gaussian,
     padded_dim,
     recommended_sparsity,
-    sparse_matmat,
+    sign_diagonal,
 )
 
 FILE_VERSION = 1
@@ -65,16 +67,23 @@ METHODS = ("sparse", "fjlt")
 class Dataset:
     """k vectors of dimension n plus bookkeeping about applied scaling.
 
+    ``k`` and ``n`` are read from the shape of the (k, n) ``vectors``.
     ``scale_applied`` is the multiplier that produced ``vectors`` from the
     user's original data (1.0 when nothing was rescaled); ``kappa`` is the
     radius of the l2 ball the vectors are known to lie in.
     """
 
-    k: int
-    n: int
     vectors: np.ndarray
     scale_applied: float = 1.0
     kappa: float = 0.0
+
+    @property
+    def k(self) -> int:
+        return self.vectors.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.vectors.shape[1]
 
 
 def _finite_row_norms(
@@ -103,7 +112,7 @@ def dataset_from_matrix(matrix: np.ndarray) -> Dataset:
     if matrix.ndim != 2:
         raise ShapeError("expected a (k, n) matrix")
     kappa = float(_finite_row_norms(matrix).max(initial=0.0))
-    return Dataset(k=matrix.shape[0], n=matrix.shape[1], vectors=matrix, kappa=kappa)
+    return Dataset(vectors=matrix, kappa=kappa)
 
 
 def kappa_bound(mu: float, beta: float, m: int) -> float:
@@ -129,25 +138,23 @@ def scale_dataset(raw: np.ndarray, kappa: float) -> Dataset:
         raise DegenerateInputError("cannot scale an empty or all-zero dataset")
     multiplier = kappa / base.kappa
     return Dataset(
-        k=base.k,
-        n=base.n,
         vectors=base.vectors * multiplier,
         scale_applied=multiplier,
         kappa=kappa,
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingModel:
     """Everything needed to reproduce an embedding from seeds.
 
-    The projection matrix is regenerated on demand from
-    ``(matrix_seed, diagonal_seed)`` unless explicit arrays were loaded from
-    a model file written with verbatim storage. :func:`model_operator`
-    caches the result on the model, keyed on the fields it is built from.
-    The geometry is stated once: ``n_pad`` follows from ``method`` and
-    ``n``, and ``m``, ``p``, ``r`` and ``lambda_tilde`` are read from the
-    condensation.
+    Models are immutable and checked when made; ``dataclasses.replace``
+    gives a changed copy, checked again. :attr:`operator` is the
+    projection: ``explicit`` when the model was loaded from a file written
+    with verbatim storage, else regenerated from ``(matrix_seed,
+    diagonal_seed)`` the first time it is read. The geometry is stated
+    once: ``n_pad`` follows from ``method`` and ``n``, and ``m``, ``p``,
+    ``r`` and ``lambda_tilde`` are read from the condensation.
     """
 
     method: str
@@ -158,11 +165,20 @@ class EmbeddingModel:
     diagonal_seed: int
     quantizer: QuantizerSpec
     condensation: CondensationSpec
-    explicit_matrix: SparseGaussianMatrix | None = field(default=None, repr=False)
-    explicit_signs: np.ndarray | None = field(default=None, repr=False)
-    _operator: tuple | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    explicit: Projection | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.method not in METHODS:
+            raise ParameterError(f"unknown method {self.method!r}")
+        if self.quantizer.order != self.condensation.r:
+            raise ParameterError("quantizer order disagrees with condensation r")
+        if not (0.0 < self.sparsity <= 1.0):
+            raise ParameterError("sparsity must lie in (0, 1]")
+        op = self.explicit
+        if op is not None and (op.n, op.matrix.rows) != (self.n, self.m):
+            raise ShapeError(f"explicit projection does not map {self.n} to {self.m}")
+        if op is not None and (op.signs is None) != (self.method == "sparse"):
+            raise ParameterError(f"explicit diagonal signs disagree with {self.method}")
 
     @property
     def n_pad(self) -> int:
@@ -185,13 +201,17 @@ class EmbeddingModel:
     def lambda_tilde(self) -> int:
         return self.condensation.lambda_tilde
 
-    def validate(self) -> None:
-        if self.method not in METHODS:
-            raise ParameterError(f"unknown method {self.method!r}")
-        if self.quantizer.order != self.condensation.r:
-            raise ParameterError("quantizer order disagrees with condensation r")
-        if not (0.0 < self.sparsity <= 1.0):
-            raise ParameterError("sparsity must lie in (0, 1]")
+    @cached_property
+    def operator(self) -> Projection:
+        """The model's projection, built at most once per model."""
+        if self.explicit is not None:
+            return self.explicit
+        matrix = build_sparse_gaussian(
+            self.m, self.n_pad, self.sparsity, self.matrix_seed
+        )
+        if self.method == "sparse":
+            return Projection(self.n, matrix)
+        return Projection(self.n, matrix, sign_diagonal(self.n_pad, self.diagonal_seed))
 
 
 def derive_seeds(seed: int) -> tuple[int, int]:
@@ -238,7 +258,7 @@ def build_model(
     # The sparsity recommendation is only meaningful for accuracy targets
     # below 1/2; with p <= 4 blocks the default stays dense.
     if sparsity is None and eps < 0.5:
-        model.sparsity = recommended_sparsity(
+        sparsity = recommended_sparsity(
             model.n_pad,
             eps=eps,
             v_inf_over_v2_sq=model.condensation.kernel_inf_over_l2_sq(),
@@ -246,55 +266,8 @@ def build_model(
             fjlt_mode=(method == "fjlt"),
             multiplier=sparsity_multiplier,
         )
-    model.validate()
+        model = dataclasses.replace(model, sparsity=sparsity)
     return model
-
-
-def model_operator(model: EmbeddingModel) -> SparseGaussianMatrix | FjltOperator:
-    """Materialize the projection (explicit arrays win over regeneration).
-
-    The operator is cached on the model and rebuilt when a field it is built
-    from changes: method, shape, sparsity, seeds, or the identity of the
-    explicit arrays.
-    """
-    key = (
-        model.method, model.n, model.m, model.sparsity,
-        model.matrix_seed, model.diagonal_seed,
-    )
-    explicit = (model.explicit_matrix, model.explicit_signs)
-    cached = model._operator
-    if (
-        cached is not None
-        and cached[0] == key
-        and all(a is b for a, b in zip(cached[1], explicit))
-    ):
-        return cached[2]
-    op = _build_operator(model)
-    model._operator = (key, explicit, op)
-    return op
-
-
-def _build_operator(model: EmbeddingModel) -> SparseGaussianMatrix | FjltOperator:
-    if model.method == "sparse":
-        if model.explicit_matrix is not None:
-            return model.explicit_matrix
-        return build_sparse_gaussian(
-            model.m, model.n, model.sparsity, model.matrix_seed
-        )
-    if model.explicit_matrix is not None and model.explicit_signs is not None:
-        from .transforms import RandomSignDiagonal
-
-        diagonal = RandomSignDiagonal(
-            dim=model.n_pad,
-            seed=model.diagonal_seed,
-            signs=model.explicit_signs.astype(np.float64),
-        )
-        return FjltOperator(
-            input_dim=model.n, matrix=model.explicit_matrix, diagonal=diagonal
-        )
-    return build_fjlt(
-        model.m, model.n, model.sparsity, model.matrix_seed, model.diagonal_seed
-    )
 
 
 @dataclass
@@ -328,10 +301,7 @@ def project_dataset(model: EmbeddingModel, vectors: np.ndarray) -> np.ndarray:
     The result is the ``.T`` view of a C-ordered (m, k) array: the embed
     stages carry points on the last axis.
     """
-    op = model_operator(model)
-    if isinstance(op, FjltOperator):
-        return sparse_matmat(op.matrix, op.precondition(vectors))
-    return sparse_matmat(op, vectors)
+    return model.operator.apply(vectors)
 
 
 def _worker_count() -> int:
@@ -362,11 +332,8 @@ def _embed_blocks(kern, model: EmbeddingModel, vectors: np.ndarray, workers: int
     """
     from . import _native
 
-    op = model_operator(model)
-    if isinstance(op, FjltOperator):
-        matrix, signs = op.matrix, np.ascontiguousarray(op.diagonal.signs, np.float64)
-    else:
-        matrix, signs = op, None
+    op = model.operator
+    matrix, signs = op.matrix, op.signs
     csr = _native.checked_csr(matrix)
     n_pad, m = matrix.cols, matrix.rows
     # The scale fwht_inplace applies.

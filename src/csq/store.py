@@ -24,6 +24,7 @@ line) and converts on the fly. Curves are plain CSV with the header
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -41,11 +42,11 @@ from .condense import (
     pack_rows,
     unpack_rows,
 )
-from .errors import CorruptionError, FormatError, InputError
+from .errors import CorruptionError, CsqError, FormatError, InputError
 from .pipeline import FILE_VERSION, Dataset, EmbeddingModel
 from .sigma_delta import build_quantizer
 from .condense import build_condensation
-from .transforms import SparseGaussianMatrix
+from .transforms import Projection, SparseGaussianMatrix
 
 MAGIC_VECTORS = b"CSQV"
 MAGIC_MODEL = b"CSQM"
@@ -193,7 +194,6 @@ def read_vectors(path) -> Dataset:
 
 def write_model(path, model: EmbeddingModel, explicit: bool = False) -> None:
     """Persist a model; ``explicit=True`` additionally stores the matrix."""
-    model.validate()
     with open(path, "wb") as fh:
         fh.write(MAGIC_MODEL)
         fh.write(struct.pack("<I", FILE_VERSION))
@@ -213,16 +213,9 @@ def write_model(path, model: EmbeddingModel, explicit: bool = False) -> None:
         if not explicit:
             fh.write(struct.pack("<B", 0))
             return
-        from .pipeline import model_operator
-        from .transforms import FjltOperator
-
-        op = model_operator(model)
-        if isinstance(op, FjltOperator):
-            matrix = op.matrix
-            signs = op.diagonal.signs.astype(np.int8)
-        else:
-            matrix = op
-            signs = np.zeros(0, dtype=np.int8)
+        op = model.operator
+        matrix = op.matrix
+        signs = np.asarray([] if op.signs is None else op.signs, dtype=np.int8)
         fh.write(struct.pack("<B", 1))
         fh.write(struct.pack("<Q", matrix.nnz))
         fh.write(np.ascontiguousarray(matrix.row_offsets, dtype="<u8").tobytes())
@@ -256,7 +249,6 @@ def read_model(path) -> EmbeddingModel:
             quantizer=build_quantizer(r, sigma=sigma, mu=mu),
             condensation=build_condensation(r, lambda_tilde, p),
         )
-        model.validate()
         implied = (model.n_pad, model.m)
     except Exception as exc:
         raise FormatError(f"{path}: invalid model parameters: {exc}") from exc
@@ -268,31 +260,17 @@ def read_model(path) -> EmbeddingModel:
 
     if explicit_flag == 1:
         (nnz,) = reader.unpack("Q")
-        row_offsets = reader.array("u8", m + 1).astype(np.int64)
-        col_indices = reader.array("u8", nnz).astype(np.int64)
+        row_offsets = reader.array("u8", m + 1)
+        col_indices = reader.array("u8", nnz)
         values = reader.array("f8", nnz)
         (sign_count,) = reader.unpack("Q")
         signs = reader.array("i1", sign_count)
-        model.explicit_matrix = SparseGaussianMatrix(
-            rows=m,
-            cols=n_pad,
-            sparsity=sparsity,
-            seed=matrix_seed,
-            row_offsets=row_offsets,
-            col_indices=col_indices,
-            values=values,
-        )
-        if method == "fjlt":
-            if sign_count != n_pad:
-                raise FormatError(f"{path}: diagonal sign count != n_pad")
-            if not np.all(np.abs(signs) == 1):
-                raise FormatError(f"{path}: diagonal signs must be +1 or -1")
-            model.explicit_signs = signs
-        elif sign_count != 0:
-            raise FormatError(f"{path}: sparse model carries diagonal signs")
         try:
-            model.explicit_matrix.validate()
-        except Exception as exc:
+            matrix = SparseGaussianMatrix(m, n_pad, row_offsets, col_indices, values)
+            model = dataclasses.replace(
+                model, explicit=Projection(n, matrix, signs if sign_count else None)
+            )
+        except CsqError as exc:
             raise FormatError(f"{path}: inconsistent model: {exc}") from exc
     elif explicit_flag != 0:
         raise FormatError(f"{path}: bad explicit-matrix flag {explicit_flag}")

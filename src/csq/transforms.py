@@ -1,12 +1,14 @@
 """Random linear maps used on the analog side of the embedding.
 
-Two families are provided:
+A model's map is one :class:`Projection`:
 
 * a sparse Gaussian matrix ``A`` whose entries are 0 with probability
-  ``1 - s`` and N(0, 1/s) with probability ``s``, stored in CSR form, and
-* a randomized Fourier-style preconditioner ``H D`` (normalized
-  Walsh-Hadamard transform composed with a random sign diagonal) that is
-  applied before ``A`` when the input data is not well spread.
+  ``1 - s`` and N(0, 1/s) with probability ``s``, stored in CSR form, or
+* the same ``A`` after a randomized Fourier-style preconditioner ``H D``
+  (normalized Walsh-Hadamard transform composed with a random sign
+  diagonal), for input data that is not well spread.
+
+Both values are immutable and checked when they are made.
 
 For a well-spread unit vector x the scaled image ``sqrt(pi/2)/m * ||A x||_1``
 concentrates around ``||x||_2``, which is what allows distances to be read
@@ -33,23 +35,58 @@ _TILE = 1 << 15
 _FWHT_BLOCK = 256
 
 
-@dataclass
+def _frozen(a, dtype) -> np.ndarray:
+    """A read-only C-ordered copy of ``a`` as ``dtype``."""
+    out = np.array(a, dtype=dtype, order="C")
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class SparseGaussianMatrix:
     """CSR storage for a rows x cols sparse Gaussian matrix.
 
     ``row_offsets`` has length ``rows + 1``; the column indices of row i are
     ``col_indices[row_offsets[i]:row_offsets[i + 1]]``, strictly increasing
     within a row. Values are the nonzero entries in the same order.
+
+    The three arrays are read-only copies, checked when the matrix is made
+    (raising on a broken CSR invariant), so the gathers :meth:`plan` caches
+    always match them.
     """
 
     rows: int
     cols: int
-    sparsity: float
-    seed: int
     row_offsets: np.ndarray
     col_indices: np.ndarray
     values: np.ndarray
-    _plans: dict = field(default_factory=dict, repr=False, compare=False)
+    _plans: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for name, dtype in (
+            ("row_offsets", np.int64), ("col_indices", np.int64), ("values", np.float64)
+        ):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        offsets, cols, values = self.row_offsets, self.col_indices, self.values
+        if self.rows < 0 or offsets.shape != (self.rows + 1,):
+            raise ShapeError("row_offsets must have length rows + 1")
+        if offsets[0] != 0 or offsets[-1] != len(cols):
+            raise ShapeError("row_offsets must start at 0 and end at nnz")
+        if np.any(np.diff(offsets) < 0):
+            raise ShapeError("row_offsets must be non-decreasing")
+        if values.shape != cols.shape or cols.ndim != 1:
+            raise ShapeError("values and col_indices must have equal length")
+        if len(cols) and (cols.min() < 0 or cols.max() >= self.cols):
+            raise ShapeError("column index out of range")
+        # Step t compares entries t and t + 1; it crosses a row boundary
+        # when t + 1 starts a row.
+        within = np.ones(max(len(cols) - 1, 0), dtype=bool)
+        starts = offsets[1:-1]
+        within[starts[(starts > 0) & (starts < len(cols))] - 1] = False
+        if np.any(np.diff(cols)[within] <= 0):
+            raise ShapeError("column indices must be strictly increasing per row")
+        if not np.all(np.isfinite(values)) or np.any(values == 0.0):
+            raise InputError("stored values must be finite and nonzero")
 
     @property
     def nnz(self) -> int:
@@ -87,30 +124,6 @@ class SparseGaussianMatrix:
             self._plans[chunk] = plan
         return self._plans[chunk]
 
-    def validate(self) -> None:
-        """Check the CSR invariants; raises on violation."""
-        if self.row_offsets.shape != (self.rows + 1,):
-            raise ShapeError("row_offsets must have length rows + 1")
-        if self.row_offsets[0] != 0 or self.row_offsets[-1] != len(self.col_indices):
-            raise ShapeError("row_offsets must start at 0 and end at nnz")
-        if np.any(np.diff(self.row_offsets) < 0):
-            raise ShapeError("row_offsets must be non-decreasing")
-        if len(self.values) != len(self.col_indices):
-            raise ShapeError("values and col_indices must have equal length")
-        if len(self.col_indices) and (
-            self.col_indices.min() < 0 or self.col_indices.max() >= self.cols
-        ):
-            raise ShapeError("column index out of range")
-        # Step t compares entries t and t + 1; it crosses a row boundary
-        # when t + 1 starts a row.
-        within = np.ones(max(len(self.col_indices) - 1, 0), dtype=bool)
-        starts = self.row_offsets[1:-1]
-        within[starts[(starts > 0) & (starts < len(self.col_indices))] - 1] = False
-        if np.any(np.diff(self.col_indices)[within] <= 0):
-            raise ShapeError("column indices must be strictly increasing per row")
-        if not np.all(np.isfinite(self.values)) or np.any(self.values == 0.0):
-            raise InputError("stored values must be finite and nonzero")
-
 
 def build_sparse_gaussian(
     rows: int, cols: int, sparsity: float, seed: int
@@ -143,20 +156,8 @@ def build_sparse_gaussian(
         vals_per_row.append(g / math.sqrt(sparsity))
         offsets[i + 1] = offsets[i] + kept.size
 
-    col_indices = (
-        np.concatenate(cols_per_row) if cols_per_row else np.zeros(0, dtype=np.int64)
-    )
-    values = (
-        np.concatenate(vals_per_row) if vals_per_row else np.zeros(0, dtype=np.float64)
-    )
     return SparseGaussianMatrix(
-        rows=rows,
-        cols=cols,
-        sparsity=sparsity,
-        seed=seed,
-        row_offsets=offsets,
-        col_indices=col_indices,
-        values=values,
+        rows, cols, offsets, np.concatenate(cols_per_row), np.concatenate(vals_per_row)
     )
 
 
@@ -244,24 +245,12 @@ def fwht_inplace(x: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass
-class RandomSignDiagonal:
-    """Diagonal matrix of independent uniform signs, deterministic in ``seed``."""
-
-    dim: int
-    seed: int
-    signs: np.ndarray
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return x * self.signs
-
-
-def build_sign_diagonal(dim: int, seed: int) -> RandomSignDiagonal:
+def sign_diagonal(dim: int, seed: int) -> np.ndarray:
+    """``dim`` independent uniform signs as float64 +-1, deterministic in ``seed``."""
     if dim < 1:
         raise ParameterError("dim must be positive")
     rng = np.random.default_rng(seed)
-    signs = (rng.integers(0, 2, size=dim) * 2 - 1).astype(np.float64)
-    return RandomSignDiagonal(dim=dim, seed=seed, signs=signs)
+    return (rng.integers(0, 2, size=dim) * 2 - 1).astype(np.float64)
 
 
 def padded_dim(n: int) -> int:
@@ -271,61 +260,63 @@ def padded_dim(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-@dataclass
-class FjltOperator:
-    """The composite map ``x -> A H D pad(x)``.
+@dataclass(frozen=True, eq=False)
+class Projection:
+    """A model's linear map on inputs of dimension ``n``.
 
-    ``pad`` zero-extends x to the next power of two, D flips signs, H is the
-    normalized Walsh-Hadamard transform and A is a sparse Gaussian matrix on
-    the padded dimension. Because ``H D`` is orthogonal the composition has
-    the same distributional behaviour as ``A`` on well-spread inputs, while
-    flattening inputs that are concentrated on few coordinates.
+    With ``signs=None`` it is ``x -> A x`` and ``matrix.cols == n``.
+    Otherwise it is ``x -> A H D pad(x)``: ``pad`` zero-extends x to
+    ``padded_dim(n) == matrix.cols``, D multiplies by ``signs`` (+-1), and H
+    is the normalized Walsh-Hadamard transform. Because ``H D`` is
+    orthogonal the composition has the same distributional behaviour as
+    ``A`` on well-spread inputs, while flattening inputs that are
+    concentrated on few coordinates.
+
+    The shapes and the sign values are checked when the value is made;
+    ``signs`` is then a read-only C-ordered float64 copy.
     """
 
-    input_dim: int
+    n: int
     matrix: SparseGaussianMatrix
-    diagonal: RandomSignDiagonal
+    signs: np.ndarray | None = None
 
-    @property
-    def rows(self) -> int:
-        return self.matrix.rows
+    def __post_init__(self) -> None:
+        if self.signs is None:
+            if self.matrix.cols != self.n:
+                raise ShapeError(f"matrix has {self.matrix.cols} columns, not {self.n}")
+            return
+        signs = _frozen(self.signs, np.float64)
+        if self.matrix.cols != padded_dim(self.n) or signs.shape != (self.matrix.cols,):
+            raise ShapeError(
+                f"matrix columns and sign count must both be padded_dim({self.n})"
+            )
+        if not np.all(np.abs(signs) == 1.0):
+            raise InputError("diagonal signs must be +1 or -1")
+        object.__setattr__(self, "signs", signs)
 
     def precondition(self, xs: np.ndarray) -> np.ndarray:
-        """Apply pad, D and H to a batch (k, input_dim) -> (k, padded)."""
+        """Apply pad, D and H to a batch (k, n) -> (k, padded)."""
         xs = np.asarray(xs, dtype=np.float64)
-        if xs.ndim != 2 or xs.shape[1] != self.input_dim:
-            raise ShapeError(f"expected (k, {self.input_dim}) array, got {xs.shape}")
+        if xs.ndim != 2 or xs.shape[1] != self.n:
+            raise ShapeError(f"expected (k, {self.n}) array, got {xs.shape}")
         if not np.all(np.isfinite(xs)):
             raise InputError("input vectors must be finite")
         # Built feature-major: the result is the .T view of a C-ordered
         # (padded, k) buffer. The padding holds 0.0 * sign, as a zero pad
         # multiplied by D would.
-        n, signs = self.input_dim, self.diagonal.signs[:, None]
-        padded = np.empty((self.diagonal.dim, xs.shape[0]), dtype=np.float64)
+        n, signs = self.n, self.signs[:, None]
+        padded = np.empty((signs.shape[0], xs.shape[0]), dtype=np.float64)
         np.multiply(xs.T, signs[:n], out=padded[:n])
         np.multiply(0.0, signs[n:], out=padded[n:])
         fwht_inplace(padded.T)
         return padded.T
 
-
-def build_fjlt(
-    rows: int, input_dim: int, sparsity: float, matrix_seed: int, diagonal_seed: int
-) -> FjltOperator:
-    np_ = padded_dim(input_dim)
-    return FjltOperator(
-        input_dim=input_dim,
-        matrix=build_sparse_gaussian(rows, np_, sparsity, matrix_seed),
-        diagonal=build_sign_diagonal(np_, diagonal_seed),
-    )
-
-
-def apply_fjlt(op: FjltOperator, x: np.ndarray) -> np.ndarray:
-    """Compute ``A H D pad(x)`` for a single vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError("apply_fjlt expects a 1-d vector")
-    pre = op.precondition(x[None, :])
-    return sparse_matvec(op.matrix, pre[0])
+    def apply(self, xs: np.ndarray) -> np.ndarray:
+        """The map on every row of ``xs``: (k, n) -> (k, matrix.rows), as
+        the ``.T`` view of a C-ordered (rows, k) array."""
+        if self.signs is None:
+            return sparse_matmat(self.matrix, xs)
+        return sparse_matmat(self.matrix, self.precondition(xs))
 
 
 def recommended_sparsity(

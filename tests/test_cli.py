@@ -451,6 +451,34 @@ def test_all_pairs_csv_bytes_are_pinned(tmp_path, capsys, units, to_stdout):
     assert hashlib.sha256(got).hexdigest() == ALL_PAIRS_DIGESTS[units]
 
 
+def test_all_pairs_into_a_closed_pipe_exits_141_quietly(tmp_path):
+    """``csq query --all-pairs | head -2``: the reader leaves after two lines
+    of an output many blocks long, and csq ends as a filter killed by
+    SIGPIPE does, with status 141 and nothing on stderr."""
+    import os
+    import subprocess
+    import sys
+
+    model = pipeline.build_model("sparse", n=8, p=8, lambda_tilde=4, r=2, seed=1)
+    spec = model.condensation
+    peak = spec.lambda_tilde**spec.r
+    entries = np.random.default_rng(3).integers(-peak, peak + 1, size=(1000, spec.p))
+    store.write_model(tmp_path / "m.csqm", model)
+    store.write_condensed(tmp_path / "d.csqd", Sketches.of(spec, entries), spec)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "csq.cli", "query", "--model", str(tmp_path / "m.csqm"),
+         "--condensed", str(tmp_path / "d.csqd"), "--all-pairs"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    lines = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+    assert lines[0] == b"i,j,estimate\n" and lines[1].startswith(b"0,1,")
+
+
 @pytest.mark.parametrize("divisor", [1.0, 0.37])
 @pytest.mark.parametrize("bit_width", [5, 10, 40])
 def test_all_pairs_lines_match_python_formatting(bit_width, divisor):

@@ -19,10 +19,8 @@ from csq.condense import (
     entry_dtype,
     l1_distance,
     operator_bound,
-    pack_condensed,
     pack_rows,
     pairwise_l1_blocks,
-    unpack_condensed,
     unpack_rows,
 )
 from csq.errors import (
@@ -262,37 +260,23 @@ def test_operator_bound_dominates_dense_row_sums():
 
 
 def test_pack_small_example():
-    code = CondensedCode(
-        p=2, bit_width=3, norm_factor=1.0, entries=np.array([2, 2], dtype=np.int64)
-    )
-    packed = pack_condensed(code)
-    assert len(packed) == 1  # 6 bits fit one byte
-    back = unpack_condensed(packed, p=2, bit_width=3, norm_factor=1.0)
-    assert back.entries.tolist() == [2, 2]
+    packed = pack_rows(np.array([[2, 2]], dtype=np.int64), 3)
+    assert packed.shape == (1, 1)  # 6 bits fit one byte
+    back = unpack_rows(packed, p=2, bit_width=3)
+    assert back.tolist() == [[2, 2]]
 
 
 def test_pack_extreme_entries_round_trip():
     spec = build_condensation(2, 5, 2)
     peak = 5**2
-    code = CondensedCode(
-        p=2,
-        bit_width=spec.bit_width,
-        norm_factor=spec.norm_factor,
-        entries=np.array([-peak, peak], dtype=np.int64),
-    )
-    back = unpack_condensed(
-        pack_condensed(code), p=2, bit_width=spec.bit_width,
-        norm_factor=spec.norm_factor,
-    )
-    assert back.entries.tolist() == [-peak, peak]
+    entries = np.array([[-peak, peak]], dtype=np.int64)
+    back = unpack_rows(pack_rows(entries, spec.bit_width), 2, spec.bit_width)
+    assert back.tolist() == [[-peak, peak]]
 
 
 def test_pack_rejects_overflow():
-    code = CondensedCode(
-        p=1, bit_width=3, norm_factor=1.0, entries=np.array([4], dtype=np.int64)
-    )
     with pytest.raises(CapacityError):
-        pack_condensed(code)
+        pack_rows(np.array([[4]], dtype=np.int64), 3)
 
 
 def test_pack_random_codes_round_trip():
@@ -304,18 +288,17 @@ def test_pack_random_codes_round_trip():
         spec = build_condensation(r, lt, p)
         signs = np.where(rng.random(spec.m) < 0.5, -1, 1).astype(np.int8)
         code = condense(spec, BinaryCode.from_signs(signs))
-        back = unpack_condensed(
-            pack_condensed(code), p=p, bit_width=spec.bit_width,
-            norm_factor=spec.norm_factor,
-        )
-        assert np.array_equal(back.entries, code.entries)
+        packed = pack_rows(code.entries[None, :], spec.bit_width)
+        back = unpack_rows(packed, p, spec.bit_width)
+        assert np.array_equal(back[0], code.entries)
 
 
 def test_packed_size_is_ceil_of_bits():
     spec = build_condensation(2, 33, 16)   # bit_width 12
     signs = np.ones(spec.m, dtype=np.int8)
     code = condense(spec, BinaryCode.from_signs(signs))
-    assert len(pack_condensed(code)) == (16 * spec.bit_width + 7) // 8
+    packed = pack_rows(code.entries[None, :], spec.bit_width)
+    assert packed.shape == (1, (16 * spec.bit_width + 7) // 8)
 
 
 def reference_record(entries, bit_width):
@@ -341,8 +324,7 @@ def test_pack_rows_matches_per_record_layout_for_random_specs():
         assert packed.shape == (k, (p * spec.bit_width + 7) // 8)
         for row, got in zip(entries, packed):
             assert got.tobytes() == reference_record(row, spec.bit_width)
-            code = CondensedCode(p, spec.bit_width, spec.norm_factor, row)
-            assert pack_condensed(code) == got.tobytes()
+            assert pack_rows(row[None, :], spec.bit_width)[0].tobytes() == got.tobytes()
         back = unpack_rows(packed, p, spec.bit_width)
         assert back.dtype == entry_dtype(spec.bit_width)
         assert np.array_equal(back, entries)
@@ -357,8 +339,7 @@ def test_pack_rows_round_trips_extremes_of_every_width(bit_width):
     for want, got in zip(entries, packed):
         assert got.tobytes() == reference_record(want, bit_width)
     assert np.array_equal(unpack_rows(packed, len(row), bit_width), entries)
-    code = unpack_condensed(packed[0].tobytes(), len(row), bit_width, 1.0)
-    assert code.entries.tolist() == row
+    assert unpack_rows(packed[:1], len(row), bit_width)[0].tolist() == row
 
 
 def test_pack_rows_rejects_overflow_at_width_63():

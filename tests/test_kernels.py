@@ -32,16 +32,15 @@ from csq.pipeline import (
     build_model,
     dataset_from_matrix,
     embed_dataset,
-    model_operator,
     project_dataset,
 )
 from csq.sigma_delta import build_quantizer, quantize_batch
 from csq.transforms import (
-    FjltOperator,
-    RandomSignDiagonal,
-    build_fjlt,
+    Projection,
     build_sparse_gaussian,
     fwht_inplace,
+    padded_dim,
+    sign_diagonal,
     sparse_matmat,
 )
 
@@ -80,17 +79,17 @@ def matmat_oracle(matrix, xs):
 
 
 def precondition_oracle(op, xs):
-    padded = np.zeros((xs.shape[0], op.diagonal.dim))
-    padded[:, : op.input_dim] = xs
-    padded *= op.diagonal.signs
+    padded = np.zeros((xs.shape[0], op.matrix.cols))
+    padded[:, : op.n] = xs
+    padded *= op.signs
     return fwht_oracle(padded)
 
 
 def project_oracle(model, xs):
-    op = model_operator(model)
-    if isinstance(op, FjltOperator):
+    op = model.operator
+    if op.signs is not None:
         return matmat_oracle(op.matrix, precondition_oracle(op, xs))
-    return matmat_oracle(op, xs)
+    return matmat_oracle(op.matrix, xs)
 
 
 def quantize_oracle(spec, ys, ties=None):
@@ -333,8 +332,7 @@ def test_embed_refuses_non_finite_vectors(method):
     """Refused wherever the value sits, even in a column the projection
     never reads (the sparse matrix here leaves some columns empty)."""
     model = build_model(method, 37, 4, 4, 2, sparsity=0.05)
-    op = model_operator(model)
-    unread = np.setdiff1d(np.arange(37), getattr(op, "matrix", op).col_indices)
+    unread = np.setdiff1d(np.arange(37), model.operator.matrix.col_indices)
     if method == "sparse":
         assert unread.size
     for row in (2, 39):
@@ -342,7 +340,7 @@ def test_embed_refuses_non_finite_vectors(method):
             xs = _points(40, 37, seed=1) * 0.01
             xs[row, unread[0] if unread.size else 5] = bad
             with pytest.raises(InputError):
-                embed_dataset(model, Dataset(k=40, n=37, vectors=xs))
+                embed_dataset(model, Dataset(vectors=xs))
 
 
 @pytest.mark.parametrize("method", ["sparse", "fjlt"])
@@ -350,7 +348,7 @@ def test_embed_refuses_overflowing_projections(method):
     model = build_model(method, 37, 4, 4, 2)
     xs = np.full((3, 37), 1e308)
     with pytest.raises(InputError):
-        embed_dataset(model, Dataset(k=3, n=37, vectors=xs))
+        embed_dataset(model, Dataset(vectors=xs))
 
 
 # ------------------------------------------- compiled kernels one by one
@@ -390,31 +388,29 @@ def same_bits(a, b):
 @pytest.mark.parametrize("b", [1, 15, 16, 17, 40])
 @pytest.mark.parametrize("n", [1, 5, 37, 64, 129, 300])
 def test_native_precondition_matches_oracle(kernels, n, b):
-    op = build_fjlt(8, n, 0.5, 1, 2)
-    n_pad = op.diagonal.dim
+    n_pad = padded_dim(n)
+    op = Projection(
+        n, build_sparse_gaussian(8, n_pad, 0.5, 1), sign_diagonal(n_pad, 2)
+    )
     xs = _points(b, n, seed=n + b)
     tiled = np.full(kernels.tiled_size(b, n_pad), np.nan)
     scale = 1.0 / math.sqrt(n_pad)
-    assert kernels.precondition(xs, op.diagonal.signs, n_pad, scale, tiled)
+    assert kernels.precondition(xs, op.signs, n_pad, scale, tiled)
     assert same_bits(untile(tiled, b, n_pad), precondition_oracle(op, xs))
     copied = np.full(kernels.tiled_size(b, n), np.nan)
     assert kernels.precondition(xs, None, n, 1.0, copied)
     assert same_bits(copied, tile(xs))
     for bad in (np.nan, np.inf):
         xs[b - 1, n - 1] = bad
-        assert not kernels.precondition(xs, op.diagonal.signs, n_pad, scale, tiled)
+        assert not kernels.precondition(xs, op.signs, n_pad, scale, tiled)
 
 
 def test_native_precondition_pads_with_signed_zeros(kernels):
-    """The padding is 0.0 * sign, as in FjltOperator.precondition: for an
+    """The padding is 0.0 * sign, as in Projection.precondition: for an
     input whose signed entries are all -0.0, output 0 is -0.0 only when a
     negative sign turns the pad into -0.0 too."""
     signs = np.array([1.0, -1.0, 1.0, -1.0])
-    op = FjltOperator(
-        input_dim=3,
-        matrix=build_sparse_gaussian(2, 4, 1.0, seed=0),
-        diagonal=RandomSignDiagonal(dim=4, seed=0, signs=signs),
-    )
+    op = Projection(3, build_sparse_gaussian(2, 4, 1.0, seed=0), signs)
     xs = (-0.0 * signs[:3])[None, :]
     want = precondition_oracle(op, xs)
     assert np.signbit(want[0, 0])
@@ -456,13 +452,21 @@ def test_native_quantize_exact_sign_ties(kernels, r, b):
 
 
 def test_checked_csr_refuses_out_of_range_columns():
+    """A SparseGaussianMatrix refuses such columns when made, so the corrupt
+    matrix here is a stand-in with the same attributes."""
+    from types import SimpleNamespace
+
     from csq.errors import ShapeError
 
     mat = build_sparse_gaussian(8, 10, 0.5, seed=1)
-    mat.col_indices = mat.col_indices.copy()
-    mat.col_indices[-1] = 10
+    cols = mat.col_indices.copy()
+    cols[-1] = 10
+    corrupt = SimpleNamespace(
+        rows=mat.rows, cols=mat.cols, row_offsets=mat.row_offsets,
+        col_indices=cols, values=mat.values,
+    )
     with pytest.raises(ShapeError):
-        _native.checked_csr(mat)
+        _native.checked_csr(corrupt)
 
 
 # ------------------------------------------------ all-pairs query kernels

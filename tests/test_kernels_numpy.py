@@ -1,6 +1,7 @@
 """Every case of ``test_kernels.py``, the CLI's output byte pins of
-``csq embed`` and ``csq query --all-pairs``, and the all-pairs CSV against
-per-pair estimates and Python formatting, again on the numpy kernels.
+``csq embed`` and ``csq query --all-pairs``, the all-pairs CSV against
+per-pair estimates and Python formatting, and the explicit-model round
+trip, again on the numpy kernels.
 
 The cases in ``test_kernels.py`` run on the compiled kernels whenever
 they build; here the loader reports that they do not exist, so the same
@@ -17,5 +18,6 @@ from test_cli import (  # noqa: F401
     test_query_all_pairs_equals_per_pair_estimates,
 )
 from test_kernels import *  # noqa: F401,F403
+from test_store import test_model_round_trip_explicit_matrix  # noqa: F401
 
 pytestmark = pytest.mark.usefixtures("numpy_kernels")

@@ -28,13 +28,12 @@ from csq.pipeline import (
     estimate_distance,
     hamming_angular_distance,
     kappa_bound,
-    model_operator,
     project_dataset,
     scale_dataset,
     sign_msq_baseline_embed,
 )
 from csq.sigma_delta import build_quantizer, quantize
-from csq.transforms import sparse_matmat
+from csq.transforms import Projection, sign_diagonal
 
 
 def flat_dataset(n, k, radius, seed):
@@ -44,6 +43,15 @@ def flat_dataset(n, k, radius, seed):
 
 
 # ------------------------------------------------------------ datasets
+
+
+def test_dataset_states_its_shape_once():
+    init = [f.name for f in dataclasses.fields(Dataset) if f.init]
+    assert init == ["vectors", "scale_applied", "kappa"]
+    ds = Dataset(np.zeros((3, 16)))
+    assert (ds.k, ds.n) == (3, 16)
+    with pytest.raises(TypeError):
+        Dataset(k=5, n=16, vectors=np.zeros((3, 16)))
 
 
 def test_dataset_from_matrix_records_extent():
@@ -98,7 +106,7 @@ def test_row_peaks_match_numpy_exactly():
 def test_sparse_embed_well_spread_check_makes_no_full_size_temporary():
     """The (k, n) inputs are 16 MB; the check reads them in blocks."""
     model = build_model("sparse", n=1000, p=8, lambda_tilde=4, r=1, seed=1)
-    model_operator(model)
+    model.operator
     x = np.random.default_rng(0).standard_normal((2000, 1000))
     data = dataset_from_matrix(x * (0.01 / np.linalg.norm(x, axis=1).max()))
     with warnings.catch_warnings():
@@ -166,7 +174,7 @@ def test_build_model_fjlt_pads_dimension():
 
 def test_model_states_its_geometry_once():
     init = [f.name for f in dataclasses.fields(EmbeddingModel) if f.init]
-    assert len(init) == 10
+    assert len(init) == 9
     for derived in ("n_pad", "m", "p", "r", "lambda_tilde", "version"):
         assert derived not in init
     model = build_model(method="fjlt", n=48, p=4, lambda_tilde=4, r=2, seed=1)
@@ -174,11 +182,11 @@ def test_model_states_its_geometry_once():
     assert (model.m, model.p, model.r, model.lambda_tilde) == (
         spec.m, spec.p, spec.r, spec.lambda_tilde,
     )
-    model.method = "sparse"
-    assert model.n_pad == 48
-    model.quantizer = build_quantizer(3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.method = "sparse"
+    assert dataclasses.replace(model, method="sparse").n_pad == 48
     with pytest.raises(ParameterError):
-        model.validate()
+        dataclasses.replace(model, quantizer=build_quantizer(3))
 
 
 def test_build_model_default_sparsity_uses_kernel_ratio():
@@ -214,19 +222,23 @@ def test_derive_seeds_is_deterministic_and_split():
 
 def test_model_operator_regenerates_same_matrix():
     model = build_model(method="sparse", n=32, p=2, lambda_tilde=4, r=1, seed=5)
-    op1 = model_operator(model)
-    op2 = model_operator(model)
-    assert np.array_equal(op1.values, op2.values)
-    assert np.array_equal(op1.col_indices, op2.col_indices)
+    op1 = model.operator
+    op2 = dataclasses.replace(model).operator
+    assert op1 is not op2
+    assert np.array_equal(op1.matrix.values, op2.matrix.values)
+    assert np.array_equal(op1.matrix.col_indices, op2.matrix.col_indices)
 
 
 def test_model_operator_is_built_once_per_model(monkeypatch):
+    """Counts calls of ``pipeline.build_sparse_gaussian``, the name the
+    benchmark's operator-build count wraps."""
     import csq.pipeline as pipeline_mod
 
     builds = []
-    real = pipeline_mod.build_fjlt
+    real = pipeline_mod.build_sparse_gaussian
     monkeypatch.setattr(
-        pipeline_mod, "build_fjlt", lambda *a: builds.append(a) or real(*a)
+        pipeline_mod, "build_sparse_gaussian",
+        lambda *a: builds.append(a) or real(*a),
     )
     model = build_model(method="fjlt", n=20, p=2, lambda_tilde=4, r=2, seed=3)
     data = flat_dataset(20, 5, 0.05, seed=1)
@@ -237,46 +249,74 @@ def test_model_operator_is_built_once_per_model(monkeypatch):
     assert [c.bits.tobytes() for c in first.codes] == [
         c.bits.tobytes() for c in second.codes
     ]
-    # The cache is not part of the model's value.
-    import dataclasses
-
-    (cache,) = [f for f in dataclasses.fields(model) if f.name == "_operator"]
-    assert not cache.compare and not cache.repr and not cache.init
+    # The cached operator is not part of the model's value.
+    assert "operator" not in {f.name for f in dataclasses.fields(model)}
+    assert model.operator is model.operator
 
 
 @pytest.mark.parametrize(
-    "mutate",
+    "change",
     [
-        lambda m: setattr(m, "matrix_seed", m.matrix_seed + 1),
-        lambda m: setattr(m, "diagonal_seed", m.diagonal_seed + 1),
-        lambda m: setattr(m, "sparsity", m.sparsity / 2),
+        lambda m: {"matrix_seed": m.matrix_seed + 1},
+        lambda m: {"diagonal_seed": m.diagonal_seed + 1},
+        lambda m: {"sparsity": m.sparsity / 2},
     ],
     ids=["matrix_seed", "diagonal_seed", "sparsity"],
 )
-def test_model_operator_rebuilds_after_mutation(mutate):
+def test_model_operator_rebuilds_after_mutation(change):
+    """A model is immutable; ``dataclasses.replace`` gives a changed copy
+    whose operator equals a fresh build's, not the original's."""
     model = build_model(method="fjlt", n=20, p=2, lambda_tilde=4, r=2, seed=3)
-    before = model_operator(model)
-    mutate(model)
-    after = model_operator(model)
+    before = model.operator
+    changed = dataclasses.replace(model, **change(model))
+    after = changed.operator
     assert after is not before
     fresh = build_model(method="fjlt", n=20, p=2, lambda_tilde=4, r=2, seed=3)
-    mutate(fresh)
+    fresh = dataclasses.replace(fresh, **change(fresh))
     xs = flat_dataset(20, 4, 0.05, seed=2).vectors
-    assert np.array_equal(project_dataset(model, xs), project_dataset(fresh, xs))
+    assert np.array_equal(project_dataset(changed, xs), project_dataset(fresh, xs))
+    assert not np.array_equal(project_dataset(model, xs), project_dataset(fresh, xs))
 
 
 def test_model_operator_follows_explicit_arrays():
     model = build_model(method="sparse", n=16, p=2, lambda_tilde=4, r=1, seed=3)
-    regenerated = model_operator(model)
+    regenerated = model.operator
     explicit = build_model(
         method="sparse", n=16, p=2, lambda_tilde=4, r=1, seed=4
-    )
-    model.explicit_matrix = model_operator(explicit)
-    assert model_operator(model) is model.explicit_matrix
-    model.explicit_matrix = None
-    again = model_operator(model)
+    ).operator
+    loaded = dataclasses.replace(model, explicit=explicit)
+    assert loaded.operator is explicit
+    again = dataclasses.replace(loaded, explicit=None).operator
     assert again is not regenerated
-    assert np.array_equal(again.values, regenerated.values)
+    assert np.array_equal(again.matrix.values, regenerated.matrix.values)
+
+
+@pytest.mark.parametrize("method", ["sparse", "fjlt"])
+def test_model_refuses_explicit_projection_that_does_not_fit(method):
+    model = build_model(method=method, n=16, p=2, lambda_tilde=4, r=1, seed=3)
+    op = model.operator
+    other = build_model(method=method, n=16, p=2, lambda_tilde=5, r=1, seed=3)
+    signs = sign_diagonal(16, 1)
+    misfits = [
+        (Projection(16, op.matrix, None if op.signs is not None else signs),
+         ParameterError),
+        (Projection(op.n, other.operator.matrix, op.signs), ShapeError),  # rows
+    ]
+    for misfit, error in misfits:
+        with pytest.raises(error):
+            dataclasses.replace(model, explicit=misfit)
+    assert dataclasses.replace(model, explicit=op).operator is op
+
+
+def test_model_operator_arrays_cannot_be_written():
+    """Writing into the operator would leave the numpy path's cached
+    gathers out of step with the arrays the compiled kernels read."""
+    model = build_model(method="fjlt", n=16, p=2, lambda_tilde=4, r=2, seed=3)
+    op = model.operator
+    with pytest.raises(ValueError):
+        op.matrix.values[:] = -op.matrix.values
+    with pytest.raises(ValueError):
+        op.signs[0] = -op.signs[0]
 
 
 # ---------------------------------------------------------- embedding

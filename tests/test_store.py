@@ -1,5 +1,6 @@
 """Round trips and corruption handling for every on-disk format."""
 
+import dataclasses
 import functools
 import math
 import struct
@@ -203,16 +204,41 @@ def test_model_round_trip_by_seed(tmp_path):
 
 
 def test_model_round_trip_explicit_matrix(tmp_path):
-    path = tmp_path / "model_x.csqm"
-    model = build_model(method="fjlt", n=20, p=2, lambda_tilde=4, r=1, seed=3)
-    write_model(path, model, explicit=True)
-    back = read_model(path)
-    assert back.explicit_matrix is not None
-    data = flat(20, 2, 9)
-    a = embed_dataset(model, data)
-    b = embed_dataset(back, data)
-    for i in range(2):
-        assert np.array_equal(a.codes[i].bits, b.codes[i].bits)
+    for method in ("sparse", "fjlt"):
+        path = tmp_path / f"{method}_x.csqm"
+        model = build_model(method=method, n=20, p=2, lambda_tilde=4, r=1, seed=3)
+        write_model(path, model, explicit=True)
+        back = read_model(path)
+        assert back.explicit is not None and back.operator is back.explicit
+        op, got = model.operator, back.operator
+        for name in ("row_offsets", "col_indices", "values"):
+            assert np.array_equal(getattr(got.matrix, name), getattr(op.matrix, name))
+        if method == "sparse":
+            assert op.signs is None and got.signs is None
+        else:
+            assert np.array_equal(got.signs, op.signs)
+        write_model(tmp_path / "again.csqm", back, explicit=True)
+        assert (tmp_path / "again.csqm").read_bytes() == path.read_bytes()
+        data = flat(20, 2, 9)
+        a = embed_dataset(model, data)
+        b = embed_dataset(back, data)
+        assert np.array_equal(a.codes.bits, b.codes.bits)
+        assert np.array_equal(a.condensed.entries, b.condensed.entries)
+
+
+def test_model_explicit_signs_must_match_the_method(tmp_path):
+    """A sparse model with a sign section, or an fjlt model without one,
+    is refused by the model's own check, as a format error."""
+    for method in ("sparse", "fjlt"):
+        path, raw, model = _explicit_model_bytes(tmp_path, method)
+        at = len(raw) - 8 - (model.n_pad if method == "fjlt" else 0)
+        if method == "sparse":
+            raw[at:] = struct.pack("<Q", 16) + bytes([1]) * 16
+        else:
+            raw[at:] = struct.pack("<Q", 0)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError):
+            read_model(path)
 
 
 # Offset of the explicit-matrix section: magic, version, method byte,
@@ -404,7 +430,7 @@ def test_model_reader_fuzz(tmp_path_factory, raw):
     except CsqError:
         return
     assert isinstance(model, EmbeddingModel)
-    model.validate()
+    dataclasses.replace(model)  # re-runs every check of the model
     assert model.quantizer.order == model.condensation.r
 
 

@@ -6,18 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from csq.errors import ParameterError, ShapeError
-from csq.pipeline import build_model, model_operator, project_dataset
+from csq.errors import InputError, ParameterError, ShapeError
+from csq.pipeline import build_model, project_dataset
 from csq.transforms import (
-    FjltOperator,
+    Projection,
     SparseGaussianMatrix,
-    apply_fjlt,
-    build_fjlt,
-    build_sign_diagonal,
     build_sparse_gaussian,
     fwht_inplace,
     padded_dim,
     recommended_sparsity,
+    sign_diagonal,
     sparse_matmat,
     sparse_matvec,
 )
@@ -135,24 +133,25 @@ def test_sparse_gaussian_dense_limit():
 def _csr(offsets, cols, n_cols=6):
     cols = np.array(cols, dtype=np.int64)
     return SparseGaussianMatrix(
-        rows=len(offsets) - 1, cols=n_cols, sparsity=0.5, seed=0,
+        rows=len(offsets) - 1, cols=n_cols,
         row_offsets=np.array(offsets, dtype=np.int64), col_indices=cols,
         values=np.ones(cols.size),
     )
 
 
 def test_validate_checks_column_order_within_rows_only():
-    build_sparse_gaussian(40, 30, 0.3, 5).validate()
+    """The CSR checks run when a matrix is made."""
+    build_sparse_gaussian(40, 30, 0.3, 5)
     # Column indices may drop across a row boundary, empty rows included.
-    _csr([0, 0, 3, 3, 5, 5], [1, 2, 5, 0, 4]).validate()
-    _csr([0, 0, 0], []).validate()
+    _csr([0, 0, 3, 3, 5, 5], [1, 2, 5, 0, 4])
+    _csr([0, 0, 0], [])
     for offsets, cols in (
         ([0, 3, 5], [1, 1, 5, 0, 4]),   # repeated index in row 0
         ([0, 3, 5], [1, 2, 5, 4, 0]),   # decreasing in the last row
         ([0, 0, 2, 2], [3, 2]),         # decreasing after an empty row
     ):
         with pytest.raises(ShapeError):
-            _csr(offsets, cols).validate()
+            _csr(offsets, cols)
 
 
 def test_sparse_gaussian_argument_errors():
@@ -200,44 +199,78 @@ def test_padded_dim():
     assert padded_dim(1024) == 1024
 
 
+def fjlt(rows, n, sparsity, matrix_seed, diagonal_seed):
+    n_pad = padded_dim(n)
+    matrix = build_sparse_gaussian(rows, n_pad, sparsity, matrix_seed)
+    return Projection(n, matrix, sign_diagonal(n_pad, diagonal_seed))
+
+
 def test_sign_diagonal_is_deterministic_pm_one():
-    d = build_sign_diagonal(512, 42)
-    d2 = build_sign_diagonal(512, 42)
-    assert np.array_equal(d.signs, d2.signs)
-    assert set(np.unique(d.signs)) <= {-1, 1}
+    d = sign_diagonal(512, 42)
+    d2 = sign_diagonal(512, 42)
+    assert d.dtype == np.float64
+    assert np.array_equal(d, d2)
+    assert set(np.unique(d)) <= {-1, 1}
 
 
 def test_fjlt_equals_composed_parts():
     n, m = 48, 32
-    op = build_fjlt(m, n, 0.5, matrix_seed=3, diagonal_seed=4)
-    assert isinstance(op, FjltOperator)
+    op = fjlt(m, n, 0.5, matrix_seed=3, diagonal_seed=4)
     n_pad = padded_dim(n)
     rng = np.random.default_rng(8)
     x = rng.standard_normal(n)
     padded = np.zeros(n_pad)
     padded[:n] = x
-    manual = sparse_matvec(
-        op.matrix, fwht_inplace(padded * op.diagonal.signs)
-    )
-    assert np.allclose(apply_fjlt(op, x), manual, atol=1e-12)
+    manual = sparse_matvec(op.matrix, fwht_inplace(padded * op.signs))
+    assert np.allclose(op.apply(x[None, :])[0], manual, atol=1e-12)
 
 
 def test_fjlt_batch_matches_single():
     model = build_model("fjlt", 20, 4, 4, 1, seed=2)
-    op = model_operator(model)
+    op = model.operator
     rng = np.random.default_rng(11)
     xs = rng.standard_normal((6, 20))
     got = project_dataset(model, xs)
     assert got.shape == (6, model.m)
     for i in range(6):
-        assert np.array_equal(got[i], apply_fjlt(op, xs[i]))
+        assert np.array_equal(got[i], op.apply(xs[i][None, :])[0])
+
+
+def test_projection_checks_shapes_and_signs():
+    matrix = build_sparse_gaussian(4, 8, 0.5, 1)
+    assert Projection(8, matrix).signs is None
+    signs = sign_diagonal(8, 2)
+    assert np.array_equal(Projection(5, matrix, signs).signs, signs)
+    with pytest.raises(ShapeError):
+        Projection(5, matrix)               # no padding without signs
+    with pytest.raises(ShapeError):
+        Projection(9, matrix, signs)        # padded_dim(9) is 16
+    with pytest.raises(ShapeError):
+        Projection(5, matrix, signs[:4])
+    with pytest.raises(InputError):
+        Projection(5, matrix, np.where(signs > 0, 2.0, -1.0))
+
+
+def test_projection_and_matrix_arrays_are_read_only_copies():
+    signs = sign_diagonal(8, 2)
+    op = Projection(5, build_sparse_gaussian(4, 8, 0.5, 1), signs.astype(np.int8))
+    signs[0] = -signs[0]
+    assert op.signs.dtype == np.float64 and op.signs.flags.c_contiguous
+    assert op.signs[0] == -signs[0]
+    values = np.array([1.0, 2.0])
+    mat = SparseGaussianMatrix(2, 3, np.array([0, 1, 2]), np.array([0, 2]), values)
+    values[0] = 5.0
+    assert mat.values[0] == 1.0
+    for array in (op.signs, mat.row_offsets, mat.col_indices, mat.values):
+        with pytest.raises(ValueError):
+            array[0] = 1
 
 
 def test_fjlt_preconditioning_spreads_a_spike():
     """A one-hot input becomes flat after the sign flip and transform:
     the max coordinate drops to about n**-1/2 of the l2 norm."""
     n = 256
-    op = build_fjlt(8, n, 1.0, matrix_seed=0, diagonal_seed=5)
+    op = fjlt(8, n, 1.0, matrix_seed=0, diagonal_seed=5)
     spike = np.zeros(n)
     spike[17] = 3.0
     pre = op.precondition(spike[None, :])[0]
