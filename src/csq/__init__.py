@@ -50,8 +50,7 @@ from .sigma_delta import (
     build_quantizer,
     quantize,
     quantize_batch,
-    reconstruct_state_batch,
-    reconstruct_state_u,
+    reconstruct_state,
     stability_scan,
 )
 from .store import (

@@ -69,6 +69,13 @@ _SIGNATURES = {
 }
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on: the threads the kernels' callers use."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def source() -> bytes:
     """The kernel source shipped as package data."""
     from importlib import resources

@@ -18,19 +18,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .condense import build_condensation, condense_real_batch, pairwise_l1_blocks
+from .condense import condense_real_batch, pairwise_l1_blocks
 from .errors import DegenerateInputError, ParameterError
-from .pipeline import (
-    Dataset,
-    build_model,
-    embed_dataset,
-    project_dataset,
-    scale_dataset,
-)
+from .pipeline import Dataset, build_model, embed_dataset, scale_dataset
 from .sigma_delta import build_quantizer, stability_scan
 
 GENERATORS = ("signflat", "gaussian")
@@ -158,10 +152,12 @@ def _cell_data(cfg: BenchConfig, p: int, m: int, trial: int) -> Dataset:
     return scale_dataset(raw.vectors, 1.0)
 
 
-def _quantized_cell(cfg: BenchConfig, r: int, p: int, m: int) -> BenchCell:
+def _cell(cfg: BenchConfig, r: int, p: int, m: int) -> BenchCell:
+    """One grid cell of order r, or for r = 0 the unquantized reference: an
+    order-1 model with ``lambda_tilde = m // p`` whose real projections are
+    condensed directly."""
     start = time.perf_counter()
-    lam_target = m // p
-    lambda_tilde = nearest_lambda_tilde(lam_target, r)
+    lambda_tilde = m // p if r == 0 else nearest_lambda_tilde(m // p, r)
     scores = []
     violations = []
     for trial in range(cfg.trials):
@@ -171,64 +167,33 @@ def _quantized_cell(cfg: BenchConfig, r: int, p: int, m: int) -> BenchCell:
             cfg.n,
             p,
             lambda_tilde,
-            r,
+            max(r, 1),
             sigma=cfg.sigma,
             mu=cfg.mu,
             seed=[cfg.seed, r, p, m, trial, _MODEL_TAG],
         )
-        result = embed_dataset(model, data)
-        blocks = pairwise_l1_blocks(result.condensed.entries)
-        l1 = np.concatenate([sums for _, _, sums in blocks])
-        estimates = l1 * model.condensation.norm_factor
+        if r == 0:
+            projections = model.operator.apply(data.vectors)
+            sketches = condense_real_batch(model.condensation, projections)
+            blocks = pairwise_l1_blocks(sketches)
+            estimates = np.concatenate([sums for _, _, sums in blocks])
+        else:
+            result = embed_dataset(model, data)
+            blocks = pairwise_l1_blocks(result.condensed.entries)
+            l1 = np.concatenate([sums for _, _, sums in blocks])
+            estimates = l1 * model.condensation.norm_factor
+            violations.append(result.diagnostics.amplitude_violations.mean())
         truths = pairwise_l2(data.vectors)
         scores.append(mape(estimates, truths))
-        violations.append(result.diagnostics.amplitude_violations.mean())
     wall_ms = (time.perf_counter() - start) * 1000.0
-    model_m = (r * lambda_tilde - r + 1) * p
     return BenchCell(
         m_requested=m,
         p=p,
         r=r,
-        m_actual=model_m,
+        m_actual=model.m,
         mape=float(np.mean(scores)),
         wall_ms=wall_ms,
-        amplitude_violation_fraction=float(np.mean(violations)),
-        trial_scores=tuple(scores),
-    )
-
-
-def _reference_cell(cfg: BenchConfig, p: int, m: int) -> BenchCell:
-    start = time.perf_counter()
-    lam = m // p
-    spec = build_condensation(1, lam, p)
-    scores = []
-    for trial in range(cfg.trials):
-        data = _cell_data(cfg, p, m, trial)
-        model = build_model(
-            "sparse",
-            cfg.n,
-            p,
-            lam,
-            1,
-            sigma=cfg.sigma,
-            mu=cfg.mu,
-            seed=[cfg.seed, 0, p, m, trial, _MODEL_TAG],
-        )
-        projections = project_dataset(model, data.vectors)
-        sketches = condense_real_batch(spec, projections)
-        estimates = np.concatenate(
-            [sums for _, _, sums in pairwise_l1_blocks(sketches)]
-        )
-        truths = pairwise_l2(data.vectors)
-        scores.append(mape(estimates, truths))
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return BenchCell(
-        m_requested=m,
-        p=p,
-        r=0,
-        m_actual=m,
-        mape=float(np.mean(scores)),
-        wall_ms=wall_ms,
+        amplitude_violation_fraction=float(np.mean(violations)) if r else 0.0,
         trial_scores=tuple(scores),
     )
 
@@ -241,16 +206,8 @@ def run_mape_bench(cfg: BenchConfig) -> list[BenchCell]:
     is used and recorded in ``m_actual``.
     """
     cfg.validate()
-    cells = []
-    for r in sorted(set(cfg.r_list)):
-        for p in cfg.p_list:
-            for m in cfg.m_list:
-                cells.append(_quantized_cell(cfg, r, p, m))
-    if cfg.include_reference:
-        for p in cfg.p_list:
-            for m in cfg.m_list:
-                cells.append(_reference_cell(cfg, p, m))
-    return cells
+    orders = sorted(set(cfg.r_list)) + ([0] if cfg.include_reference else [])
+    return [_cell(cfg, r, p, m) for r in orders for p in cfg.p_list for m in cfg.m_list]
 
 
 def curve_rows(cells: list[BenchCell]) -> list[tuple]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 import time
@@ -69,8 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="divide estimates by the dataset scaling multiplier",
     )
     query.add_argument(
-        "--multiplier", type=float, default=1.0,
-        help="the scale_applied multiplier used when the dataset was scaled",
+        "--multiplier", type=float, default=None,
+        help="with --original-units: the scale_applied multiplier used when "
+        "the dataset was scaled (default 1.0)",
     )
     query.add_argument("--out", default=None, help="write results here (else stdout)")
 
@@ -235,9 +237,11 @@ def _cmd_query(args) -> int:
     check_geometry(sketches, model.condensation)
     k = len(sketches)
     divisor = 1.0
-    if args.original_units:
-        if args.multiplier <= 0.0:
-            raise ParameterError("--multiplier must be positive")
+    if args.multiplier is not None:
+        if not args.original_units:
+            raise ParameterError("--multiplier needs --original-units")
+        if not 0.0 < args.multiplier < math.inf:
+            raise ParameterError("--multiplier must be positive and finite")
         divisor = args.multiplier
 
     if args.pair is not None:

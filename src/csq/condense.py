@@ -348,9 +348,9 @@ def _native_l1_blocks(kern, rows: np.ndarray, blocks):
         kern.l1_pairs(rows, start, stop, sums)
         return start, stop, sums
 
-    from .pipeline import _worker_count
+    from . import _native
 
-    if _worker_count() == 1:
+    if _native._worker_count() == 1:
         for block in blocks:
             yield compute(*block)
         return

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -53,8 +52,6 @@ from .transforms import (
     recommended_sparsity,
     sign_diagonal,
 )
-
-FILE_VERSION = 1
 
 # Points per call of the compiled embed kernels, the unit of work of one
 # thread; 256 to 1024 measured the same.
@@ -231,7 +228,6 @@ def build_model(
     seed: int = 0,
     sparsity: float | None = None,
     wellspread_const: float = 1.0,
-    sparsity_multiplier: float = 1.0,
 ) -> EmbeddingModel:
     """Assemble a model; sparsity defaults to the recommended level.
 
@@ -264,7 +260,6 @@ def build_model(
             v_inf_over_v2_sq=model.condensation.kernel_inf_over_l2_sq(),
             wellspread_const=wellspread_const,
             fjlt_mode=(method == "fjlt"),
-            multiplier=sparsity_multiplier,
         )
         model = dataclasses.replace(model, sparsity=sparsity)
     return model
@@ -295,25 +290,9 @@ class EmbedResult:
     diagnostics: EmbedDiagnostics
 
 
-def project_dataset(model: EmbeddingModel, vectors: np.ndarray) -> np.ndarray:
-    """Apply the model's linear map to rows of ``vectors`` -> (k, m).
-
-    The result is the ``.T`` view of a C-ordered (m, k) array: the embed
-    stages carry points on the last axis.
-    """
-    return model.operator.apply(vectors)
-
-
-def _worker_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _embed_numpy(model: EmbeddingModel, vectors: np.ndarray):
     """(entries, packed codes, amplitude violations) of every point at once."""
-    projections = project_dataset(model, vectors)
+    projections = model.operator.apply(vectors)
     quant = quantize_batch(model.quantizer, projections)
     entries = condense_signs_batch(model.condensation, quant.codes)
     bits = Codes.from_signs(quant.codes).bits
@@ -416,7 +395,7 @@ def embed_dataset(model: EmbeddingModel, data: Dataset) -> EmbedResult:
         workers = 1
         entries, bits, violations = _embed_numpy(model, data.vectors)
     else:
-        workers = max(1, min(_worker_count(), -(-k // _BLOCK)))
+        workers = max(1, min(_native._worker_count(), -(-k // _BLOCK)))
         entries, bits, violations = _embed_blocks(kern, model, data.vectors, workers)
     diagnostics = EmbedDiagnostics(
         amplitude_violations=violations,

@@ -17,7 +17,8 @@ Order 1 degenerates to the greedy scheme ``u_i = u_{i-1} + y_i - q_i``,
 whose state never leaves [-1, 1] for inputs bounded by 1.
 
 The hidden state u with ``(forward difference)**r u = y - q`` is not the
-filter state w; it is recovered separately by :func:`reconstruct_state_u`.
+filter state w; it is the r-fold running sum of y - q, recovered by
+:func:`reconstruct_state`.
 """
 
 from __future__ import annotations
@@ -212,97 +213,64 @@ def quantize_batch(spec: QuantizerSpec, ys: np.ndarray) -> BatchQuantizationResu
     return BatchQuantizationResult(codes=codes.T, amplitude_violations=violations)
 
 
-def reconstruct_state_u(r: int, y: np.ndarray, q: np.ndarray) -> np.ndarray:
+def reconstruct_state(r: int, ys: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """Recover the state u with r-fold forward difference equal to y - q.
 
-    Runs ``u_i = sum_{j=1}^r (-1)**(j-1) C(r, j) u_{i-j} + y_i - q_i`` with
-    zero initial conditions (u_i = 0 for i < 1).
+    ``(1 - z)**r u = y - q`` with zero initial conditions makes u the r-fold
+    running sum of ``y - q`` along the last axis, so any shape with at least
+    one axis works: one vector, a (k, m) batch, or more.
     """
     if r < 1:
         raise ParameterError("r must be a positive integer")
-    y = np.asarray(y, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if y.shape != q.shape or y.ndim != 1:
-        raise ShapeError("y and q must be 1-d vectors of equal length")
-    m = y.shape[0]
-    coeffs = [(-1.0) ** (j - 1) * math.comb(r, j) for j in range(1, r + 1)]
-    buf = np.zeros(r + m, dtype=np.float64)
-    for i in range(m):
-        a = 0.0
-        for j, c in enumerate(coeffs, start=1):
-            a += c * buf[r + i - j]
-        buf[r + i] = a + y[i] - q[i]
-    return buf[r:]
-
-
-def reconstruct_state_batch(r: int, ys: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """Batch version of :func:`reconstruct_state_u` over rows."""
-    if r < 1:
-        raise ParameterError("r must be a positive integer")
-    ys = np.asarray(ys, dtype=np.float64)
-    qs = np.asarray(qs, dtype=np.float64)
-    if ys.shape != qs.shape or ys.ndim != 2:
-        raise ShapeError("ys and qs must be (k, m) arrays of equal shape")
-    k, m = ys.shape
-    coeffs = [(-1.0) ** (j - 1) * math.comb(r, j) for j in range(1, r + 1)]
-    buf = np.zeros((r + m, k), dtype=np.float64)
-    yt = np.ascontiguousarray(ys.T)
-    qt = np.ascontiguousarray(qs.T)
-    for i in range(m):
-        a = np.zeros(k, dtype=np.float64)
-        for j, c in enumerate(coeffs, start=1):
-            a += c * buf[r + i - j]
-        # Two separate adds keep the rounding identical to the scalar path.
-        buf[r + i] = (a + yt[i]) - qt[i]
-    return np.ascontiguousarray(buf[r:].T)
+    ys, qs = np.asarray(ys), np.asarray(qs)
+    if ys.shape != qs.shape or ys.ndim < 1:
+        raise ShapeError("y and q must be arrays of equal shape with an axis")
+    u = np.subtract(ys, qs, dtype=np.float64)
+    for _ in range(r):
+        np.cumsum(u, axis=-1, out=u)
+    return u
 
 
 def extremal_probe_input(spec: QuantizerSpec, m: int, amplitude: float) -> np.ndarray:
     """Adversarial input in {-amplitude, +amplitude} that inflates the state.
 
     Greedy bang-bang control: at every step pick the sign that maximizes the
-    magnitude of the resulting reconstructed state u_i. The choice at step i
-    depends only on the past, so the length-m probe is a prefix of every
-    longer probe; once the induced |u| plateaus, its maximum is exactly
-    independent of m. Stability scans use this as a worst-case trial because
-    a maximum taken over ordinary random inputs keeps creeping upward with
-    sample count, which muddies the question actually being asked (does the
-    state bound depend on the signal length?).
+    magnitude of the resulting reconstructed state u_i (ties go to
+    +amplitude). The r running sums of ``y - q`` are carried in the order
+    :func:`reconstruct_state` adds them, so the choice sees exactly the u it
+    reports. The choice at step i depends only on the past, so the length-m
+    probe is a prefix of every longer probe; once the induced |u| plateaus,
+    its maximum is exactly independent of m. Stability scans use this as a
+    worst-case trial because a maximum taken over ordinary random inputs
+    keeps creeping upward with sample count, which muddies the question
+    actually being asked (does the state bound depend on the signal length?).
     """
     if m < 0:
         raise ParameterError("m must be nonnegative")
     if not (0.0 < amplitude <= spec.mu):
         raise ParameterError("amplitude must lie in (0, mu]")
-    r = spec.order
     pad = spec.reach
     offsets = [pad - nj for nj in spec.positions]
     weights = spec.weights
-    coeffs = [(-1.0) ** (j - 1) * math.comb(r, j) for j in range(1, r + 1)]
     w = np.zeros(pad + m, dtype=np.float64)
-    u = np.zeros(r + m, dtype=np.float64)
+    sums = [0.0] * spec.order
     y = np.empty(m, dtype=np.float64)
     for i in range(m):
         a = 0.0
         for off, d in zip(offsets, weights):
             a += d * w[off + i]
-        base = 0.0
-        for j, c in enumerate(coeffs, start=1):
-            base += c * u[r + i - j]
-        best_val = 0.0
-        best_y = amplitude
-        best_s = 0.0
-        best_q = 1.0
-        first = True
+        best = None
         for cand in (amplitude, -amplitude):
             s = a + cand
             q = 1.0 if s >= 0.0 else -1.0
-            val = (base + cand) - q
-            if first or abs(val) > abs(best_val):
-                best_val, best_y, best_s, best_q = val, cand, s, q
-                first = False
-        y[i] = best_y
-        u[r + i] = best_val
-        w[pad + i] = best_s - best_q
+            acc = cand - q
+            trial = []
+            for prev in sums:
+                acc = prev + acc
+                trial.append(acc)
+            if best is None or abs(acc) > abs(best[0][-1]):
+                best = (trial, cand, s - q)
+        sums, y[i], w[pad + i] = best
     return y
 
 
@@ -344,6 +312,6 @@ def stability_scan(
         ys[0] = extremal_probe_input(spec, m, amplitude)
         ys[1:] = levels[:, None]
         res = quantize_batch(spec, ys)
-        us = reconstruct_state_batch(spec.order, ys, res.codes.astype(np.float64))
+        us = reconstruct_state(spec.order, ys, res.codes)
         rows.append((m, float(np.max(np.abs(us)))))
     return rows

@@ -37,16 +37,18 @@ from .condense import (
     Codes,
     CondensationSpec,
     Sketches,
+    build_condensation,
     check_geometry,
     entry_dtype,
     pack_rows,
     unpack_rows,
 )
 from .errors import CorruptionError, CsqError, FormatError, InputError
-from .pipeline import FILE_VERSION, Dataset, EmbeddingModel
+from .pipeline import Dataset, EmbeddingModel
 from .sigma_delta import build_quantizer
-from .condense import build_condensation
 from .transforms import Projection, SparseGaussianMatrix
+
+FILE_VERSION = 1
 
 MAGIC_VECTORS = b"CSQV"
 MAGIC_MODEL = b"CSQM"

@@ -325,11 +325,10 @@ def recommended_sparsity(
     v_inf_over_v2_sq: float,
     wellspread_const: float = 1.0,
     fjlt_mode: bool = False,
-    multiplier: float = 1.0,
 ) -> float:
     """Sparsity level sufficient for the l1 norm concentration to hold.
 
-    Returns ``min(1, multiplier * 2 * c**2 * v_inf_over_v2_sq / (eps * n))``
+    Returns ``min(1, 2 * c**2 * v_inf_over_v2_sq / (eps * n))``
     where c is the well-spreadness constant; in ``fjlt_mode`` the value is
     further multiplied by ``max(ln n, 1)`` to absorb the coherence of the
     preconditioned inputs. ``v_inf_over_v2_sq`` is the squared ratio
@@ -344,9 +343,7 @@ def recommended_sparsity(
         raise ParameterError("v_inf_over_v2_sq must lie in (0, 1]")
     if wellspread_const <= 0.0:
         raise ParameterError("wellspread_const must be positive")
-    if multiplier <= 0.0:
-        raise ParameterError("multiplier must be positive")
-    s = multiplier * 2.0 * wellspread_const**2 * v_inf_over_v2_sq / (eps * n)
+    s = 2.0 * wellspread_const**2 * v_inf_over_v2_sq / (eps * n)
     if fjlt_mode:
         s *= max(math.log(n), 1.0)
     return min(1.0, s)

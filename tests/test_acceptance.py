@@ -25,13 +25,12 @@ from csq.pipeline import (
     dataset_from_matrix,
     hamming_angular_distance,
     kappa_bound,
-    project_dataset,
     sign_msq_baseline_embed,
 )
 from csq.sigma_delta import (
     build_quantizer,
     quantize_batch,
-    reconstruct_state_batch,
+    reconstruct_state,
     stability_scan,
 )
 from csq.transforms import build_sparse_gaussian, fwht_inplace, sparse_matvec
@@ -81,7 +80,7 @@ def test_criterion_02_difference_identity():
         spec = build_quantizer(r, sigma=6)
         ys = rng.uniform(-0.3, 0.3, size=(100, m))
         quant = quantize_batch(spec, ys)
-        us = reconstruct_state_batch(r, ys, quant.codes)
+        us = reconstruct_state(r, ys, quant.codes)
         diffed = us
         for _ in range(r):
             diffed = np.diff(diffed, axis=1, prepend=0.0)
@@ -108,7 +107,7 @@ def test_criterion_03_stability_no_growth():
     rng = np.random.default_rng(np.random.SeedSequence([2026, 1]))
     ys = rng.uniform(-1.0, 1.0, size=(100, 4096))
     quant = quantize_batch(spec1, ys)
-    us = reconstruct_state_batch(1, ys, quant.codes)
+    us = reconstruct_state(1, ys, quant.codes)
     assert np.abs(us).max() <= 1.0
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
@@ -146,9 +145,9 @@ def quantization_grid():
             signs = rng.choice((-1.0, 1.0), size=(k, GRID_N))
             radius = 0.5 if r == 1 else kappa_bound(0.2, 4.0, model.m)
             points = signs * (radius / math.sqrt(GRID_N))
-            zs = project_dataset(model, points)
+            zs = model.operator.apply(points)
             quant = quantize_batch(model.quantizer, zs)
-            us = reconstruct_state_batch(r, zs, quant.codes)
+            us = reconstruct_state(r, zs, quant.codes)
             lhs = np.abs(
                 condense_real_batch(model.condensation, quant.codes - zs)
             ).sum(axis=1)
@@ -205,7 +204,7 @@ def test_criterion_06_jl_distortion():
         y = rng.choice((-1.0, 1.0), size=n) / math.sqrt(n)
         true = np.linalg.norm(x - y)
         image = condense_real_batch(
-            model.condensation, project_dataset(model, (x - y)[None, :])
+            model.condensation, model.operator.apply((x - y)[None, :])
         )
         rel.append(abs(float(np.abs(image).sum()) - true) / true)
     rel = np.array(rel)

@@ -186,6 +186,53 @@ def test_query_rejects_nonpositive_multiplier(embedded, capsys):
     assert err.startswith("parameter error:")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_query_rejects_nonfinite_multiplier(embedded, capsys, value):
+    tmp_path, _, _ = embedded
+    capsys.readouterr()
+    rc = main([
+        "query", "--model", str(tmp_path / "model.csqm"),
+        "--condensed", str(tmp_path / "cond.csqd"),
+        "--pair", "0", "1", "--original-units", "--multiplier", value,
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("parameter error:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "mode", [("--pair", "0", "1"), ("--all-pairs",)], ids=["pair", "all-pairs"]
+)
+def test_query_multiplier_without_original_units_is_refused(embedded, capsys, mode):
+    """A multiplier that would be ignored is an error, not a silent no-op."""
+    tmp_path, _, _ = embedded
+    capsys.readouterr()
+    rc = main([
+        "query", "--model", str(tmp_path / "model.csqm"),
+        "--condensed", str(tmp_path / "cond.csqd"),
+        *mode, "--multiplier", "2.5",
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("parameter error:")
+    assert "--original-units" in captured.err
+    assert captured.out == ""
+
+
+def test_query_original_units_alone_divides_by_one(embedded, capsys):
+    tmp_path, model, condensed = embedded
+    capsys.readouterr()
+    rc = main([
+        "query", "--model", str(tmp_path / "model.csqm"),
+        "--condensed", str(tmp_path / "cond.csqd"),
+        "--pair", "0", "2", "--original-units",
+    ])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert float(out.strip()) == pipeline.estimate_distance(model, condensed[0], condensed[2])
+
+
 def test_bench_mape_writes_curve_csv(tmp_path, capsys):
     out_path = tmp_path / "curve.csv"
     rc = main([

@@ -32,7 +32,6 @@ from csq.pipeline import (
     build_model,
     dataset_from_matrix,
     embed_dataset,
-    project_dataset,
 )
 from csq.sigma_delta import build_quantizer, quantize_batch
 from csq.transforms import (
@@ -278,7 +277,7 @@ def test_codes_from_signs_refuses_non_signs():
 def _check_embed(model, xs):
     """embed_dataset of xs equals the oracles; returns its result."""
     proj = project_oracle(model, xs)
-    assert np.array_equal(project_dataset(model, xs), proj)
+    assert np.array_equal(model.operator.apply(xs), proj)
     codes, _, _ = quantize_oracle(model.quantizer, proj)
     res = embed_dataset(model, dataset_from_matrix(xs))
     assert np.array_equal(
@@ -313,7 +312,7 @@ def test_embed_matches_row_layout_oracles(method, r, k):
 def test_embed_block_edges_match_oracles(monkeypatch, method, r, k, workers):
     """Outputs do not depend on where blocks start or which thread runs
     them; zero and negative-zero rows sit on both sides of a boundary."""
-    monkeypatch.setattr(pipeline, "_worker_count", lambda: workers)
+    monkeypatch.setattr(_native, "_worker_count", lambda: workers)
     model = build_model(method, 37, 4, 4, r, seed=3)
     xs = _points(k, 37, seed=k)
     xs *= 0.3 / max(1.0, float(np.abs(xs).max(initial=0.0)))
@@ -498,7 +497,7 @@ def test_pairwise_l1_blocks_match_numpy_loop(
     """Widths 7, 15, 31 and 63 are the widest of int8, int16, int32 and
     int64 entries; at 63 the sums wrap modulo 2**64 in both. With two
     CPUs the next block is computed while the current one is read."""
-    monkeypatch.setattr(pipeline, "_worker_count", lambda: workers)
+    monkeypatch.setattr(_native, "_worker_count", lambda: workers)
     rows = extreme_rows(bit_width, k, 37, seed=1)
     got = list(pairwise_l1_blocks(rows, block_pairs))
     want = numpy_l1_blocks(rows, block_pairs)

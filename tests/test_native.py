@@ -62,7 +62,7 @@ def test_kernel_source_ships_with_the_package():
 def test_native_path_is_active_when_cc_is_on_path(reference, capsys, tmp_path):
     res = _embed()
     assert res.diagnostics.kernels == "native", res.diagnostics.kernels_note
-    assert res.diagnostics.workers == min(pipeline._worker_count(), 2)
+    assert res.diagnostics.workers == min(_native._worker_count(), 2)
     _assert_same(res, reference)
     inp = tmp_path / "points.csv"
     inp.write_text("0.01,0.02,0.0,-0.01\n-0.02,0.0,0.01,0.005\n")
@@ -151,7 +151,7 @@ def test_cli_reports_numpy_kernels_and_why(numpy_kernels, capsys, tmp_path):
 def test_more_workers_than_cpus_with_rapid_switching(monkeypatch, reference):
     """Six threads on short switch intervals write disjoint rows; a lost or
     misplaced block would change the bytes."""
-    monkeypatch.setattr(pipeline, "_worker_count", lambda: 6)
+    monkeypatch.setattr(_native, "_worker_count", lambda: 6)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

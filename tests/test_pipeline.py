@@ -28,7 +28,6 @@ from csq.pipeline import (
     estimate_distance,
     hamming_angular_distance,
     kappa_bound,
-    project_dataset,
     scale_dataset,
     sign_msq_baseline_embed,
 )
@@ -274,8 +273,8 @@ def test_model_operator_rebuilds_after_mutation(change):
     fresh = build_model(method="fjlt", n=20, p=2, lambda_tilde=4, r=2, seed=3)
     fresh = dataclasses.replace(fresh, **change(fresh))
     xs = flat_dataset(20, 4, 0.05, seed=2).vectors
-    assert np.array_equal(project_dataset(changed, xs), project_dataset(fresh, xs))
-    assert not np.array_equal(project_dataset(model, xs), project_dataset(fresh, xs))
+    assert np.array_equal(changed.operator.apply(xs), fresh.operator.apply(xs))
+    assert not np.array_equal(model.operator.apply(xs), fresh.operator.apply(xs))
 
 
 def test_model_operator_follows_explicit_arrays():
@@ -344,7 +343,7 @@ def test_embed_produces_matching_codes_and_sketches():
     res = embed_dataset(model, data)
     assert len(res.codes) == 5 and len(res.condensed) == 5
     spec = model.condensation
-    zs = project_dataset(model, data.vectors)
+    zs = model.operator.apply(data.vectors)
     for i in range(5):
         assert res.codes[i].length == model.m
         # the code is the quantization of the projection

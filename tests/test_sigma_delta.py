@@ -14,8 +14,7 @@ from csq.sigma_delta import (
     extremal_probe_input,
     quantize,
     quantize_batch,
-    reconstruct_state_batch,
-    reconstruct_state_u,
+    reconstruct_state,
     stability_scan,
 )
 
@@ -202,7 +201,7 @@ def test_difference_identity(r):
     for m in (1, 7, 100, 4096):
         y = rng.uniform(-0.3, 0.3, m)
         res = quantize(spec, y)
-        u = reconstruct_state_u(r, y, res.code.astype(np.float64))
+        u = reconstruct_state(r, y, res.code)
         resid = np.max(np.abs(r_fold_difference(u, r) - (y - res.code)))
         assert resid <= 1e-9 * m
 
@@ -210,26 +209,34 @@ def test_difference_identity(r):
 def test_reconstruct_order_one_is_running_sum():
     y = np.array([0.5, 0.0, -0.25])
     q = np.array([1.0, -1.0, 1.0])
-    u = reconstruct_state_u(1, y, q)
+    u = reconstruct_state(1, y, q)
     assert np.allclose(u, np.cumsum(y - q), atol=1e-15)
 
 
-def test_reconstruct_batch_matches_scalar():
+@pytest.mark.parametrize("shape", [(64,), (5, 64), (2, 3, 64)], ids=["1d", "2d", "3d"])
+def test_reconstruct_any_shape_matches_rows(shape):
+    """Every row of a 1-d, 2-d or 3-d input is reconstructed as on its own,
+    and its r-fold difference gives back y - q."""
     rng = np.random.default_rng(31)
-    ys = rng.uniform(-1, 1, size=(5, 64))
-    qs = np.where(rng.random((5, 64)) < 0.5, -1.0, 1.0)
+    ys = rng.uniform(-1, 1, size=shape)
+    qs = np.where(rng.random(shape) < 0.5, -1, 1).astype(np.int8)
     for r in (1, 2, 3):
-        batch = reconstruct_state_batch(r, ys, qs)
-        for i in range(5):
-            single = reconstruct_state_u(r, ys[i], qs[i])
-            assert np.array_equal(batch[i], single)
+        us = reconstruct_state(r, ys, qs)
+        assert us.shape == shape and us.dtype == np.float64
+        for idx in np.ndindex(shape[:-1]):
+            row = reconstruct_state(r, ys[idx], qs[idx])
+            assert np.array_equal(us[idx], row)
+            resid = r_fold_difference(row, r) - (ys[idx] - qs[idx])
+            assert np.max(np.abs(resid)) <= 1e-9 * shape[-1]
 
 
 def test_reconstruct_argument_errors():
     with pytest.raises(ParameterError):
-        reconstruct_state_u(0, np.zeros(3), np.zeros(3))
+        reconstruct_state(0, np.zeros(3), np.zeros(3))
     with pytest.raises(ShapeError):
-        reconstruct_state_u(1, np.zeros(3), np.zeros(4))
+        reconstruct_state(1, np.zeros(3), np.zeros(4))
+    with pytest.raises(ShapeError):
+        reconstruct_state(1, 0.5, 1.0)
 
 
 def test_greedy_state_never_leaves_unit_interval():
@@ -239,7 +246,7 @@ def test_greedy_state_never_leaves_unit_interval():
     for _ in range(20):
         y = rng.uniform(-1.0, 1.0, 512)
         res = quantize(spec, y)
-        u = reconstruct_state_u(1, y, res.code.astype(np.float64))
+        u = reconstruct_state(1, y, res.code)
         assert np.max(np.abs(u)) <= 1.0 + 1e-12
 
 
@@ -252,6 +259,24 @@ def test_probe_input_is_bang_bang_and_prefix_stable():
     assert set(np.unique(np.abs(probe))) == {0.3}
     longer = extremal_probe_input(spec, 512, 0.3)
     assert np.array_equal(longer[:256], probe)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_probe_choice_is_greedy(r):
+    """At every step, flipping the chosen sign does not give a larger |u_i|
+    under quantize and reconstruct_state on the prefix, and on a tie the
+    probe keeps +amplitude."""
+    spec = build_quantizer(r)
+    amp = 0.3
+    probe = extremal_probe_input(spec, 64, amp)
+    u = reconstruct_state(r, probe, quantize(spec, probe).code)
+    for i in range(64):
+        flipped = probe[: i + 1].copy()
+        flipped[i] = -flipped[i]
+        alt = reconstruct_state(r, flipped, quantize(spec, flipped).code)[i]
+        assert abs(alt) <= abs(u[i])
+        if abs(alt) == abs(u[i]):
+            assert probe[i] == amp
 
 
 def test_probe_argument_errors():

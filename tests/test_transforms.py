@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from csq.errors import InputError, ParameterError, ShapeError
-from csq.pipeline import build_model, project_dataset
+from csq.pipeline import build_model
 from csq.transforms import (
     Projection,
     SparseGaussianMatrix,
@@ -230,7 +230,7 @@ def test_fjlt_batch_matches_single():
     op = model.operator
     rng = np.random.default_rng(11)
     xs = rng.standard_normal((6, 20))
-    got = project_dataset(model, xs)
+    got = model.operator.apply(xs)
     assert got.shape == (6, model.m)
     for i in range(6):
         assert np.array_equal(got[i], op.apply(xs[i][None, :])[0])
@@ -294,13 +294,6 @@ def test_recommended_sparsity_fjlt_log_factor():
     base = recommended_sparsity(16384, 0.1, 1.0 / 256.0, 1.0, False)
     fast = recommended_sparsity(16384, 0.1, 1.0 / 256.0, 1.0, True)
     assert fast == pytest.approx(base * math.log(16384.0))
-
-
-def test_recommended_sparsity_multiplier_scales_linearly():
-    base = recommended_sparsity(16384, 0.1, 1.0 / 256.0, 1.0, False)
-    assert recommended_sparsity(
-        16384, 0.1, 1.0 / 256.0, 1.0, False, multiplier=3.0
-    ) == pytest.approx(3.0 * base)
 
 
 def test_recommended_sparsity_rejects_bad_eps():
