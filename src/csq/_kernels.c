@@ -54,38 +54,31 @@ static void butterflies(double *restrict x, int64_t rows, int64_t h)
 }
 
 /*
- * Copy t <= TILE point-major rows x (t, n) into one tile and return 1 if
- * any of them is not finite, else 0. With signs == NULL the values are
- * copied as they are (n_pad must equal n) and nothing else happens.
+ * Copy t <= TILE point-major rows x (t, n) into one tile. The rows are
+ * finite: a Dataset checks its vectors when it is made. With signs == NULL
+ * the values are copied as they are (n_pad must equal n) and nothing else
+ * happens.
  * Otherwise, as Projection.precondition and fwht_inplace: feature f
  * becomes x * signs[f], the padding features 0.0 * signs[f], and every
  * point goes through the butterfly stages h = 1, 2, 4, ..., n_pad / 2
  * (see butterflies), followed by one multiplication by scale
  * (1/sqrt(n_pad)).
  */
-static int precondition_tile(const double *restrict x, int64_t t, int64_t n,
-                             const double *restrict signs, int64_t n_pad,
-                             double scale, double *restrict tile)
+static void precondition_tile(const double *restrict x, int64_t t, int64_t n,
+                              const double *restrict signs, int64_t n_pad,
+                              double scale, double *restrict tile)
 {
-    double check[TILE];
-    for (int j = 0; j < TILE; j++)
-        check[j] = 0.0;
     for (int64_t f = 0; f < n; f++) {
         double *dst = tile + f * TILE;
         for (int64_t j = 0; j < t; j++) {
             const double v = x[j * n + f];
-            /* v - v is 0.0 for finite v and NaN otherwise. */
-            check[j] += v - v;
             dst[j] = signs ? v * signs[f] : v;
         }
         for (int64_t j = t; j < TILE; j++)
             dst[j] = 0.0;
     }
-    int bad = 0;
-    for (int j = 0; j < TILE; j++)
-        bad |= check[j] != 0.0;
     if (!signs)
-        return bad;
+        return;
     for (int64_t f = n; f < n_pad; f++)
         for (int j = 0; j < TILE; j++)
             tile[f * TILE + j] = 0.0 * signs[f];
@@ -102,7 +95,6 @@ static int precondition_tile(const double *restrict x, int64_t t, int64_t n,
         butterflies(tile, n_pad, h);
     for (int64_t e = 0; e < n_pad * TILE; e++)
         tile[e] *= scale;
-    return bad;
 }
 
 /*
@@ -192,17 +184,15 @@ static void quantize_tile(const double *restrict y, int64_t m, int64_t t,
 }
 
 /* precondition_tile over a block of b points x (b, n); out is tiled. */
-int csq_precondition(const double *x, int64_t b, int64_t n,
-                     const double *signs, int64_t n_pad, double scale,
-                     double *out)
+void csq_precondition(const double *x, int64_t b, int64_t n,
+                      const double *signs, int64_t n_pad, double scale,
+                      double *out)
 {
-    int bad = 0;
     for (int64_t p0 = 0; p0 < b; p0 += TILE) {
         const int64_t t = b - p0 < TILE ? b - p0 : TILE;
-        bad |= precondition_tile(x + p0 * n, t, n, signs, n_pad, scale,
-                                 out + p0 * n_pad);
+        precondition_tile(x + p0 * n, t, n, signs, n_pad, scale,
+                          out + p0 * n_pad);
     }
-    return bad;
 }
 
 /* project_tile over a tiled block x of b points; out is tiled. */
@@ -259,31 +249,29 @@ static void condense_tile(const int8_t *restrict codes, int64_t m, int64_t t,
  * Embed b points x (b, n), one tile at a time: precondition, project,
  * quantize, condense and pack, each as its function above describes.
  * entries (b, m / lam) and bits (b, ceil(m / 8)) get one row per point,
- * peaks (b) the largest |projection| of each point. scratch holds
+ * peaks (b) the largest |projection| of each point, NaN or inf where the
+ * projections of a point overflowed. scratch holds
  * (n_pad + m + reach + 1) * TILE doubles followed by m * TILE bytes.
- * Returns 1 if some input is not finite, else 0.
  */
-int csq_embed_block(const double *x, int64_t b, int64_t n,
-                    const double *signs, int64_t n_pad, double scale,
-                    const int64_t *offsets, const int64_t *cols,
-                    const double *vals, int64_t m, const int64_t *pos,
-                    const double *w, int64_t r, const int64_t *kernel,
-                    int64_t lam, double *scratch, int64_t *entries,
-                    uint8_t *bits, double *peaks)
+void csq_embed_block(const double *x, int64_t b, int64_t n,
+                     const double *signs, int64_t n_pad, double scale,
+                     const int64_t *offsets, const int64_t *cols,
+                     const double *vals, int64_t m, const int64_t *pos,
+                     const double *w, int64_t r, const int64_t *kernel,
+                     int64_t lam, double *scratch, int64_t *entries,
+                     uint8_t *bits, double *peaks)
 {
     const int64_t len = pos[r - 1] + 1;
     double *xt = scratch, *yt = xt + n_pad * TILE, *ring = yt + m * TILE;
     int8_t *codes = (int8_t *)(ring + len * TILE);
-    int bad = 0;
     for (int64_t p0 = 0; p0 < b; p0 += TILE) {
         const int64_t t = b - p0 < TILE ? b - p0 : TILE;
-        bad |= precondition_tile(x + p0 * n, t, n, signs, n_pad, scale, xt);
+        precondition_tile(x + p0 * n, t, n, signs, n_pad, scale, xt);
         project_tile(offsets, cols, vals, m, xt, yt);
         quantize_tile(yt, m, t, pos, w, r, ring, codes, TILE, peaks + p0);
         condense_tile(codes, m, t, kernel, lam, entries + p0 * (m / lam),
                       bits + p0 * ((m + 7) / 8));
     }
-    return bad;
 }
 
 /*
@@ -306,8 +294,9 @@ int csq_embed_block(const double *x, int64_t b, int64_t n,
             for (int64_t j = i + 1; j < k; j++) {                            \
                 const T *restrict b = rows + j * p;                          \
                 uint64_t total = 0;                                          \
-                for (int64_t e0 = 0; e0 < p; e0 += CHUNK_E) {                \
-                    const int64_t e1 = p - e0 < CHUNK_E ? p : e0 + CHUNK_E;  \
+                for (int64_t e0 = 0; e0 < p; e0 += (CHUNK_E)) {              \
+                    const int64_t e1 =                                       \
+                        p - e0 < (CHUNK_E) ? p : e0 + (CHUNK_E);             \
                     A acc = 0;                                               \
                     for (int64_t e = e0; e < e1; e++) {                      \
                         const T hi = a[e] > b[e] ? a[e] : b[e];              \

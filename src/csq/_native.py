@@ -28,11 +28,8 @@ import os
 import platform
 import shutil
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
-
-from .errors import ShapeError
 
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
@@ -51,11 +48,11 @@ L1_KERNELS = {
     np.dtype(np.int64): "csq_l1_pairs_i64",
 }
 _SIGNATURES = {
-    "csq_precondition": (ctypes.c_int, [_ptr, _i64, _i64, _ptr, _i64, _f64, _ptr]),
+    "csq_precondition": (None, [_ptr, _i64, _i64, _ptr, _i64, _f64, _ptr]),
     "csq_project": (None, [_ptr, _ptr, _ptr, _i64, _ptr, _i64, _i64, _ptr]),
     "csq_quantize": (None, [_ptr, _i64, _i64, _ptr, _ptr, _i64, _ptr, _ptr, _ptr]),
     "csq_embed_block": (
-        ctypes.c_int,
+        None,
         [_ptr, _i64, _i64, _ptr, _i64, _f64, _ptr, _ptr, _ptr, _i64, _ptr, _ptr,
          _i64, _ptr, _i64, _ptr, _ptr, _ptr, _ptr],
     ),
@@ -91,36 +88,6 @@ def cache_dir() -> Path:
     return Path(base) / "csq"
 
 
-class Csr(NamedTuple):
-    """A sparse matrix's CSR arrays, checked for :meth:`Kernels.project`."""
-
-    rows: int
-    n_cols: int
-    offsets: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-
-
-def checked_csr(matrix) -> Csr:
-    """The CSR arrays of a :class:`csq.transforms.SparseGaussianMatrix` as
-    contiguous int64/float64, after checking every bound the kernel relies
-    on: offsets rise from 0 to nnz and every column lies in range."""
-    offsets = np.ascontiguousarray(matrix.row_offsets, dtype=np.int64)
-    cols = np.ascontiguousarray(matrix.col_indices, dtype=np.int64)
-    vals = np.ascontiguousarray(matrix.values, dtype=np.float64)
-    nnz = cols.size
-    if (
-        offsets.shape != (matrix.rows + 1,)
-        or offsets[0] != 0
-        or offsets[-1] != nnz
-        or vals.shape != (nnz,)
-        or np.any(np.diff(offsets) < 0)
-        or (nnz and (cols.min() < 0 or cols.max() >= matrix.cols))
-    ):
-        raise ShapeError("sparse matrix arrays are not a valid CSR layout")
-    return Csr(matrix.rows, matrix.cols, offsets, cols, vals)
-
-
 def _taps(quantizer) -> tuple[np.ndarray, np.ndarray]:
     """A :class:`csq.sigma_delta.QuantizerSpec`'s tap positions and weights
     as the kernels take them."""
@@ -141,6 +108,12 @@ class Kernels:
     """Typed entry points into the loaded library; each checks its buffers
     before passing pointers. ctypes releases the GIL during every call.
 
+    The embed kernels take what the package's types have checked when they
+    were made: finite input rows (a :class:`csq.pipeline.Dataset`) and the
+    CSR arrays of a :class:`csq.transforms.SparseGaussianMatrix` (read-only
+    C-ordered int64/float64, offsets rising from 0 to nnz, every column in
+    range), which they read in place.
+
     :meth:`embed_block` is the embed path; :meth:`precondition`,
     :meth:`project` and :meth:`quantize` run one stage each, so that every
     kernel can be compared with its numpy counterpart on its own.
@@ -158,29 +131,28 @@ class Kernels:
         """Doubles in a tiled block of b points (see ``_kernels.c``)."""
         return -(-b // TILE) * TILE * n_pad
 
-    def precondition(self, x, signs, n_pad, scale, out) -> bool:
+    def precondition(self, x, signs, n_pad, scale, out) -> None:
         """Tile the rows of x (b, n), optionally padding, sign-flipping and
-        transforming them; False when some input is not finite."""
+        transforming them."""
         b, n = x.shape
         if n > n_pad or (signs is None and n_pad != n):
             raise ValueError("block dimensions disagree")
-        bad = self._lib.csq_precondition(
+        self._lib.csq_precondition(
             _check(x, np.float64, b * n), b, n,
             None if signs is None else _check(signs, np.float64, n_pad),
             n_pad, scale,
             _check(out, np.float64, self.tiled_size(b, n_pad)),
         )
-        return bad == 0
 
-    def project(self, csr: Csr, x, b, out) -> None:
-        """The matrix applied to the tiled block x of b points, written
-        tiled into out."""
+    def project(self, matrix, x, b, out) -> None:
+        """The sparse matrix applied to the tiled block x of b points,
+        written tiled into out."""
         self._lib.csq_project(
-            csr.offsets.ctypes.data, csr.cols.ctypes.data, csr.vals.ctypes.data,
-            csr.rows,
-            _check(x, np.float64, self.tiled_size(b, csr.n_cols)),
-            csr.n_cols, b,
-            _check(out, np.float64, self.tiled_size(b, csr.rows)),
+            matrix.row_offsets.ctypes.data, matrix.col_indices.ctypes.data,
+            matrix.values.ctypes.data, matrix.rows,
+            _check(x, np.float64, self.tiled_size(b, matrix.cols)),
+            matrix.cols, b,
+            _check(out, np.float64, self.tiled_size(b, matrix.rows)),
         )
 
     def quantize(self, y, quantizer, ring, codes, peaks) -> None:
@@ -202,38 +174,37 @@ class Kernels:
         return (n_pad + m + reach + 1) * TILE + -(-m * TILE // 8)
 
     def embed_block(
-        self, x, signs, scale, csr: Csr, quantizer, kernel, scratch,
+        self, x, signs, scale, matrix, quantizer, kernel, scratch,
         entries, bits, peaks,
-    ) -> bool:
+    ) -> None:
         """Embed the rows of x (b, n): ``entries`` (b, p) and ``bits``
         (b, ceil(m/8)) get the condensed sketches and packed codes the
         numpy stages give, and ``peaks`` (b) each point's largest
-        |projection|. False when some input is not finite."""
+        |projection|, not finite where the projections overflowed."""
         b, n = x.shape
-        m, lam = csr.rows, kernel.size
+        n_pad, m, lam = matrix.cols, matrix.rows, kernel.size
         positions, weights = _taps(quantizer)
         if (
-            n > csr.n_cols
-            or (signs is None and csr.n_cols != n)
+            n > n_pad
+            or (signs is None and n_pad != n)
             or m % lam
             or entries.shape != (b, m // lam)
             or bits.shape != (b, (m + 7) // 8)
         ):
             raise ValueError("block dimensions disagree")
-        bad = self._lib.csq_embed_block(
+        self._lib.csq_embed_block(
             _check(x, np.float64, b * n), b, n,
-            None if signs is None else _check(signs, np.float64, csr.n_cols),
-            csr.n_cols, scale,
-            csr.offsets.ctypes.data, csr.cols.ctypes.data, csr.vals.ctypes.data,
-            m,
+            None if signs is None else _check(signs, np.float64, n_pad),
+            n_pad, scale,
+            matrix.row_offsets.ctypes.data, matrix.col_indices.ctypes.data,
+            matrix.values.ctypes.data, m,
             positions.ctypes.data, weights.ctypes.data, positions.size,
             _check(kernel, np.int64, lam), lam,
-            _check(scratch, np.float64, self.scratch_size(csr.n_cols, m, quantizer.reach)),
+            _check(scratch, np.float64, self.scratch_size(n_pad, m, quantizer.reach)),
             _check(entries, np.int64, entries.size),
             _check(bits, np.uint8, bits.size),
             _check(peaks, np.float64, b),
         )
-        return bad == 0
 
     def l1_pairs(self, rows, start: int, stop: int, sums) -> None:
         """The l1 sums of rows start..stop-1 of the C-ordered (k, p) matrix

@@ -61,8 +61,7 @@ def synth_wellspread(n: int, k: int, generator: str, seed) -> Dataset:
             g = rng.standard_normal(n)
             norm = np.linalg.norm(g)
             vectors[i] = g / norm
-    norms = np.linalg.norm(vectors, axis=1)
-    return Dataset(vectors=vectors, kappa=float(norms.max()))
+    return Dataset(vectors)
 
 
 def mape(estimates: np.ndarray, truths: np.ndarray) -> float:
@@ -101,7 +100,6 @@ class BenchConfig:
     generator: str = "signflat"
     sigma: int = 6
     mu: float = 0.95
-    include_reference: bool = True
 
     def validate(self) -> None:
         if self.n < 1:
@@ -206,7 +204,7 @@ def run_mape_bench(cfg: BenchConfig) -> list[BenchCell]:
     is used and recorded in ``m_actual``.
     """
     cfg.validate()
-    orders = sorted(set(cfg.r_list)) + ([0] if cfg.include_reference else [])
+    orders = sorted(set(cfg.r_list)) + [0]
     return [_cell(cfg, r, p, m) for r in orders for p in cfg.p_list for m in cfg.m_list]
 
 

@@ -1,11 +1,11 @@
 """Command-line interface: embed datasets, query distances, run benchmarks.
 
-Exit codes: 0 on success, 2 for usage, parameter and file-format problems,
-141 (128 + SIGPIPE) when the reader of standard output goes away, as in
-``csq query --all-pairs | head``, and 1 for anything unexpected. All
-output files are pure functions of the flags and the seed; wall-clock
-milliseconds appear only in diagnostics and in the benchmark CSV's wall_ms
-column.
+Exit codes: 0 on success, 2 for usage, parameter and file-format problems
+and for files that cannot be read or written, 141 (128 + SIGPIPE) when the
+reader of standard output goes away, as in ``csq query --all-pairs |
+head``, and 1 for anything unexpected. All output files are pure functions
+of the flags and the seed; wall-clock milliseconds appear only in
+diagnostics and in the benchmark CSV's wall_ms column.
 """
 
 from __future__ import annotations
@@ -337,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

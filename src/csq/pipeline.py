@@ -59,20 +59,73 @@ _BLOCK = 512
 
 METHODS = ("sparse", "fjlt")
 
+_OVERFLOW = (
+    "the projections overflowed: the input is too large to embed; "
+    "scale the dataset (see kappa_bound)"
+)
 
-@dataclass
+
+def _row_blocks(matrix: np.ndarray):
+    """``(lo, block)`` for C-ordered float64 copies of about 2 MiB of rows
+    of the (k, n) ``matrix`` at a time, so no (k, n) temporary is made."""
+    k, n = matrix.shape
+    step = max(1, (1 << 18) // max(n, 1))
+    for lo in range(0, k, step):
+        yield lo, np.ascontiguousarray(matrix[lo : lo + step], dtype=np.float64)
+
+
+def _finite_row_norms(matrix: np.ndarray) -> np.ndarray:
+    """Row l2 norms, bit for bit as ``np.linalg.norm(axis=1)`` gives them
+    for the C-ordered float64 matrix whatever the layout of ``matrix``,
+    checking every entry finite on the way."""
+    norms = np.empty(matrix.shape[0])
+    for lo, block in _row_blocks(matrix):
+        if not np.isfinite(block).all():
+            raise InputError("dataset entries must be finite")
+        norms[lo : lo + len(block)] = np.sqrt(np.add.reduce(block * block, axis=1))
+    return norms
+
+
+def _row_peaks(matrix: np.ndarray) -> np.ndarray:
+    """Each row's largest |entry| (0.0 for an empty row)."""
+    peaks = np.empty(matrix.shape[0])
+    for lo, block in _row_blocks(matrix):
+        np.abs(block).max(axis=1, out=peaks[lo : lo + len(block)], initial=0.0)
+    return peaks
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """k vectors of dimension n plus bookkeeping about applied scaling.
+    """k finite vectors of dimension n, their norms, and bookkeeping about
+    applied scaling.
 
-    ``k`` and ``n`` are read from the shape of the (k, n) ``vectors``.
-    ``scale_applied`` is the multiplier that produced ``vectors`` from the
-    user's original data (1.0 when nothing was rescaled); ``kappa`` is the
-    radius of the l2 ball the vectors are known to lie in.
+    Checked when made: ``vectors`` becomes a read-only float64 (k, n) view
+    of the given matrix (float64 input is not copied), every entry must be
+    finite, and ``norms`` holds the row l2 norms from that same pass, bit
+    for bit as ``np.linalg.norm(axis=1)`` gives them. ``k`` and ``n`` are
+    read from the shape. ``scale_applied`` is the multiplier that produced
+    ``vectors`` from the user's original data (1.0 when nothing was
+    rescaled); ``kappa`` is the radius of the l2 ball the vectors are known
+    to lie in, by default the largest norm. Since the matrix is viewed, not
+    copied, the caller must not change it through another name afterwards.
     """
 
     vectors: np.ndarray
     scale_applied: float = 1.0
-    kappa: float = 0.0
+    kappa: float | None = None
+    norms: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        vectors = np.asarray(self.vectors, dtype=np.float64).view()
+        if vectors.ndim != 2:
+            raise ShapeError("expected a (k, n) matrix")
+        vectors.flags.writeable = False
+        norms = _finite_row_norms(vectors)
+        norms.flags.writeable = False
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "norms", norms)
+        if self.kappa is None:
+            object.__setattr__(self, "kappa", float(norms.max(initial=0.0)))
 
     @property
     def k(self) -> int:
@@ -82,34 +135,14 @@ class Dataset:
     def n(self) -> int:
         return self.vectors.shape[1]
 
-
-def _finite_row_norms(
-    matrix: np.ndarray, peaks: np.ndarray | None = None
-) -> np.ndarray:
-    """Row l2 norms, bit for bit as ``np.linalg.norm(axis=1)`` gives them
-    for the C-ordered float64 matrix whatever the layout of ``matrix``,
-    computed (and checked finite) one block of about 2 MiB of rows at a
-    time, so no (k, n) temporary is made. ``peaks``, when given, gets each
-    row's largest |entry| from the same blocks."""
-    k, n = matrix.shape
-    norms = np.empty(k)
-    step = max(1, (1 << 18) // max(n, 1))
-    for lo in range(0, k, step):
-        block = np.ascontiguousarray(matrix[lo : lo + step], dtype=np.float64)
-        if not np.isfinite(block).all():
-            raise InputError("dataset entries must be finite")
-        norms[lo : lo + step] = np.sqrt(np.add.reduce(block * block, axis=1))
-        if peaks is not None:
-            np.abs(block).max(axis=1, out=peaks[lo : lo + step], initial=0.0)
-    return norms
+    @cached_property
+    def peaks(self) -> np.ndarray:
+        """Each row's largest |entry|, computed blockwise when first read."""
+        return _row_peaks(self.vectors)
 
 
-def dataset_from_matrix(matrix: np.ndarray) -> Dataset:
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ShapeError("expected a (k, n) matrix")
-    kappa = float(_finite_row_norms(matrix).max(initial=0.0))
-    return Dataset(vectors=matrix, kappa=kappa)
+# The library's name for making a checked dataset from a (k, n) matrix.
+dataset_from_matrix = Dataset
 
 
 def kappa_bound(mu: float, beta: float, m: int) -> float:
@@ -130,15 +163,11 @@ def scale_dataset(raw: np.ndarray, kappa: float) -> Dataset:
     """Rescale so the largest l2 norm equals ``kappa``; remember the factor."""
     if kappa <= 0.0:
         raise ParameterError("kappa must be positive")
-    base = dataset_from_matrix(raw)
+    base = Dataset(raw)
     if base.k == 0 or base.kappa == 0.0:
         raise DegenerateInputError("cannot scale an empty or all-zero dataset")
     multiplier = kappa / base.kappa
-    return Dataset(
-        vectors=base.vectors * multiplier,
-        scale_applied=multiplier,
-        kappa=kappa,
-    )
+    return Dataset(base.vectors * multiplier, scale_applied=multiplier, kappa=kappa)
 
 
 @dataclass(frozen=True)
@@ -166,7 +195,9 @@ class EmbeddingModel:
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
-            raise ParameterError(f"unknown method {self.method!r}")
+            raise ParameterError(f"method must be one of {METHODS}")
+        if self.n < 1:
+            raise ParameterError("n must be positive")
         if self.quantizer.order != self.condensation.r:
             raise ParameterError("quantizer order disagrees with condensation r")
         if not (0.0 < self.sparsity <= 1.0):
@@ -235,10 +266,6 @@ def build_model(
     ``(||v||_inf/||v||_2)**2`` ratio and the heuristic accuracy target
     ``eps = p**-0.5`` into :func:`csq.transforms.recommended_sparsity`.
     """
-    if method not in METHODS:
-        raise ParameterError(f"method must be one of {METHODS}")
-    if n < 1:
-        raise ParameterError("n must be positive")
     matrix_seed, diagonal_seed = derive_seeds(seed)
     model = EmbeddingModel(
         method=method,
@@ -292,8 +319,13 @@ class EmbedResult:
 
 def _embed_numpy(model: EmbeddingModel, vectors: np.ndarray):
     """(entries, packed codes, amplitude violations) of every point at once."""
-    projections = model.operator.apply(vectors)
-    quant = quantize_batch(model.quantizer, projections)
+    try:
+        projections = model.operator.apply(vectors)
+        quant = quantize_batch(model.quantizer, projections)
+    except InputError as exc:
+        # The vectors are finite, so the transform or the projection
+        # overflowed.
+        raise InputError(_OVERFLOW) from exc
     entries = condense_signs_batch(model.condensation, quant.codes)
     bits = Codes.from_signs(quant.codes).bits
     return entries, bits, quant.amplitude_violations
@@ -309,11 +341,8 @@ def _embed_blocks(kern, model: EmbeddingModel, vectors: np.ndarray, workers: int
     floating-point operations as the numpy ones, so it equals
     :func:`_embed_numpy` bit for bit.
     """
-    from . import _native
-
     op = model.operator
     matrix, signs = op.matrix, op.signs
-    csr = _native.checked_csr(matrix)
     n_pad, m = matrix.cols, matrix.rows
     # The scale fwht_inplace applies.
     scale = 1.0 / math.sqrt(n_pad)
@@ -336,13 +365,12 @@ def _embed_blocks(kern, model: EmbeddingModel, vectors: np.ndarray, workers: int
         scratch, peaks = buffers[first]
         for lo in starts[first::workers]:
             hi = min(lo + _BLOCK, k)
-            if not kern.embed_block(
-                vectors[lo:hi], signs, scale, csr, spec, kernel, scratch,
+            kern.embed_block(
+                vectors[lo:hi], signs, scale, matrix, spec, kernel, scratch,
                 entries[lo:hi], bits[lo:hi], peaks,
-            ):
-                raise InputError("input vectors must be finite")
+            )
             if not np.all(np.isfinite(peaks[: hi - lo])):
-                raise InputError("input must be finite")
+                raise InputError(_OVERFLOW)
             violations[lo:hi] = peaks[: hi - lo] > spec.mu
 
     if workers == 1:
@@ -371,12 +399,10 @@ def embed_dataset(model: EmbeddingModel, data: Dataset) -> EmbedResult:
     k = data.k
     wellspread_failures = np.zeros(k, dtype=bool)
     if model.method == "sparse" and k:
-        peaks = np.empty(k)
-        norms = _finite_row_norms(data.vectors, peaks)
         threshold = model.wellspread_const / math.sqrt(model.n)
         # The tiny slack keeps exact-boundary points (norm computed with
         # rounding) from being flagged.
-        wellspread_failures = peaks > threshold * norms * (1.0 + 1e-9)
+        wellspread_failures = data.peaks > threshold * data.norms * (1.0 + 1e-9)
         if wellspread_failures.any():
             warnings.warn(
                 f"{int(wellspread_failures.sum())} of {k} points are not "

@@ -43,7 +43,7 @@ from .condense import (
     pack_rows,
     unpack_rows,
 )
-from .errors import CorruptionError, CsqError, FormatError, InputError
+from .errors import CorruptionError, CsqError, FormatError
 from .pipeline import Dataset, EmbeddingModel
 from .sigma_delta import build_quantizer
 from .transforms import Projection, SparseGaussianMatrix
@@ -136,8 +136,6 @@ def _check_header(reader: _Reader, magic: bytes) -> None:
 
 
 def write_vectors(path, dataset: Dataset) -> None:
-    if not np.all(np.isfinite(dataset.vectors)):
-        raise InputError("refusing to write non-finite vectors")
     with open(path, "wb") as fh:
         fh.write(MAGIC_VECTORS)
         fh.write(struct.pack("<IQQ", FILE_VERSION, dataset.k, dataset.n))
@@ -165,10 +163,7 @@ def _read_vectors_csv(data: bytes, path: str) -> Dataset:
     width = len(rows[0])
     if any(len(row) != width for row in rows):
         raise FormatError(f"{path}: ragged CSV rows")
-    matrix = np.asarray(rows, dtype=np.float64)
-    from .pipeline import dataset_from_matrix
-
-    return dataset_from_matrix(matrix)
+    return Dataset(np.asarray(rows, dtype=np.float64))
 
 
 def read_vectors(path) -> Dataset:
@@ -189,9 +184,7 @@ def read_vectors(path) -> Dataset:
         if 8 * n > _MAX_ROW_BYTES:
             raise FormatError(f"{path}: vector dimension n={n} is too large")
         vectors = _read_rows(fh, path, (k, n), "f8")
-    from .pipeline import dataset_from_matrix
-
-    return dataset_from_matrix(vectors)
+    return Dataset(vectors)
 
 
 def write_model(path, model: EmbeddingModel, explicit: bool = False) -> None:

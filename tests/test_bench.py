@@ -174,38 +174,27 @@ def test_reference_rows_beat_quantized_rows(small_bench):
         assert ref.mape <= one.mape
 
 
-def test_include_reference_flag():
-    cfg = BenchConfig(
-        n=64, k=4, p_list=[4], m_list=[16], r_list=[1], trials=1, seed=7,
-        include_reference=False,
-    )
-    cells = run_mape_bench(cfg)
-    assert all(c.r != 0 for c in cells)
-
-
 def test_curve_rows_and_best_p():
     cfg = BenchConfig(
         n=64, k=6, p_list=[4, 8], m_list=[32], r_list=[1], trials=1, seed=1,
-        include_reference=False,
     )
     cells = run_mape_bench(cfg)
     rows = curve_rows(cells)
     assert all(len(t) == 5 for t in rows)
     best = best_p_per_m(cells)
-    assert len(best) == 1
-    r, m, p = best[0]
-    assert (r, m) == (1, 32) and p in (4, 8)
+    assert [(r, m) for r, m, _ in best] == [(0, 32), (1, 32)]
+    assert all(p in (4, 8) for _, _, p in best)
 
 
 def test_mape_improves_with_more_measurements():
     """Longer codes should sharpen distance estimates on the same data."""
     cfg = BenchConfig(
         n=128, k=16, p_list=[8], m_list=[32, 512], r_list=[1], trials=3,
-        seed=1001, mu=0.5, include_reference=False,
+        seed=1001, mu=0.5,
     )
     cells = run_mape_bench(cfg)
-    small = next(c for c in cells if c.m_requested == 32)
-    large = next(c for c in cells if c.m_requested == 512)
+    small = next(c for c in cells if c.r == 1 and c.m_requested == 32)
+    large = next(c for c in cells if c.r == 1 and c.m_requested == 512)
     assert large.mape < small.mape
 
 

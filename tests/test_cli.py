@@ -103,6 +103,23 @@ def test_embed_bad_parameter_reports_kind(tmp_path, capsys):
     assert err.startswith("parameter error:")
 
 
+def test_embed_of_non_finite_input_reports_input_error(tmp_path, capsys):
+    inp = tmp_path / "points.csv"
+    inp.write_text("0.01,0.02\n-0.02,nan\n")
+    rc = main(_embed_argv(inp, tmp_path))
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_embed_to_an_unwritable_path_reports_file_error(tmp_path, capsys):
+    inp, _ = _make_dataset(tmp_path)
+    argv = _embed_argv(inp, tmp_path)
+    argv[argv.index("--out-model") + 1] = str(tmp_path / "absent" / "a.csqm")
+    rc = main(argv)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("file error:")
+
+
 @pytest.fixture()
 def embedded(tmp_path):
     inp, data = _make_dataset(tmp_path)
@@ -124,6 +141,18 @@ def test_query_pair_prints_repr_estimate(embedded, capsys):
     assert rc == 0
     want = pipeline.estimate_distance(model, condensed[0], condensed[1])
     assert out == repr(want) + "\n"
+
+
+def test_query_to_an_unwritable_path_reports_file_error(embedded, capsys):
+    tmp_path, _, _ = embedded
+    capsys.readouterr()
+    rc = main([
+        "query", "--model", str(tmp_path / "model.csqm"),
+        "--condensed", str(tmp_path / "cond.csqd"),
+        "--pair", "0", "1", "--out", str(tmp_path / "absent" / "p.csv"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("file error:")
 
 
 def test_query_all_pairs_header_and_file_output(embedded, capsys):
@@ -252,6 +281,15 @@ def test_bench_mape_writes_curve_csv(tmp_path, capsys):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g[:4] == w[:4]  # wall_ms is timing noise, skip it
+
+
+def test_bench_mape_to_an_unwritable_path_reports_file_error(tmp_path, capsys):
+    rc = main([
+        "bench", "mape", "--n", "8", "--k", "3", "--p", "2", "--m-list", "4",
+        "--r-list", "1", "--trials", "1", "--out", str(tmp_path / "absent" / "x.csv"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("file error:")
 
 
 def test_bench_stability_writes_csv(tmp_path, capsys):

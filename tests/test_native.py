@@ -59,6 +59,18 @@ def test_kernel_source_ships_with_the_package():
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler 'cc' on PATH")
+def test_kernels_compile_without_warnings(tmp_path):
+    src = tmp_path / "_kernels.c"
+    src.write_bytes(_native.source())
+    flags = (*_native.FLAGS, "-Wall", "-Wextra", "-Werror")
+    proc = subprocess.run(
+        ["cc", *flags, "-o", str(tmp_path / "kernels.so"), str(src)],
+        capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler 'cc' on PATH")
 def test_native_path_is_active_when_cc_is_on_path(reference, capsys, tmp_path):
     res = _embed()
     assert res.diagnostics.kernels == "native", res.diagnostics.kernels_note

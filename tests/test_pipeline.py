@@ -21,6 +21,7 @@ from csq.pipeline import (
     Dataset,
     EmbeddingModel,
     _finite_row_norms,
+    _row_peaks,
     build_model,
     dataset_from_matrix,
     derive_seeds,
@@ -51,6 +52,23 @@ def test_dataset_states_its_shape_once():
     assert (ds.k, ds.n) == (3, 16)
     with pytest.raises(TypeError):
         Dataset(k=5, n=16, vectors=np.zeros((3, 16)))
+
+
+def test_dataset_is_a_checked_read_only_view():
+    x = np.random.default_rng(1).standard_normal((5, 7))
+    ds = Dataset(x)
+    assert np.shares_memory(ds.vectors, x) and x.flags.writeable
+    assert np.array_equal(ds.norms, _finite_row_norms(x))
+    assert ds.kappa == ds.norms.max()
+    assert Dataset(x, kappa=2.0).kappa == 2.0
+    for array in (ds.vectors, ds.norms):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    for name in ("vectors", "scale_applied", "kappa", "norms"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ds, name, None)
+    with pytest.raises(ShapeError):
+        Dataset(np.zeros(3))
 
 
 def test_dataset_from_matrix_records_extent():
@@ -97,9 +115,7 @@ def test_row_peaks_match_numpy_exactly():
     x[7] = -0.0
     x[9, 4] = -50.0
     for layout in (x, np.asfortranarray(x)):
-        peaks = np.full(300, np.nan)
-        _finite_row_norms(layout, peaks)
-        assert np.array_equal(peaks, np.abs(x).max(axis=1))
+        assert np.array_equal(_row_peaks(layout), np.abs(x).max(axis=1))
 
 
 def test_sparse_embed_well_spread_check_makes_no_full_size_temporary():
@@ -118,6 +134,29 @@ def test_sparse_embed_well_spread_check_makes_no_full_size_temporary():
             tracemalloc.stop()
     assert res.diagnostics.wellspread_failures.all()
     assert peak < 8 << 20
+
+
+def test_embed_jobs_read_their_input_once(tmp_path, monkeypatch):
+    """A sparse job from a file makes one finiteness and norm pass (when
+    the dataset is made) and one peaks pass (for the well-spread check);
+    an fjlt job makes no peaks pass."""
+    from csq import pipeline, store
+
+    passes = []
+    for name in ("_finite_row_norms", "_row_peaks"):
+        real = getattr(pipeline, name)
+        monkeypatch.setattr(
+            pipeline, name, lambda m, name=name, real=real: passes.append(name) or real(m)
+        )
+    path = tmp_path / "x.csqv"
+    store.write_vectors(path, flat_dataset(64, 20, 0.1, seed=2))
+    for method, want in (("sparse", ["_finite_row_norms", "_row_peaks"]),
+                         ("fjlt", ["_finite_row_norms"])):
+        passes.clear()
+        data = store.read_vectors(path)
+        embed_dataset(build_model(method, 64, 4, 4, 2, seed=1), data)
+        assert passes == want
+        assert ("peaks" in vars(data)) == (method == "sparse")
 
 
 def test_scale_dataset_puts_points_in_ball():

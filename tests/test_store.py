@@ -21,8 +21,21 @@ from csq.condense import (
     condense,
     condense_signs_batch,
 )
-from csq.errors import CorruptionError, CsqError, FormatError, IncompatibilityError
-from csq.pipeline import EmbeddingModel, build_model, dataset_from_matrix, embed_dataset
+from csq.errors import (
+    CorruptionError,
+    CsqError,
+    FormatError,
+    IncompatibilityError,
+    InputError,
+)
+from csq.pipeline import (
+    Dataset,
+    EmbeddingModel,
+    build_model,
+    dataset_from_matrix,
+    embed_dataset,
+    scale_dataset,
+)
 from csq.store import (
     CURVE_HEADER,
     read_codes,
@@ -54,6 +67,25 @@ def test_vectors_round_trip(tmp_path):
     back = read_vectors(path)
     assert back.k == 5 and back.n == 24
     assert np.array_equal(back.vectors, ds.vectors)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_vectors_are_refused_by_every_reader(tmp_path, bad):
+    """Whichever way the dataset is made: from a matrix, by scaling, or
+    from a CSQV or CSV file."""
+    x = np.full((3, 5), 0.1)
+    x[2, 4] = bad
+    csqv = tmp_path / "x.csqv"
+    csqv.write_bytes(b"CSQV" + struct.pack("<IQQ", 1, 3, 5) + x.astype("<f8").tobytes())
+    csv = tmp_path / "x.csv"
+    csv.write_text("\n".join(",".join(map(repr, row)) for row in x.tolist()) + "\n")
+    makers = (
+        Dataset, dataset_from_matrix, lambda m: scale_dataset(m, 1.0),
+        lambda _: read_vectors(csqv), lambda _: read_vectors(csv),
+    )
+    for make in makers:
+        with pytest.raises(InputError, match="finite"):
+            make(x)
 
 
 def test_vectors_binary_size(tmp_path):
@@ -324,7 +356,9 @@ def test_model_header_default_is_valid(tmp_path):
     assert (tmp_path / "back.csqm").read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("method, n, n_pad", [(0, 4, 8), (1, 5, 5), (1, 5, 16)])
+@pytest.mark.parametrize(
+    "method, n, n_pad", [(0, 4, 8), (1, 5, 5), (1, 5, 16), (0, 0, 0)]
+)
 def test_model_header_n_pad_must_match_the_derived_one(tmp_path, method, n, n_pad):
     path = tmp_path / "model.csqm"
     path.write_bytes(csqm_header(method=method, n=n, n_pad=n_pad))
