@@ -239,15 +239,3 @@ def run_stability_bench(
             rows.append((r, m, peak))
     return rows
 
-
-STABILITY_HEADER = ["r", "m", "max_u_inf"]
-
-
-def write_stability_csv(path, rows: list[tuple[int, int, float]]) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STABILITY_HEADER)
-        for r, m, peak in rows:
-            writer.writerow([r, m, repr(float(peak))])

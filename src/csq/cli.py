@@ -122,7 +122,7 @@ def _cmd_embed(args) -> int:
     t_embed = time.perf_counter()
     store.write_model(args.out_model, model)
     store.write_codes(args.out_codes, result.codes)
-    store.write_condensed(args.out_condensed, result.condensed, model.condensation)
+    store.write_condensed(args.out_condensed, result.condensed)
     t_write = time.perf_counter()
 
     diag = result.diagnostics
@@ -306,7 +306,7 @@ def _cmd_bench_stability(args) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    bench_mod.write_stability_csv(args.out, rows)
+    store.write_stability_csv(args.out, rows)
     for r, m, peak in rows:
         print(f"r={r} m={m} max_u_inf={peak:.6f}")
     print(f"wrote {args.out}")

@@ -17,7 +17,7 @@ as blocks grow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -42,16 +42,20 @@ MAX_BLOCK = 2**14
 
 @dataclass(frozen=True)
 class CondensationSpec:
-    """Frozen geometry of a condensation: kernel, block layout and scaling."""
+    """Frozen geometry of a condensation: kernel, block layout and scaling.
+
+    Specs compare and hash by ``(r, lambda_tilde, p)``; the other fields
+    follow from those three.
+    """
 
     r: int
     lambda_tilde: int
-    lam: int
+    lam: int = field(compare=False)
     p: int
-    m: int
-    kernel: np.ndarray
-    norm_factor: float
-    bit_width: int
+    m: int = field(compare=False)
+    kernel: np.ndarray = field(compare=False)
+    norm_factor: float = field(compare=False)
+    bit_width: int = field(compare=False)
 
     def kernel_inf_over_l2_sq(self) -> float:
         """Squared ratio ||v||_inf / ||v||_2, used to size sparsity upstream."""
@@ -224,6 +228,9 @@ class Sketches(_Rows):
     _row = CondensedCode
 
     def __post_init__(self):
+        nf = self.norm_factor
+        if self.p < 1 or not (math.isfinite(nf) and nf > 0.0):
+            raise ParameterError("p and norm_factor must be positive, norm_factor finite")
         entries = np.asarray(self.entries)
         if entries.ndim != 2 or entries.shape[1] != self.p:
             raise ShapeError(f"expected (k, {self.p}) entries, got {entries.shape}")

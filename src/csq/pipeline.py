@@ -166,6 +166,8 @@ def scale_dataset(raw: np.ndarray, kappa: float) -> Dataset:
     base = Dataset(raw)
     if base.k == 0 or base.kappa == 0.0:
         raise DegenerateInputError("cannot scale an empty or all-zero dataset")
+    if not math.isfinite(base.kappa):
+        raise InputError("the row norms overflow float64; cannot scale the dataset")
     multiplier = kappa / base.kappa
     return Dataset(base.vectors * multiplier, scale_applied=multiplier, kappa=kappa)
 
@@ -473,5 +475,5 @@ def hamming_angular_distance(qa: BinaryCode, qb: BinaryCode) -> float:
     if qa.length == 0:
         raise ParameterError("codes must be nonempty")
     diff = np.bitwise_xor(qa.bits, qb.bits)
-    differing = int(np.unpackbits(diff, count=qa.length).sum())
+    differing = int(np.unpackbits(diff, count=qa.length, bitorder="little").sum())
     return differing / qa.length

@@ -281,7 +281,7 @@ def test_criterion_08_storage_sizes_and_round_trips(tmp_path):
     entries = rng.integers(-peak, peak + 1, size=(k, 16))
     condensed = Sketches.of(spec, entries)
     cond_path = tmp_path / "sketch.csqd"
-    store.write_condensed(cond_path, condensed, spec)
+    store.write_condensed(cond_path, condensed)
     record = math.ceil(16 * spec.bit_width / 8)
     assert cond_path.stat().st_size == 36 + k * record
     back = store.read_condensed(cond_path)

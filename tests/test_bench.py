@@ -5,7 +5,6 @@ import pytest
 
 from csq.bench import (
     BenchConfig,
-    STABILITY_HEADER,
     best_p_per_m,
     curve_rows,
     mape,
@@ -14,9 +13,9 @@ from csq.bench import (
     run_mape_bench,
     run_stability_bench,
     synth_wellspread,
-    write_stability_csv,
 )
 from csq.errors import DegenerateInputError, ParameterError
+from csq.store import STABILITY_HEADER, write_stability_csv
 
 
 # ----------------------------------------------------------- generators

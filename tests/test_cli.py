@@ -369,7 +369,7 @@ def test_query_rejects_sketches_of_another_condensation(
     tmp_path, _, _ = embedded
     other = build_condensation(r, lambda_tilde, p)
     path = tmp_path / "foreign.csqd"
-    store.write_condensed(path, Sketches.of(other, np.zeros((k, p), np.int64)), other)
+    store.write_condensed(path, Sketches.of(other, np.zeros((k, p), np.int64)))
     capsys.readouterr()
     rc = main([
         "query", "--model", str(tmp_path / "model.csqm"),
@@ -501,6 +501,27 @@ def test_embed_output_bytes_are_pinned(tmp_path, capsys, method, r):
     assert got == EMBED_DIGESTS[(method, r)]
 
 
+# sha256 of the CSQM files `store.write_model(..., explicit=True)` writes
+# for fixed models: the header plus the stored matrix (and, for fjlt, the
+# diagonal signs).
+EXPLICIT_MODEL_DIGESTS = {
+    "sparse": "8126c98866946b6a687be1168062c34034b513e529505a39cd3142ff1e00c45f",
+    "fjlt": "ce813e1c718002525957b63a3fa20a03a4524cbac73ab7b189d0af76c65800d6",
+}
+
+
+@pytest.mark.parametrize("method", sorted(EXPLICIT_MODEL_DIGESTS))
+def test_explicit_model_bytes_are_pinned(tmp_path, method):
+    import hashlib
+
+    model = pipeline.build_model(method, n=37, p=8, lambda_tilde=4, r=2, seed=2026)
+    path = tmp_path / "model.csqm"
+    store.write_model(path, model, explicit=True)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == EXPLICIT_MODEL_DIGESTS[method]
+    assert store.read_model(path).operator.matrix.nnz == model.operator.matrix.nnz
+
+
 # sha256 of the CSV `csq query --all-pairs` writes for the sketches of
 # fixed inputs (int16 entries), in scaled and in original units. Both
 # kernel sets, and stdout as well as --out, must give these bytes.
@@ -549,7 +570,7 @@ def test_all_pairs_into_a_closed_pipe_exits_141_quietly(tmp_path):
     peak = spec.lambda_tilde**spec.r
     entries = np.random.default_rng(3).integers(-peak, peak + 1, size=(1000, spec.p))
     store.write_model(tmp_path / "m.csqm", model)
-    store.write_condensed(tmp_path / "d.csqd", Sketches.of(spec, entries), spec)
+    store.write_condensed(tmp_path / "d.csqd", Sketches.of(spec, entries))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.Popen(
         [sys.executable, "-m", "csq.cli", "query", "--model", str(tmp_path / "m.csqm"),

@@ -94,6 +94,14 @@ def test_build_condensation_argument_errors():
         build_condensation(1, 4, 0)
 
 
+def test_specs_compare_and_hash_by_their_parameters():
+    spec = build_condensation(2, 5, 7)
+    assert spec == build_condensation(2, 5, 7)
+    assert hash(spec) == hash(build_condensation(2, 5, 7))
+    for other in ((3, 5, 7), (2, 4, 7), (2, 5, 8)):
+        assert spec != build_condensation(*other)
+
+
 # ------------------------------------------------------ binary codes
 
 
@@ -437,6 +445,16 @@ def test_sketches_reject_bad_entries():
         Sketches.of(spec, np.zeros((3, 2)))
     with pytest.raises(CapacityError):
         Sketches.of(spec, np.full((1, 2), 1 << spec.bit_width))
+
+
+@pytest.mark.parametrize(
+    "p, norm_factor", [(0, 0.5), (2, 0.0), (2, -1.0), (2, math.inf), (2, math.nan)]
+)
+def test_sketches_reject_bad_geometry(p, norm_factor):
+    """The geometry a CSQD header stores is checked where it is held, so
+    write_condensed never writes a file read_condensed refuses."""
+    with pytest.raises(ParameterError):
+        Sketches(p, 10, norm_factor, np.zeros((1, p), dtype=np.int64))
 
 
 def naive_pairwise_l1(rows):

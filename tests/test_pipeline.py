@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from csq.condense import condense_real_batch
+from csq.condense import BinaryCode, condense_real_batch
 from csq.errors import (
     DegenerateInputError,
     IncompatibilityError,
@@ -175,6 +175,14 @@ def test_scale_dataset_rejects_degenerate_input():
         scale_dataset(np.zeros((3, 4)), 1.0)
     with pytest.raises(ParameterError):
         scale_dataset(np.ones((3, 4)), 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_scale_dataset_refuses_overflowing_norms():
+    """Finite rows whose norms overflow cannot be scaled: the multiplier
+    would be 0 and every point the zero vector."""
+    with pytest.raises(InputError, match="overflow"):
+        scale_dataset(np.full((2, 4), 1e200), 1.0)
 
 
 def test_kappa_bound_frozen_value():
@@ -512,6 +520,19 @@ def test_baseline_orthogonal_pairs_near_half():
         sign_msq_baseline_embed(3, 4096, x), sign_msq_baseline_embed(3, 4096, y)
     )
     assert abs(d - 0.5) < 0.05
+
+
+@pytest.mark.parametrize("m", [1, 3, 10, 64])
+def test_hamming_distance_counts_signs_not_padding(m):
+    """Codes of any length, a multiple of 8 or not: identical, every sign
+    flipped, and one sign flipped."""
+    signs = np.where(np.arange(m) % 3 == 0, 1, -1).astype(np.int8)
+    one = signs.copy()
+    one[m // 2] *= -1
+    a, flipped, b = (BinaryCode.from_signs(s) for s in (signs, -signs, one))
+    assert hamming_angular_distance(a, a) == 0.0
+    assert hamming_angular_distance(a, flipped) == 1.0
+    assert hamming_angular_distance(a, b) == 1 / m
 
 
 def test_hamming_distance_requires_equal_lengths():

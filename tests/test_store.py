@@ -25,7 +25,6 @@ from csq.errors import (
     CorruptionError,
     CsqError,
     FormatError,
-    IncompatibilityError,
     InputError,
 )
 from csq.pipeline import (
@@ -396,6 +395,52 @@ def test_model_hostile_sigma_is_refused(tmp_path, r):
         read_model(path)
 
 
+@pytest.mark.parametrize("method", ["sparse", "fjlt"])
+def test_models_compare_and_hash_by_value(tmp_path, method):
+    """Equal parameters give equal models with equal hashes, also after a
+    round trip through a file; another seed gives another model."""
+    make = functools.partial(build_model, method, n=24, p=4, lambda_tilde=3, r=2)
+    model = make(seed=5)
+    assert model == make(seed=5) and hash(model) == hash(make(seed=5))
+    assert model != make(seed=6)
+    write_model(tmp_path / "m.csqm", model)
+    back = read_model(tmp_path / "m.csqm")
+    assert back == model and hash(back) == hash(model)
+
+
+# The explicit section of the default header's model (m=4) with no stored
+# entries, up to its sign count.
+_EMPTY_MATRIX = struct.pack("<Q", 0) + bytes(8 * (4 + 1))
+
+
+@pytest.mark.parametrize(
+    "flag, section",
+    [
+        (0, b""),
+        (1, struct.pack("<Q", 2**61)),
+        (1, struct.pack("<Q", 2**64 - 1)),
+        (1, _EMPTY_MATRIX + struct.pack("<Q", 2**64 - 1)),
+    ],
+    ids=["trailing-junk", "nnz-2^61", "nnz-2^64-1", "sign-count-2^64-1"],
+)
+def test_model_reader_reads_only_what_the_header_declares(tmp_path, flag, section):
+    """A valid CSQM header followed by megabytes it does not declare, or
+    by explicit counts far beyond the file, is refused without reading the
+    rest of the file."""
+    import tracemalloc
+
+    path = tmp_path / "model.csqm"
+    path.write_bytes(csqm_header(flag=flag) + section + bytes(8 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CsqError):
+            read_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @functools.cache
 def _written_models() -> tuple[bytes, ...]:
     """Small valid models of both methods, by seed and explicit."""
@@ -567,7 +612,7 @@ def test_condensed_round_trip_and_size(tmp_path):
     for _ in range(9):
         signs = np.where(rng.random(spec.m) < 0.5, -1, 1).astype(np.int8)
         codes.append(condense(spec, BinaryCode.from_signs(signs)))
-    write_condensed(path, Sketches.of(spec, [code.entries for code in codes]), spec)
+    write_condensed(path, Sketches.of(spec, [code.entries for code in codes]))
     back = read_condensed(path)
     assert isinstance(back, Sketches) and len(back) == 9 and back.p == 16
     for a, b in zip(codes, back):
@@ -582,7 +627,7 @@ def test_condensed_rejects_nonsense_bit_width(tmp_path):
     path = tmp_path / "sk.csqd"
     spec = build_condensation(1, 4, 2)
     code = condense(spec, BinaryCode.from_signs(np.ones(8, dtype=np.int8)))
-    write_condensed(path, Sketches.of(spec, [code.entries]), spec)
+    write_condensed(path, Sketches.of(spec, [code.entries]))
     raw = bytearray(path.read_bytes())
     # bit_width field sits after magic+version+k+p
     off = 4 + 4 + 8 + 8
@@ -596,7 +641,7 @@ def test_condensed_truncation(tmp_path):
     path = tmp_path / "sk.csqd"
     spec = build_condensation(1, 8, 4)
     code = condense(spec, BinaryCode.from_signs(np.ones(spec.m, dtype=np.int8)))
-    write_condensed(path, Sketches.of(spec, [code.entries, code.entries]), spec)
+    write_condensed(path, Sketches.of(spec, [code.entries, code.entries]))
     path.write_bytes(path.read_bytes()[:-2])
     with pytest.raises(CorruptionError):
         read_condensed(path)
@@ -617,17 +662,9 @@ def test_condensed_round_trip_of_non_c_ordered_entries(tmp_path, layout):
     entries = condense_signs_batch(spec, signs)
     sk = Sketches.of(spec, layout(entries))
     assert sk.entries.flags.c_contiguous
-    write_condensed(tmp_path / "sk.csqd", sk, spec)
+    write_condensed(tmp_path / "sk.csqd", sk)
     back = read_condensed(tmp_path / "sk.csqd")
     assert np.array_equal(back.entries, layout(entries))
-
-
-def test_condensed_writer_rejects_foreign_sketches(tmp_path):
-    spec = build_condensation(1, 4, 2)
-    other = build_condensation(1, 5, 2)
-    sk = Sketches.of(other, np.zeros((1, 2), dtype=np.int64))
-    with pytest.raises(IncompatibilityError):
-        write_condensed(tmp_path / "x.csqd", sk, spec)
 
 
 def test_condensed_empty_header_with_huge_p(tmp_path):
@@ -710,6 +747,30 @@ def test_curve_floats_survive_exactly(tmp_path):
     got = read_curve(path)[0]
     assert got[3] == rows[0][3]
     assert got[4] == rows[0][4]
+
+
+_CURVE_HEAD = (",".join(CURVE_HEADER) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        _CURVE_HEAD + b"256,16,1,0.5\n",  # too few fields
+        _CURVE_HEAD + b"256,16,1,0.5,2.0,9\n",  # too many
+        _CURVE_HEAD + b"256,16,one,0.5,2.0\n",  # not a number
+        _CURVE_HEAD + b"256,16,1,0.5,2.0\n\n",  # an empty row
+        _CURVE_HEAD + b"256,16,1,0.5,2\x00\n",  # a NUL byte
+        b"\xff\xfe" + bytes(16),  # not text
+        None,  # no file
+    ],
+    ids=["short", "long", "non-numeric", "empty-row", "nul", "binary", "missing"],
+)
+def test_curve_reader_refuses_malformed_files(tmp_path, raw):
+    path = tmp_path / "curve.csv"
+    if raw is not None:
+        path.write_bytes(raw)
+    with pytest.raises(FormatError):
+        read_curve(path)
 
 
 def test_curve_header_is_checked(tmp_path):
