@@ -1,13 +1,17 @@
 /*
  * Compiled kernels for csq, loaded through ctypes (no Python API): the
- * embed stages, then the l1 sums and CSV line assembly of the all-pairs
- * query (at the end of the file, integer and byte work only).
+ * embed stages, the draw of the sparse Gaussian operator, then the l1 sums
+ * and CSV line assembly of the all-pairs query (at the end of the file,
+ * integer and byte work only).
  *
  * Each embed kernel performs exactly the floating-point operations of the
  * numpy kernel it mirrors, in the same order per output value, so results
  * are bit-identical to that kernel. That holds only when the compiler neither
  * contracts a*b + c into a fused multiply-add nor reassociates: build with
- * -ffp-contract=off and without -ffast-math.
+ * -ffp-contract=off and without -ffast-math. csq_draw_sparse draws the
+ * operator by calling NumPy's own generator functions through a restated
+ * copy of NumPy's public bitgen_t, in the order of the numpy loop, so it
+ * gives that loop's matrix and leaves the generator in that loop's state.
  *
  * Points are handled in tiles of TILE points, stored feature-major: row f
  * of point j (0 <= j < TILE) of a tile sits at f * TILE + j, and the lanes
@@ -21,6 +25,7 @@
  * can be checked on its own.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -272,6 +277,58 @@ void csq_embed_block(const double *x, int64_t b, int64_t n,
         condense_tile(codes, m, t, kernel, lam, entries + p0 * (m / lam),
                       bits + p0 * ((m + 7) / 8));
     }
+}
+
+/*
+ * NumPy's public bit generator interface, as numpy/random/bitgen.h declares
+ * it: the state and four functions that advance it. A Generator's
+ * bit_generator.ctypes.bit_generator points at one. It is restated here so
+ * that the file needs no NumPy headers or libraries to compile; NumPy
+ * keeps this layout as part of its C API.
+ */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/*
+ * The rows first..rows-1 of the sparse Gaussian matrix of
+ * build_sparse_gaussian, drawn from bitgen in the order its numpy loop
+ * draws them. Row i takes cols uniforms next_double(state), the ones
+ * Generator.random(cols) takes, and keeps column j when uniform j is
+ * below sparsity; then one normal(bitgen) per kept column, in column
+ * order, divided by sqrt(sparsity). normal is NumPy's own
+ * random_standard_normal, the function Generator.standard_normal calls,
+ * so the stream is consumed and the values are rounded exactly as in the
+ * loop. The kept columns and values of row i go to col_indices and values
+ * from offsets[i] (set by the caller for i = first), and offsets[i + 1]
+ * gets the end. A row starts only when capacity - offsets[i] >= cols, so
+ * nothing is drawn for a row that might not fit; the return value is the
+ * first row not drawn (rows when all were).
+ */
+int64_t csq_draw_sparse(bitgen_t *bitgen, double (*normal)(bitgen_t *),
+                        int64_t first, int64_t rows, int64_t cols,
+                        double sparsity, int64_t *offsets,
+                        int64_t *col_indices, double *values,
+                        int64_t capacity)
+{
+    const double root = sqrt(sparsity);
+    for (int64_t i = first; i < rows; i++) {
+        const int64_t start = offsets[i];
+        if (capacity - start < cols)
+            return i;
+        int64_t end = start;
+        for (int64_t j = 0; j < cols; j++)
+            if (bitgen->next_double(bitgen->state) < sparsity)
+                col_indices[end++] = j;
+        for (int64_t e = start; e < end; e++)
+            values[e] = normal(bitgen) / root;
+        offsets[i + 1] = end;
+    }
+    return rows;
 }
 
 /*

@@ -1,5 +1,6 @@
 """Build, cache and load the compiled kernels of ``_kernels.c``: the embed
-path, and the l1 sums and CSV line assembly of ``csq query --all-pairs``.
+path, the draw of the sparse Gaussian operator, and the l1 sums and CSV
+line assembly of ``csq query --all-pairs``.
 
 The source ships with the package. The first :func:`load` compiles it with
 the system C compiler ``cc`` into a per-user cache directory and loads the
@@ -7,7 +8,8 @@ shared library with ``ctypes``; later calls, and later processes, reuse it.
 The file name carries the sha256 of the source, the compiler flags and the
 machine type, so a changed source or flag set builds a new library. When
 anything fails (no compiler, a compile error, an unusable cache directory,
-a library that does not load) :func:`load` returns None, :func:`failure`
+a library that does not load, a NumPy that does not export
+``random_standard_normal``) :func:`load` returns None, :func:`failure`
 says why, and the caller runs the numpy kernels instead. Nothing here runs
 at import.
 
@@ -16,7 +18,10 @@ and ``-march=native`` (which may enable fused multiply-add and makes the
 library depend on the build host); ``-ffp-contract=off`` forbids fusing
 ``a * b + c`` even where the target has such an instruction. Those keep
 every result bit-identical to the numpy kernels. The query kernels do
-integer arithmetic and copy bytes, so their results are exact.
+integer arithmetic and copy bytes, so their results are exact. The
+operator draw calls NumPy's own generator functions through their C
+pointers, so it consumes the stream and rounds every value as the numpy
+loop does.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import math
 import os
 import platform
 import shutil
@@ -38,6 +44,12 @@ TILE = 16
 # Bytes csq_pair_lines copies per number and per short text; NUM and TEXT
 # in _kernels.c.
 NUM, TEXT = 24, 32
+
+# NumPy's standard normal draw from a bitgen_t, the function
+# Generator.standard_normal calls, exported by the extension module that
+# defines Generator (numpy/random/_examples/cffi/extending.py reads it the
+# same way).
+NORMAL = "random_standard_normal"
 
 _i64, _f64, _ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 # The l1 pair kernel of each row dtype.
@@ -62,6 +74,9 @@ _SIGNATURES = {
     },
     "csq_pair_lines": (
         _i64, [_ptr, _i64, _i64, _i64, _i64, _ptr, _ptr, _ptr, _i64, _ptr, _i64]
+    ),
+    "csq_draw_sparse": (
+        _i64, [_ptr, _ptr, _i64, _i64, _i64, _f64, _ptr, _ptr, _ptr, _i64]
     ),
 }
 
@@ -117,11 +132,13 @@ class Kernels:
     :meth:`embed_block` is the embed path; :meth:`precondition`,
     :meth:`project` and :meth:`quantize` run one stage each, so that every
     kernel can be compared with its numpy counterpart on its own.
-    :meth:`l1_pairs` and :meth:`pair_lines` serve the all-pairs query.
+    :meth:`draw_sparse` draws the operator; :meth:`l1_pairs` and
+    :meth:`pair_lines` serve the all-pairs query.
     """
 
-    def __init__(self, lib: ctypes.CDLL):
+    def __init__(self, lib: ctypes.CDLL, normal):
         self._lib = lib
+        self._normal = ctypes.cast(normal, _ptr).value
         for name, (restype, argtypes) in _SIGNATURES.items():
             fn = getattr(lib, name)
             fn.restype, fn.argtypes = restype, argtypes
@@ -206,6 +223,40 @@ class Kernels:
             _check(peaks, np.float64, b),
         )
 
+    def draw_sparse(self, rng, rows: int, cols: int, sparsity: float, capacity=None):
+        """``(row_offsets, col_indices, values)`` of the rows x cols sparse
+        Gaussian matrix of :func:`csq.transforms.build_sparse_gaussian`,
+        drawn from the numpy Generator ``rng`` as its loop draws them, and
+        leaving ``rng`` in the same state.
+
+        The entry arrays start with ``capacity`` slots, by default the
+        expected nnz plus eight standard deviations plus one row; when they
+        run short they double and the draw resumes at the first row that
+        did not fit. The arrays returned are views of the first nnz slots.
+        """
+        if capacity is None:
+            expected = rows * cols * sparsity
+            capacity = int(expected + 8.0 * math.sqrt(expected)) + cols
+        offsets = np.zeros(rows + 1, dtype=np.int64)
+        col_indices = np.empty(capacity, dtype=np.int64)
+        values = np.empty(capacity, dtype=np.float64)
+        bitgen = rng.bit_generator
+        done = 0
+        with bitgen.lock:
+            while True:
+                done = self._lib.csq_draw_sparse(
+                    bitgen.ctypes.bit_generator.value, self._normal, done,
+                    rows, cols, sparsity, offsets.ctypes.data,
+                    col_indices.ctypes.data, values.ctypes.data, capacity,
+                )
+                if done == rows:
+                    nnz = offsets[-1]
+                    return offsets, col_indices[:nnz], values[:nnz]
+                capacity = max(2 * capacity, cols)
+                used = offsets[done]
+                col_indices = _grown(col_indices, capacity, used)
+                values = _grown(values, capacity, used)
+
     def l1_pairs(self, rows, start: int, stop: int, sums) -> None:
         """The l1 sums of rows start..stop-1 of the C-ordered (k, p) matrix
         ``rows`` (a dtype of :data:`L1_KERNELS`) against every later row,
@@ -253,6 +304,18 @@ class Kernels:
         return written
 
 
+def _grown(a: np.ndarray, size: int, used: int) -> np.ndarray:
+    """A new array of ``size`` items of a's dtype holding a[:used]."""
+    out = np.empty(size, dtype=a.dtype)
+    out[:used] = a[:used]
+    return out
+
+
+def _numpy_random() -> ctypes.CDLL:
+    """The shared library of NumPy's Generator extension module."""
+    return ctypes.CDLL(np.random._generator.__file__)
+
+
 def _build(cache: Path) -> Path:
     """The shared library for the current source and flags, compiled into
     ``cache`` unless it is there already. Raises OSError or
@@ -291,7 +354,11 @@ def _load() -> tuple[Kernels | None, str]:
     import subprocess
 
     try:
-        return Kernels(ctypes.CDLL(str(_build(cache_dir())))), ""
+        normal = getattr(_numpy_random(), NORMAL)
+    except (OSError, AttributeError) as exc:
+        return None, f"cannot use numpy's {NORMAL}: {exc}"
+    try:
+        return Kernels(ctypes.CDLL(str(_build(cache_dir()))), normal), ""
     except subprocess.CalledProcessError as exc:
         lines = exc.stderr.decode(errors="replace").strip().splitlines()
         return None, "compile failed: " + (lines[0] if lines else f"exit {exc.returncode}")

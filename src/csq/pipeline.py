@@ -77,12 +77,16 @@ def _row_blocks(matrix: np.ndarray):
 def _finite_row_norms(matrix: np.ndarray) -> np.ndarray:
     """Row l2 norms, bit for bit as ``np.linalg.norm(axis=1)`` gives them
     for the C-ordered float64 matrix whatever the layout of ``matrix``,
-    checking every entry finite on the way."""
+    checking every entry and every norm finite on the way."""
     norms = np.empty(matrix.shape[0])
     for lo, block in _row_blocks(matrix):
         if not np.isfinite(block).all():
             raise InputError("dataset entries must be finite")
-        norms[lo : lo + len(block)] = np.sqrt(np.add.reduce(block * block, axis=1))
+        out = norms[lo : lo + len(block)]
+        with np.errstate(over="ignore"):
+            np.sqrt(np.add.reduce(block * block, axis=1), out=out)
+        if not np.isfinite(out).all():
+            raise InputError("dataset row norms overflow float64")
     return norms
 
 
@@ -102,12 +106,13 @@ class Dataset:
     Checked when made: ``vectors`` becomes a read-only float64 (k, n) view
     of the given matrix (float64 input is not copied), every entry must be
     finite, and ``norms`` holds the row l2 norms from that same pass, bit
-    for bit as ``np.linalg.norm(axis=1)`` gives them. ``k`` and ``n`` are
-    read from the shape. ``scale_applied`` is the multiplier that produced
-    ``vectors`` from the user's original data (1.0 when nothing was
-    rescaled); ``kappa`` is the radius of the l2 ball the vectors are known
-    to lie in, by default the largest norm. Since the matrix is viewed, not
-    copied, the caller must not change it through another name afterwards.
+    for bit as ``np.linalg.norm(axis=1)`` gives them, which must be finite
+    too. ``k`` and ``n`` are read from the shape. ``scale_applied`` is the
+    multiplier that produced ``vectors`` from the user's original data (1.0
+    when nothing was rescaled); ``kappa`` is the radius of the l2 ball the
+    vectors are known to lie in, by default the largest norm. Since the
+    matrix is viewed, not copied, the caller must not change it through
+    another name afterwards.
     """
 
     vectors: np.ndarray
@@ -166,8 +171,6 @@ def scale_dataset(raw: np.ndarray, kappa: float) -> Dataset:
     base = Dataset(raw)
     if base.k == 0 or base.kappa == 0.0:
         raise DegenerateInputError("cannot scale an empty or all-zero dataset")
-    if not math.isfinite(base.kappa):
-        raise InputError("the row norms overflow float64; cannot scale the dataset")
     multiplier = kappa / base.kappa
     return Dataset(base.vectors * multiplier, scale_applied=multiplier, kappa=kappa)
 
@@ -322,8 +325,11 @@ class EmbedResult:
 def _embed_numpy(model: EmbeddingModel, vectors: np.ndarray):
     """(entries, packed codes, amplitude violations) of every point at once."""
     try:
-        projections = model.operator.apply(vectors)
-        quant = quantize_batch(model.quantizer, projections)
+        # Overflow is refused below, so NumPy's warnings about it would
+        # only repeat the refusal.
+        with np.errstate(over="ignore", invalid="ignore"):
+            projections = model.operator.apply(vectors)
+            quant = quantize_batch(model.quantizer, projections)
     except InputError as exc:
         # The vectors are finite, so the transform or the projection
         # overflowed.

@@ -135,6 +135,14 @@ def build_sparse_gaussian(
     mask, then one standard normal per kept entry (scaled by
     ``1/sqrt(sparsity)``). ``sparsity == 1.0`` therefore yields a dense
     Gaussian matrix with unit-variance entries.
+
+    The compiled kernels draw it when they load (see :mod:`csq._native`),
+    else the numpy loop below. Both give the same bits: the C kernel holds
+    its own copy of NumPy's public ``bitgen_t`` struct and calls, through
+    the Generator's own pointers, the ``next_double`` that
+    ``Generator.random`` calls and NumPy's exported
+    ``random_standard_normal`` that ``Generator.standard_normal`` calls, in
+    the loop's order, and divides by the same correctly rounded square root.
     """
     if rows < 1 or cols < 1:
         raise ParameterError("rows and cols must be positive")
@@ -143,7 +151,14 @@ def build_sparse_gaussian(
     if rows * cols >= _MAX_ENTRIES:
         raise CapacityError("rows * cols exceeds the indexable entry count")
 
+    from . import _native
+
     rng = np.random.default_rng(seed)
+    kernels = _native.load()
+    if kernels is not None:
+        return SparseGaussianMatrix(
+            rows, cols, *kernels.draw_sparse(rng, rows, cols, sparsity)
+        )
     offsets = np.zeros(rows + 1, dtype=np.int64)
     cols_per_row = []
     vals_per_row = []

@@ -1,11 +1,13 @@
 """The feature-major embed kernels against the row-layout loops they
-replaced, bit for bit, and the all-pairs l1 kernel against the numpy loop.
+replaced, bit for bit, the operator draw against the numpy loop, and the
+all-pairs l1 kernel against the numpy loop.
 
 The oracles below are the per-point implementations the package used
 before its embed path carried points on the last axis: a row-layout
 Walsh-Hadamard butterfly, one ``np.bincount`` per point for the sparse
 projection, a quantizer that keeps every filter state, an int64
-condensation and one ``packbits`` per code. Every comparison is exact
+condensation and one ``packbits`` per code; the draw's oracle is the
+row-by-row loop of ``build_sparse_gaussian``. Every comparison is exact
 (``np.array_equal``), never a tolerance.
 
 ``embed_dataset`` runs the compiled block kernels when they load; the
@@ -13,6 +15,7 @@ same cases run on the numpy kernels from ``test_kernels_numpy.py``. The
 compiled kernels are also checked one at a time against the oracles.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -36,6 +39,7 @@ from csq.pipeline import (
 from csq.sigma_delta import build_quantizer, quantize_batch
 from csq.transforms import (
     Projection,
+    SparseGaussianMatrix,
     build_sparse_gaussian,
     fwht_inplace,
     padded_dim,
@@ -118,6 +122,26 @@ def quantize_oracle(spec, ys, ties=None):
 def condense_oracle(spec, signs):
     blocks = signs.astype(np.int64).reshape(signs.shape[0], spec.p, spec.lam)
     return blocks @ spec.kernel
+
+
+def draw_oracle(rng, rows, cols, sparsity):
+    """CSR arrays of the sparse Gaussian draw, one row at a time: ``cols``
+    uniforms for the keep mask, then one normal per kept entry."""
+    offsets = np.zeros(rows + 1, dtype=np.int64)
+    kept, vals = [], []
+    for i in range(rows):
+        cols_i = np.flatnonzero(rng.random(cols) < sparsity)
+        kept.append(cols_i)
+        vals.append(rng.standard_normal(cols_i.size) / math.sqrt(sparsity))
+        offsets[i + 1] = offsets[i] + cols_i.size
+    return offsets, np.concatenate(kept), np.concatenate(vals)
+
+
+# (rows, cols, sparsity): dense, empty rows, one column, one row.
+DRAWS = [
+    (40, 37, 1.0), (64, 40, 1e-4), (50, 1, 0.5), (1, 300, 0.2),
+    (1, 1, 1.0), (1984, 64, 0.05), (7, 1024, 0.013),
+]
 
 
 def bits_oracle(signs):
@@ -344,10 +368,32 @@ def test_embed_refuses_non_finite_vectors(method):
 
 @pytest.mark.parametrize("method", ["sparse", "fjlt"])
 def test_embed_refuses_overflowing_projections(method):
+    """Rows with finite norms through an explicit matrix of huge entries:
+    the projections overflow, the input does not."""
     model = build_model(method, 37, 4, 4, 2)
-    xs = np.full((3, 37), 1e308)
+    op = model.operator
+    big = SparseGaussianMatrix(
+        op.matrix.rows, op.matrix.cols, op.matrix.row_offsets,
+        op.matrix.col_indices, op.matrix.values * 1e300,
+    )
+    model = dataclasses.replace(model, explicit=Projection(op.n, big, op.signs))
+    xs = np.full((3, 37), 1e10)
+    xs[1] = 0.0
     with pytest.raises(InputError, match="overflowed"):
         embed_dataset(model, Dataset(vectors=xs))
+
+
+# ------------------------------------------------------- operator draw
+
+
+@pytest.mark.parametrize("rows, cols, sparsity", DRAWS)
+def test_build_sparse_gaussian_matches_the_loop(rows, cols, sparsity):
+    mat = build_sparse_gaussian(rows, cols, sparsity, seed=rows + cols)
+    want = draw_oracle(np.random.default_rng(rows + cols), rows, cols, sparsity)
+    for got, expected in zip(
+        (mat.row_offsets, mat.col_indices, mat.values), want
+    ):
+        assert np.array_equal(got, expected)
 
 
 # ------------------------------------------- compiled kernels one by one
@@ -445,6 +491,31 @@ def test_native_quantize_exact_sign_ties(kernels, r, b):
         kernels.quantize(tile(tied), spec, ring, codes, peaks)
         assert not np.isfinite(peaks[b - 1])
         assert np.all(np.isfinite(peaks[: b - 1]))
+
+
+@pytest.mark.parametrize("rows, cols, sparsity", DRAWS)
+def test_native_draw_matches_the_loop_and_its_stream(kernels, rows, cols, sparsity):
+    """Same arrays as the loop, and the generator left where the loop
+    leaves it."""
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    got = kernels.draw_sparse(rng, rows, cols, sparsity)
+    want = draw_oracle(ref, rows, cols, sparsity)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and same_bits(a, b)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.standard_normal() == ref.standard_normal()
+
+
+@pytest.mark.parametrize("capacity", [0, 1, 63, 64, 65, 1000])
+def test_native_draw_resumes_when_capacity_runs_short(kernels, capacity):
+    """A small starting capacity makes the kernel stop before a row that
+    might not fit; the arrays grow and the draw resumes there."""
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    got = kernels.draw_sparse(rng, 300, 64, 0.3, capacity=capacity)
+    want = draw_oracle(ref, 300, 64, 0.3)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 # ------------------------------------------------ all-pairs query kernels

@@ -6,6 +6,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import types
 from importlib import resources
 
 import numpy as np
@@ -54,7 +55,7 @@ def test_kernel_source_ships_with_the_package():
     src = resources.files("csq").joinpath("_kernels.c")
     assert src.is_file()
     assert src.read_bytes() == _native.source()
-    for name in ("csq_precondition", "csq_project", "csq_quantize"):
+    for name in ("csq_precondition", "csq_project", "csq_quantize", "csq_draw_sparse"):
         assert name.encode() in _native.source()
 
 
@@ -144,6 +145,20 @@ def test_shared_cache_directory_is_refused(fresh_loader, monkeypatch, tmp_path, 
     res = _embed()
     assert res.diagnostics.kernels == "numpy"
     assert "not a private directory" in res.diagnostics.kernels_note
+    _assert_same(res, reference)
+
+
+def test_numpy_without_the_normal_draw_falls_back_to_numpy(
+    fresh_loader, monkeypatch, reference
+):
+    """The operator draw calls NumPy's exported random_standard_normal; a
+    NumPy that does not export it leaves no compiled kernels at all."""
+    monkeypatch.setattr(_native, "_numpy_random", lambda: types.SimpleNamespace())
+    assert fresh_loader.load() is None
+    assert "random_standard_normal" in fresh_loader.failure()
+    res = _embed()
+    assert res.diagnostics.kernels == "numpy"
+    assert "random_standard_normal" in res.diagnostics.kernels_note
     _assert_same(res, reference)
 
 

@@ -177,7 +177,19 @@ def test_scale_dataset_rejects_degenerate_input():
         scale_dataset(np.ones((3, 4)), 0.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_dataset_refuses_overflowing_norms():
+    """Finite entries whose squares overflow: refused when the dataset is
+    made, with no NumPy warning."""
+    with pytest.raises(InputError, match="norms overflow"):
+        Dataset(np.full((2, 4), 1e200))
+    rows = np.zeros((3, 4))
+    rows[2, 1] = 1.5e154
+    with pytest.raises(InputError, match="norms overflow"):
+        Dataset(rows)
+    rows[2, 1] = 1e154
+    assert np.isfinite(Dataset(rows).kappa)
+
+
 def test_scale_dataset_refuses_overflowing_norms():
     """Finite rows whose norms overflow cannot be scaled: the multiplier
     would be 0 and every point the zero vector."""
