@@ -16,8 +16,6 @@ from .condense import (
     CondensedCode,
     Sketches,
     build_condensation,
-    condense,
-    l1_distance,
     operator_bound,
     pairwise_l1_blocks,
 )
@@ -45,10 +43,8 @@ from .pipeline import (
     sign_msq_baseline_embed,
 )
 from .sigma_delta import (
-    QuantizationResult,
     QuantizerSpec,
     build_quantizer,
-    quantize,
     quantize_batch,
     reconstruct_state,
     stability_scan,

@@ -25,7 +25,7 @@ import numpy as np
 from .condense import condense_real_batch, pairwise_l1_blocks
 from .errors import DegenerateInputError, ParameterError
 from .pipeline import Dataset, build_model, embed_dataset, scale_dataset
-from .sigma_delta import build_quantizer, stability_scan
+from .sigma_delta import build_quantizer, seed_sequence, stability_scan
 
 GENERATORS = ("signflat", "gaussian")
 
@@ -108,6 +108,7 @@ class BenchConfig:
             raise ParameterError("k must be at least 2")
         if self.trials < 1:
             raise ParameterError("trials must be positive")
+        seed_sequence(self.seed)
         if self.generator not in GENERATORS:
             raise ParameterError(f"generator must be one of {GENERATORS}")
         if not self.p_list or not self.m_list or not self.r_list:

@@ -258,20 +258,6 @@ def check_geometry(got, want) -> None:
         )
 
 
-def condense(spec: CondensationSpec, code: BinaryCode) -> CondensedCode:
-    """Condense one binary code; all arithmetic is exact int64."""
-    if code.length != spec.m:
-        raise ShapeError(f"code length {code.length} != condensation m {spec.m}")
-    signs = code.to_signs().astype(np.int64)
-    entries = signs.reshape(spec.p, spec.lam) @ spec.kernel
-    return CondensedCode(
-        p=spec.p,
-        bit_width=spec.bit_width,
-        norm_factor=spec.norm_factor,
-        entries=entries,
-    )
-
-
 def condense_signs_batch(spec: CondensationSpec, signs: np.ndarray) -> np.ndarray:
     """Condense k sign rows (k, m) -> integer entries (k, p), exact in int64.
 
@@ -301,18 +287,6 @@ def condense_real_batch(spec: CondensationSpec, zs: np.ndarray) -> np.ndarray:
         raise ShapeError(f"expected (k, {spec.m}) array, got {zs.shape}")
     blocks = zs.reshape(zs.shape[0], spec.p, spec.lam)
     return (blocks @ spec.kernel.astype(np.float64)) * spec.norm_factor
-
-
-def l1_distance(a: CondensedCode, b: CondensedCode) -> float:
-    """Distance estimate between two condensed codes.
-
-    The absolute differences are summed exactly in int64 and the total is
-    scaled by ``norm_factor`` in a single floating-point multiplication, so
-    the result is a deterministic function of the integer entries.
-    """
-    check_geometry(a, b)
-    total = int(np.abs(a.entries - b.entries).sum())
-    return total * a.norm_factor
 
 
 def _pair_blocks(k: int, block_pairs: int):

@@ -36,7 +36,6 @@ from .condense import (
     build_condensation,
     check_geometry,
     condense_signs_batch,
-    l1_distance,
 )
 from .errors import (
     DegenerateInputError,
@@ -44,7 +43,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .sigma_delta import QuantizerSpec, build_quantizer, quantize_batch
+from .sigma_delta import QuantizerSpec, build_quantizer, quantize_batch, seed_sequence
 from .transforms import (
     Projection,
     build_sparse_gaussian,
@@ -166,8 +165,8 @@ def kappa_bound(mu: float, beta: float, m: int) -> float:
 
 def scale_dataset(raw: np.ndarray, kappa: float) -> Dataset:
     """Rescale so the largest l2 norm equals ``kappa``; remember the factor."""
-    if kappa <= 0.0:
-        raise ParameterError("kappa must be positive")
+    if not (math.isfinite(kappa) and kappa > 0.0):
+        raise ParameterError("kappa must be positive and finite")
     base = Dataset(raw)
     if base.k == 0 or base.kappa == 0.0:
         raise DegenerateInputError("cannot scale an empty or all-zero dataset")
@@ -207,6 +206,8 @@ class EmbeddingModel:
             raise ParameterError("quantizer order disagrees with condensation r")
         if not (0.0 < self.sparsity <= 1.0):
             raise ParameterError("sparsity must lie in (0, 1]")
+        if not (math.isfinite(self.wellspread_const) and self.wellspread_const > 0.0):
+            raise ParameterError("wellspread_const must be positive and finite")
         op = self.explicit
         if op is not None and (op.n, op.matrix.rows) != (self.n, self.m):
             raise ShapeError(f"explicit projection does not map {self.n} to {self.m}")
@@ -249,7 +250,7 @@ class EmbeddingModel:
 
 def derive_seeds(seed: int) -> tuple[int, int]:
     """Split one user seed into (matrix_seed, diagonal_seed), both u64."""
-    state = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64)
+    state = seed_sequence(seed).generate_state(2, dtype=np.uint64)
     return int(state[0]), int(state[1])
 
 
@@ -450,9 +451,17 @@ def embed_dataset(model: EmbeddingModel, data: Dataset) -> EmbedResult:
 def estimate_distance(
     model: EmbeddingModel, a: CondensedCode, b: CondensedCode
 ) -> float:
-    """Distance estimate between two sketches produced under ``model``."""
-    check_geometry(a, model.condensation)
-    return l1_distance(a, b)
+    """Distance estimate between two sketches produced under ``model``.
+
+    The absolute differences of the integer entries are summed exactly and
+    the total is scaled by ``norm_factor`` in one floating-point
+    multiplication, so the result is a deterministic function of the
+    entries.
+    """
+    spec = model.condensation
+    check_geometry(a, spec)
+    check_geometry(b, spec)
+    return int(np.abs(a.entries - b.entries).sum()) * spec.norm_factor
 
 
 def sign_msq_baseline_embed(g_seed: int, m: int, x: np.ndarray) -> BinaryCode:

@@ -19,6 +19,11 @@ whose state never leaves [-1, 1] for inputs bounded by 1.
 The hidden state u with ``(forward difference)**r u = y - q`` is not the
 filter state w; it is the r-fold running sum of y - q, recovered by
 :func:`reconstruct_state`.
+
+:func:`quantize_batch` runs the recursion for many vectors at once and is
+the quantizer of the numpy embed path; the compiled ``csq_quantize``
+kernel does the same floating-point operations. The per-point loop that
+keeps every filter state is ``quantize_oracle`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -117,47 +122,6 @@ def build_quantizer(
 
 
 @dataclass
-class QuantizationResult:
-    """One-bit code, filter state trajectory and the loudness flag."""
-
-    code: np.ndarray
-    state: np.ndarray
-    amplitude_violation: bool
-
-
-def quantize(spec: QuantizerSpec, y: np.ndarray) -> QuantizationResult:
-    """Quantize one real vector to signs in {-1, +1}.
-
-    Reference implementation: a plain Python loop over samples. The batch
-    variant below performs the identical floating-point operations across
-    many vectors at once; the two agree bit for bit.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1:
-        raise ShapeError("quantize expects a 1-d vector")
-    if not np.all(np.isfinite(y)):
-        raise InputError("input must be finite")
-    m = y.shape[0]
-    pad = spec.reach
-    buf = np.zeros(pad + m, dtype=np.float64)
-    code = np.empty(m, dtype=np.int8)
-    offsets = [pad - nj for nj in spec.positions]
-    weights = spec.weights
-    for i in range(m):
-        a = 0.0
-        for off, d in zip(offsets, weights):
-            a += d * buf[off + i]
-        s = a + y[i]
-        q = 1.0 if s >= 0.0 else -1.0
-        buf[pad + i] = s - q
-        code[i] = int(q)
-    violation = bool(m) and bool(np.max(np.abs(y)) > spec.mu)
-    return QuantizationResult(
-        code=code, state=buf[pad:], amplitude_violation=violation
-    )
-
-
-@dataclass
 class BatchQuantizationResult:
     """Codes of k vectors and their loudness flags.
 
@@ -174,8 +138,8 @@ def quantize_batch(spec: QuantizerSpec, ys: np.ndarray) -> BatchQuantizationResu
     Step i handles sample i of every vector at once, reading ``ys.T`` as a
     C-ordered (m, k) array (no copy when ``ys`` is the ``.T`` view of one).
     Only the last ``reach + 1`` filter states are kept, in a ring of rows.
-    The floating-point operations per sample are those of :func:`quantize`,
-    so the codes agree with it bit for bit.
+    Each sample is the recursion of the module docstring: the tap products
+    are added in tap order, then y, and ``sign(0)`` is +1.
     """
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim != 2:
@@ -229,6 +193,17 @@ def reconstruct_state(r: int, ys: np.ndarray, qs: np.ndarray) -> np.ndarray:
     for _ in range(r):
         np.cumsum(u, axis=-1, out=u)
     return u
+
+
+def seed_sequence(entropy) -> np.random.SeedSequence:
+    """``np.random.SeedSequence(entropy)``, with a seed it rejects (a
+    negative or non-integer one) refused as a :class:`ParameterError`."""
+    try:
+        return np.random.SeedSequence(entropy)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(
+            f"seeds must be non-negative integers, got {entropy!r}"
+        ) from exc
 
 
 def extremal_probe_input(spec: QuantizerSpec, m: int, amplitude: float) -> np.ndarray:
@@ -300,9 +275,10 @@ def stability_scan(
         raise ParameterError("trials must be nonnegative")
     if not (0.0 < amplitude <= spec.mu):
         raise ParameterError("amplitude must lie in (0, mu]")
+    seeds = seed_sequence([seed, spec.order])
     if trials == 0:
         return []
-    rng = np.random.default_rng(np.random.SeedSequence([seed, spec.order]))
+    rng = np.random.default_rng(seeds)
     levels = rng.uniform(-amplitude, amplitude, size=trials - 1)
     rows = []
     for m in m_list:

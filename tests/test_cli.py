@@ -324,6 +324,24 @@ def test_bench_stability_empty_m_list(tmp_path, capsys):
     assert out_path.read_text() == "r,m,max_u_inf\n"
 
 
+@pytest.mark.parametrize("command", ["embed", "mape", "stability"])
+def test_negative_seed_is_a_parameter_error(tmp_path, capsys, command):
+    inp, _ = _make_dataset(tmp_path)
+    argv = {
+        "embed": _embed_argv(inp, tmp_path),
+        "mape": ["bench", "mape", "--n", "8", "--k", "3", "--p", "2",
+                 "--m-list", "4", "--r-list", "1", "--trials", "1",
+                 "--out", str(tmp_path / "curve.csv")],
+        "stability": ["bench", "stability", "--r-list", "1", "--amplitude", "0.3",
+                      "--m-list", "8", "--trials", "2",
+                      "--out", str(tmp_path / "stab.csv")],
+    }[command]
+    # The last --seed wins, so this one replaces the embed's --seed 9.
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("parameter error: seeds must be")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["points.csqv"]
+
+
 def _per_pair_csv(model, condensed, divisor):
     lines = ["i,j,estimate"]
     for i in range(len(condensed)):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import l1_oracle, reference_record
 
 from csq.condense import (
     MAX_BLOCK,
@@ -13,11 +14,9 @@ from csq.condense import (
     CondensedCode,
     Sketches,
     build_condensation,
-    condense,
     condense_real_batch,
     condense_signs_batch,
     entry_dtype,
-    l1_distance,
     operator_bound,
     pack_rows,
     pairwise_l1_blocks,
@@ -29,6 +28,7 @@ from csq.errors import (
     ParameterError,
     ShapeError,
 )
+from csq.pipeline import build_model, estimate_distance
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
@@ -40,6 +40,21 @@ def dense_kernel_matrix(spec):
     for b in range(spec.p):
         out[b, b * spec.lam : (b + 1) * spec.lam] = v
     return out
+
+
+def sketches_of(spec, signs):
+    """The sketches of (k, m) sign rows under ``spec``."""
+    signs = np.asarray(signs, dtype=np.int8)
+    return Sketches.of(spec, condense_signs_batch(spec, signs))
+
+
+def model_of(spec):
+    """A model whose condensation is ``spec``."""
+    return build_model("sparse", 4, spec.p, spec.lambda_tilde, spec.r, sparsity=1.0)
+
+
+def random_signs(rng, *shape):
+    return np.where(rng.random(shape) < 0.5, -1, 1).astype(np.int8)
 
 
 # ---------------------------------------------------------- kernels
@@ -125,9 +140,8 @@ def test_binary_code_rejects_non_signs():
 
 def test_condense_matches_dense_operator():
     spec = build_condensation(2, 4, 3)
-    rng = np.random.default_rng(9)
-    signs = np.where(rng.random(spec.m) < 0.5, -1, 1).astype(np.int8)
-    got = condense(spec, BinaryCode.from_signs(signs))
+    signs = random_signs(np.random.default_rng(9), spec.m)
+    got = sketches_of(spec, signs[None, :])[0]
     want = dense_kernel_matrix(spec) @ signs.astype(np.float64)
     assert got.entries.tolist() == [int(x) for x in want]
     assert got.p == 3
@@ -138,30 +152,20 @@ def test_condense_matches_dense_operator():
 def test_condense_is_exact_integer_arithmetic():
     """Entries match an all-Python-int evaluation exactly."""
     spec = build_condensation(3, 6, 2)
-    rng = np.random.default_rng(21)
-    signs = np.where(rng.random(spec.m) < 0.5, -1, 1).astype(np.int8)
-    got = condense(spec, BinaryCode.from_signs(signs))
+    signs = random_signs(np.random.default_rng(21), spec.m)
+    got = condense_signs_batch(spec, signs[None, :])[0]
     kernel = [int(x) for x in spec.kernel]
     for b in range(spec.p):
         block = [int(s) for s in signs[b * spec.lam : (b + 1) * spec.lam]]
         want = sum(v * s for v, s in zip(kernel, block))
-        assert int(got.entries[b]) == want
+        assert int(got[b]) == want
 
 
 def test_condense_length_mismatch():
     spec = build_condensation(1, 4, 2)
-    with pytest.raises(ShapeError):
-        condense(spec, BinaryCode.from_signs(np.ones(7, dtype=np.int8)))
-
-
-def test_condense_signs_batch_matches_single():
-    spec = build_condensation(2, 5, 4)
-    rng = np.random.default_rng(3)
-    signs = np.where(rng.random((6, spec.m)) < 0.5, -1, 1).astype(np.int8)
-    batch = condense_signs_batch(spec, signs)
-    for i in range(6):
-        single = condense(spec, BinaryCode.from_signs(signs[i]))
-        assert np.array_equal(batch[i], single.entries)
+    for signs in (np.ones((1, 7)), np.ones((2, 9)), np.ones(8)):
+        with pytest.raises(ShapeError):
+            condense_signs_batch(spec, signs.astype(np.int8))
 
 
 def test_condense_real_batch_applies_normalization():
@@ -177,59 +181,47 @@ def test_condense_real_batch_applies_normalization():
 
 def test_l1_distance_identical_codes_is_zero():
     spec = build_condensation(2, 3, 2)
-    signs = np.ones(spec.m, dtype=np.int8)
-    a = condense(spec, BinaryCode.from_signs(signs))
-    assert l1_distance(a, a) == 0.0
+    (a,) = sketches_of(spec, np.ones((1, spec.m)))
+    assert estimate_distance(model_of(spec), a, a) == 0.0
 
 
 def test_l1_distance_all_ones_vs_all_minus_ones():
     spec = build_condensation(1, 4, 2)
-    a = condense(spec, BinaryCode.from_signs(np.ones(8, dtype=np.int8)))
-    b = condense(spec, BinaryCode.from_signs(-np.ones(8, dtype=np.int8)))
+    a, b = sketches_of(spec, [[1] * 8, [-1] * 8])
     # entries +-4 per block, difference 8 per block, 2 blocks -> 16
-    assert l1_distance(a, b) == pytest.approx(16.0 * SQRT_HALF_PI / 4.0)
-    assert l1_distance(a, b) == pytest.approx(5.0132565492620005, abs=1e-14)
+    got = estimate_distance(model_of(spec), a, b)
+    assert got == pytest.approx(16.0 * SQRT_HALF_PI / 4.0)
+    assert got == pytest.approx(5.0132565492620005, abs=1e-14)
 
 
 def test_l1_distance_equals_real_arithmetic_oracle():
     spec = build_condensation(2, 6, 5)
+    model = model_of(spec)
     rng = np.random.default_rng(17)
     dense = dense_kernel_matrix(spec) * spec.norm_factor
     for _ in range(20):
-        sa = np.where(rng.random(spec.m) < 0.5, -1, 1).astype(np.int8)
-        sb = np.where(rng.random(spec.m) < 0.5, -1, 1).astype(np.int8)
-        a = condense(spec, BinaryCode.from_signs(sa))
-        b = condense(spec, BinaryCode.from_signs(sb))
-        want = float(np.abs(dense @ (sa - sb).astype(np.float64)).sum())
-        assert l1_distance(a, b) == pytest.approx(want, abs=1e-10)
+        signs = random_signs(rng, 2, spec.m)
+        a, b = sketches_of(spec, signs)
+        want = float(np.abs(dense @ (signs[0] - signs[1]).astype(np.float64)).sum())
+        assert estimate_distance(model, a, b) == pytest.approx(want, abs=1e-10)
 
 
 def test_l1_distance_symmetry_and_triangle():
     spec = build_condensation(1, 8, 3)
-    rng = np.random.default_rng(29)
-    codes = [
-        condense(
-            spec,
-            BinaryCode.from_signs(
-                np.where(rng.random(spec.m) < 0.5, -1, 1).astype(np.int8)
-            ),
-        )
-        for _ in range(3)
-    ]
-    a, b, c = codes
-    assert l1_distance(a, b) == l1_distance(b, a)
-    assert l1_distance(a, c) <= l1_distance(a, b) + l1_distance(b, c) + 1e-12
+    model = model_of(spec)
+    a, b, c = sketches_of(spec, random_signs(np.random.default_rng(29), 3, spec.m))
+    assert estimate_distance(model, a, b) == estimate_distance(model, b, a)
+    assert estimate_distance(model, a, c) <= (
+        estimate_distance(model, a, b) + estimate_distance(model, b, c) + 1e-12
+    )
 
 
 def test_l1_distance_incompatible_specs():
-    a = condense(
-        build_condensation(1, 4, 2), BinaryCode.from_signs(np.ones(8, dtype=np.int8))
-    )
-    b = condense(
-        build_condensation(1, 4, 3), BinaryCode.from_signs(np.ones(12, dtype=np.int8))
-    )
+    spec = build_condensation(1, 4, 2)
+    (a,) = sketches_of(spec, np.ones((1, 8)))
+    (b,) = sketches_of(build_condensation(1, 4, 3), np.ones((1, 12)))
     with pytest.raises(IncompatibilityError):
-        l1_distance(a, b)
+        estimate_distance(model_of(spec), a, b)
 
 
 # --------------------------------------------------- operator bound
@@ -294,28 +286,17 @@ def test_pack_random_codes_round_trip():
         lt = int(rng.integers(2, 9))
         p = int(rng.integers(1, 12))
         spec = build_condensation(r, lt, p)
-        signs = np.where(rng.random(spec.m) < 0.5, -1, 1).astype(np.int8)
-        code = condense(spec, BinaryCode.from_signs(signs))
-        packed = pack_rows(code.entries[None, :], spec.bit_width)
+        entries = condense_signs_batch(spec, random_signs(rng, 1, spec.m))
+        packed = pack_rows(entries, spec.bit_width)
         back = unpack_rows(packed, p, spec.bit_width)
-        assert np.array_equal(back[0], code.entries)
+        assert np.array_equal(back, entries)
 
 
 def test_packed_size_is_ceil_of_bits():
     spec = build_condensation(2, 33, 16)   # bit_width 12
-    signs = np.ones(spec.m, dtype=np.int8)
-    code = condense(spec, BinaryCode.from_signs(signs))
-    packed = pack_rows(code.entries[None, :], spec.bit_width)
+    entries = condense_signs_batch(spec, np.ones((1, spec.m), dtype=np.int8))
+    packed = pack_rows(entries, spec.bit_width)
     assert packed.shape == (1, (16 * spec.bit_width + 7) // 8)
-
-
-def reference_record(entries, bit_width):
-    """One record as documented: entry e fills bits e*w .. e*w + w - 1 of a
-    little-endian bit string, two's complement, zero-padded to whole bytes."""
-    acc = 0
-    for idx, value in enumerate(entries):
-        acc |= (int(value) & ((1 << bit_width) - 1)) << (idx * bit_width)
-    return acc.to_bytes((len(entries) * bit_width + 7) // 8, "little")
 
 
 def test_pack_rows_matches_per_record_layout_for_random_specs():
@@ -370,8 +351,7 @@ def test_entry_dtype_leaves_room_for_differences():
 
 
 def random_sketches(rng, spec, k):
-    signs = np.where(rng.random((k, spec.m)) < 0.5, -1, 1).astype(np.int8)
-    return Sketches.of(spec, condense_signs_batch(spec, signs))
+    return sketches_of(spec, random_signs(rng, k, spec.m))
 
 
 def test_sketches_rows_are_condensed_codes():
@@ -457,15 +437,6 @@ def test_sketches_reject_bad_geometry(p, norm_factor):
         Sketches(p, 10, norm_factor, np.zeros((1, p), dtype=np.int64))
 
 
-def naive_pairwise_l1(rows):
-    k = rows.shape[0]
-    return [
-        float(np.abs(rows[i].astype(np.float64) - rows[j]).sum())
-        for i in range(k)
-        for j in range(i + 1, k)
-    ]
-
-
 @pytest.mark.parametrize("block_pairs", [1, 5, 1 << 17])
 def test_pairwise_l1_blocks_match_naive_pairs(block_pairs):
     rng = np.random.default_rng(91)
@@ -479,7 +450,8 @@ def test_pairwise_l1_blocks_match_naive_pairs(block_pairs):
         assert sums.dtype == np.int64
         assert sums.size == sum(9 - 1 - i for i in range(start, stop))
     got = np.concatenate([sums for _, _, sums in blocks])
-    assert got.tolist() == naive_pairwise_l1(sk.entries)
+    want = np.concatenate([sums for _, _, sums in l1_oracle(sk.entries)])
+    assert np.array_equal(got, want)
 
 
 def test_pairwise_l1_blocks_sum_beyond_the_entry_dtype():

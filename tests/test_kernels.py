@@ -1,18 +1,10 @@
-"""The feature-major embed kernels against the row-layout loops they
-replaced, bit for bit, the operator draw against the numpy loop, and the
-all-pairs l1 kernel against the numpy loop.
-
-The oracles below are the per-point implementations the package used
-before its embed path carried points on the last axis: a row-layout
-Walsh-Hadamard butterfly, one ``np.bincount`` per point for the sparse
-projection, a quantizer that keeps every filter state, an int64
-condensation and one ``packbits`` per code; the draw's oracle is the
-row-by-row loop of ``build_sparse_gaussian``. Every comparison is exact
-(``np.array_equal``), never a tolerance.
+"""The embed kernels, the operator draw and the all-pairs l1 kernel
+against the oracles of ``oracles.py``, bit for bit.
 
 ``embed_dataset`` runs the compiled block kernels when they load; the
 same cases run on the numpy kernels from ``test_kernels_numpy.py``. The
 compiled kernels are also checked one at a time against the oracles.
+Every comparison is exact (``np.array_equal``), never a tolerance.
 """
 
 import dataclasses
@@ -47,107 +39,26 @@ from csq.transforms import (
     sparse_matmat,
 )
 
+from oracles import (
+    bits_oracle,
+    condense_oracle,
+    draw_oracle,
+    fwht_oracle,
+    l1_oracle,
+    matmat_oracle,
+    precondition_oracle,
+    project_oracle,
+    quantize_oracle,
+)
+
 KS = [0, 1, 2, 3, 8, 257]
 BLOCK = pipeline._BLOCK
-
-
-# ---------------------------------------------------------------- oracles
-
-
-def fwht_oracle(x):
-    """Row-layout butterfly along the last axis of a C-ordered copy."""
-    x = np.array(x, dtype=np.float64)
-    n = x.shape[-1]
-    lead = x.shape[:-1]
-    h = 1
-    while h < n:
-        y = x.reshape(lead + (n // (2 * h), 2, h))
-        even = y[..., 0, :].copy()
-        odd = y[..., 1, :]
-        y[..., 0, :] = even + odd
-        y[..., 1, :] = even - odd
-        h *= 2
-    x *= 1.0 / math.sqrt(n)
-    return x
-
-
-def matmat_oracle(matrix, xs):
-    """One bincount per point, entries summed in storage order."""
-    rid = np.repeat(np.arange(matrix.rows), np.diff(matrix.row_offsets))
-    out = np.empty((xs.shape[0], matrix.rows))
-    for i in range(xs.shape[0]):
-        products = matrix.values * xs[i, matrix.col_indices]
-        out[i] = np.bincount(rid, weights=products, minlength=matrix.rows)
-    return out
-
-
-def precondition_oracle(op, xs):
-    padded = np.zeros((xs.shape[0], op.matrix.cols))
-    padded[:, : op.n] = xs
-    padded *= op.signs
-    return fwht_oracle(padded)
-
-
-def project_oracle(model, xs):
-    op = model.operator
-    if op.signs is not None:
-        return matmat_oracle(op.matrix, precondition_oracle(op, xs))
-    return matmat_oracle(op.matrix, xs)
-
-
-def quantize_oracle(spec, ys, ties=None):
-    """Lockstep quantizer keeping the whole state; where ``ties`` is set,
-    the input sample is replaced by ``-a`` so that ``a + y`` is exactly 0.
-
-    Returns (codes, states, inputs actually quantized).
-    """
-    ys = np.array(ys, dtype=np.float64)
-    k, m = ys.shape
-    pad = spec.reach
-    buf = np.zeros((pad + m, k))
-    codes = np.empty((m, k), dtype=np.int8)
-    for i in range(m):
-        a = np.zeros(k)
-        for nj, d in zip(spec.positions, spec.weights):
-            a += d * buf[pad - nj + i]
-        if ties is not None:
-            ys[ties[:, i], i] = -a[ties[:, i]]
-        s = a + ys[:, i]
-        q = np.where(s >= 0.0, 1.0, -1.0)
-        buf[pad + i] = s - q
-        codes[i] = q.astype(np.int8)
-    return codes.T, buf[pad:].T, ys
-
-
-def condense_oracle(spec, signs):
-    blocks = signs.astype(np.int64).reshape(signs.shape[0], spec.p, spec.lam)
-    return blocks @ spec.kernel
-
-
-def draw_oracle(rng, rows, cols, sparsity):
-    """CSR arrays of the sparse Gaussian draw, one row at a time: ``cols``
-    uniforms for the keep mask, then one normal per kept entry."""
-    offsets = np.zeros(rows + 1, dtype=np.int64)
-    kept, vals = [], []
-    for i in range(rows):
-        cols_i = np.flatnonzero(rng.random(cols) < sparsity)
-        kept.append(cols_i)
-        vals.append(rng.standard_normal(cols_i.size) / math.sqrt(sparsity))
-        offsets[i + 1] = offsets[i] + cols_i.size
-    return offsets, np.concatenate(kept), np.concatenate(vals)
-
 
 # (rows, cols, sparsity): dense, empty rows, one column, one row.
 DRAWS = [
     (40, 37, 1.0), (64, 40, 1e-4), (50, 1, 0.5), (1, 300, 0.2),
     (1, 1, 1.0), (1984, 64, 0.05), (7, 1024, 0.013),
 ]
-
-
-def bits_oracle(signs):
-    return [
-        np.packbits((row > 0).astype(np.uint8), bitorder="little") for row in signs
-    ]
 
 
 def feature_major(a):
@@ -521,12 +432,6 @@ def test_native_draw_resumes_when_capacity_runs_short(kernels, capacity):
 # ------------------------------------------------ all-pairs query kernels
 
 
-def numpy_l1_blocks(rows, block_pairs):
-    from csq.condense import _numpy_l1_blocks, _pair_blocks
-
-    return list(_numpy_l1_blocks(rows, _pair_blocks(len(rows), block_pairs)))
-
-
 def extreme_rows(bit_width, k, p, seed):
     """k rows of p entries of the given width, most at its two extremes."""
     half = 1 << (bit_width - 1)
@@ -545,12 +450,13 @@ def test_pairwise_l1_blocks_match_numpy_loop(
     monkeypatch, bit_width, k, block_pairs, workers
 ):
     """Widths 7, 15, 31 and 63 are the widest of int8, int16, int32 and
-    int64 entries; at 63 the sums wrap modulo 2**64 in both. With two
-    CPUs the next block is computed while the current one is read."""
+    int64 entries; at 63 the sums wrap modulo 2**64, in the kernels as in
+    the oracle. With two CPUs the next block is computed while the current
+    one is read."""
     monkeypatch.setattr(_native, "_worker_count", lambda: workers)
     rows = extreme_rows(bit_width, k, 37, seed=1)
     got = list(pairwise_l1_blocks(rows, block_pairs))
-    want = numpy_l1_blocks(rows, block_pairs)
+    want = l1_oracle(rows, block_pairs)
     assert [(a, b) for a, b, _ in got] == [(a, b) for a, b, _ in want]
     for (_, _, g), (_, _, w) in zip(got, want):
         assert g.dtype == w.dtype == np.int64
@@ -563,8 +469,8 @@ def test_pairwise_l1_sums_longer_than_a_chunk(bit_width):
     rows = extreme_rows(bit_width, 3, (1 << 16) + 3, seed=2)
     rows[0], rows[1] = rows.min(), rows.max()
     got = np.concatenate([s for _, _, s in pairwise_l1_blocks(rows)])
-    want = np.abs(rows[:, None, :].astype(np.int64) - rows[None, :, :]).sum(axis=2)
-    assert got.tolist() == [want[0, 1], want[0, 2], want[1, 2]]
+    want = np.concatenate([s for _, _, s in l1_oracle(rows)])
+    assert np.array_equal(got, want)
 
 
 def test_pairwise_l1_sums_past_two_chunks():
@@ -572,14 +478,14 @@ def test_pairwise_l1_sums_past_two_chunks():
     the second ends, and no chunk reads past its row."""
     rows = extreme_rows(15, 3, 2 * (1 << 16) + 1, seed=5)
     got = np.concatenate([s for _, _, s in pairwise_l1_blocks(rows)])
-    want = np.concatenate([s for _, _, s in numpy_l1_blocks(rows, 1 << 17)])
+    want = np.concatenate([s for _, _, s in l1_oracle(rows)])
     assert np.array_equal(got, want)
 
 
 def test_pairwise_l1_blocks_stop_early():
     """A caller may stop reading after any block."""
     rows = extreme_rows(10, 300, 16, seed=4)
-    want = numpy_l1_blocks(rows, 1000)
+    want = l1_oracle(rows, 1000)
     blocks = pairwise_l1_blocks(rows, 1000)
     start, stop, sums = next(blocks)
     blocks.close()
@@ -588,7 +494,7 @@ def test_pairwise_l1_blocks_stop_early():
 
 def test_pairwise_l1_blocks_take_any_layout_and_dtype():
     rows = extreme_rows(10, 9, 12, seed=3)
-    want = np.concatenate([s for _, _, s in numpy_l1_blocks(rows, 1 << 17)])
+    want = np.concatenate([s for _, _, s in l1_oracle(rows)])
     strided = np.repeat(rows, 2, axis=1)[:, ::2]
     layouts = (np.asfortranarray(rows), strided, rows.astype(np.int32))
     for other in layouts:

@@ -9,7 +9,12 @@ import warnings
 import numpy as np
 import pytest
 
-from csq.condense import BinaryCode, condense_real_batch
+from csq.condense import (
+    BinaryCode,
+    Sketches,
+    condense_real_batch,
+    condense_signs_batch,
+)
 from csq.errors import (
     DegenerateInputError,
     IncompatibilityError,
@@ -32,7 +37,7 @@ from csq.pipeline import (
     scale_dataset,
     sign_msq_baseline_embed,
 )
-from csq.sigma_delta import build_quantizer, quantize
+from csq.sigma_delta import build_quantizer, quantize_batch
 from csq.transforms import Projection, sign_diagonal
 
 
@@ -177,6 +182,12 @@ def test_scale_dataset_rejects_degenerate_input():
         scale_dataset(np.ones((3, 4)), 0.0)
 
 
+@pytest.mark.parametrize("kappa", [math.nan, math.inf])
+def test_scale_dataset_refuses_non_finite_kappa(kappa):
+    with pytest.raises(ParameterError, match="kappa must be positive and finite"):
+        scale_dataset(np.ones((3, 4)), kappa)
+
+
 def test_dataset_refuses_overflowing_norms():
     """Finite entries whose squares overflow: refused when the dataset is
     made, with no NumPy warning."""
@@ -269,6 +280,12 @@ def test_build_model_small_p_falls_back_to_dense():
 def test_build_model_rejects_unknown_method():
     with pytest.raises(ParameterError):
         build_model(method="dense", n=8, p=2, lambda_tilde=2, r=1, seed=0)
+
+
+@pytest.mark.parametrize("wellspread_const", [math.nan, -1.0, 0.0, math.inf])
+def test_model_refuses_bad_wellspread_const(wellspread_const):
+    with pytest.raises(ParameterError, match="wellspread_const"):
+        build_model("sparse", 8, 2, 2, 1, wellspread_const=wellspread_const)
 
 
 def test_derive_seeds_is_deterministic_and_split():
@@ -401,18 +418,15 @@ def test_embed_produces_matching_codes_and_sketches():
     data = flat_dataset(256, 5, 0.05, 44)
     res = embed_dataset(model, data)
     assert len(res.codes) == 5 and len(res.condensed) == 5
-    spec = model.condensation
-    zs = model.operator.apply(data.vectors)
+    # the codes are the quantization of the projections
+    codes = quantize_batch(model.quantizer, model.operator.apply(data.vectors)).codes
     for i in range(5):
         assert res.codes[i].length == model.m
-        # the code is the quantization of the projection
-        manual = quantize(model.quantizer, zs[i])
-        assert np.array_equal(res.codes[i].to_signs(), manual.code)
-        # the sketch is the integer condensation of the code
-        from csq.condense import BinaryCode, condense
-
-        want = condense(spec, BinaryCode.from_signs(manual.code))
-        assert np.array_equal(res.condensed[i].entries, want.entries)
+        assert np.array_equal(res.codes[i].to_signs(), codes[i])
+    # the sketches are the integer condensation of the codes
+    spec = model.condensation
+    want = Sketches.of(spec, condense_signs_batch(spec, codes))
+    assert np.array_equal(res.condensed.entries, want.entries)
 
 
 def test_embed_flags_loud_points():
@@ -502,8 +516,10 @@ def test_estimate_distance_rejects_foreign_sketch():
     other = build_model(method="sparse", n=64, p=8, lambda_tilde=6, r=1, seed=2)
     res = embed_dataset(model, flat_dataset(64, 1, 0.05, 5))
     res_other = embed_dataset(other, flat_dataset(64, 1, 0.05, 5))
-    with pytest.raises(IncompatibilityError):
-        estimate_distance(model, res.condensed[0], res_other.condensed[0])
+    ours, foreign = res.condensed[0], res_other.condensed[0]
+    for a, b in ((ours, foreign), (foreign, ours), (foreign, foreign)):
+        with pytest.raises(IncompatibilityError):
+            estimate_distance(model, a, b)
 
 
 # ------------------------------------------------------------ baseline

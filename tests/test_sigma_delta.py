@@ -1,10 +1,12 @@
-"""Order-r one-bit quantization: taps, recursion traces, the difference
-identity, batch agreement and the stability scan."""
+"""Order-r one-bit quantization: taps, recursion traces through the batch
+quantizer and the oracle's filter states, the difference identity and the
+stability scan."""
 
 import math
 
 import numpy as np
 import pytest
+from oracles import quantize_oracle
 
 from csq.errors import InputError, ParameterError, ShapeError
 from csq.sigma_delta import (
@@ -12,11 +14,15 @@ from csq.sigma_delta import (
     MAX_REACH,
     build_quantizer,
     extremal_probe_input,
-    quantize,
     quantize_batch,
     reconstruct_state,
     stability_scan,
 )
+
+
+def code_of(spec, y):
+    """The code of one vector, through the batch quantizer."""
+    return quantize_batch(spec, np.asarray(y)[None, :]).codes[0]
 
 
 def r_fold_difference(u, r):
@@ -110,78 +116,70 @@ def test_order_one_hand_trace():
     # i=2: s=-0.5   -> q=-1, w=+0.5
     # i=3: s=0.25   -> q=+1, w=-0.75
     spec = build_quantizer(1)
-    res = quantize(spec, np.array([0.5, 0.0, -0.25]))
-    assert res.code.tolist() == [1, -1, 1]
-    assert np.allclose(res.state, [-0.5, 0.5, -0.75], atol=1e-15)
-    assert not res.amplitude_violation
+    y = np.array([[0.5, 0.0, -0.25]])
+    codes, states, _ = quantize_oracle(spec, y)
+    assert codes.tolist() == [[1, -1, 1]]
+    assert np.allclose(states, [[-0.5, 0.5, -0.75]], atol=1e-15)
+    res = quantize_batch(spec, y)
+    assert np.array_equal(res.codes, codes)
+    assert not res.amplitude_violations.any()
 
 
 def test_order_two_hand_trace():
     # taps (1, 7), weights (7/6, -1/6); early taps read zeros.
     spec = build_quantizer(2)
-    res = quantize(spec, np.array([1.0, -1.0, 0.5]))
-    assert res.code.tolist() == [1, -1, 1]
-    assert np.allclose(res.state, [0.0, 0.0, -0.5], atol=1e-15)
+    y = np.array([[1.0, -1.0, 0.5]])
+    codes, states, _ = quantize_oracle(spec, y)
+    assert codes.tolist() == [[1, -1, 1]]
+    assert np.allclose(states, [[0.0, 0.0, -0.5]], atol=1e-15)
+    assert np.array_equal(quantize_batch(spec, y).codes, codes)
 
 
 def test_sign_of_zero_is_plus_one():
     spec = build_quantizer(1)
-    res = quantize(spec, np.zeros(3))
-    assert res.code.tolist() == [1, -1, 1]
+    assert code_of(spec, np.zeros(3)).tolist() == [1, -1, 1]
 
 
 def test_codes_are_signs_and_length_matches():
     spec = build_quantizer(2)
     rng = np.random.default_rng(12)
     y = rng.uniform(-0.9, 0.9, 257)
-    res = quantize(spec, y)
-    assert res.code.shape == (257,)
-    assert set(np.unique(res.code)) <= {-1, 1}
+    code = code_of(spec, y)
+    assert code.shape == (257,)
+    assert set(np.unique(code)) <= {-1, 1}
 
 
 def test_quantize_is_pure():
     spec = build_quantizer(3)
-    y = np.random.default_rng(4).uniform(-0.5, 0.5, 200)
-    a = quantize(spec, y)
-    b = quantize(spec, y)
-    assert np.array_equal(a.code, b.code)
-    assert np.array_equal(a.state, b.state)
+    ys = np.random.default_rng(4).uniform(-0.5, 0.5, (3, 200))
+    before = ys.copy()
+    a = quantize_batch(spec, ys)
+    b = quantize_batch(spec, ys)
+    assert np.array_equal(a.codes, b.codes)
+    assert np.array_equal(ys, before)
 
 
 def test_amplitude_violation_flag():
     spec = build_quantizer(1, mu=0.5)
-    assert quantize(spec, np.array([0.4, -0.3])).amplitude_violation is False
-    assert quantize(spec, np.array([0.4, -0.6])).amplitude_violation is True
+    res = quantize_batch(spec, np.array([[0.4, -0.3], [0.4, -0.6], [0.5, -0.5]]))
+    assert res.amplitude_violations.tolist() == [False, True, False]
 
 
 def test_quantize_rejects_bad_input():
     spec = build_quantizer(1)
     with pytest.raises(ShapeError):
-        quantize(spec, np.zeros((2, 2)))
-    with pytest.raises(InputError):
-        quantize(spec, np.array([0.1, np.nan]))
+        quantize_batch(spec, np.zeros((2, 2, 2)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError):
+            quantize_batch(spec, np.array([[0.1, 0.2], [0.1, bad]]))
 
 
 def test_empty_input_is_allowed():
     spec = build_quantizer(2)
-    res = quantize(spec, np.zeros(0))
-    assert res.code.size == 0
-    assert res.amplitude_violation is False
-
-
-# -------------------------------------------------- batch agreement
-
-
-@pytest.mark.parametrize("r", [1, 2, 3])
-def test_batch_is_bit_identical_to_scalar(r):
-    spec = build_quantizer(r)
-    rng = np.random.default_rng(100 + r)
-    ys = rng.uniform(-0.9, 0.9, size=(8, 300))
-    batch = quantize_batch(spec, ys)
-    for i in range(8):
-        single = quantize(spec, ys[i])
-        assert np.array_equal(batch.codes[i], single.code)
-        assert batch.amplitude_violations[i] == single.amplitude_violation
+    for k, m in ((1, 0), (0, 5), (0, 0)):
+        res = quantize_batch(spec, np.zeros((k, m)))
+        assert res.codes.shape == (k, m)
+        assert res.amplitude_violations.tolist() == [False] * k
 
 
 def test_batch_shape_errors():
@@ -200,9 +198,9 @@ def test_difference_identity(r):
     rng = np.random.default_rng(900 + r)
     for m in (1, 7, 100, 4096):
         y = rng.uniform(-0.3, 0.3, m)
-        res = quantize(spec, y)
-        u = reconstruct_state(r, y, res.code)
-        resid = np.max(np.abs(r_fold_difference(u, r) - (y - res.code)))
+        code = code_of(spec, y)
+        u = reconstruct_state(r, y, code)
+        resid = np.max(np.abs(r_fold_difference(u, r) - (y - code)))
         assert resid <= 1e-9 * m
 
 
@@ -242,12 +240,9 @@ def test_reconstruct_argument_errors():
 def test_greedy_state_never_leaves_unit_interval():
     """Order 1 keeps |u| <= 1 for any input bounded by 1."""
     spec = build_quantizer(1)
-    rng = np.random.default_rng(55)
-    for _ in range(20):
-        y = rng.uniform(-1.0, 1.0, 512)
-        res = quantize(spec, y)
-        u = reconstruct_state(1, y, res.code)
-        assert np.max(np.abs(u)) <= 1.0 + 1e-12
+    ys = np.random.default_rng(55).uniform(-1.0, 1.0, (20, 512))
+    u = reconstruct_state(1, ys, quantize_batch(spec, ys).codes)
+    assert np.max(np.abs(u)) <= 1.0 + 1e-12
 
 
 # ------------------------------------------------------------ scan
@@ -264,16 +259,16 @@ def test_probe_input_is_bang_bang_and_prefix_stable():
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_probe_choice_is_greedy(r):
     """At every step, flipping the chosen sign does not give a larger |u_i|
-    under quantize and reconstruct_state on the prefix, and on a tie the
-    probe keeps +amplitude."""
+    under quantize_batch and reconstruct_state on the prefix, and on a tie
+    the probe keeps +amplitude."""
     spec = build_quantizer(r)
     amp = 0.3
     probe = extremal_probe_input(spec, 64, amp)
-    u = reconstruct_state(r, probe, quantize(spec, probe).code)
+    u = reconstruct_state(r, probe, code_of(spec, probe))
     for i in range(64):
         flipped = probe[: i + 1].copy()
         flipped[i] = -flipped[i]
-        alt = reconstruct_state(r, flipped, quantize(spec, flipped).code)[i]
+        alt = reconstruct_state(r, flipped, code_of(spec, flipped))[i]
         assert abs(alt) <= abs(u[i])
         if abs(alt) == abs(u[i]):
             assert probe[i] == amp

@@ -14,11 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csq.condense import (
-    BinaryCode,
     Codes,
     Sketches,
     build_condensation,
-    condense,
     condense_signs_batch,
 )
 from csq.errors import (
@@ -365,6 +363,16 @@ def test_model_header_n_pad_must_match_the_derived_one(tmp_path, method, n, n_pa
         read_model(path)
 
 
+@pytest.mark.parametrize("wellspread_const", [math.nan, -1.0, 0.0, math.inf])
+def test_model_header_wellspread_const_must_be_positive_and_finite(
+    tmp_path, wellspread_const
+):
+    path = tmp_path / "model.csqm"
+    path.write_bytes(csqm_header(wellspread_const=wellspread_const))
+    with pytest.raises(FormatError, match="wellspread_const"):
+        read_model(path)
+
+
 HOSTILE_ORDERS = [
     (r, lambda_tilde)
     for r in (100_000, 2**32 - 1)
@@ -608,17 +616,14 @@ def test_condensed_round_trip_and_size(tmp_path):
     path = tmp_path / "sk.csqd"
     spec = build_condensation(2, 9, 16)
     rng = np.random.default_rng(6)
-    codes = []
-    for _ in range(9):
-        signs = np.where(rng.random(spec.m) < 0.5, -1, 1).astype(np.int8)
-        codes.append(condense(spec, BinaryCode.from_signs(signs)))
-    write_condensed(path, Sketches.of(spec, [code.entries for code in codes]))
+    signs = np.where(rng.random((9, spec.m)) < 0.5, -1, 1).astype(np.int8)
+    sketches = Sketches.of(spec, condense_signs_batch(spec, signs))
+    write_condensed(path, sketches)
     back = read_condensed(path)
     assert isinstance(back, Sketches) and len(back) == 9 and back.p == 16
-    for a, b in zip(codes, back):
-        assert np.array_equal(a.entries, b.entries)
-        assert a.bit_width == b.bit_width
-        assert a.norm_factor == b.norm_factor
+    assert np.array_equal(back.entries, sketches.entries)
+    assert back.entries.dtype == sketches.entries.dtype
+    assert (back.bit_width, back.norm_factor) == (spec.bit_width, spec.norm_factor)
     record = (16 * spec.bit_width + 7) // 8
     assert path.stat().st_size == 4 + 4 + 8 + 8 + 4 + 8 + 9 * record
 
@@ -626,8 +631,8 @@ def test_condensed_round_trip_and_size(tmp_path):
 def test_condensed_rejects_nonsense_bit_width(tmp_path):
     path = tmp_path / "sk.csqd"
     spec = build_condensation(1, 4, 2)
-    code = condense(spec, BinaryCode.from_signs(np.ones(8, dtype=np.int8)))
-    write_condensed(path, Sketches.of(spec, [code.entries]))
+    entries = condense_signs_batch(spec, np.ones((1, 8), dtype=np.int8))
+    write_condensed(path, Sketches.of(spec, entries))
     raw = bytearray(path.read_bytes())
     # bit_width field sits after magic+version+k+p
     off = 4 + 4 + 8 + 8
@@ -640,8 +645,8 @@ def test_condensed_rejects_nonsense_bit_width(tmp_path):
 def test_condensed_truncation(tmp_path):
     path = tmp_path / "sk.csqd"
     spec = build_condensation(1, 8, 4)
-    code = condense(spec, BinaryCode.from_signs(np.ones(spec.m, dtype=np.int8)))
-    write_condensed(path, Sketches.of(spec, [code.entries, code.entries]))
+    entries = condense_signs_batch(spec, np.ones((2, spec.m), dtype=np.int8))
+    write_condensed(path, Sketches.of(spec, entries))
     path.write_bytes(path.read_bytes()[:-2])
     with pytest.raises(CorruptionError):
         read_condensed(path)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import dense_of
 
 from csq.errors import InputError, ParameterError, ShapeError
 from csq.pipeline import build_model
@@ -19,15 +20,6 @@ from csq.transforms import (
     sparse_matmat,
     sparse_matvec,
 )
-
-
-def dense_of(matrix):
-    """Materialize a sparse Gaussian matrix row by row."""
-    out = np.zeros((matrix.rows, matrix.cols))
-    for i in range(matrix.rows):
-        lo, hi = matrix.row_offsets[i], matrix.row_offsets[i + 1]
-        out[i, matrix.col_indices[lo:hi]] = matrix.values[lo:hi]
-    return out
 
 
 def hadamard_popcount(n):
