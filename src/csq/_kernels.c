@@ -23,20 +23,60 @@
  * intermediate arrays never exceed one tile; csq_precondition,
  * csq_project and csq_quantize run one stage over a block, so that each
  * can be checked on its own.
+ *
+ * On x86-64 with glibc the embed stages and the l1 sums are CLONES: the
+ * compiler builds each twice, for baseline x86-64 and for AVX2, with every
+ * static helper inlined into both (flatten), and the dynamic loader's
+ * resolver picks the AVX2 build once, when the library loads, on a CPU
+ * that has it. The AVX2 build runs the projection and the quantizer on
+ * vectors of four doubles, the baseline build on vectors of two (see
+ * TILE_STAGES). AVX2 does not imply FMA and the flags forbid contraction,
+ * so both builds round every operation alike: IEEE add, multiply and
+ * compare give the same results in 128- and 256-bit lanes, and the bytes
+ * do not depend on the build that ran. Elsewhere, with a compiler without
+ * target_clones, or with -DCSQ_NO_CLONES, CLONES is empty and there is one
+ * baseline build; csq_isa says which one runs.
  */
 
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
+/* The clones need the dynamic loader's ifunc support, which glibc has. */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute) && \
+    !defined(CSQ_NO_CLONES)
+#if __has_attribute(target_clones)
+#define CLONES __attribute__((target_clones("avx2", "default"), flatten))
+#define HAS_CLONES 1
+#endif
+#endif
+#ifndef CLONES
+#define CLONES
+#define HAS_CLONES 0
+#endif
+
+/* 1 when the cloned kernels run their AVX2 build, 0 when they run the
+   baseline one; the resolver picks by the same CPU test. */
+int csq_isa(void)
+{
+#if HAS_CLONES
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+#else
+    return 0;
+#endif
+}
+
 #define TILE 16
 
-/* Two doubles, loaded and stored without an alignment requirement, and
-   the two 64-bit lane masks a comparison of them gives; either may alias
-   the doubles of a tile. */
-typedef double vd __attribute__((vector_size(16), aligned(8), may_alias));
-typedef int64_t vi __attribute__((vector_size(16), aligned(8), may_alias));
-#define LANES (TILE / 2)
+/* W doubles (vdW), loaded and stored without an alignment requirement,
+   and the W 64-bit lane masks a comparison of them gives (viW); either may
+   alias the doubles of a tile. Two fill an SSE2 register, four an AVX2
+   one. */
+typedef double vd2 __attribute__((vector_size(16), aligned(8), may_alias));
+typedef int64_t vi2 __attribute__((vector_size(16), aligned(8), may_alias));
+typedef double vd4 __attribute__((vector_size(32), aligned(8), may_alias));
+typedef int64_t vi4 __attribute__((vector_size(32), aligned(8), may_alias));
 
 /* Rows of a tile that stay in the first-level cache together. */
 #define CHUNK 128
@@ -102,32 +142,6 @@ static void precondition_tile(const double *restrict x, int64_t t, int64_t n,
         tile[e] *= scale;
 }
 
-/*
- * out (rows, TILE) = A x for the CSR matrix A (rows x n_pad) and one tile
- * x, as sparse_matmat: output (i, j) starts at 0.0 and adds x[col] * v for
- * the stored entries of row i in storage order.
- */
-static void project_tile(const int64_t *restrict offsets,
-                         const int64_t *restrict cols,
-                         const double *restrict vals, int64_t rows,
-                         const double *restrict x, double *restrict out)
-{
-    for (int64_t i = 0; i < rows; i++) {
-        vd acc[LANES];
-        for (int l = 0; l < LANES; l++)
-            acc[l] = (vd){0.0, 0.0};
-        for (int64_t e = offsets[i]; e < offsets[i + 1]; e++) {
-            const vd v = {vals[e], vals[e]};
-            const vd *xr = (const vd *)(x + cols[e] * TILE);
-            for (int l = 0; l < LANES; l++)
-                acc[l] += xr[l] * v;
-        }
-        vd *dst = (vd *)(out + i * TILE);
-        for (int l = 0; l < LANES; l++)
-            dst[l] = acc[l];
-    }
-}
-
 /* (cur - d) mod len for 0 <= cur < len and 0 < d < len. */
 static inline int64_t back(int64_t cur, int64_t d, int64_t len)
 {
@@ -135,60 +149,126 @@ static inline int64_t back(int64_t cur, int64_t d, int64_t len)
 }
 
 /*
- * Quantize the t <= TILE points of one tile of projections y (m, TILE) as
- * quantize_batch: codes[i * stride + j] gets +1 or -1 and peaks[j] the
- * largest |y| of point j (NaN or inf when a sample is not finite). The
- * filter state lives in ring, reach + 1 rows of TILE doubles with
- * reach = pos[r - 1]; sample i reads row (i - pos[k]) mod (reach + 1) for
- * each tap k and writes row i mod (reach + 1): s = row_0 * w[0],
- * s += row_k * w[k] for the later taps, s += y, the code is +1 when
- * s >= 0.0, and the row becomes s - q.
+ * project_tileW and quantize_tileW, on vectors of W doubles.
+ *
+ * project_tileW: out (rows, TILE) = A x for the CSR matrix A (rows x
+ * n_pad) and one tile x, as sparse_matmat: output (i, j) starts at 0.0 and
+ * adds x[col] * v for the stored entries of row i in storage order.
+ *
+ * quantize_tileW: quantize the t <= TILE points of one tile of
+ * projections y (m, TILE) as quantize_batch: codes[i * stride + j] gets +1
+ * or -1 and peaks[j] the largest |y| of point j (NaN or inf when a sample
+ * is not finite). The filter state lives in ring, reach + 1 rows of TILE
+ * doubles with reach = pos[r - 1]; sample i reads row (i - pos[k]) mod
+ * (reach + 1) for each tap k and writes row i mod (reach + 1):
+ * s = row_0 * w[0], s += row_k * w[k] for the later taps, s += y, the code
+ * is +1 when s >= 0.0, and the row becomes s - q.
+ *
+ * Every lane gets the same operations whatever W is, so both widths give
+ * the same bits. The AVX2 build runs W = 4 and the baseline build W = 2
+ * (see wide below): without AVX, GCC keeps 32-byte vectors in memory.
  */
-static void quantize_tile(const double *restrict y, int64_t m, int64_t t,
-                          const int64_t *restrict pos,
+#define TILE_STAGES(W)                                                       \
+    static void project_tile##W(const int64_t *restrict offsets,             \
+                                const int64_t *restrict cols,                \
+                                const double *restrict vals, int64_t rows,   \
+                                const double *restrict x,                    \
+                                double *restrict out)                        \
+    {                                                                        \
+        for (int64_t i = 0; i < rows; i++) {                                 \
+            vd##W acc[TILE / W];                                             \
+            for (int l = 0; l < TILE / W; l++)                               \
+                acc[l] = (vd##W){0.0};                                       \
+            for (int64_t e = offsets[i]; e < offsets[i + 1]; e++) {          \
+                const vd##W *xr = (const vd##W *)(x + cols[e] * TILE);       \
+                for (int l = 0; l < TILE / W; l++)                           \
+                    acc[l] += xr[l] * vals[e];                               \
+            }                                                                \
+            vd##W *dst = (vd##W *)(out + i * TILE);                          \
+            for (int l = 0; l < TILE / W; l++)                               \
+                dst[l] = acc[l];                                             \
+        }                                                                    \
+    }                                                                        \
+                                                                             \
+    static void quantize_tile##W(const double *restrict y, int64_t m,        \
+                                 int64_t t, const int64_t *restrict pos,     \
+                                 const double *restrict w, int64_t r,        \
+                                 double *restrict ring,                      \
+                                 int8_t *restrict codes, int64_t stride,     \
+                                 double *restrict peaks)                     \
+    {                                                                        \
+        const int64_t len = pos[r - 1] + 1;                                  \
+        const vd##W zero = {0.0}, one = zero + 1.0, minus_one = zero - 1.0;  \
+        const vi##W magnitude = (vi##W){0} + INT64_MAX;                      \
+        vd##W peak[TILE / W];                                                \
+        int8_t q[TILE];                                                      \
+        memset(ring, 0, (size_t)(len * TILE) * sizeof(double));              \
+        for (int l = 0; l < TILE / W; l++)                                   \
+            peak[l] = zero;                                                  \
+        /* cur is i mod len. */                                              \
+        for (int64_t i = 0, cur = 0; i < m;                                  \
+             i++, cur = cur + 1 == len ? 0 : cur + 1) {                      \
+            vd##W *row = (vd##W *)(ring + cur * TILE);                       \
+            const vd##W *src =                                               \
+                (const vd##W *)(ring + back(cur, pos[0], len) * TILE);       \
+            vd##W s[TILE / W];                                               \
+            for (int l = 0; l < TILE / W; l++)                               \
+                s[l] = src[l] * w[0];                                        \
+            for (int64_t k = 1; k < r; k++) {                                \
+                src = (const vd##W *)(ring + back(cur, pos[k], len) * TILE); \
+                for (int l = 0; l < TILE / W; l++)                           \
+                    s[l] += src[l] * w[k];                                   \
+            }                                                                \
+            const vd##W *yi = (const vd##W *)(y + i * TILE);                 \
+            for (int l = 0; l < TILE / W; l++) {                             \
+                const vd##W v = s[l] + yi[l];                                \
+                const vi##W up = v >= zero;                                  \
+                row[l] = v - (vd##W)(((vi##W)one & up) |                     \
+                                     ((vi##W)minus_one & ~up));              \
+                /* +1 where up is -1 (true), -1 where it is 0. */            \
+                const vi##W code = -(up + up) - 1;                           \
+                for (int c = 0; c < W; c++)                                  \
+                    q[W * l + c] = (int8_t)code[c];                          \
+                const vd##W a = (vd##W)((vi##W)yi[l] & magnitude);           \
+                const vi##W more = (a > peak[l]) | (a != a);                 \
+                peak[l] = (vd##W)(((vi##W)a & more) |                        \
+                                  ((vi##W)peak[l] & ~more));                 \
+            }                                                                \
+            memcpy(codes + i * stride, q, (size_t)t);                        \
+        }                                                                    \
+        memcpy(peaks, peak, (size_t)t * sizeof(double));                     \
+    }
+
+TILE_STAGES(2)
+TILE_STAGES(4)
+
+/* project_tileW and quantize_tileW at the width of the build that runs:
+   wide is csq_isa(), 1 in the AVX2 build and 0 in the baseline one. */
+static void project_tile(int wide, const int64_t *restrict offsets,
+                         const int64_t *restrict cols,
+                         const double *restrict vals, int64_t rows,
+                         const double *restrict x, double *restrict out)
+{
+    if (wide)
+        project_tile4(offsets, cols, vals, rows, x, out);
+    else
+        project_tile2(offsets, cols, vals, rows, x, out);
+}
+
+static void quantize_tile(int wide, const double *restrict y, int64_t m,
+                          int64_t t, const int64_t *restrict pos,
                           const double *restrict w, int64_t r,
                           double *restrict ring, int8_t *restrict codes,
                           int64_t stride, double *restrict peaks)
 {
-    const int64_t len = pos[r - 1] + 1;
-    const vd one = {1.0, 1.0}, minus_one = {-1.0, -1.0}, zero = {0.0, 0.0};
-    const vi magnitude = {INT64_MAX, INT64_MAX};
-    vd peak[LANES];
-    int8_t q[TILE];
-    memset(ring, 0, (size_t)(len * TILE) * sizeof(double));
-    for (int l = 0; l < LANES; l++)
-        peak[l] = zero;
-    /* cur is i mod len. */
-    for (int64_t i = 0, cur = 0; i < m; i++, cur = cur + 1 == len ? 0 : cur + 1) {
-        vd *row = (vd *)(ring + cur * TILE);
-        const vd *src = (const vd *)(ring + back(cur, pos[0], len) * TILE);
-        vd s[LANES];
-        for (int l = 0; l < LANES; l++)
-            s[l] = src[l] * w[0];
-        for (int64_t k = 1; k < r; k++) {
-            src = (const vd *)(ring + back(cur, pos[k], len) * TILE);
-            for (int l = 0; l < LANES; l++)
-                s[l] += src[l] * w[k];
-        }
-        const vd *yi = (const vd *)(y + i * TILE);
-        for (int l = 0; l < LANES; l++) {
-            const vd v = s[l] + yi[l];
-            const vi up = v >= zero;
-            row[l] = v - (vd)(((vi)one & up) | ((vi)minus_one & ~up));
-            /* +1 where up is -1 (true), -1 where it is 0. */
-            const vi code = -(up + up) - 1;
-            q[2 * l] = (int8_t)code[0];
-            q[2 * l + 1] = (int8_t)code[1];
-            const vd a = (vd)((vi)yi[l] & magnitude);
-            const vi more = (a > peak[l]) | (a != a);
-            peak[l] = (vd)(((vi)a & more) | ((vi)peak[l] & ~more));
-        }
-        memcpy(codes + i * stride, q, (size_t)t);
-    }
-    memcpy(peaks, peak, (size_t)t * sizeof(double));
+    if (wide)
+        quantize_tile4(y, m, t, pos, w, r, ring, codes, stride, peaks);
+    else
+        quantize_tile2(y, m, t, pos, w, r, ring, codes, stride, peaks);
 }
 
 /* precondition_tile over a block of b points x (b, n); out is tiled. */
+CLONES
 void csq_precondition(const double *x, int64_t b, int64_t n,
                       const double *signs, int64_t n_pad, double scale,
                       double *out)
@@ -201,23 +281,28 @@ void csq_precondition(const double *x, int64_t b, int64_t n,
 }
 
 /* project_tile over a tiled block x of b points; out is tiled. */
+CLONES
 void csq_project(const int64_t *offsets, const int64_t *cols,
                  const double *vals, int64_t rows, const double *x,
                  int64_t n_pad, int64_t b, double *out)
 {
+    const int wide = csq_isa();
     for (int64_t p0 = 0; p0 < b; p0 += TILE)
-        project_tile(offsets, cols, vals, rows, x + p0 * n_pad, out + p0 * rows);
+        project_tile(wide, offsets, cols, vals, rows, x + p0 * n_pad,
+                     out + p0 * rows);
 }
 
 /* quantize_tile over a tiled block y of b points; codes are (m, b) and
    ring holds reach + 1 rows of TILE doubles. */
+CLONES
 void csq_quantize(const double *y, int64_t m, int64_t b, const int64_t *pos,
                   const double *w, int64_t r, double *ring, int8_t *codes,
                   double *peaks)
 {
+    const int wide = csq_isa();
     for (int64_t p0 = 0; p0 < b; p0 += TILE) {
         const int64_t t = b - p0 < TILE ? b - p0 : TILE;
-        quantize_tile(y + p0 * m, m, t, pos, w, r, ring, codes + p0, b,
+        quantize_tile(wide, y + p0 * m, m, t, pos, w, r, ring, codes + p0, b,
                       peaks + p0);
     }
 }
@@ -227,26 +312,34 @@ void csq_quantize(const double *y, int64_t m, int64_t b, const int64_t *pos,
  * for point j, entries[j * p + e] gets the sum over l < lam of
  * kernel[l] * code[e * lam + l], exact in int64 as condense_signs_batch
  * computes it, and bits[j * nbytes + i / 8] bit i % 8 (LSB first) is set
- * when code i is +1, the layout of Codes.from_signs.
+ * when code i is +1, the layout of Codes.from_signs. All TILE lanes are
+ * summed and packed together, reading each row of codes once; only lanes
+ * j < t are stored.
  */
 static void condense_tile(const int8_t *restrict codes, int64_t m, int64_t t,
                           const int64_t *restrict kernel, int64_t lam,
                           int64_t *restrict entries, uint8_t *restrict bits)
 {
     const int64_t p = m / lam, nbytes = (m + 7) / 8;
-    for (int64_t j = 0; j < t; j++) {
-        for (int64_t e = 0; e < p; e++) {
-            int64_t acc = 0;
-            for (int64_t l = 0; l < lam; l++)
-                acc += kernel[l] * codes[(e * lam + l) * TILE + j];
-            entries[j * p + e] = acc;
+    for (int64_t e = 0; e < p; e++) {
+        int64_t acc[TILE] = {0};
+        for (int64_t l = 0; l < lam; l++) {
+            const int8_t *c = codes + (e * lam + l) * TILE;
+            for (int j = 0; j < TILE; j++)
+                acc[j] += kernel[l] * c[j];
         }
-        for (int64_t byte = 0; byte < nbytes; byte++) {
-            unsigned v = 0;
-            for (int64_t i = 8 * byte; i < 8 * byte + 8 && i < m; i++)
-                v |= (unsigned)(codes[i * TILE + j] == 1) << (i - 8 * byte);
-            bits[j * nbytes + byte] = (uint8_t)v;
+        for (int64_t j = 0; j < t; j++)
+            entries[j * p + e] = acc[j];
+    }
+    for (int64_t byte = 0; byte < nbytes; byte++) {
+        uint8_t v[TILE] = {0};
+        for (int64_t i = 8 * byte; i < 8 * byte + 8 && i < m; i++) {
+            const int8_t *c = codes + i * TILE;
+            for (int j = 0; j < TILE; j++)
+                v[j] |= (uint8_t)((c[j] == 1) << (i - 8 * byte));
         }
+        for (int64_t j = 0; j < t; j++)
+            bits[j * nbytes + byte] = v[j];
     }
 }
 
@@ -258,6 +351,7 @@ static void condense_tile(const int8_t *restrict codes, int64_t m, int64_t t,
  * projections of a point overflowed. scratch holds
  * (n_pad + m + reach + 1) * TILE doubles followed by m * TILE bytes.
  */
+CLONES
 void csq_embed_block(const double *x, int64_t b, int64_t n,
                      const double *signs, int64_t n_pad, double scale,
                      const int64_t *offsets, const int64_t *cols,
@@ -269,11 +363,13 @@ void csq_embed_block(const double *x, int64_t b, int64_t n,
     const int64_t len = pos[r - 1] + 1;
     double *xt = scratch, *yt = xt + n_pad * TILE, *ring = yt + m * TILE;
     int8_t *codes = (int8_t *)(ring + len * TILE);
+    const int wide = csq_isa();
     for (int64_t p0 = 0; p0 < b; p0 += TILE) {
         const int64_t t = b - p0 < TILE ? b - p0 : TILE;
         precondition_tile(x + p0 * n, t, n, signs, n_pad, scale, xt);
-        project_tile(offsets, cols, vals, m, xt, yt);
-        quantize_tile(yt, m, t, pos, w, r, ring, codes, TILE, peaks + p0);
+        project_tile(wide, offsets, cols, vals, m, xt, yt);
+        quantize_tile(wide, yt, m, t, pos, w, r, ring, codes, TILE,
+                      peaks + p0);
         condense_tile(codes, m, t, kernel, lam, entries + p0 * (m / lam),
                       bits + p0 * ((m + 7) / 8));
     }
@@ -343,8 +439,8 @@ int64_t csq_draw_sparse(bitgen_t *bitgen, double (*normal)(bitgen_t *),
  * rows sum modulo 2**64 as the numpy loop does.
  */
 #define L1_PAIRS(name, T, U, A, CHUNK_E)                                     \
-    void name(const T *rows, int64_t k, int64_t p, int64_t start,            \
-              int64_t stop, int64_t *sums)                                   \
+    CLONES void name(const T *rows, int64_t k, int64_t p, int64_t start,     \
+                     int64_t stop, int64_t *sums)                            \
     {                                                                        \
         for (int64_t i = start; i < stop; i++) {                             \
             const T *restrict a = rows + i * p;                              \

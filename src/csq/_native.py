@@ -22,6 +22,13 @@ integer arithmetic and copy bytes, so their results are exact. The
 operator draw calls NumPy's own generator functions through their C
 pointers, so it consumes the stream and rounds every value as the numpy
 loop does.
+
+On x86-64 with glibc the one library holds a baseline and an AVX2 build
+of the embed and l1 kernels (``target_clones``), and the dynamic loader
+picks one when the library loads, by the CPU it runs on. The AVX2 build
+enables no FMA and gives the same bytes, so the cache key names no CPU
+feature, and a library cached on one host runs on any x86-64 host that
+shares the cache. ``Kernels.isa`` says which build runs.
 """
 
 from __future__ import annotations
@@ -78,6 +85,7 @@ _SIGNATURES = {
     "csq_draw_sparse": (
         _i64, [_ptr, _ptr, _i64, _i64, _i64, _f64, _ptr, _ptr, _ptr, _i64]
     ),
+    "csq_isa": (ctypes.c_int, []),
 }
 
 
@@ -134,6 +142,9 @@ class Kernels:
     kernel can be compared with its numpy counterpart on its own.
     :meth:`draw_sparse` draws the operator; :meth:`l1_pairs` and
     :meth:`pair_lines` serve the all-pairs query.
+
+    ``isa`` is ``"avx2"`` when the embed and l1 kernels run their AVX2
+    build, ``"baseline"`` otherwise.
     """
 
     def __init__(self, lib: ctypes.CDLL, normal):
@@ -142,6 +153,7 @@ class Kernels:
         for name, (restype, argtypes) in _SIGNATURES.items():
             fn = getattr(lib, name)
             fn.restype, fn.argtypes = restype, argtypes
+        self.isa = "avx2" if lib.csq_isa() else "baseline"
 
     @staticmethod
     def tiled_size(b: int, n_pad: int) -> int:

@@ -48,7 +48,7 @@ def synth_wellspread(n: int, k: int, generator: str, seed) -> Dataset:
         raise ParameterError("n and k must be positive")
     if generator not in GENERATORS:
         raise ParameterError(f"generator must be one of {GENERATORS}")
-    children = np.random.SeedSequence(seed).spawn(k)
+    children = seed_sequence(seed).spawn(k)
     vectors = np.empty((k, n), dtype=np.float64)
     scale = 1.0 / math.sqrt(n)
     for i, child in enumerate(children):

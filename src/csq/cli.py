@@ -142,7 +142,7 @@ def _cmd_embed(args) -> int:
         f"implied eps: {diag.implied_eps:.3g}"
     )
     if diag.kernels == "native":
-        print(f"kernels: native ({diag.workers} workers)")
+        print(f"kernels: native, {diag.isa} ({diag.workers} workers)")
     else:
         print(f"kernels: numpy ({diag.kernels_note})")
     suggested = pipeline.kappa_bound(model.quantizer.mu, np.log(2.0), model.m)

@@ -303,8 +303,9 @@ class EmbedDiagnostics:
     """Per-point health flags gathered while embedding, and how it ran.
 
     ``kernels`` is ``"native"`` (the compiled block kernels, on ``workers``
-    threads) or ``"numpy"`` (one whole-dataset pass; ``kernels_note`` says
-    why the compiled kernels are unavailable).
+    threads, in the build ``isa`` names: ``"avx2"`` or ``"baseline"``) or
+    ``"numpy"`` (one whole-dataset pass, ``isa`` empty; ``kernels_note``
+    says why the compiled kernels are unavailable).
     """
 
     amplitude_violations: np.ndarray
@@ -314,6 +315,7 @@ class EmbedDiagnostics:
     kernels: str = "numpy"
     workers: int = 1
     kernels_note: str = ""
+    isa: str = ""
 
 
 @dataclass
@@ -440,6 +442,7 @@ def embed_dataset(model: EmbeddingModel, data: Dataset) -> EmbedResult:
         kernels="native" if kern else "numpy",
         workers=workers,
         kernels_note="" if kern else _native.failure() or "native kernels not loaded",
+        isa=kern.isa if kern else "",
     )
     return EmbedResult(
         codes=Codes(model.m, bits),
@@ -476,7 +479,7 @@ def sign_msq_baseline_embed(g_seed: int, m: int, x: np.ndarray) -> BinaryCode:
     norm = np.linalg.norm(x)
     if norm == 0.0:
         raise InputError("baseline embedding requires a nonzero vector")
-    rng = np.random.default_rng(g_seed)
+    rng = np.random.default_rng(seed_sequence(g_seed))
     g = rng.standard_normal((m, x.shape[0]))
     z = g @ (x / norm)
     signs = np.where(z >= 0.0, 1, -1).astype(np.int8)

@@ -3,12 +3,21 @@
 The compiled kernels are built once per session into a private cache, so
 the tests neither read nor write the user's cache. ``numpy_kernels``
 switches one test to the numpy kernels by making the loader report that
-no compiled kernels exist.
+no compiled kernels exist; ``baseline_loader`` switches it to the kernels
+compiled without their AVX2 clones, which a host with AVX2 never runs
+otherwise.
 """
+
+import ctypes
+import shutil
+import subprocess
 
 import pytest
 
 from csq import _native
+
+# The define that leaves the kernels' CLONES macro empty (see _kernels.c).
+NO_CLONES = "-DCSQ_NO_CLONES"
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -33,3 +42,25 @@ def fresh_loader():
     _native._load.cache_clear()
     yield _native
     _native._load.cache_clear()
+
+
+@pytest.fixture(scope="session")
+def baseline_kernels(tmp_path_factory):
+    """The kernels compiled with the loader's flags and ``NO_CLONES``: the
+    baseline build alone."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler 'cc' on PATH")
+    work = tmp_path_factory.mktemp("baseline")
+    src, lib = work / "_kernels.c", work / "kernels.so"
+    src.write_bytes(_native.source())
+    subprocess.run(
+        ["cc", *_native.FLAGS, NO_CLONES, "-o", str(lib), str(src)],
+        check=True, capture_output=True, timeout=120,
+    )
+    normal = getattr(_native._numpy_random(), _native.NORMAL)
+    return _native.Kernels(ctypes.CDLL(str(lib)), normal)
+
+
+@pytest.fixture
+def baseline_loader(monkeypatch, baseline_kernels):
+    monkeypatch.setattr(_native, "load", lambda: baseline_kernels)

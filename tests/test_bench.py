@@ -51,6 +51,12 @@ def test_unknown_generator():
         synth_wellspread(8, 2, "cauchy", 0)
 
 
+@pytest.mark.parametrize("seed", [-1, [3, -1], 0.5])
+def test_generator_refuses_a_bad_seed(seed):
+    with pytest.raises(ParameterError, match="seeds must be non-negative integers"):
+        synth_wellspread(8, 2, "signflat", seed)
+
+
 # ----------------------------------------------------------------- mape
 
 

@@ -2,6 +2,8 @@
 numpy kernels when that fails, and the thread pool of the block path."""
 
 import os
+import platform
+import re
 import shutil
 import stat
 import subprocess
@@ -12,11 +14,15 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from conftest import NO_CLONES
 from csq import _native, pipeline
 from csq.cli import main
 from csq.pipeline import build_model, dataset_from_matrix, embed_dataset
+from oracles import l1_oracle
+from test_kernels import _check_embed, _points, extreme_rows
 
 HAS_CC = shutil.which("cc") is not None
+X86_64 = platform.machine() in ("x86_64", "AMD64")
 
 
 def _embed(method="fjlt", k=700):
@@ -55,20 +61,24 @@ def test_kernel_source_ships_with_the_package():
     src = resources.files("csq").joinpath("_kernels.c")
     assert src.is_file()
     assert src.read_bytes() == _native.source()
-    for name in ("csq_precondition", "csq_project", "csq_quantize", "csq_draw_sparse"):
+    for name in (
+        "csq_precondition", "csq_project", "csq_quantize", "csq_draw_sparse", "csq_isa"
+    ):
         assert name.encode() in _native.source()
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler 'cc' on PATH")
 def test_kernels_compile_without_warnings(tmp_path):
+    """With the clones and without them (NO_CLONES)."""
     src = tmp_path / "_kernels.c"
     src.write_bytes(_native.source())
-    flags = (*_native.FLAGS, "-Wall", "-Wextra", "-Werror")
-    proc = subprocess.run(
-        ["cc", *flags, "-o", str(tmp_path / "kernels.so"), str(src)],
-        capture_output=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr.decode()
+    for define in ((), (NO_CLONES,)):
+        flags = (*_native.FLAGS, *define, "-Wall", "-Wextra", "-Werror")
+        proc = subprocess.run(
+            ["cc", *flags, "-o", str(tmp_path / "kernels.so"), str(src)],
+            capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler 'cc' on PATH")
@@ -76,6 +86,7 @@ def test_native_path_is_active_when_cc_is_on_path(reference, capsys, tmp_path):
     res = _embed()
     assert res.diagnostics.kernels == "native", res.diagnostics.kernels_note
     assert res.diagnostics.workers == min(_native._worker_count(), 2)
+    assert res.diagnostics.isa == _native.load().isa
     _assert_same(res, reference)
     inp = tmp_path / "points.csv"
     inp.write_text("0.01,0.02,0.0,-0.01\n-0.02,0.0,0.01,0.005\n")
@@ -85,7 +96,93 @@ def test_native_path_is_active_when_cc_is_on_path(reference, capsys, tmp_path):
         "--out-codes", str(tmp_path / "c.csqc"),
         "--out-condensed", str(tmp_path / "d.csqd"),
     ]) == 0
-    assert "kernels: native (1 workers)" in capsys.readouterr().out
+    assert f"kernels: native, {res.diagnostics.isa} (1 workers)" in capsys.readouterr().out
+
+
+def _host_has_avx2() -> bool:
+    """Whether /proc/cpuinfo lists avx2 (False where it cannot be read)."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            return any(
+                line.startswith("flags") and "avx2" in line.split() for line in f
+            )
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler 'cc' on PATH")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diagnostics_and_cli_name_the_build_that_ran(
+    baseline_kernels, monkeypatch, capsys, tmp_path
+):
+    """The loaded library runs its AVX2 build only on x86-64 hosts with
+    AVX2 (a compiler without target_clones builds no clone at all); the
+    build without clones always says baseline, in the diagnostics and on
+    the CLI line."""
+    loaded = _native.load()
+    assert loaded is not None, _native.failure()
+    assert loaded.isa in ("avx2", "baseline")
+    if not (X86_64 and _host_has_avx2()):
+        assert loaded.isa == "baseline"
+    assert baseline_kernels.isa == "baseline"
+    monkeypatch.setattr(_native, "load", lambda: baseline_kernels)
+    assert _embed().diagnostics.isa == "baseline"
+    inp = tmp_path / "points.csv"
+    inp.write_text("0.01,0.02,0.0,-0.01\n-0.02,0.0,0.01,0.005\n")
+    assert main([
+        "embed", "--input", str(inp), "--p", "2", "--lambda-tilde", "3",
+        "--r", "1", "--out-model", str(tmp_path / "m.csqm"),
+        "--out-codes", str(tmp_path / "c.csqc"),
+        "--out-condensed", str(tmp_path / "d.csqd"),
+    ]) == 0
+    assert "kernels: native, baseline (1 workers)" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler 'cc' on PATH")
+@pytest.mark.parametrize("k", [1, 15, 17, 513])
+def test_baseline_build_gives_the_bytes_of_the_loaded_one(
+    baseline_kernels, monkeypatch, k
+):
+    """Embed and l1 outputs of the build without clones, which a host with
+    AVX2 never dispatches to, equal the loaded library's and the oracles':
+    one point, partial tiles on either side of 16, and two blocks."""
+    loaded = _native.load()
+    assert loaded is not None, _native.failure()
+    model = build_model("fjlt", 37, 4, 4, 2, seed=k)
+    xs = _points(k, 37, seed=k)
+    xs *= 0.3 / np.abs(xs).max()
+    rows = extreme_rows(15, k, 37, seed=k)
+    want_sums = np.concatenate(
+        [np.zeros(0, dtype=np.int64)] + [sums for _, _, sums in l1_oracle(rows)]
+    )
+    outputs = []
+    for kern in (loaded, baseline_kernels):
+        monkeypatch.setattr(_native, "load", lambda kern=kern: kern)
+        res = _check_embed(model, xs)
+        sums = np.empty(want_sums.size, dtype=np.int64)
+        kern.l1_pairs(rows, 0, k, sums)
+        assert np.array_equal(sums, want_sums)
+        outputs.append(_outputs(res))
+    for got, want in zip(*outputs):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler 'cc' on PATH")
+@pytest.mark.skipif(
+    not X86_64 or shutil.which("objdump") is None,
+    reason="needs objdump and an x86-64 host",
+)
+def test_library_has_no_fused_multiply_add():
+    """No build in the library, the AVX2 one included, fuses a * b + c:
+    a fused multiply-add skips a rounding, and the bytes would then depend
+    on the CPU that ran."""
+    assert _native.load() is not None, _native.failure()
+    lib = _native._build(_native.cache_dir())
+    text = subprocess.run(
+        ["objdump", "-d", str(lib)], check=True, capture_output=True, timeout=60
+    ).stdout.decode()
+    assert "<csq_embed_block" in text
+    assert not re.findall(r"\bvfn?m(?:add|sub)\w*", text)
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler 'cc' on PATH")
@@ -109,6 +206,7 @@ def test_no_compiler_falls_back_to_numpy(fresh_loader, monkeypatch, tmp_path, re
     res = _embed()
     assert res.diagnostics.kernels == "numpy"
     assert res.diagnostics.workers == 1
+    assert res.diagnostics.isa == ""
     assert "no C compiler" in res.diagnostics.kernels_note
     _assert_same(res, reference)
 

@@ -539,6 +539,19 @@ def test_baseline_identical_antipodal_and_errors():
         sign_msq_baseline_embed(5, 0, x)
 
 
+@pytest.mark.parametrize("seed", [-1, [3, -1], 0.5])
+def test_baseline_refuses_a_bad_seed(seed):
+    with pytest.raises(ParameterError, match="seeds must be non-negative integers"):
+        sign_msq_baseline_embed(seed, 8, np.array([1.0, 2.0]))
+
+
+def test_baseline_draws_from_the_seed_as_default_rng_does():
+    x = np.random.default_rng(10).standard_normal(64)
+    g = np.random.default_rng(5).standard_normal((300, 64))
+    want = BinaryCode.from_signs(np.where(g @ (x / np.linalg.norm(x)) >= 0.0, 1, -1))
+    assert np.array_equal(sign_msq_baseline_embed(5, 300, x).bits, want.bits)
+
+
 def test_baseline_orthogonal_pairs_near_half():
     rng = np.random.default_rng(9)
     x = rng.standard_normal(256)
