@@ -19,10 +19,11 @@
  * points is its tiles one after another, tile p0 / TILE starting at
  * p0 * rows. Codes are (m, b) row-major, points on the last axis.
  *
- * csq_embed_block embeds a block tile by tile, so the stages'
- * intermediate arrays never exceed one tile; csq_precondition,
+ * csq_embed_block embeds a block tile by tile, in one tile of working
+ * memory that it allocates and frees itself; csq_precondition,
  * csq_project and csq_quantize run one stage over a block, so that each
- * can be checked on its own.
+ * can be checked on its own. A kernel that allocates returns nonzero,
+ * having written nothing, when the allocation fails.
  *
  * On x86-64 with glibc the embed stages and the l1 sums are CLONES: the
  * compiler builds each twice, for baseline x86-64 and for AVX2, with every
@@ -40,6 +41,7 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* The clones need the dynamic loader's ifunc support, which glibc has. */
@@ -106,12 +108,12 @@ static void butterflies(double *restrict x, int64_t rows, int64_t h)
  * Otherwise, as Projection.precondition and fwht_inplace: feature f
  * becomes x * signs[f], the padding features 0.0 * signs[f], and every
  * point goes through the butterfly stages h = 1, 2, 4, ..., n_pad / 2
- * (see butterflies), followed by one multiplication by scale
- * (1/sqrt(n_pad)).
+ * (see butterflies), followed by one multiplication by 1/sqrt(n_pad),
+ * correctly rounded as Python's 1.0 / math.sqrt(n_pad).
  */
 static void precondition_tile(const double *restrict x, int64_t t, int64_t n,
                               const double *restrict signs, int64_t n_pad,
-                              double scale, double *restrict tile)
+                              double *restrict tile)
 {
     for (int64_t f = 0; f < n; f++) {
         double *dst = tile + f * TILE;
@@ -138,6 +140,7 @@ static void precondition_tile(const double *restrict x, int64_t t, int64_t n,
             butterflies(tile + c0 * TILE, chunk, h);
     for (int64_t h = chunk; h < n_pad; h *= 2)
         butterflies(tile, n_pad, h);
+    const double scale = 1.0 / sqrt((double)n_pad);
     for (int64_t e = 0; e < n_pad * TILE; e++)
         tile[e] *= scale;
 }
@@ -270,13 +273,11 @@ static void quantize_tile(int wide, const double *restrict y, int64_t m,
 /* precondition_tile over a block of b points x (b, n); out is tiled. */
 CLONES
 void csq_precondition(const double *x, int64_t b, int64_t n,
-                      const double *signs, int64_t n_pad, double scale,
-                      double *out)
+                      const double *signs, int64_t n_pad, double *out)
 {
     for (int64_t p0 = 0; p0 < b; p0 += TILE) {
         const int64_t t = b - p0 < TILE ? b - p0 : TILE;
-        precondition_tile(x + p0 * n, t, n, signs, n_pad, scale,
-                          out + p0 * n_pad);
+        precondition_tile(x + p0 * n, t, n, signs, n_pad, out + p0 * n_pad);
     }
 }
 
@@ -292,19 +293,23 @@ void csq_project(const int64_t *offsets, const int64_t *cols,
                      out + p0 * rows);
 }
 
-/* quantize_tile over a tiled block y of b points; codes are (m, b) and
-   ring holds reach + 1 rows of TILE doubles. */
+/* quantize_tile over a tiled block y of b points; codes are (m, b).
+   Returns nonzero, writing nothing, when the ring cannot be allocated. */
 CLONES
-void csq_quantize(const double *y, int64_t m, int64_t b, const int64_t *pos,
-                  const double *w, int64_t r, double *ring, int8_t *codes,
-                  double *peaks)
+int csq_quantize(const double *y, int64_t m, int64_t b, const int64_t *pos,
+                 const double *w, int64_t r, int8_t *codes, double *peaks)
 {
+    double *ring = malloc((size_t)(pos[r - 1] + 1) * TILE * sizeof(double));
+    if (!ring)
+        return 1;
     const int wide = csq_isa();
     for (int64_t p0 = 0; p0 < b; p0 += TILE) {
         const int64_t t = b - p0 < TILE ? b - p0 : TILE;
         quantize_tile(wide, y + p0 * m, m, t, pos, w, r, ring, codes + p0, b,
                       peaks + p0);
     }
+    free(ring);
+    return 0;
 }
 
 /*
@@ -348,31 +353,37 @@ static void condense_tile(const int8_t *restrict codes, int64_t m, int64_t t,
  * quantize, condense and pack, each as its function above describes.
  * entries (b, m / lam) and bits (b, ceil(m / 8)) get one row per point,
  * peaks (b) the largest |projection| of each point, NaN or inf where the
- * projections of a point overflowed. scratch holds
+ * projections of a point overflowed. The tile's working memory is
  * (n_pad + m + reach + 1) * TILE doubles followed by m * TILE bytes.
  */
 CLONES
-void csq_embed_block(const double *x, int64_t b, int64_t n,
-                     const double *signs, int64_t n_pad, double scale,
-                     const int64_t *offsets, const int64_t *cols,
-                     const double *vals, int64_t m, const int64_t *pos,
-                     const double *w, int64_t r, const int64_t *kernel,
-                     int64_t lam, double *scratch, int64_t *entries,
-                     uint8_t *bits, double *peaks)
+int csq_embed_block(const double *x, int64_t b, int64_t n,
+                    const double *signs, int64_t n_pad,
+                    const int64_t *offsets, const int64_t *cols,
+                    const double *vals, int64_t m, const int64_t *pos,
+                    const double *w, int64_t r, const int64_t *kernel,
+                    int64_t lam, int64_t *entries, uint8_t *bits,
+                    double *peaks)
 {
     const int64_t len = pos[r - 1] + 1;
-    double *xt = scratch, *yt = xt + n_pad * TILE, *ring = yt + m * TILE;
+    double *xt = malloc((size_t)(n_pad + m + len) * TILE * sizeof(double) +
+                        (size_t)m * TILE);
+    if (!xt)
+        return 1;
+    double *yt = xt + n_pad * TILE, *ring = yt + m * TILE;
     int8_t *codes = (int8_t *)(ring + len * TILE);
     const int wide = csq_isa();
     for (int64_t p0 = 0; p0 < b; p0 += TILE) {
         const int64_t t = b - p0 < TILE ? b - p0 : TILE;
-        precondition_tile(x + p0 * n, t, n, signs, n_pad, scale, xt);
+        precondition_tile(x + p0 * n, t, n, signs, n_pad, xt);
         project_tile(wide, offsets, cols, vals, m, xt, yt);
         quantize_tile(wide, yt, m, t, pos, w, r, ring, codes, TILE,
                       peaks + p0);
         condense_tile(codes, m, t, kernel, lam, entries + p0 * (m / lam),
                       bits + p0 * ((m + 7) / 8));
     }
+    free(xt);
+    return 0;
 }
 
 /*

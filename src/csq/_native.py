@@ -58,7 +58,8 @@ NUM, TEXT = 24, 32
 # same way).
 NORMAL = "random_standard_normal"
 
-_i64, _f64, _ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+_int, _i64, _f64 = ctypes.c_int, ctypes.c_int64, ctypes.c_double
+_ptr = ctypes.c_void_p
 # The l1 pair kernel of each row dtype.
 L1_KERNELS = {
     np.dtype(np.int8): "csq_l1_pairs_i8",
@@ -67,13 +68,13 @@ L1_KERNELS = {
     np.dtype(np.int64): "csq_l1_pairs_i64",
 }
 _SIGNATURES = {
-    "csq_precondition": (None, [_ptr, _i64, _i64, _ptr, _i64, _f64, _ptr]),
+    "csq_precondition": (None, [_ptr, _i64, _i64, _ptr, _i64, _ptr]),
     "csq_project": (None, [_ptr, _ptr, _ptr, _i64, _ptr, _i64, _i64, _ptr]),
-    "csq_quantize": (None, [_ptr, _i64, _i64, _ptr, _ptr, _i64, _ptr, _ptr, _ptr]),
+    "csq_quantize": (_int, [_ptr, _i64, _i64, _ptr, _ptr, _i64, _ptr, _ptr]),
     "csq_embed_block": (
-        None,
-        [_ptr, _i64, _i64, _ptr, _i64, _f64, _ptr, _ptr, _ptr, _i64, _ptr, _ptr,
-         _i64, _ptr, _i64, _ptr, _ptr, _ptr, _ptr],
+        _int,
+        [_ptr, _i64, _i64, _ptr, _i64, _ptr, _ptr, _ptr, _i64, _ptr, _ptr, _i64,
+         _ptr, _i64, _ptr, _ptr, _ptr],
     ),
     **{
         name: (None, [_ptr, _i64, _i64, _i64, _i64, _ptr])
@@ -85,7 +86,7 @@ _SIGNATURES = {
     "csq_draw_sparse": (
         _i64, [_ptr, _ptr, _i64, _i64, _i64, _f64, _ptr, _ptr, _ptr, _i64]
     ),
-    "csq_isa": (ctypes.c_int, []),
+    "csq_isa": (_int, []),
 }
 
 
@@ -137,7 +138,9 @@ class Kernels:
     C-ordered int64/float64, offsets rising from 0 to nnz, every column in
     range), which they read in place.
 
-    :meth:`embed_block` is the embed path; :meth:`precondition`,
+    :meth:`embed_block` is the embed path: it reads the operator, the
+    quantizer taps and the condensation kernel from the model, and the C
+    kernel allocates its own tile of working memory. :meth:`precondition`,
     :meth:`project` and :meth:`quantize` run one stage each, so that every
     kernel can be compared with its numpy counterpart on its own.
     :meth:`draw_sparse` draws the operator; :meth:`l1_pairs` and
@@ -160,7 +163,7 @@ class Kernels:
         """Doubles in a tiled block of b points (see ``_kernels.c``)."""
         return -(-b // TILE) * TILE * n_pad
 
-    def precondition(self, x, signs, n_pad, scale, out) -> None:
+    def precondition(self, x, signs, n_pad, out) -> None:
         """Tile the rows of x (b, n), optionally padding, sign-flipping and
         transforming them."""
         b, n = x.shape
@@ -169,8 +172,7 @@ class Kernels:
         self._lib.csq_precondition(
             _check(x, np.float64, b * n), b, n,
             None if signs is None else _check(signs, np.float64, n_pad),
-            n_pad, scale,
-            _check(out, np.float64, self.tiled_size(b, n_pad)),
+            n_pad, _check(out, np.float64, self.tiled_size(b, n_pad)),
         )
 
     def project(self, matrix, x, b, out) -> None:
@@ -184,56 +186,52 @@ class Kernels:
             _check(out, np.float64, self.tiled_size(b, matrix.rows)),
         )
 
-    def quantize(self, y, quantizer, ring, codes, peaks) -> None:
+    def quantize(self, y, quantizer, codes, peaks) -> None:
         """Codes (m, b) and peaks (b) of the tiled projections y of b
         points; see ``_kernels.c``."""
         m, b = codes.shape
         positions, weights = _taps(quantizer)
-        self._lib.csq_quantize(
+        if self._lib.csq_quantize(
             _check(y, np.float64, self.tiled_size(b, m)), m, b,
             positions.ctypes.data, weights.ctypes.data, positions.size,
-            _check(ring, np.float64, (quantizer.reach + 1) * TILE),
             _check(codes, np.int8, m * b),
             _check(peaks, np.float64, b),
-        )
+        ):
+            raise MemoryError("cannot allocate the quantizer state")
 
-    @staticmethod
-    def scratch_size(n_pad: int, m: int, reach: int) -> int:
-        """Doubles of scratch :meth:`embed_block` needs."""
-        return (n_pad + m + reach + 1) * TILE + -(-m * TILE // 8)
-
-    def embed_block(
-        self, x, signs, scale, matrix, quantizer, kernel, scratch,
-        entries, bits, peaks,
-    ) -> None:
-        """Embed the rows of x (b, n): ``entries`` (b, p) and ``bits``
-        (b, ceil(m/8)) get the condensed sketches and packed codes the
-        numpy stages give, and ``peaks`` (b) each point's largest
-        |projection|, not finite where the projections overflowed."""
+    def embed_block(self, model, x, entries, bits, peaks) -> None:
+        """Embed the rows of x (b, n) with the operator, quantizer and
+        condensation of ``model`` (a :class:`csq.pipeline.EmbeddingModel`):
+        ``entries`` (b, p) and ``bits`` (b, ceil(m/8)) get the condensed
+        sketches and packed codes the numpy stages give, and ``peaks`` (b)
+        each point's largest |projection|, not finite where the projections
+        overflowed. Raises MemoryError when the kernel cannot allocate the
+        working memory of one tile."""
+        op = model.operator
+        matrix, signs = op.matrix, op.signs
         b, n = x.shape
-        n_pad, m, lam = matrix.cols, matrix.rows, kernel.size
-        positions, weights = _taps(quantizer)
+        n_pad, m = matrix.cols, matrix.rows
+        kernel = model.condensation.kernel
+        positions, weights = _taps(model.quantizer)
         if (
-            n > n_pad
-            or (signs is None and n_pad != n)
-            or m % lam
-            or entries.shape != (b, m // lam)
+            n != op.n
+            or entries.shape != (b, model.p)
             or bits.shape != (b, (m + 7) // 8)
         ):
             raise ValueError("block dimensions disagree")
-        self._lib.csq_embed_block(
+        if self._lib.csq_embed_block(
             _check(x, np.float64, b * n), b, n,
             None if signs is None else _check(signs, np.float64, n_pad),
-            n_pad, scale,
+            n_pad,
             matrix.row_offsets.ctypes.data, matrix.col_indices.ctypes.data,
             matrix.values.ctypes.data, m,
             positions.ctypes.data, weights.ctypes.data, positions.size,
-            _check(kernel, np.int64, lam), lam,
-            _check(scratch, np.float64, self.scratch_size(n_pad, m, quantizer.reach)),
+            _check(kernel, np.int64, kernel.size), kernel.size,
             _check(entries, np.int64, entries.size),
             _check(bits, np.uint8, bits.size),
             _check(peaks, np.float64, b),
-        )
+        ):
+            raise MemoryError("cannot allocate the embed kernel's tile")
 
     def draw_sparse(self, rng, rows: int, cols: int, sparsity: float, capacity=None):
         """``(row_offsets, col_indices, values)`` of the rows x cols sparse

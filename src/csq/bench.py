@@ -140,7 +140,6 @@ class BenchCell:
     m_actual: int
     mape: float
     wall_ms: float
-    amplitude_violation_fraction: float = 0.0
     trial_scores: tuple[float, ...] = ()
 
 
@@ -158,7 +157,6 @@ def _cell(cfg: BenchConfig, r: int, p: int, m: int) -> BenchCell:
     start = time.perf_counter()
     lambda_tilde = m // p if r == 0 else nearest_lambda_tilde(m // p, r)
     scores = []
-    violations = []
     for trial in range(cfg.trials):
         data = _cell_data(cfg, p, m, trial)
         model = build_model(
@@ -181,7 +179,6 @@ def _cell(cfg: BenchConfig, r: int, p: int, m: int) -> BenchCell:
             blocks = pairwise_l1_blocks(result.condensed.entries)
             l1 = np.concatenate([sums for _, _, sums in blocks])
             estimates = l1 * model.condensation.norm_factor
-            violations.append(result.diagnostics.amplitude_violations.mean())
         truths = pairwise_l2(data.vectors)
         scores.append(mape(estimates, truths))
     wall_ms = (time.perf_counter() - start) * 1000.0
@@ -192,7 +189,6 @@ def _cell(cfg: BenchConfig, r: int, p: int, m: int) -> BenchCell:
         m_actual=model.m,
         mape=float(np.mean(scores)),
         wall_ms=wall_ms,
-        amplitude_violation_fraction=float(np.mean(violations)) if r else 0.0,
         trial_scores=tuple(scores),
     )
 

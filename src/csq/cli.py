@@ -1,7 +1,8 @@
 """Command-line interface: embed datasets, query distances, run benchmarks.
 
-Exit codes: 0 on success, 2 for usage, parameter and file-format problems
-and for files that cannot be read or written, 141 (128 + SIGPIPE) when the
+Exit codes: 0 on success, 2 for usage, parameter and file-format problems,
+for files that cannot be read or written and for sizes too large to
+allocate, 141 (128 + SIGPIPE) when the
 reader of standard output goes away, as in ``csq query --all-pairs |
 head``, and 1 for anything unexpected. All output files are pure functions
 of the flags and the seed; wall-clock milliseconds appear only in
@@ -22,7 +23,7 @@ import numpy as np
 from . import bench as bench_mod
 from . import pipeline, store
 from .condense import check_geometry, pairwise_l1_blocks
-from .errors import CsqError, ParameterError
+from .errors import CapacityError, CsqError, ParameterError
 
 
 def _int_list(text: str) -> list[int]:
@@ -339,6 +340,10 @@ def main(argv: list[str] | None = None) -> int:
         return 141
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # Sizes too large for this host, from NumPy or the compiled kernels.
+        print(f"{CapacityError.kind}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)

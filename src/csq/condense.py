@@ -303,34 +303,46 @@ def _pair_blocks(k: int, block_pairs: int):
         start = stop
 
 
-def _numpy_l1_blocks(rows: np.ndarray, blocks):
+def _numpy_l1_pairs(rows: np.ndarray, start: int, stop: int, sums: np.ndarray) -> None:
+    """The sums of :meth:`csq._native.Kernels.l1_pairs` by a numpy loop, in
+    the dtype of ``sums``, for rows of any dtype."""
     k = rows.shape[0]
-    diff = np.empty_like(rows)
-    dtype = rows[:0].sum(axis=1).dtype
-    for start, stop, count in blocks:
-        sums = np.empty(count, dtype=dtype)
-        off = 0
-        for i in range(start, stop):
-            n = k - 1 - i
-            d = np.subtract(rows[i + 1 :], rows[i], out=diff[:n])
-            np.abs(d, out=d).sum(axis=1, out=sums[off : off + n])
-            off += n
-        yield start, stop, sums
+    diff = np.empty_like(rows[start + 1 :])
+    off = 0
+    for i in range(start, stop):
+        n = k - 1 - i
+        d = np.subtract(rows[i + 1 :], rows[i], out=diff[:n])
+        np.abs(d, out=d).sum(axis=1, out=sums[off : off + n])
+        off += n
 
 
-def _native_l1_blocks(kern, rows: np.ndarray, blocks):
-    """:func:`_numpy_l1_blocks` with the compiled kernel. With more than
-    one CPU, a thread computes the next block while the caller consumes
-    the current one."""
+def pairwise_l1_blocks(rows: np.ndarray, block_pairs: int = 1 << 17):
+    """Yield ``(start, stop, sums)``: the l1 distances of rows start..stop-1
+    to every later row, in (i, j), i < j order, about ``block_pairs`` at a
+    time. Integer rows give exact int64 sums when their differences fit
+    the row dtype (see :func:`entry_dtype`).
+
+    Signed integer rows run on the compiled kernel when it loads (see
+    :mod:`csq._native`); other rows, and every row without it, on a numpy
+    loop that gives the same sums. With more than one CPU, a thread
+    computes the next block while the caller reads the current one.
+    """
     rows = np.ascontiguousarray(rows)
-
-    def compute(start: int, stop: int, count: int):
-        sums = np.empty(count, dtype=np.int64)
-        kern.l1_pairs(rows, start, stop, sums)
-        return start, stop, sums
-
+    # Imported here, not at the top, as in pipeline.embed_dataset.
     from . import _native
 
+    kern = _native.load() if rows.dtype in _native.L1_KERNELS else None
+    if kern is None:
+        l1_pairs, dtype = _numpy_l1_pairs, rows[:0].sum(axis=1).dtype
+    else:
+        l1_pairs, dtype = kern.l1_pairs, np.int64
+
+    def compute(start: int, stop: int, count: int):
+        sums = np.empty(count, dtype=dtype)
+        l1_pairs(rows, start, stop, sums)
+        return start, stop, sums
+
+    blocks = _pair_blocks(rows.shape[0], block_pairs)
     if _native._worker_count() == 1:
         for block in blocks:
             yield compute(*block)
@@ -346,27 +358,6 @@ def _native_l1_blocks(kern, rows: np.ndarray, blocks):
             pending = ahead
         if pending is not None:
             yield pending.result()
-
-
-def pairwise_l1_blocks(rows: np.ndarray, block_pairs: int = 1 << 17):
-    """Yield ``(start, stop, sums)``: the l1 distances of rows start..stop-1
-    to every later row, in (i, j), i < j order, about ``block_pairs`` at a
-    time. Integer rows give exact int64 sums when their differences fit
-    the row dtype (see :func:`entry_dtype`).
-
-    Signed integer rows run on the compiled kernel when it loads (see
-    :mod:`csq._native`); other rows, and every row without it, on a numpy
-    loop that gives the same sums.
-    """
-    rows = np.asarray(rows)
-    blocks = _pair_blocks(rows.shape[0], block_pairs)
-    # Imported here, not at the top, as in pipeline.embed_dataset.
-    from . import _native
-
-    kern = _native.load() if rows.dtype in _native.L1_KERNELS else None
-    if kern is None:
-        return _numpy_l1_blocks(rows, blocks)
-    return _native_l1_blocks(kern, rows, blocks)
 
 
 def operator_bound(spec: CondensationSpec) -> float:

@@ -346,43 +346,26 @@ def _embed_blocks(kern, model: EmbeddingModel, vectors: np.ndarray, workers: int
     """:func:`_embed_numpy` with the compiled kernels, ``_BLOCK`` points at
     a time on ``workers`` threads.
 
-    Each thread owns its buffers and writes the rows of its blocks (every
-    ``workers``-th block) into the shared outputs, so the result does not
-    depend on the block size or the thread count. The kernels do the same
-    floating-point operations as the numpy ones, so it equals
-    :func:`_embed_numpy` bit for bit.
+    Each thread writes the rows of its blocks (every ``workers``-th block)
+    into the shared outputs, so the result does not depend on the block
+    size or the thread count. The kernels do the same floating-point
+    operations as the numpy ones, so it equals :func:`_embed_numpy` bit for
+    bit.
     """
-    op = model.operator
-    matrix, signs = op.matrix, op.signs
-    n_pad, m = matrix.cols, matrix.rows
-    # The scale fwht_inplace applies.
-    scale = 1.0 / math.sqrt(n_pad)
-    spec = model.quantizer
-    kernel = np.ascontiguousarray(model.condensation.kernel, dtype=np.int64)
+    model.operator  # Built once, here, rather than by each thread's first block.
     vectors = np.ascontiguousarray(vectors, dtype=np.float64)
     k = vectors.shape[0]
     entries = np.empty((k, model.p), dtype=np.int64)
-    bits = np.empty((k, (m + 7) // 8), dtype=np.uint8)
-    violations = np.empty(k, dtype=bool)
+    bits = np.empty((k, (model.m + 7) // 8), dtype=np.uint8)
+    peaks = np.empty(k)
     starts = range(0, k, _BLOCK)
-    # Allocated here rather than in the threads, so that the memory comes
-    # back to this thread's heap when the embed is done.
-    buffers = [
-        (np.empty(kern.scratch_size(n_pad, m, spec.reach)), np.empty(_BLOCK))
-        for _ in range(workers)
-    ]
 
     def run(first: int) -> None:
-        scratch, peaks = buffers[first]
         for lo in starts[first::workers]:
             hi = min(lo + _BLOCK, k)
             kern.embed_block(
-                vectors[lo:hi], signs, scale, matrix, spec, kernel, scratch,
-                entries[lo:hi], bits[lo:hi], peaks,
+                model, vectors[lo:hi], entries[lo:hi], bits[lo:hi], peaks[lo:hi]
             )
-            if not np.all(np.isfinite(peaks[: hi - lo])):
-                raise InputError(_OVERFLOW)
-            violations[lo:hi] = peaks[: hi - lo] > spec.mu
 
     if workers == 1:
         run(0)
@@ -392,7 +375,9 @@ def _embed_blocks(kern, model: EmbeddingModel, vectors: np.ndarray, workers: int
         with ThreadPoolExecutor(workers) as pool:
             for future in [pool.submit(run, w) for w in range(workers)]:
                 future.result()
-    return entries, bits, violations
+    if not np.isfinite(peaks).all():
+        raise InputError(_OVERFLOW)
+    return entries, bits, peaks > model.quantizer.mu
 
 
 def embed_dataset(model: EmbeddingModel, data: Dataset) -> EmbedResult:

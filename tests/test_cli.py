@@ -457,6 +457,38 @@ def test_embed_with_huge_sigma_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("parameter error:")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 2 EiB of operator row offsets.
+        ["embed", "--p", "41175768021673106", "--lambda-tilde", "4", "--r", "2"],
+        # A 4 EiB stability trial.
+        ["bench", "stability", "--r-list", "1", "--amplitude", "0.3",
+         "--m-list", "576460752303423488", "--trials", "1"],
+        # A 1 EiB synthetic dataset.
+        ["bench", "mape", "--n", "72057594037927936", "--k", "2", "--p", "2",
+         "--m-list", "4", "--r-list", "1", "--trials", "1"],
+    ],
+    ids=["embed", "stability", "mape"],
+)
+def test_sizes_too_large_to_allocate_are_a_capacity_error(tmp_path, capsys, argv):
+    """Sizes no host can allocate, whatever its overcommit setting, exit 2
+    as a capacity error rather than 1 as an internal error."""
+    if argv[0] == "embed":
+        inp = tmp_path / "points.csv"
+        inp.write_text("0.01,0.02,0,0.01,0.02,0,0.01,0.02\n" * 2)
+        argv = argv + [
+            "--input", str(inp), "--out-model", str(tmp_path / "m.csqm"),
+            "--out-codes", str(tmp_path / "c.csqc"),
+            "--out-condensed", str(tmp_path / "d.csqd"),
+        ]
+    else:
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("capacity error: Unable to allocate")
+
+
 def test_embed_of_data_scaled_to_the_bound_prints_no_note(tmp_path, capsys):
     """Data scaled to exactly kappa_bound, as README recommends, is inside
     the suggested ball even where rounding puts its norm an ulp above."""

@@ -7,8 +7,9 @@ compiled kernels are also checked one at a time against the oracles.
 Every comparison is exact (``np.array_equal``), never a tolerance.
 """
 
+import copy
 import dataclasses
-import math
+import types
 
 import numpy as np
 import pytest
@@ -350,11 +351,10 @@ def test_native_precondition_matches_oracle(kernels, n, b):
     )
     xs = _points(b, n, seed=n + b)
     tiled = np.full(kernels.tiled_size(b, n_pad), np.nan)
-    scale = 1.0 / math.sqrt(n_pad)
-    kernels.precondition(xs, op.signs, n_pad, scale, tiled)
+    kernels.precondition(xs, op.signs, n_pad, tiled)
     assert same_bits(untile(tiled, b, n_pad), precondition_oracle(op, xs))
     copied = np.full(kernels.tiled_size(b, n), np.nan)
-    kernels.precondition(xs, None, n, 1.0, copied)
+    kernels.precondition(xs, None, n, copied)
     assert same_bits(copied, tile(xs))
 
 
@@ -368,7 +368,7 @@ def test_native_precondition_pads_with_signed_zeros(kernels):
     want = precondition_oracle(op, xs)
     assert np.signbit(want[0, 0])
     tiled = np.full(kernels.tiled_size(1, 4), np.nan)
-    kernels.precondition(xs, signs, 4, 0.5, tiled)
+    kernels.precondition(xs, signs, 4, tiled)
     assert same_bits(untile(tiled, 1, 4), want)
 
 
@@ -392,16 +392,48 @@ def test_native_quantize_exact_sign_ties(kernels, r, b):
     want, _, tied = quantize_oracle(spec, ys, ties)
     codes = np.empty((tied.shape[1], b), dtype=np.int8)
     peaks = np.full(b, np.nan)
-    ring = np.full((spec.reach + 1) * _native.TILE, np.nan)
-    kernels.quantize(tile(tied), spec, ring, codes, peaks)
+    kernels.quantize(tile(tied), spec, codes, peaks)
     assert np.array_equal(codes.T, want)
     assert np.all(want[ties] == 1)
     assert np.array_equal(peaks, np.abs(tied).max(axis=1))
     for bad in (np.nan, np.inf):
         tied[b - 1, 7] = bad
-        kernels.quantize(tile(tied), spec, ring, codes, peaks)
+        kernels.quantize(tile(tied), spec, codes, peaks)
         assert not np.isfinite(peaks[b - 1])
         assert np.all(np.isfinite(peaks[: b - 1]))
+
+
+@pytest.mark.parametrize("method", ["sparse", "fjlt"])
+def test_native_embed_block_refuses_wrong_shapes_before_the_kernel(kernels, method):
+    """Entries of width p - 1 or p + 1, bits of the wrong width and x of
+    the wrong n are refused in Python: the stand-in library raises
+    AttributeError on any kernel call. For fjlt, n + 1 still fits the
+    padded dimension. A kernel that reports a failed allocation raises
+    MemoryError."""
+    model = build_model(method, 37, 4, 4, 2, seed=1)
+    b, p, nbytes = 5, model.p, (model.m + 7) // 8
+    checked_only = copy.copy(kernels)
+    checked_only._lib = types.SimpleNamespace()
+
+    def call(n=37, width=p, bits_width=nbytes):
+        checked_only.embed_block(
+            model, _points(b, n, seed=n) * 0.01,
+            np.empty((b, width), dtype=np.int64),
+            np.empty((b, bits_width), dtype=np.uint8), np.empty(b),
+        )
+
+    with pytest.raises(AttributeError):
+        call()
+    for bad in (
+        dict(width=p - 1), dict(width=p + 1),
+        dict(bits_width=nbytes - 1), dict(bits_width=nbytes + 1),
+        dict(n=36), dict(n=38),
+    ):
+        with pytest.raises(ValueError, match="block dimensions disagree"):
+            call(**bad)
+    checked_only._lib = types.SimpleNamespace(csq_embed_block=lambda *args: 1)
+    with pytest.raises(MemoryError):
+        call()
 
 
 @pytest.mark.parametrize("rows, cols, sparsity", DRAWS)

@@ -185,6 +185,76 @@ def test_library_has_no_fused_multiply_add():
     assert not re.findall(r"\bvfn?m(?:add|sub)\w*", text)
 
 
+# Run under the address and undefined-behaviour sanitizers: the operator
+# draw, the embed over partial tiles, whole tiles and two blocks, and the
+# l1 sums of every entry dtype.
+SANITIZED_RUN = """
+import ctypes, sys
+import numpy as np
+from csq import _native
+from csq.condense import pairwise_l1_blocks
+from csq.pipeline import build_model, dataset_from_matrix, embed_dataset
+
+kern = _native.Kernels(
+    ctypes.CDLL(sys.argv[1]), getattr(_native._numpy_random(), _native.NORMAL)
+)
+_native.load = lambda: kern
+rng = np.random.default_rng(0)
+for method in ("sparse", "fjlt"):
+    for r in (1, 2, 3):
+        for k in (1, 17, 513):
+            xs = rng.standard_normal((k, 37))
+            xs *= 0.3 / np.abs(xs).max()
+            model = build_model(method, 37, 4, 4, r, seed=k)
+            res = embed_dataset(model, dataset_from_matrix(xs))
+            assert res.diagnostics.kernels == "native"
+            rows = res.condensed.entries
+            for dtype in _native.L1_KERNELS:
+                for _ in pairwise_l1_blocks(rows.astype(dtype), 1000):
+                    pass
+print("ok")
+"""
+
+
+def _libasan() -> str | None:
+    """The compiler's ASan runtime, or None without one."""
+    proc = subprocess.run(
+        ["cc", "-print-file-name=libasan.so"], capture_output=True, timeout=60
+    )
+    path = proc.stdout.decode().strip()
+    return path if proc.returncode == 0 and os.path.isabs(path) else None
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler 'cc' on PATH")
+@pytest.mark.skipif(
+    not X86_64 or platform.libc_ver()[0] != "glibc",
+    reason="needs an x86-64 glibc host",
+)
+def test_kernels_run_clean_under_the_sanitizers(tmp_path):
+    """The kernels built with AddressSanitizer and UBSan embed and sum
+    without a report: no read or write outside a buffer, in the tile
+    memory the kernels allocate or in the caller's arrays."""
+    libasan = _libasan()
+    if libasan is None:
+        pytest.skip("the compiler has no libasan")
+    src, lib = tmp_path / "_kernels.c", tmp_path / "kernels.so"
+    src.write_bytes(_native.source())
+    subprocess.run(
+        ["cc", *_native.FLAGS, "-fsanitize=address,undefined",
+         "-fno-sanitize-recover=all", "-o", str(lib), str(src)],
+        check=True, capture_output=True, timeout=120,
+    )
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join(sys.path), LD_PRELOAD=libasan,
+        ASAN_OPTIONS="detect_leaks=0",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", SANITIZED_RUN, str(lib)],
+        env=env, capture_output=True, timeout=300,
+    )
+    assert proc.returncode == 0 and proc.stdout == b"ok\n", proc.stderr.decode()[-4000:]
+
+
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler 'cc' on PATH")
 def test_build_is_cached_in_a_private_directory(fresh_loader, monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
