@@ -105,31 +105,92 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _staged(paths):
+    """Yield ``(fd, name)`` of a new temporary file for each output path,
+    and publish them when the body succeeds.
+
+    A path that names a regular file, or nothing yet, gets a temporary
+    sibling of the file it resolves to (through any symbolic links) with
+    the mode that file has or a new file would get, moved into place with
+    ``os.replace``. Any other existing file (a device such as
+    ``/dev/null``, a FIFO, a pipe as ``/dev/stdout``) is staged in the
+    temporary directory and its bytes are written into it in place.
+    However the body ends, the temporary files are gone afterwards.
+    """
+    import shutil
+    import stat
+    import tempfile
+
+    staged = []
+    try:
+        for path in paths:
+            try:
+                mode = os.stat(path).st_mode
+            except FileNotFoundError:
+                umask = os.umask(0)
+                os.umask(umask)
+                mode = stat.S_IFREG | (0o666 & ~umask)
+            regular = stat.S_ISREG(mode)
+            target = os.path.realpath(path) if regular else path
+            try:
+                fd, name = tempfile.mkstemp(
+                    prefix=f".{os.path.basename(target)}.", suffix=".tmp",
+                    dir=os.path.dirname(target) if regular else None,
+                )
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+            staged.append((fd, name, target, regular))
+            if regular:
+                os.fchmod(fd, stat.S_IMODE(mode))
+        yield [(fd, name) for fd, name, _, _ in staged]
+        for _, name, target, regular in staged:
+            if regular:
+                os.replace(name, target)
+            else:
+                with open(name, "rb") as src, open(target, "wb") as dst:
+                    shutil.copyfileobj(src, dst)
+    finally:
+        for fd, name, _, _ in staged:
+            os.close(fd)
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(name)
+
+
 def _cmd_embed(args) -> int:
     t0 = time.perf_counter()
-    data = store.read_vectors(args.input)
-    t_read = time.perf_counter()
-    model = pipeline.build_model(
-        args.method,
-        data.n,
-        args.p,
-        args.lambda_tilde,
-        args.r,
-        sigma=args.sigma,
-        mu=args.mu,
-        seed=args.seed,
-    )
-    result = pipeline.embed_dataset(model, data)
-    t_embed = time.perf_counter()
-    store.write_model(args.out_model, model)
-    store.write_codes(args.out_codes, result.codes)
-    store.write_condensed(args.out_condensed, result.condensed)
-    t_write = time.perf_counter()
+    with store.open_vectors(args.input) as source:
+        model = pipeline.build_model(
+            args.method,
+            source.n,
+            args.p,
+            args.lambda_tilde,
+            args.r,
+            sigma=args.sigma,
+            mu=args.mu,
+            seed=args.seed,
+        )
+        model.operator  # Built here, so that its time is reported on its own.
+        t_operator = time.perf_counter()
+        paths = (args.out_model, args.out_codes, args.out_condensed)
+        with _staged(paths) as ((_, model_name), (codes_fd, _), (sketch_fd, _)):
+            put_codes = store.codes_writer(codes_fd, source.k, model.m)
+            put_sketches = store.condensed_writer(
+                sketch_fd, source.k, model.condensation
+            )
 
-    diag = result.diagnostics
-    spec = model.condensation
+            def write(lo: int, entries: np.ndarray, bits: np.ndarray) -> None:
+                put_codes(lo, bits)
+                put_sketches(lo, entries)
+
+            diag, kappa = pipeline._embed_blocks(model, source, write)
+            t_blocks = time.perf_counter()
+            store.write_model(model_name, model)
+    t_publish = time.perf_counter()
+
+    k, spec = source.k, model.condensation
     print(
-        f"embedded k={data.k} points: n={model.n}, method={model.method}, "
+        f"embedded k={k} points: n={model.n}, method={model.method}, "
         f"m={model.m}, p={model.p}, r={model.r}, "
         f"lambda={spec.lam}, sparsity={model.sparsity:.3g}"
     )
@@ -138,8 +199,8 @@ def _cmd_embed(args) -> int:
         f"{spec.p * spec.bit_width} (p={spec.p} x bit_width={spec.bit_width})"
     )
     print(
-        f"amplitude violations: {int(diag.amplitude_violations.sum())}/{data.k}; "
-        f"well-spread failures: {int(diag.wellspread_failures.sum())}/{data.k}; "
+        f"amplitude violations: {int(diag.amplitude_violations.sum())}/{k}; "
+        f"well-spread failures: {int(diag.wellspread_failures.sum())}/{k}; "
         f"implied eps: {diag.implied_eps:.3g}"
     )
     if diag.kernels == "native":
@@ -149,16 +210,16 @@ def _cmd_embed(args) -> int:
     suggested = pipeline.kappa_bound(model.quantizer.mu, np.log(2.0), model.m)
     # The slack of the well-spread check: data scaled to exactly the bound
     # has a kappa that rounding may put a few ulps above it.
-    if data.kappa > suggested * (1.0 + 1e-9):
+    if kappa > suggested * (1.0 + 1e-9):
         print(
-            f"note: max input norm {data.kappa:.4g} exceeds the suggested "
+            f"note: max input norm {kappa:.4g} exceeds the suggested "
             f"ball radius {suggested:.4g} for mu={model.quantizer.mu}; "
             "consider scaling the dataset"
         )
     print(
-        f"wall ms: read {1000 * (t_read - t0):.1f}, "
-        f"embed {1000 * (t_embed - t_read):.1f}, "
-        f"write {1000 * (t_write - t_embed):.1f}"
+        f"wall ms: operator {1000 * (t_operator - t0):.1f}, "
+        f"blocks {1000 * (t_blocks - t_operator):.1f} on {diag.workers} "
+        f"worker(s), publish {1000 * (t_publish - t_blocks):.1f}"
     )
     return 0
 

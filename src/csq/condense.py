@@ -393,7 +393,7 @@ def pack_rows(entries: np.ndarray, bit_width: int) -> np.ndarray:
         # The low w bits of a little-endian two's-complement value are its
         # first w bits in LSB-first order.
         raw = entries[rows].astype(dtype).view(np.uint8).reshape(-1, p, dtype.itemsize)
-        bits = np.unpackbits(raw, axis=2, bitorder="little")[:, :, :w]
+        bits = np.unpackbits(raw, axis=2, count=w, bitorder="little")
         out[rows] = np.packbits(bits.reshape(-1, p * w), axis=1, bitorder="little")
     return out
 

@@ -65,10 +65,12 @@ _OVERFLOW = (
 
 
 def _row_blocks(matrix: np.ndarray):
-    """``(lo, block)`` for C-ordered float64 copies of about 2 MiB of rows
-    of the (k, n) ``matrix`` at a time, so no (k, n) temporary is made."""
+    """``(lo, block)`` for C-ordered float64 copies of about 512 KiB of
+    rows of the (k, n) ``matrix`` at a time, so no (k, n) temporary is
+    made. Each worker thread of :func:`_embed_blocks` makes such
+    temporaries at once, and at this size they stay in cache."""
     k, n = matrix.shape
-    step = max(1, (1 << 18) // max(n, 1))
+    step = max(1, (1 << 16) // max(n, 1))
     for lo in range(0, k, step):
         yield lo, np.ascontiguousarray(matrix[lo : lo + step], dtype=np.float64)
 
@@ -79,12 +81,14 @@ def _finite_row_norms(matrix: np.ndarray) -> np.ndarray:
     checking every entry and every norm finite on the way."""
     norms = np.empty(matrix.shape[0])
     for lo, block in _row_blocks(matrix):
-        if not np.isfinite(block).all():
-            raise InputError("dataset entries must be finite")
         out = norms[lo : lo + len(block)]
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             np.sqrt(np.add.reduce(block * block, axis=1), out=out)
+        # A NaN or infinite entry makes the norm of its row NaN or
+        # infinite, so the entries need a scan only when a norm is.
         if not np.isfinite(out).all():
+            if not np.isfinite(block).all():
+                raise InputError("dataset entries must be finite")
             raise InputError("dataset row norms overflow float64")
     return norms
 
@@ -139,10 +143,10 @@ class Dataset:
     def n(self) -> int:
         return self.vectors.shape[1]
 
-    @cached_property
-    def peaks(self) -> np.ndarray:
-        """Each row's largest |entry|, computed blockwise when first read."""
-        return _row_peaks(self.vectors)
+    def block_reader(self, rows: int):
+        """``read(lo, hi)`` of :func:`_embed_blocks`: views of rows lo..hi-1
+        and their norms (``rows`` bounds hi - lo; views need no buffer)."""
+        return lambda lo, hi: (self.vectors[lo:hi], self.norms[lo:hi])
 
 
 # The library's name for making a checked dataset from a (k, n) matrix.
@@ -304,8 +308,8 @@ class EmbedDiagnostics:
 
     ``kernels`` is ``"native"`` (the compiled block kernels, on ``workers``
     threads, in the build ``isa`` names: ``"avx2"`` or ``"baseline"``) or
-    ``"numpy"`` (one whole-dataset pass, ``isa`` empty; ``kernels_note``
-    says why the compiled kernels are unavailable).
+    ``"numpy"`` (the numpy stages on one thread, ``isa`` empty;
+    ``kernels_note`` says why the compiled kernels are unavailable).
     """
 
     amplitude_violations: np.ndarray
@@ -326,7 +330,7 @@ class EmbedResult:
 
 
 def _embed_numpy(model: EmbeddingModel, vectors: np.ndarray):
-    """(entries, packed codes, amplitude violations) of every point at once."""
+    """(entries, packed codes, amplitude violations) of a block of points."""
     try:
         # Overflow is refused below, so NumPy's warnings about it would
         # only repeat the refusal.
@@ -342,30 +346,102 @@ def _embed_numpy(model: EmbeddingModel, vectors: np.ndarray):
     return entries, bits, quant.amplitude_violations
 
 
-def _embed_blocks(kern, model: EmbeddingModel, vectors: np.ndarray, workers: int):
-    """:func:`_embed_numpy` with the compiled kernels, ``_BLOCK`` points at
-    a time on ``workers`` threads.
+def _embed_native(kern, model: EmbeddingModel, vectors, entries, bits, peaks):
+    """:func:`_embed_numpy` with the compiled kernels, into the first
+    ``len(vectors)`` rows of the given buffers. The kernels do the same
+    floating-point operations as the numpy stages, so the results are
+    equal bit for bit."""
+    b = len(vectors)
+    entries, bits, peaks = entries[:b], bits[:b], peaks[:b]
+    kern.embed_block(model, np.ascontiguousarray(vectors), entries, bits, peaks)
+    if not np.isfinite(peaks).all():
+        raise InputError(_OVERFLOW)
+    return entries, bits, peaks > model.quantizer.mu
 
-    Each thread writes the rows of its blocks (every ``workers``-th block)
-    into the shared outputs, so the result does not depend on the block
-    size or the thread count. The kernels do the same floating-point
-    operations as the numpy ones, so it equals :func:`_embed_numpy` bit for
-    bit.
+
+def _embed_blocks(model: EmbeddingModel, source, write):
+    """Embed the ``source.k`` rows of ``source``, ``_BLOCK`` at a time;
+    returns the diagnostics and the largest row norm.
+
+    ``source`` (a :class:`Dataset`, or a :class:`csq.store.VectorFile`)
+    has ``k``, ``n`` and ``block_reader(rows)``, which gives each thread
+    its own ``read(lo, hi)``: rows lo..hi-1 (at most ``rows`` of them),
+    checked finite, and their l2 norms. Each block goes from start to
+    finish on one thread: it is read, embedded, and handed to
+    ``write(lo, entries, bits)`` as sketch entries (b, p) and packed codes
+    (b, ceil(m/8)) in buffers the thread reuses once ``write`` returns.
+    Threads call ``write`` at once, for disjoint rows.
+
+    The compiled kernels run on up to one thread per CPU, thread w taking
+    blocks w, w + workers, ...; the numpy stages run on one. Both do the
+    same floating-point operations per point, so the outputs depend on
+    neither the block size, the thread count nor the kernel set. A thread
+    stops at its first failing block and skips the blocks above the lowest
+    failure seen so far; once every thread has stopped, the error of the
+    lowest failing block is raised, whatever the timing.
     """
+    if source.n != model.n:
+        raise ShapeError(f"dataset dim {source.n} != model dim {model.n}")
+    # Imported here, not at the top: the loader's modules cost import time
+    # that `import csq` should not pay.
+    from . import _native
+
+    kern = _native.load()
+    k = source.k
+    workers = 1
+    if kern is not None:
+        workers = max(1, min(_native._worker_count(), -(-k // _BLOCK)))
     model.operator  # Built once, here, rather than by each thread's first block.
-    vectors = np.ascontiguousarray(vectors, dtype=np.float64)
-    k = vectors.shape[0]
-    entries = np.empty((k, model.p), dtype=np.int64)
-    bits = np.empty((k, (model.m + 7) // 8), dtype=np.uint8)
-    peaks = np.empty(k)
+    threshold = None
+    if model.method == "sparse":
+        threshold = model.wellspread_const / math.sqrt(model.n)
+    violations = np.zeros(k, dtype=bool)
+    wellspread = np.zeros(k, dtype=bool)
+    kappas = [0.0] * workers
+    # (first row, error) of each thread's failing block; row k if none.
+    failures = [(k, None)] * workers
+    rows = min(_BLOCK, k)
     starts = range(0, k, _BLOCK)
 
-    def run(first: int) -> None:
-        for lo in starts[first::workers]:
-            hi = min(lo + _BLOCK, k)
-            kern.embed_block(
-                model, vectors[lo:hi], entries[lo:hi], bits[lo:hi], peaks[lo:hi]
+    # Each thread's reader and kernel buffers are made here, on the calling
+    # thread, so that their memory returns to its heap, which later work
+    # reuses, rather than to the worker thread's.
+    readers = [source.block_reader(rows) for _ in range(workers)]
+    if kern is not None:
+        outputs = [
+            (
+                np.empty((rows, model.p), dtype=np.int64),
+                np.empty((rows, (model.m + 7) // 8), dtype=np.uint8),
+                np.empty(rows),
             )
+            for _ in range(workers)
+        ]
+
+    def run(w: int) -> None:
+        read = readers[w]
+        for lo in starts[w::workers]:
+            if lo > min(row for row, _ in failures):
+                return
+            hi = min(lo + _BLOCK, k)
+            try:
+                vectors, norms = read(lo, hi)
+                if kern is None:
+                    out = _embed_numpy(model, vectors)
+                else:
+                    out = _embed_native(kern, model, vectors, *outputs[w])
+                entries, bits, loud = out
+                violations[lo:hi] = loud
+                if threshold is not None:
+                    # The tiny slack keeps exact-boundary points (norm
+                    # computed with rounding) from being flagged.
+                    wellspread[lo:hi] = (
+                        _row_peaks(vectors) > threshold * norms * (1.0 + 1e-9)
+                    )
+                kappas[w] = max(kappas[w], float(norms.max(initial=0.0)))
+                write(lo, entries, bits)
+            except Exception as exc:  # raised below, lowest block first
+                failures[w] = (lo, exc)
+                return
 
     if workers == 1:
         run(0)
@@ -375,9 +451,28 @@ def _embed_blocks(kern, model: EmbeddingModel, vectors: np.ndarray, workers: int
         with ThreadPoolExecutor(workers) as pool:
             for future in [pool.submit(run, w) for w in range(workers)]:
                 future.result()
-    if not np.isfinite(peaks).all():
-        raise InputError(_OVERFLOW)
-    return entries, bits, peaks > model.quantizer.mu
+    error = min(failures, key=lambda failure: failure[0])[1]
+    if error is not None:
+        raise error
+    if wellspread.any():
+        warnings.warn(
+            f"{int(wellspread.sum())} of {k} points are not "
+            "well spread; the norm concentration behind the distance "
+            "estimates may degrade. Consider method='fjlt'.",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    diagnostics = EmbedDiagnostics(
+        amplitude_violations=violations,
+        wellspread_failures=wellspread,
+        wellspread_failure_fraction=float(wellspread.mean()) if k else 0.0,
+        implied_eps=1.0 / math.sqrt(model.p),
+        kernels="native" if kern else "numpy",
+        workers=workers,
+        kernels_note="" if kern else _native.failure() or "native kernels not loaded",
+        isa=kern.isa if kern else "",
+    )
+    return diagnostics, max(kappas)
 
 
 def embed_dataset(model: EmbeddingModel, data: Dataset) -> EmbedResult:
@@ -390,45 +485,15 @@ def embed_dataset(model: EmbeddingModel, data: Dataset) -> EmbedResult:
     The compiled kernels run when they can be built and loaded (see
     :mod:`csq._native`), else the numpy ones; both give the same bytes.
     """
-    if data.n != model.n:
-        raise ShapeError(f"dataset dim {data.n} != model dim {model.n}")
     k = data.k
-    wellspread_failures = np.zeros(k, dtype=bool)
-    if model.method == "sparse" and k:
-        threshold = model.wellspread_const / math.sqrt(model.n)
-        # The tiny slack keeps exact-boundary points (norm computed with
-        # rounding) from being flagged.
-        wellspread_failures = data.peaks > threshold * data.norms * (1.0 + 1e-9)
-        if wellspread_failures.any():
-            warnings.warn(
-                f"{int(wellspread_failures.sum())} of {k} points are not "
-                "well spread; the norm concentration behind the distance "
-                "estimates may degrade. Consider method='fjlt'.",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+    entries = np.empty((k, model.p), dtype=np.int64)
+    bits = np.empty((k, (model.m + 7) // 8), dtype=np.uint8)
 
-    # Imported here, not at the top: the loader's modules cost import time
-    # that `import csq` should not pay.
-    from . import _native
+    def write(lo: int, block_entries: np.ndarray, block_bits: np.ndarray) -> None:
+        entries[lo : lo + len(block_entries)] = block_entries
+        bits[lo : lo + len(block_bits)] = block_bits
 
-    kern = _native.load()
-    if kern is None:
-        workers = 1
-        entries, bits, violations = _embed_numpy(model, data.vectors)
-    else:
-        workers = max(1, min(_native._worker_count(), -(-k // _BLOCK)))
-        entries, bits, violations = _embed_blocks(kern, model, data.vectors, workers)
-    diagnostics = EmbedDiagnostics(
-        amplitude_violations=violations,
-        wellspread_failures=wellspread_failures,
-        wellspread_failure_fraction=float(wellspread_failures.mean()) if k else 0.0,
-        implied_eps=1.0 / math.sqrt(model.p),
-        kernels="native" if kern else "numpy",
-        workers=workers,
-        kernels_note="" if kern else _native.failure() or "native kernels not loaded",
-        isa=kern.isa if kern else "",
-    )
+    diagnostics, _ = _embed_blocks(model, data, write)
     return EmbedResult(
         codes=Codes(model.m, bits),
         condensed=Sketches.of(model.condensation, entries),

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ParameterError, ShapeError
+from .errors import CapacityError, InputError, ParameterError, ShapeError
 
 # Largest order accepted. Building a spec is O(order**2) Python work, and
 # no condensation with lambda_tilde >= 2 goes past it anyway, since
@@ -45,6 +45,10 @@ MAX_ORDER = 61
 # the compiled path's per-worker ring is then at most 8 MiB. MAX_ORDER
 # fits with sigma up to 18.
 MAX_REACH = 2**16
+
+# Largest (trials, m) float64 signal matrix a stability scan makes, in
+# bytes: more than any host holds, and near the most NumPy can describe.
+_MAX_SCAN_BYTES = 2**62
 
 
 @dataclass(frozen=True)
@@ -278,12 +282,18 @@ def stability_scan(
     seeds = seed_sequence([seed, spec.order])
     if trials == 0:
         return []
+    for m in m_list:
+        if m < 1:
+            raise ParameterError("every m must be positive")
+        if 8 * trials * m > _MAX_SCAN_BYTES:
+            raise CapacityError(
+                f"Unable to allocate {trials} trial signals of {m} float64 "
+                f"samples: {8 * trials * m} bytes"
+            )
     rng = np.random.default_rng(seeds)
     levels = rng.uniform(-amplitude, amplitude, size=trials - 1)
     rows = []
     for m in m_list:
-        if m < 1:
-            raise ParameterError("every m must be positive")
         ys = np.empty((trials, m), dtype=np.float64)
         ys[0] = extremal_probe_input(spec, m, amplitude)
         ys[1:] = levels[:, None]

@@ -17,15 +17,21 @@ used by the writer and the reader alike), then its payload arrays:
 Readers check the header, then check each payload's size against the file
 size before they read it into its final array, so a header claiming more
 data than the file holds allocates nothing. ``read_vectors`` also accepts
-plain CSV (one comma-separated vector per line). Curves and stability
+plain CSV (one comma-separated vector per line). ``VectorFile`` reads the
+rows of a CSQV file a block at a time; ``codes_writer`` and
+``condensed_writer`` write a CSQC or CSQD header and then records at their
+offsets, in any order and from several threads, and are the writers of
+``write_codes`` and ``write_condensed`` too. Curves and stability
 scans are CSV tables with the headers ``CURVE_HEADER`` and
 ``STABILITY_HEADER``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import errno
 import io
 import math
 import os
@@ -82,16 +88,49 @@ def _input_file(path) -> Path:
     return p
 
 
+def _head(magic: bytes, layout: struct.Struct, fields) -> bytes:
+    """Magic, version and the ``fields`` packed by ``layout``."""
+    return magic + _VERSION.pack(FILE_VERSION) + layout.pack(*fields)
+
+
 def _write(path, magic: bytes, layout: struct.Struct, fields, *payload) -> None:
-    """Write magic, version and the ``fields`` packed by ``layout``, then
-    each payload part: an array as contiguous little-endian data, packed
-    ``bytes`` as they are."""
+    """Write the header, then each payload part: an array as contiguous
+    little-endian data, packed ``bytes`` as they are."""
     with open(path, "wb") as fh:
-        fh.write(magic + _VERSION.pack(FILE_VERSION) + layout.pack(*fields))
+        fh.write(_head(magic, layout, fields))
         for part in payload:
             if isinstance(part, np.ndarray):
                 part = np.ascontiguousarray(part, part.dtype.newbyteorder("<"))
             fh.write(part)
+
+
+def _bytes(a: np.ndarray) -> memoryview:
+    """The bytes of the C-ordered array ``a``, as a flat view."""
+    return memoryview(a.reshape(-1).view(np.uint8))
+
+
+def _pwrite(fd: int, data: bytes | memoryview, offset: int) -> None:
+    """Write all of ``data`` at ``offset``."""
+    view = memoryview(data)
+    while view:
+        try:
+            done = os.pwrite(fd, view, offset)
+        except OSError as exc:
+            if exc.errno != errno.ESPIPE:
+                raise
+            # A pipe: whole files are written front to back.
+            done = os.write(fd, view)
+        view, offset = view[done:], offset + done
+
+
+def _rows_writer(fd: int, magic: bytes, layout: struct.Struct, fields, record: int):
+    """Write a header at the start of the file open as ``fd``; returns
+    ``put(lo, rows)``, which writes the C-ordered (b, record) uint8 rows
+    as records lo.. at their offsets after it. Threads may put disjoint
+    records at once."""
+    head = _head(magic, layout, fields)
+    _pwrite(fd, head, 0)
+    return lambda lo, rows: _pwrite(fd, _bytes(rows), len(head) + lo * record)
 
 
 def _unpack(fh, path, layout: struct.Struct) -> tuple:
@@ -114,18 +153,26 @@ def _header(fh, path, magic: bytes, layout: struct.Struct) -> tuple:
     return _unpack(fh, path, layout)
 
 
-def _read_rows(fh, path, shape: tuple, dtype: str, last: bool = True) -> np.ndarray:
-    """Read the next ``shape`` array of little-endian ``dtype`` from ``fh``
-    into a new array, once the file size says it holds that many bytes
-    (exactly that many, when the array ends the file)."""
+def _expect(fh, path, shape: tuple, dtype: str, last: bool) -> int:
+    """Bytes of the ``shape`` array of ``dtype`` that comes next in ``fh``,
+    once the file size says it holds them (exactly them, when the array
+    ends the file)."""
     size = math.prod(shape) * np.dtype(dtype).itemsize
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if left < size or (last and left != size):
         raise CorruptionError(
             f"{path}: {left} bytes left, expected {size} for a {shape} array"
         )
+    return size
+
+
+def _read_rows(fh, path, shape: tuple, dtype: str, last: bool = True) -> np.ndarray:
+    """Read the next ``shape`` array of little-endian ``dtype`` from ``fh``
+    into a new array, once the file size says it holds that many bytes
+    (exactly that many, when the array ends the file)."""
+    size = _expect(fh, path, shape, dtype, last)
     rows = np.empty(shape, dtype=np.dtype(dtype).newbyteorder("<"))
-    if fh.readinto(rows.reshape(-1).view(np.uint8)) != size:
+    if fh.readinto(_bytes(rows)) != size:
         raise CorruptionError(f"{path}: truncated file")
     return rows
 
@@ -158,19 +205,70 @@ def _read_vectors_csv(data: bytes, path: str) -> Dataset:
     return Dataset(np.asarray(rows, dtype=np.float64))
 
 
-def read_vectors(path) -> Dataset:
-    """Read a CSQV file (or CSV text) into a :class:`Dataset`."""
-    with open(_input_file(path), "rb") as fh:
-        is_csqv = fh.read(len(MAGIC_VECTORS)) == MAGIC_VECTORS
-        fh.seek(0)
-        if not is_csqv:
-            return _read_vectors_csv(fh.read(), str(path))
+class VectorFile:
+    """An open CSQV file, read a block of rows at a time.
+
+    Made from a file object at its start: the header is read and checked,
+    and so is the file size, which must be exactly the header and k*n
+    float64. The rows are read with ``os.preadv`` at their offsets, so
+    threads may read at once; the file stays open while ``fh`` does.
+    """
+
+    def __init__(self, fh, path):
         k, n = _header(fh, path, MAGIC_VECTORS, _VECTORS)
         if k > 0 and n == 0:
             raise FormatError(f"{path}: zero-dimensional vectors")
         if 8 * n > _MAX_ROW_BYTES:
             raise FormatError(f"{path}: vector dimension n={n} is too large")
-        return Dataset(_read_rows(fh, path, (k, n), "f8"))
+        _expect(fh, path, (k, n), "f8", last=True)
+        self.path, self.k, self.n = path, k, n
+        self._fd, self._start = fh.fileno(), fh.tell()
+
+    def read(self, lo: int, out: np.ndarray) -> np.ndarray:
+        """Rows lo.. into ``out``, a C-ordered little-endian float64
+        (b, n) array, unchecked; returns ``out``."""
+        view = _bytes(out)
+        offset = self._start + 8 * lo * self.n
+        while view:
+            got = os.preadv(self._fd, [view], offset)
+            if got == 0:
+                raise CorruptionError(f"{self.path}: truncated file")
+            view, offset = view[got:], offset + got
+        return out
+
+    def block_reader(self, rows: int):
+        """``read(lo, hi)`` of :func:`csq.pipeline._embed_blocks`: rows
+        lo..hi-1 (at most ``rows``) read into one buffer, checked as a
+        :class:`Dataset`; returns their vectors and norms."""
+        buffer = np.empty((rows, self.n), dtype="<f8")
+
+        def read(lo: int, hi: int):
+            block = Dataset(self.read(lo, buffer[: hi - lo]))
+            return block.vectors, block.norms
+
+        return read
+
+
+@contextlib.contextmanager
+def open_vectors(path):
+    """The vectors of a file, for as long as the context lasts: a CSQV file
+    as a :class:`VectorFile`, CSV text read whole into a :class:`Dataset`.
+    Either is a source of :func:`csq.pipeline._embed_blocks`."""
+    with open(_input_file(path), "rb") as fh:
+        is_csqv = fh.read(len(MAGIC_VECTORS)) == MAGIC_VECTORS
+        fh.seek(0)
+        if is_csqv:
+            yield VectorFile(fh, path)
+        else:
+            yield _read_vectors_csv(fh.read(), str(path))
+
+
+def read_vectors(path) -> Dataset:
+    """Read a CSQV file (or CSV text) whole into a :class:`Dataset`."""
+    with open_vectors(path) as source:
+        if isinstance(source, Dataset):
+            return source
+        return Dataset(source.read(0, np.empty((source.k, source.n), dtype="<f8")))
 
 
 def write_model(path, model: EmbeddingModel, explicit: bool = False) -> None:
@@ -245,8 +343,16 @@ def read_model(path) -> EmbeddingModel:
         raise FormatError(f"{path}: inconsistent model: {exc}") from exc
 
 
+def codes_writer(fd: int, k: int, m: int):
+    """Write the CSQC header of k codes of length m into the file open as
+    ``fd``; returns ``write(lo, bits)``, which writes (b, ceil(m/8)) packed
+    code rows as codes lo.. at their offsets."""
+    return _rows_writer(fd, MAGIC_CODES, _CODES, (k, m), (m + 7) // 8)
+
+
 def write_codes(path, codes: Codes) -> None:
-    _write(path, MAGIC_CODES, _CODES, (len(codes), codes.length), codes.bits)
+    with open(path, "wb") as fh:
+        codes_writer(fh.fileno(), len(codes), codes.length)(0, codes.bits)
 
 
 def read_codes(path) -> Codes:
@@ -261,11 +367,22 @@ def read_codes(path) -> Codes:
         return Codes(m, _read_rows(fh, path, (k, record), "u1"))
 
 
+def condensed_writer(fd: int, k: int, geometry):
+    """Write the CSQD header of k sketches of ``geometry`` (``p``,
+    ``bit_width``, ``norm_factor``: a :class:`Sketches` or a
+    :class:`csq.condense.CondensationSpec`) into the file open as ``fd``;
+    returns ``write(lo, entries)``, which packs (b, p) entry rows and
+    writes them as sketches lo.. at their offsets."""
+    p, width = geometry.p, geometry.bit_width
+    fields = (k, p, width, geometry.norm_factor)
+    put = _rows_writer(fd, MAGIC_CONDENSED, _CONDENSED, fields, (p * width + 7) // 8)
+    return lambda lo, entries: put(lo, pack_rows(entries, width))
+
+
 def write_condensed(path, sketches: Sketches) -> None:
     """Write sketches with their geometry (p, bit_width, norm_factor)."""
-    fields = (len(sketches), sketches.p, sketches.bit_width, sketches.norm_factor)
-    packed = pack_rows(sketches.entries, sketches.bit_width)
-    _write(path, MAGIC_CONDENSED, _CONDENSED, fields, packed)
+    with open(path, "wb") as fh:
+        condensed_writer(fh.fileno(), len(sketches), sketches)(0, sketches.entries)
 
 
 def read_condensed(path) -> Sketches:

@@ -466,11 +466,14 @@ def test_embed_with_huge_sigma_exits_2(tmp_path, capsys):
         # A 4 EiB stability trial.
         ["bench", "stability", "--r-list", "1", "--amplitude", "0.3",
          "--m-list", "576460752303423488", "--trials", "1"],
+        # 100 of them, more bytes than NumPy can describe.
+        ["bench", "stability", "--r-list", "1", "--amplitude", "0.3",
+         "--m-list", "576460752303423488"],
         # A 1 EiB synthetic dataset.
         ["bench", "mape", "--n", "72057594037927936", "--k", "2", "--p", "2",
          "--m-list", "4", "--r-list", "1", "--trials", "1"],
     ],
-    ids=["embed", "stability", "mape"],
+    ids=["embed", "stability", "stability-default-trials", "mape"],
 )
 def test_sizes_too_large_to_allocate_are_a_capacity_error(tmp_path, capsys, argv):
     """Sizes no host can allocate, whatever its overcommit setting, exit 2
@@ -530,9 +533,7 @@ EMBED_DIGESTS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("method, r", sorted(EMBED_DIGESTS))
-def test_embed_output_bytes_are_pinned(tmp_path, capsys, method, r):
+def _pinned_embed_digests(tmp_path, method, r):
     import hashlib
 
     rng = np.random.default_rng([2026, r])
@@ -544,11 +545,315 @@ def test_embed_output_bytes_are_pinned(tmp_path, capsys, method, r):
     argv = _embed_argv(inp, tmp_path)
     argv[argv.index("--r") + 1] = str(r)
     assert main(argv + ["--method", method]) == 0
-    got = tuple(
+    return tuple(
         hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in ("model.csqm", "codes.csqc", "cond.csqd")
     )
-    assert got == EMBED_DIGESTS[(method, r)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method, r", sorted(EMBED_DIGESTS))
+def test_embed_output_bytes_are_pinned(tmp_path, capsys, method, r):
+    assert _pinned_embed_digests(tmp_path, method, r) == EMBED_DIGESTS[(method, r)]
+
+
+BLOCKS = [1, 15, 17, 513]
+
+
+def _blocks_of(monkeypatch, block, workers):
+    """Embed ``block`` rows at a time on up to ``workers`` threads."""
+    from csq import _native
+
+    monkeypatch.setattr(pipeline, "_BLOCK", block)
+    monkeypatch.setattr(_native, "_worker_count", lambda: workers)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("method, r", sorted(EMBED_DIGESTS))
+def test_embed_output_bytes_hold_at_any_block_size(
+    tmp_path, capsys, monkeypatch, method, r, block, workers
+):
+    _blocks_of(monkeypatch, block, workers)
+    assert _pinned_embed_digests(tmp_path, method, r) == EMBED_DIGESTS[(method, r)]
+
+
+def _expected_files(model, xs):
+    """The CSQC and CSQD bytes of the embedding of xs, from the per-point
+    oracles and the documented layouts: header, then one record a point."""
+    from oracles import (
+        bits_oracle, condense_oracle, project_oracle, quantize_oracle,
+        reference_record,
+    )
+
+    spec = model.condensation
+    codes, _, _ = quantize_oracle(model.quantizer, project_oracle(model, xs))
+    entries = condense_oracle(spec, codes)
+    k = xs.shape[0]
+    return (
+        struct.pack("<4sIQQ", b"CSQC", 1, k, model.m)
+        + b"".join(bits.tobytes() for bits in bits_oracle(codes)),
+        struct.pack("<4sIQQId", b"CSQD", 1, k, spec.p, spec.bit_width, spec.norm_factor)
+        + b"".join(reference_record(row, spec.bit_width) for row in entries),
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("rows", ["none", "one", "two blocks and five"])
+@pytest.mark.parametrize("method", ["sparse", "fjlt"])
+def test_embed_files_match_oracles_at_any_block_size(
+    tmp_path, capsys, monkeypatch, method, rows, block, workers
+):
+    """Blocks of 1, 15, 17 and 513 rows on 1 to 3 threads, over 0, 1 and
+    2 * block + 5 points, zero rows included; the files are compared with
+    bytes made without the library's embed path or writers."""
+    k = {"none": 0, "one": 1, "two blocks and five": 2 * block + 5}[rows]
+    xs = np.random.default_rng([k, block]).standard_normal((k, 37))
+    xs[1::7] = 0.0
+    xs *= 0.1 / max(1.0, float(np.linalg.norm(xs, axis=1).max(initial=0.0)))
+    inp = tmp_path / "points.csqv"
+    store.write_vectors(inp, pipeline.dataset_from_matrix(xs))
+    _blocks_of(monkeypatch, block, workers)
+    argv = _embed_argv(inp, tmp_path)
+    argv[argv.index("--r") + 1] = "2"
+    assert main(argv + ["--method", method]) == 0
+    model = pipeline.build_model(method, 37, 4, 4, 2, seed=9)
+    codes, cond = _expected_files(model, xs)
+    assert (tmp_path / "codes.csqc").read_bytes() == codes
+    assert (tmp_path / "cond.csqd").read_bytes() == cond
+    assert store.read_model(tmp_path / "model.csqm") == model
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "codes.csqc", "cond.csqd", "model.csqm", "points.csqv",
+    ]
+
+
+def test_embed_files_with_more_workers_than_cpus_and_rapid_switching(
+    tmp_path, capsys, monkeypatch
+):
+    """Six threads on short switch intervals read, embed and write
+    disjoint blocks of one file; a lost or misplaced block would change
+    the bytes."""
+    import sys
+
+    inp, _ = _make_dataset(tmp_path, k=200, n=37)
+    _blocks_of(monkeypatch, 7, 1)
+    assert main(_embed_argv(inp, tmp_path, tag="_1")) == 0
+    _blocks_of(monkeypatch, 7, 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert main(_embed_argv(inp, tmp_path, tag="_6")) == 0
+            for name in ("codes", "cond"):
+                six, one = tmp_path.glob(f"{name}_6.*"), tmp_path.glob(f"{name}_1.*")
+                assert next(six).read_bytes() == next(one).read_bytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _write_csqv(path, rows):
+    """The CSQV file of ``rows``, written without the library's checks."""
+    header = struct.pack("<4sIQQ", b"CSQV", 1, *rows.shape)
+    path.write_bytes(header + rows.astype("<f8").tobytes())
+
+
+def _loud_models(monkeypatch):
+    """Make ``csq embed`` build models whose matrix entries are 1e300 times
+    the drawn ones: rows of 1e10 overflow their projections, rows of 0.01
+    do not, and the norms of both are finite."""
+    import dataclasses
+
+    from csq.transforms import Projection, SparseGaussianMatrix
+
+    build = pipeline.build_model
+
+    def loud(*args, **kwargs):
+        model = build(*args, **kwargs)
+        op = model.operator
+        big = SparseGaussianMatrix(
+            op.matrix.rows, op.matrix.cols, op.matrix.row_offsets,
+            op.matrix.col_indices, op.matrix.values * 1e300,
+        )
+        return dataclasses.replace(model, explicit=Projection(op.n, big, op.signs))
+
+    monkeypatch.setattr(pipeline, "build_model", loud)
+
+
+NAN_ERROR = "input error: dataset entries must be finite\n"
+OVERFLOW_ERROR = f"input error: {pipeline._OVERFLOW}\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("fault", ["nan in the last row", "overflow in a middle block"])
+@pytest.mark.parametrize("method", ["sparse", "fjlt"])
+def test_failed_embed_publishes_nothing(
+    tmp_path, capsys, monkeypatch, method, fault, workers
+):
+    """A job that fails in one of its blocks exits 2 with the message of
+    that failure, leaves the outputs of the job before it as they were and
+    leaves no temporary file behind."""
+    inp, _ = _make_dataset(tmp_path, k=13, n=37)
+    argv = _embed_argv(inp, tmp_path) + ["--method", method]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    _blocks_of(monkeypatch, 4, workers)
+    xs = np.full((13, 37), 0.01)
+    if fault == "nan in the last row":
+        xs[-1, 5] = np.nan
+        want = NAN_ERROR
+    else:
+        xs[5] = 1e10
+        _loud_models(monkeypatch)
+        want = OVERFLOW_ERROR
+    _write_csqv(inp, xs)
+    before[inp.name] = inp.read_bytes()
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == want
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("low, high", [("nan", "overflow"), ("overflow", "nan")])
+def test_the_lowest_failing_block_is_reported(
+    tmp_path, capsys, monkeypatch, low, high, workers
+):
+    """Blocks 1 and 3 of 5 fail, in different ways; block 1 is read last,
+    after block 3 has failed on another thread, and its error is the one
+    reported."""
+    import os
+
+    _blocks_of(monkeypatch, 4, workers)
+    _loud_models(monkeypatch)
+    xs = np.full((20, 37), 0.01)
+    for block, fault in ((1, low), (3, high)):
+        if fault == "nan":
+            xs[4 * block + 2, 3] = np.nan
+        else:
+            xs[4 * block + 1] = 1e10
+    inp = tmp_path / "points.csqv"
+    _write_csqv(inp, xs)
+    preadv = os.preadv
+    slow = 24 + 4 * 37 * 8  # the offset of block 1
+
+    def late(fd, buffers, offset):
+        if offset == slow:
+            time.sleep(0.3)
+        return preadv(fd, buffers, offset)
+
+    monkeypatch.setattr(os, "preadv", late)
+    capsys.readouterr()
+    assert main(_embed_argv(inp, tmp_path)) == 2
+    assert capsys.readouterr().err == {"nan": NAN_ERROR, "overflow": OVERFLOW_ERROR}[low]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["points.csqv"]
+
+
+def test_a_short_csqv_is_refused_before_any_block(tmp_path, capsys, monkeypatch):
+    import os
+
+    inp, _ = _make_dataset(tmp_path)
+    inp.write_bytes(inp.read_bytes()[:-1])
+    reads = []
+    preadv = os.preadv
+    monkeypatch.setattr(os, "preadv", lambda *a: reads.append(a) or preadv(*a))
+    assert main(_embed_argv(inp, tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("corruption error:")
+    assert reads == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["points.csqv"]
+
+
+def test_embed_to_dev_null(tmp_path, capsys):
+    """An existing output that is not a regular file is written in place."""
+    import os
+    import stat
+
+    inp, _ = _make_dataset(tmp_path)
+    argv = _embed_argv(inp, tmp_path)
+    argv[argv.index("--out-codes") + 1] = os.devnull
+    assert main(argv) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cond.csqd", "model.csqm", "points.csqv",
+    ]
+
+
+def test_embed_into_a_fifo_writes_it_in_place(tmp_path, capsys):
+    import os
+    import stat
+    import threading
+
+    inp, _ = _make_dataset(tmp_path)
+    assert main(_embed_argv(inp, tmp_path)) == 0
+    want = (tmp_path / "codes.csqc").read_bytes()
+    fifo = tmp_path / "codes.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    argv = _embed_argv(inp, tmp_path, tag="_2")
+    argv[argv.index("--out-codes") + 1] = str(fifo)
+    assert main(argv) == 0
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert got == [want]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+def test_embed_through_a_symlink_keeps_the_link(tmp_path, capsys):
+    """The file behind the link is replaced, with the mode it had, and the
+    link stays a link to it."""
+    import os
+
+    inp, _ = _make_dataset(tmp_path)
+    assert main(_embed_argv(inp, tmp_path)) == 0
+    want = (tmp_path / "codes.csqc").read_bytes()
+    real = tmp_path / "real"
+    real.mkdir()
+    target = real / "codes.csqc"
+    target.write_bytes(b"old")
+    target.chmod(0o640)
+    link = tmp_path / "link.csqc"
+    link.symlink_to(target)
+    argv = _embed_argv(inp, tmp_path, tag="_2")
+    argv[argv.index("--out-codes") + 1] = str(link)
+    assert main(argv) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == want
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert [p.name for p in real.iterdir()] == ["codes.csqc"]
+
+
+def _embed_peak(tmp_path, k, n=256):
+    """The tracemalloc peak of ``csq embed`` of a CSQV of k rows."""
+    import tracemalloc
+
+    inp = tmp_path / f"points{k}.csqv"
+    rows = np.random.default_rng(k).standard_normal((k, n)) * (0.01 / np.sqrt(n))
+    _write_csqv(inp, rows)
+    del rows
+    argv = _embed_argv(inp, tmp_path) + ["--method", "fjlt"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_embed_memory_does_not_grow_with_the_input(tmp_path, capsys, monkeypatch):
+    """From k = 2,000 to 16,000 rows of 256 the input grows by 28 MB; the
+    peak may grow by the one byte a point of each of the two per-point
+    flags of the diagnostics, plus 1 MiB. One thread: with more, the peak
+    also depends on whether their block temporaries coincide."""
+    _blocks_of(monkeypatch, pipeline._BLOCK, 1)
+    _embed_peak(tmp_path, 2000)  # builds the kernels and warms the caches
+    small, large = _embed_peak(tmp_path, 2000), _embed_peak(tmp_path, 16000)
+    assert large - small <= 2 * (16000 - 2000) + 2**20
 
 
 # sha256 of the CSQM files `store.write_model(..., explicit=True)` writes

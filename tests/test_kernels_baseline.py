@@ -1,6 +1,7 @@
-"""The compiled kernels' cases of ``test_kernels.py`` and the CLI's output
-byte pins of ``csq embed``, the explicit model and ``csq query
---all-pairs``, again on the kernels compiled without their AVX2 clones.
+"""The compiled kernels' cases of ``test_kernels.py``, the CLI's output
+byte pins of ``csq embed`` (at any block size too), the explicit model and
+``csq query --all-pairs``, the embed files against the oracles and the
+embed failures, again on the kernels compiled without their AVX2 clones.
 
 On a host with AVX2 the loaded library always runs its AVX2 build, whose
 tile stages work on vectors of four doubles; here the loader hands out the
@@ -12,8 +13,12 @@ import pytest
 
 from test_cli import (  # noqa: F401
     test_all_pairs_csv_bytes_are_pinned,
+    test_embed_files_match_oracles_at_any_block_size,
     test_embed_output_bytes_are_pinned,
+    test_embed_output_bytes_hold_at_any_block_size,
     test_explicit_model_bytes_are_pinned,
+    test_failed_embed_publishes_nothing,
+    test_the_lowest_failing_block_is_reported,
 )
 from test_kernels import (  # noqa: F401
     kernels,

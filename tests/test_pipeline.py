@@ -141,11 +141,13 @@ def test_sparse_embed_well_spread_check_makes_no_full_size_temporary():
     assert peak < 8 << 20
 
 
-def test_embed_jobs_read_their_input_once(tmp_path, monkeypatch):
+def test_embed_jobs_read_their_input_once(tmp_path, monkeypatch, capsys):
     """A sparse job from a file makes one finiteness and norm pass (when
     the dataset is made) and one peaks pass (for the well-spread check);
-    an fjlt job makes no peaks pass."""
+    an fjlt job makes no peaks pass. ``csq embed`` makes them once per
+    block of rows it reads."""
     from csq import pipeline, store
+    from csq.cli import main
 
     passes = []
     for name in ("_finite_row_norms", "_row_peaks"):
@@ -161,7 +163,15 @@ def test_embed_jobs_read_their_input_once(tmp_path, monkeypatch):
         data = store.read_vectors(path)
         embed_dataset(build_model(method, 64, 4, 4, 2, seed=1), data)
         assert passes == want
-        assert ("peaks" in vars(data)) == (method == "sparse")
+        passes.clear()
+        with monkeypatch.context() as blocks_of_8:
+            blocks_of_8.setattr(pipeline, "_BLOCK", 8)
+            assert main([
+                "embed", "--input", str(path), "--method", method, "--p", "4",
+                "--lambda-tilde", "4", "--r", "2", "--out-model", str(tmp_path / "m"),
+                "--out-codes", str(tmp_path / "c"), "--out-condensed", str(tmp_path / "d"),
+            ]) == 0
+        assert sorted(passes) == sorted(want * 3)
 
 
 def test_scale_dataset_puts_points_in_ball():

@@ -35,6 +35,10 @@ from csq.pipeline import (
 )
 from csq.store import (
     CURVE_HEADER,
+    VectorFile,
+    codes_writer,
+    condensed_writer,
+    open_vectors,
     read_codes,
     read_condensed,
     read_curve,
@@ -521,7 +525,66 @@ def test_model_reader_fuzz(tmp_path_factory, raw):
     assert model.quantizer.order == model.condensation.r
 
 
+def test_vector_file_reads_blocks_at_their_offsets(tmp_path):
+    path = tmp_path / "x.csqv"
+    data = flat(5, 11, 4)
+    write_vectors(path, data)
+    with open_vectors(path) as source:
+        assert isinstance(source, VectorFile)
+        assert (source.k, source.n) == (11, 5)
+        read = source.block_reader(4)
+        for lo in (8, 0, 4):
+            vectors, norms = read(lo, min(lo + 4, 11))
+            assert np.array_equal(vectors, data.vectors[lo : lo + 4])
+            assert np.array_equal(norms, data.norms[lo : lo + 4])
+        # A file cut short after its size was checked.
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(CorruptionError, match="truncated"):
+            read(8, 11)
+
+
 # --------------------------------------------------------------- codes
+
+
+def test_row_writers_put_records_in_any_order(tmp_path):
+    """Records written back to front give the files of the whole-file
+    writers, which use the same row writers."""
+    rng = np.random.default_rng(8)
+    codes = Codes.from_signs(np.where(rng.random((7, 21)) < 0.5, -1, 1))
+    spec = build_condensation(2, 4, 3)
+    sketches = Sketches.of(spec, rng.integers(-16, 17, size=(7, 3)))
+    write_codes(tmp_path / "a.csqc", codes)
+    write_condensed(tmp_path / "a.csqd", sketches)
+    with open(tmp_path / "b.csqc", "wb") as fc, open(tmp_path / "b.csqd", "wb") as fd:
+        put_codes = codes_writer(fc.fileno(), 7, 21)
+        put_sketches = condensed_writer(fd.fileno(), 7, spec)
+        for lo, hi in ((5, 7), (2, 5), (0, 2)):
+            put_codes(lo, codes.bits[lo:hi])
+            put_sketches(lo, sketches.entries[lo:hi])
+    for ext in ("csqc", "csqd"):
+        assert (tmp_path / f"b.{ext}").read_bytes() == (tmp_path / f"a.{ext}").read_bytes()
+
+
+def test_whole_file_writers_write_into_a_fifo(tmp_path):
+    """A FIFO cannot seek, so the writers write a whole file front to back."""
+    import os
+    import threading
+
+    codes = Codes.from_signs(np.ones((3, 20), dtype=np.int8))
+    sketches = Sketches.of(build_condensation(1, 4, 2), np.arange(6).reshape(3, 2))
+    for write, value, name in ((write_codes, codes, "c"), (write_condensed, sketches, "d")):
+        write(tmp_path / name, value)
+        fifo = tmp_path / f"{name}.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write(fifo, value)
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert got == [(tmp_path / name).read_bytes()]
+
+
 
 
 def test_codes_round_trip_and_size(tmp_path):
