@@ -105,56 +105,81 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _new_sibling(target: str) -> tuple[int, str]:
+    """``(fd, name)`` of a new empty file next to ``target``, with the mode
+    the umask gives a new file."""
+    head, tail = os.path.split(target)
+    while True:
+        name = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+        try:
+            return os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), name
+        except FileExistsError:
+            continue
+
+
 @contextlib.contextmanager
 def _staged(paths):
-    """Yield ``(fd, name)`` of a new temporary file for each output path,
-    and publish them when the body succeeds.
+    """Yield ``(fd, name)`` of a file to write for each output path, and
+    publish them when the body succeeds.
 
-    A path that names a regular file, or nothing yet, gets a temporary
-    sibling of the file it resolves to (through any symbolic links) with
+    A path that names a regular file, or nothing yet, gets a new temporary
+    sibling of the file it resolves to (through any symbolic links), with
     the mode that file has or a new file would get, moved into place with
-    ``os.replace``. Any other existing file (a device such as
-    ``/dev/null``, a FIFO, a pipe as ``/dev/stdout``) is staged in the
-    temporary directory and its bytes are written into it in place.
-    However the body ends, the temporary files are gone afterwards.
+    ``os.replace``. An existing file that is not regular but can seek, a
+    device such as ``/dev/null``, is written in place. Any other (a FIFO, a
+    terminal, a pipe as ``/dev/stdout``) cannot take records at their
+    offsets, so it is staged in the temporary directory and its bytes are
+    copied into it at the end. However the body ends, the temporary files
+    are gone afterwards.
     """
     import shutil
     import stat
     import tempfile
 
+    # (fd, name, target, how): the temporary file ``name`` is moved onto
+    # ``target`` ("replace") or copied into it ("copy"); "" for a file
+    # written in place, which is ``name`` itself.
     staged = []
     try:
         for path in paths:
             try:
-                mode = os.stat(path).st_mode
-            except FileNotFoundError:
-                umask = os.umask(0)
-                os.umask(umask)
-                mode = stat.S_IFREG | (0o666 & ~umask)
-            regular = stat.S_ISREG(mode)
-            target = os.path.realpath(path) if regular else path
-            try:
-                fd, name = tempfile.mkstemp(
-                    prefix=f".{os.path.basename(target)}.", suffix=".tmp",
-                    dir=os.path.dirname(target) if regular else None,
-                )
+                try:
+                    mode = os.stat(path).st_mode
+                except FileNotFoundError:
+                    mode = None
+                if mode is None or stat.S_ISREG(mode):
+                    target = os.path.realpath(path)
+                    fd, name = _new_sibling(target)
+                    staged.append((fd, name, target, "replace"))
+                    if mode is not None:
+                        os.fchmod(fd, stat.S_IMODE(mode))
+                    continue
+                if not (stat.S_ISFIFO(mode) or stat.S_ISSOCK(mode)):
+                    fd = os.open(path, os.O_WRONLY)
+                    try:
+                        os.lseek(fd, 0, os.SEEK_CUR)
+                    except OSError:
+                        os.close(fd)
+                    else:
+                        staged.append((fd, path, path, ""))
+                        continue
+                fd, name = tempfile.mkstemp(suffix=".tmp")
+                staged.append((fd, name, path, "copy"))
             except OSError as exc:
                 raise OSError(exc.errno, exc.strerror, path) from None
-            staged.append((fd, name, target, regular))
-            if regular:
-                os.fchmod(fd, stat.S_IMODE(mode))
         yield [(fd, name) for fd, name, _, _ in staged]
-        for _, name, target, regular in staged:
-            if regular:
+        for _, name, target, how in staged:
+            if how == "replace":
                 os.replace(name, target)
-            else:
+            elif how == "copy":
                 with open(name, "rb") as src, open(target, "wb") as dst:
                     shutil.copyfileobj(src, dst)
     finally:
-        for fd, name, _, _ in staged:
+        for fd, name, _, how in staged:
             os.close(fd)
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(name)
+            if how:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(name)
 
 
 def _cmd_embed(args) -> int:

@@ -143,6 +143,11 @@ class Dataset:
     def n(self) -> int:
         return self.vectors.shape[1]
 
+    @cached_property
+    def peaks(self) -> np.ndarray:
+        """Each row's largest |entry|, computed blockwise when first read."""
+        return _row_peaks(self.vectors)
+
     def block_reader(self, rows: int):
         """``read(lo, hi)`` of :func:`_embed_blocks`: views of rows lo..hi-1
         and their norms (``rows`` bounds hi - lo; views need no buffer)."""

@@ -767,11 +767,17 @@ def test_a_short_csqv_is_refused_before_any_block(tmp_path, capsys, monkeypatch)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["points.csqv"]
 
 
-def test_embed_to_dev_null(tmp_path, capsys):
-    """An existing output that is not a regular file is written in place."""
+def test_embed_to_dev_null(tmp_path, capsys, monkeypatch):
+    """An existing output that is not a regular file but can seek is
+    written in place: nothing is staged in the temporary directory."""
     import os
     import stat
+    import tempfile
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("staged in the temporary directory")
+
+    monkeypatch.setattr(tempfile, "mkstemp", refuse)
     inp, _ = _make_dataset(tmp_path)
     argv = _embed_argv(inp, tmp_path)
     argv[argv.index("--out-codes") + 1] = os.devnull
@@ -802,6 +808,26 @@ def test_embed_into_a_fifo_writes_it_in_place(tmp_path, capsys):
     assert not reader.is_alive()
     assert got == [want]
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+def test_new_outputs_get_the_umask_mode_without_a_umask_change(tmp_path, capsys, monkeypatch):
+    """Other threads of the process may be creating files meanwhile, so
+    the job must not set the process umask, even for a moment."""
+    import os
+
+    umask = os.umask(0o027)
+    try:
+        def refuse(mask):
+            raise AssertionError("the umask was changed")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        inp, _ = _make_dataset(tmp_path)
+        assert main(_embed_argv(inp, tmp_path)) == 0
+    finally:
+        monkeypatch.undo()
+        os.umask(umask)
+    for name in ("model.csqm", "codes.csqc", "cond.csqd"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o640
 
 
 def test_embed_through_a_symlink_keeps_the_link(tmp_path, capsys):

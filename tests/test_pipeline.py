@@ -163,6 +163,9 @@ def test_embed_jobs_read_their_input_once(tmp_path, monkeypatch, capsys):
         data = store.read_vectors(path)
         embed_dataset(build_model(method, 64, 4, 4, 2, seed=1), data)
         assert passes == want
+        # The embed finds its peaks block by block; the dataset's own
+        # whole-matrix peaks stay uncomputed until read.
+        assert "peaks" not in vars(data)
         passes.clear()
         with monkeypatch.context() as blocks_of_8:
             blocks_of_8.setattr(pipeline, "_BLOCK", 8)
@@ -172,6 +175,23 @@ def test_embed_jobs_read_their_input_once(tmp_path, monkeypatch, capsys):
                 "--out-codes", str(tmp_path / "c"), "--out-condensed", str(tmp_path / "d"),
             ]) == 0
         assert sorted(passes) == sorted(want * 3)
+
+
+def test_dataset_peaks_are_each_rows_largest_magnitude(monkeypatch):
+    """Over several blocks of rows, in one pass, cached once read; an
+    empty row's peak is 0.0."""
+    from csq import pipeline
+
+    passes = []
+    real = pipeline._row_peaks
+    monkeypatch.setattr(pipeline, "_row_peaks", lambda m: passes.append(m) or real(m))
+    x = np.random.default_rng(3).standard_normal((1100, 70))
+    data = dataset_from_matrix(x)
+    assert len(passes) == 0
+    np.testing.assert_array_equal(data.peaks, np.abs(x).max(axis=1))
+    assert data.peaks is data.peaks
+    assert len(passes) == 1
+    np.testing.assert_array_equal(dataset_from_matrix(np.empty((3, 0))).peaks, np.zeros(3))
 
 
 def test_scale_dataset_puts_points_in_ball():
