@@ -9,21 +9,25 @@
  * are bit-identical to that kernel. That holds only when the compiler neither
  * contracts a*b + c into a fused multiply-add nor reassociates: build with
  * -ffp-contract=off and without -ffast-math. csq_draw_sparse draws the
- * operator by calling NumPy's own generator functions through a restated
- * copy of NumPy's public bitgen_t, in the order of the numpy loop, so it
- * gives that loop's matrix and leaves the generator in that loop's state.
+ * operator from the state of a NumPy PCG64 generator, stepping that state
+ * as NumPy does and calling NumPy's own normal draw on it, in the order of
+ * the numpy loop, so it gives that loop's matrix and leaves the generator
+ * in that loop's state.
  *
  * Points are handled in tiles of TILE points, stored feature-major: row f
  * of point j (0 <= j < TILE) of a tile sits at f * TILE + j, and the lanes
  * past the last point of a partial tile hold zeros. A tiled block of b
  * points is its tiles one after another, tile p0 / TILE starting at
- * p0 * rows. Codes are (m, b) row-major, points on the last axis.
+ * p0 * rows. A block's outputs are one row per point: a CSQD record of
+ * ceil(p * width / 8) bytes, a CSQC record of ceil(m / 8) bytes of code
+ * bits and a peak.
  *
  * csq_embed_block embeds a block tile by tile, in one tile of working
  * memory that it allocates and frees itself; csq_precondition,
- * csq_project and csq_quantize run one stage over a block, so that each
- * can be checked on its own. A kernel that allocates returns nonzero,
- * having written nothing, when the allocation fails.
+ * csq_project and csq_quantize run one stage over a block, and
+ * csq_records the record writer, so that each can be checked on its own.
+ * A kernel that allocates returns nonzero, having written nothing, when
+ * the allocation fails.
  *
  * On x86-64 with glibc the embed stages and the l1 sums are CLONES: the
  * compiler builds each twice, for baseline x86-64 and for AVX2, with every
@@ -39,10 +43,13 @@
  * baseline build; csq_isa says which one runs.
  */
 
+#define _POSIX_C_SOURCE 200809L
+
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 /* The clones need the dynamic loader's ifunc support, which glibc has. */
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute) && \
@@ -82,6 +89,14 @@ typedef int64_t vi4 __attribute__((vector_size(32), aligned(8), may_alias));
 
 /* Rows of a tile that stay in the first-level cache together. */
 #define CHUNK 128
+
+/* Nanoseconds of the monotonic clock, for the stage timings. */
+static int64_t now_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
 
 /* One butterfly stage over rows 0..rows-1 of a tile: for each aligned
    group of 2h rows, row i becomes x_i + x_{i+h} and row i + h becomes
@@ -152,20 +167,27 @@ static inline int64_t back(int64_t cur, int64_t d, int64_t len)
 }
 
 /*
- * project_tileW and quantize_tileW, on vectors of W doubles.
+ * project_tileW and quantize_condense_tileW, on vectors of W doubles.
  *
  * project_tileW: out (rows, TILE) = A x for the CSR matrix A (rows x
  * n_pad) and one tile x, as sparse_matmat: output (i, j) starts at 0.0 and
  * adds x[col] * v for the stored entries of row i in storage order.
  *
- * quantize_tileW: quantize the t <= TILE points of one tile of
- * projections y (m, TILE) as quantize_batch: codes[i * stride + j] gets +1
- * or -1 and peaks[j] the largest |y| of point j (NaN or inf when a sample
- * is not finite). The filter state lives in ring, reach + 1 rows of TILE
- * doubles with reach = pos[r - 1]; sample i reads row (i - pos[k]) mod
- * (reach + 1) for each tap k and writes row i mod (reach + 1):
- * s = row_0 * w[0], s += row_k * w[k] for the later taps, s += y, the code
- * is +1 when s >= 0.0, and the row becomes s - q.
+ * quantize_condense_tileW: quantize the m samples of every lane of one
+ * tile of projections y (m, TILE) as quantize_batch, and condense and
+ * pack the codes in the same loop. The filter state lives in ring,
+ * reach + 1 rows of TILE doubles with reach = pos[r - 1]; sample i reads row
+ * (i - pos[k]) mod (reach + 1) for each tap k and writes row
+ * i mod (reach + 1): s = row_0 * w[0], s += row_k * w[k] for the later
+ * taps, s += y, the code is +1 when s >= 0.0, and the row becomes s - q.
+ * Each lane keeps its running sketch entry, adding kernel[i mod lam] for a
+ * code of +1 and subtracting it for -1 (exact in int64, as
+ * condense_signs_batch sums), stored as row i / lam of sums (p, TILE)
+ * after every lam samples; and its code bits, bit i mod 64 set for a code
+ * of +1, stored as row i / 64 of words (ceil(m / 64), TILE) after every 64
+ * samples and after the last. peaks[j] gets the largest |y| of lane j
+ * (NaN or inf when a sample is not finite) for the t <= TILE lanes that
+ * hold points.
  *
  * Every lane gets the same operations whatever W is, so both widths give
  * the same bits. The AVX2 build runs W = 4 and the baseline build W = 2
@@ -193,24 +215,25 @@ static inline int64_t back(int64_t cur, int64_t d, int64_t len)
         }                                                                    \
     }                                                                        \
                                                                              \
-    static void quantize_tile##W(const double *restrict y, int64_t m,        \
-                                 int64_t t, const int64_t *restrict pos,     \
-                                 const double *restrict w, int64_t r,        \
-                                 double *restrict ring,                      \
-                                 int8_t *restrict codes, int64_t stride,     \
-                                 double *restrict peaks)                     \
+    static void quantize_condense_tile##W(                                   \
+        const double *restrict y, int64_t m, int64_t t,                      \
+        const int64_t *restrict pos, const double *restrict w, int64_t r,    \
+        const int64_t *restrict kernel, int64_t lam, double *restrict ring,  \
+        int64_t *restrict sums, int64_t *restrict words,                     \
+        double *restrict peaks)                                              \
     {                                                                        \
         const int64_t len = pos[r - 1] + 1;                                  \
         const vd##W zero = {0.0}, one = zero + 1.0, minus_one = zero - 1.0;  \
-        const vi##W magnitude = (vi##W){0} + INT64_MAX;                      \
+        const vi##W none = {0}, magnitude = none + INT64_MAX;                \
         vd##W peak[TILE / W];                                                \
-        int8_t q[TILE];                                                      \
+        vi##W entry[TILE / W], word[TILE / W];                               \
         memset(ring, 0, (size_t)(len * TILE) * sizeof(double));              \
-        for (int l = 0; l < TILE / W; l++)                                   \
+        for (int l = 0; l < TILE / W; l++) {                                 \
             peak[l] = zero;                                                  \
-        /* cur is i mod len. */                                              \
-        for (int64_t i = 0, cur = 0; i < m;                                  \
-             i++, cur = cur + 1 == len ? 0 : cur + 1) {                      \
+            entry[l] = word[l] = none;                                       \
+        }                                                                    \
+        /* cur is i mod len, c is i mod lam. */                              \
+        for (int64_t i = 0, cur = 0, c = 0; i < m; i++) {                    \
             vd##W *row = (vd##W *)(ring + cur * TILE);                       \
             const vd##W *src =                                               \
                 (const vd##W *)(ring + back(cur, pos[0], len) * TILE);       \
@@ -222,22 +245,38 @@ static inline int64_t back(int64_t cur, int64_t d, int64_t len)
                 for (int l = 0; l < TILE / W; l++)                           \
                     s[l] += src[l] * w[k];                                   \
             }                                                                \
+            const vi##W weight = none + kernel[c];                           \
+            const vi##W bit = none + (int64_t)((uint64_t)1 << (i & 63));     \
             const vd##W *yi = (const vd##W *)(y + i * TILE);                 \
             for (int l = 0; l < TILE / W; l++) {                             \
                 const vd##W v = s[l] + yi[l];                                \
                 const vi##W up = v >= zero;                                  \
                 row[l] = v - (vd##W)(((vi##W)one & up) |                     \
                                      ((vi##W)minus_one & ~up));              \
-                /* +1 where up is -1 (true), -1 where it is 0. */            \
-                const vi##W code = -(up + up) - 1;                           \
-                for (int c = 0; c < W; c++)                                  \
-                    q[W * l + c] = (int8_t)code[c];                          \
+                /* weight where up is -1 (true), -weight where it is 0. */   \
+                entry[l] += (weight ^ ~up) - ~up;                            \
+                word[l] |= bit & up;                                         \
                 const vd##W a = (vd##W)((vi##W)yi[l] & magnitude);           \
                 const vi##W more = (a > peak[l]) | (a != a);                 \
                 peak[l] = (vd##W)(((vi##W)a & more) |                        \
                                   ((vi##W)peak[l] & ~more));                 \
             }                                                                \
-            memcpy(codes + i * stride, q, (size_t)t);                        \
+            if (++c == lam) {                                                \
+                vi##W *dst = (vi##W *)(sums + (i / lam) * TILE);             \
+                for (int l = 0; l < TILE / W; l++) {                         \
+                    dst[l] = entry[l];                                       \
+                    entry[l] = none;                                         \
+                }                                                            \
+                c = 0;                                                       \
+            }                                                                \
+            if ((i & 63) == 63 || i == m - 1) {                              \
+                vi##W *dst = (vi##W *)(words + (i >> 6) * TILE);             \
+                for (int l = 0; l < TILE / W; l++) {                         \
+                    dst[l] = word[l];                                        \
+                    word[l] = none;                                          \
+                }                                                            \
+            }                                                                \
+            cur = cur + 1 == len ? 0 : cur + 1;                              \
         }                                                                    \
         memcpy(peaks, peak, (size_t)t * sizeof(double));                     \
     }
@@ -245,7 +284,8 @@ static inline int64_t back(int64_t cur, int64_t d, int64_t len)
 TILE_STAGES(2)
 TILE_STAGES(4)
 
-/* project_tileW and quantize_tileW at the width of the build that runs:
+/* project_tileW and quantize_condense_tileW at the width of the build that
+   runs:
    wide is csq_isa(), 1 in the AVX2 build and 0 in the baseline one. */
 static void project_tile(int wide, const int64_t *restrict offsets,
                          const int64_t *restrict cols,
@@ -258,16 +298,83 @@ static void project_tile(int wide, const int64_t *restrict offsets,
         project_tile2(offsets, cols, vals, rows, x, out);
 }
 
-static void quantize_tile(int wide, const double *restrict y, int64_t m,
-                          int64_t t, const int64_t *restrict pos,
-                          const double *restrict w, int64_t r,
-                          double *restrict ring, int8_t *restrict codes,
-                          int64_t stride, double *restrict peaks)
+static void quantize_condense_tile(int wide, const double *restrict y,
+                                   int64_t m, int64_t t,
+                                   const int64_t *restrict pos,
+                                   const double *restrict w, int64_t r,
+                                   const int64_t *restrict kernel, int64_t lam,
+                                   double *restrict ring,
+                                   int64_t *restrict sums,
+                                   int64_t *restrict words,
+                                   double *restrict peaks)
 {
     if (wide)
-        quantize_tile4(y, m, t, pos, w, r, ring, codes, stride, peaks);
+        quantize_condense_tile4(y, m, t, pos, w, r, kernel, lam, ring, sums,
+                                words, peaks);
     else
-        quantize_tile2(y, m, t, pos, w, r, ring, codes, stride, peaks);
+        quantize_condense_tile2(y, m, t, pos, w, r, kernel, lam, ring, sums,
+                                words, peaks);
+}
+
+/*
+ * The CSQD record of p entries read step apart: entry e fills bits
+ * e * width .. e * width + width - 1 of out (1 <= width <= 63) in two's
+ * complement, bits LSB first, the layout of pack_rows, and the last byte
+ * is zero-padded. The entries fit width bits, as condensation sums do.
+ */
+static void put_record(const int64_t *restrict entries, int64_t step,
+                       int64_t p, int64_t width, uint8_t *restrict out)
+{
+    const uint64_t mask = ((uint64_t)1 << width) - 1;
+    /* The pending bits of buf, fewer than 8 at the top of the loop. */
+    uint64_t buf = 0;
+    int64_t pending = 0;
+    for (int64_t e = 0; e < p; e++) {
+        const uint64_t v = (uint64_t)entries[e * step] & mask;
+        buf |= v << pending;
+        /* The bits of v that do not fit buf. */
+        const uint64_t rest = pending ? v >> (64 - pending) : 0;
+        pending += width;
+        if (pending >= 64) {
+            for (int k = 0; k < 8; k++)
+                *out++ = (uint8_t)(buf >> (8 * k));
+            buf = rest;
+            pending -= 64;
+        }
+        for (; pending >= 8; pending -= 8, buf >>= 8)
+            *out++ = (uint8_t)buf;
+    }
+    if (pending)
+        *out = (uint8_t)buf;
+}
+
+/*
+ * Write the rows of the t <= TILE points of a tile from what
+ * quantize_condense_tile left: point j's CSQD record of its sums (p, TILE)
+ * at records + j * ceil(p * width / 8), and its m code bits from words
+ * (ceil(m / 64), TILE) at bits + j * ceil(m / 8), code i in bit i % 8 of
+ * byte i / 8 (LSB first, +1 -> 1), the layout of Codes.from_signs.
+ */
+static void put_tile(const int64_t *restrict sums,
+                     const int64_t *restrict words, int64_t t, int64_t m,
+                     int64_t p, int64_t width, uint8_t *restrict records,
+                     uint8_t *restrict bits)
+{
+    const int64_t record = (p * width + 7) / 8, nbytes = (m + 7) / 8;
+    for (int64_t j = 0; j < t; j++) {
+        put_record(sums + j, TILE, p, width, records + j * record);
+        uint8_t *restrict out = bits + j * nbytes;
+        for (int64_t k = 0; k < nbytes; k++)
+            out[k] = (uint8_t)((uint64_t)words[(k >> 3) * TILE + j] >>
+                               (8 * (k & 7)));
+    }
+}
+
+/* Doubles of tile memory for the ring, the sums and the words of
+   quantize_condense_tile. */
+static int64_t quantize_memory(int64_t m, int64_t len, int64_t p)
+{
+    return (len + p + (m + 63) / 64) * TILE;
 }
 
 /* precondition_tile over a block of b points x (b, n); out is tiled. */
@@ -293,68 +400,52 @@ void csq_project(const int64_t *offsets, const int64_t *cols,
                      out + p0 * rows);
 }
 
-/* quantize_tile over a tiled block y of b points; codes are (m, b).
-   Returns nonzero, writing nothing, when the ring cannot be allocated. */
+/* quantize_condense_tile and put_tile over a tiled block y of b points,
+   with p = m / lam: records (b, ceil(p * width / 8)), bits (b, ceil(m / 8))
+   and peaks (b). Returns nonzero, writing nothing, when the working memory
+   cannot be allocated. */
 CLONES
 int csq_quantize(const double *y, int64_t m, int64_t b, const int64_t *pos,
-                 const double *w, int64_t r, int8_t *codes, double *peaks)
+                 const double *w, int64_t r, const int64_t *kernel,
+                 int64_t lam, int64_t width, uint8_t *records, uint8_t *bits,
+                 double *peaks)
 {
-    double *ring = malloc((size_t)(pos[r - 1] + 1) * TILE * sizeof(double));
+    const int64_t len = pos[r - 1] + 1, p = m / lam;
+    const int64_t record = (p * width + 7) / 8, nbytes = (m + 7) / 8;
+    double *ring = malloc((size_t)quantize_memory(m, len, p) * sizeof(double));
     if (!ring)
         return 1;
+    int64_t *sums = (int64_t *)(ring + len * TILE), *words = sums + p * TILE;
     const int wide = csq_isa();
     for (int64_t p0 = 0; p0 < b; p0 += TILE) {
         const int64_t t = b - p0 < TILE ? b - p0 : TILE;
-        quantize_tile(wide, y + p0 * m, m, t, pos, w, r, ring, codes + p0, b,
-                      peaks + p0);
+        quantize_condense_tile(wide, y + p0 * m, m, t, pos, w, r, kernel, lam,
+                               ring, sums, words, peaks + p0);
+        put_tile(sums, words, t, m, p, width, records + p0 * record,
+                 bits + p0 * nbytes);
     }
     free(ring);
     return 0;
 }
 
-/*
- * Condense and pack the t <= TILE points of one tile of codes (m, TILE):
- * for point j, entries[j * p + e] gets the sum over l < lam of
- * kernel[l] * code[e * lam + l], exact in int64 as condense_signs_batch
- * computes it, and bits[j * nbytes + i / 8] bit i % 8 (LSB first) is set
- * when code i is +1, the layout of Codes.from_signs. All TILE lanes are
- * summed and packed together, reading each row of codes once; only lanes
- * j < t are stored.
- */
-static void condense_tile(const int8_t *restrict codes, int64_t m, int64_t t,
-                          const int64_t *restrict kernel, int64_t lam,
-                          int64_t *restrict entries, uint8_t *restrict bits)
+/* put_record of each row of the (k, p) entries into out (k, ceil(p *
+   width / 8)). */
+void csq_records(const int64_t *entries, int64_t k, int64_t p, int64_t width,
+                 uint8_t *out)
 {
-    const int64_t p = m / lam, nbytes = (m + 7) / 8;
-    for (int64_t e = 0; e < p; e++) {
-        int64_t acc[TILE] = {0};
-        for (int64_t l = 0; l < lam; l++) {
-            const int8_t *c = codes + (e * lam + l) * TILE;
-            for (int j = 0; j < TILE; j++)
-                acc[j] += kernel[l] * c[j];
-        }
-        for (int64_t j = 0; j < t; j++)
-            entries[j * p + e] = acc[j];
-    }
-    for (int64_t byte = 0; byte < nbytes; byte++) {
-        uint8_t v[TILE] = {0};
-        for (int64_t i = 8 * byte; i < 8 * byte + 8 && i < m; i++) {
-            const int8_t *c = codes + i * TILE;
-            for (int j = 0; j < TILE; j++)
-                v[j] |= (uint8_t)((c[j] == 1) << (i - 8 * byte));
-        }
-        for (int64_t j = 0; j < t; j++)
-            bits[j * nbytes + byte] = v[j];
-    }
+    const int64_t record = (p * width + 7) / 8;
+    for (int64_t i = 0; i < k; i++)
+        put_record(entries + i * p, 1, p, width, out + i * record);
 }
 
 /*
- * Embed b points x (b, n), one tile at a time: precondition, project,
+ * Embed b points x (b, n), one tile at a time: precondition, project, then
  * quantize, condense and pack, each as its function above describes.
- * entries (b, m / lam) and bits (b, ceil(m / 8)) get one row per point,
- * peaks (b) the largest |projection| of each point, NaN or inf where the
- * projections of a point overflowed. The tile's working memory is
- * (n_pad + m + reach + 1) * TILE doubles followed by m * TILE bytes.
+ * records (b, ceil(p * width / 8)) and bits (b, ceil(m / 8)) get one row
+ * per point, peaks (b) the largest |projection| of each point, NaN or inf
+ * where the projections of a point overflowed. ns[0], ns[1] and ns[2] are
+ * increased by the nanoseconds the three stages took. The tile's working
+ * memory is n_pad + m + reach + 1 + p + ceil(m / 64) rows of TILE doubles.
  */
 CLONES
 int csq_embed_block(const double *x, int64_t b, int64_t n,
@@ -362,25 +453,33 @@ int csq_embed_block(const double *x, int64_t b, int64_t n,
                     const int64_t *offsets, const int64_t *cols,
                     const double *vals, int64_t m, const int64_t *pos,
                     const double *w, int64_t r, const int64_t *kernel,
-                    int64_t lam, int64_t *entries, uint8_t *bits,
-                    double *peaks)
+                    int64_t lam, int64_t width, uint8_t *records,
+                    uint8_t *bits, double *peaks, int64_t *ns)
 {
-    const int64_t len = pos[r - 1] + 1;
-    double *xt = malloc((size_t)(n_pad + m + len) * TILE * sizeof(double) +
-                        (size_t)m * TILE);
+    const int64_t len = pos[r - 1] + 1, p = m / lam;
+    const int64_t record = (p * width + 7) / 8, nbytes = (m + 7) / 8;
+    const int64_t doubles = (n_pad + m) * TILE + quantize_memory(m, len, p);
+    double *xt = malloc((size_t)doubles * sizeof(double));
     if (!xt)
         return 1;
     double *yt = xt + n_pad * TILE, *ring = yt + m * TILE;
-    int8_t *codes = (int8_t *)(ring + len * TILE);
+    int64_t *sums = (int64_t *)(ring + len * TILE), *words = sums + p * TILE;
     const int wide = csq_isa();
     for (int64_t p0 = 0; p0 < b; p0 += TILE) {
         const int64_t t = b - p0 < TILE ? b - p0 : TILE;
+        const int64_t t0 = now_ns();
         precondition_tile(x + p0 * n, t, n, signs, n_pad, xt);
+        const int64_t t1 = now_ns();
         project_tile(wide, offsets, cols, vals, m, xt, yt);
-        quantize_tile(wide, yt, m, t, pos, w, r, ring, codes, TILE,
-                      peaks + p0);
-        condense_tile(codes, m, t, kernel, lam, entries + p0 * (m / lam),
-                      bits + p0 * ((m + 7) / 8));
+        const int64_t t2 = now_ns();
+        quantize_condense_tile(wide, yt, m, t, pos, w, r, kernel, lam, ring,
+                               sums, words, peaks + p0);
+        put_tile(sums, words, t, m, p, width, records + p0 * record,
+                 bits + p0 * nbytes);
+        const int64_t t3 = now_ns();
+        ns[0] += t1 - t0;
+        ns[1] += t2 - t1;
+        ns[2] += t3 - t2;
     }
     free(xt);
     return 0;
@@ -388,10 +487,10 @@ int csq_embed_block(const double *x, int64_t b, int64_t n,
 
 /*
  * NumPy's public bit generator interface, as numpy/random/bitgen.h declares
- * it: the state and four functions that advance it. A Generator's
- * bit_generator.ctypes.bit_generator points at one. It is restated here so
+ * it: the state and four functions that advance it. It is restated here so
  * that the file needs no NumPy headers or libraries to compile; NumPy
- * keeps this layout as part of its C API.
+ * keeps this layout as part of its C API. csq_draw_sparse fills one in
+ * for its own copy of a PCG64 state.
  */
 typedef struct bitgen {
     void *state;
@@ -401,41 +500,137 @@ typedef struct bitgen {
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
 
+#ifndef __SIZEOF_INT128__
+#error "csq_draw_sparse needs a compiler with 128-bit integers"
+#endif
+typedef unsigned __int128 u128;
+
+/*
+ * NumPy's PCG64, restated: a 128-bit LCG state s and odd increment inc,
+ * stepped as s = s * MULT + inc (MULT is PCG's default 128-bit
+ * multiplier), each step giving the 64-bit XSL-RR output of the new
+ * state: (hi ^ lo) of s rotated right by the top 6 bits of s. A double
+ * is the top 53 bits of an output times 2**-53, a 32-bit draw half of a
+ * buffered output, as in numpy/random/src/pcg64. The state, the
+ * increment and the 32-bit buffer are the fields of the public
+ * PCG64.state dict.
+ */
+#define MULT (((u128)0x2360ed051fc65da4ULL << 64) | 0x4385df649fccf645ULL)
+
+typedef struct pcg64 {
+    u128 s, inc;
+    uint64_t has_uint32, uinteger;
+} pcg64_t;
+
+static inline uint64_t xsl_rr(u128 s)
+{
+    const uint64_t v = (uint64_t)(s >> 64) ^ (uint64_t)s;
+    const unsigned rot = (unsigned)(s >> 122);
+    return (v >> rot) | (v << ((64 - rot) & 63));
+}
+
+static inline double unit(uint64_t v)
+{
+    return (double)(v >> 11) * (1.0 / 9007199254740992.0);
+}
+
+static uint64_t pcg_next64(void *st)
+{
+    pcg64_t *g = st;
+    g->s = g->s * MULT + g->inc;
+    return xsl_rr(g->s);
+}
+
+static uint32_t pcg_next32(void *st)
+{
+    pcg64_t *g = st;
+    if (g->has_uint32) {
+        g->has_uint32 = 0;
+        return (uint32_t)g->uinteger;
+    }
+    const uint64_t v = pcg_next64(st);
+    g->has_uint32 = 1;
+    g->uinteger = v >> 32;
+    return (uint32_t)v;
+}
+
+static double pcg_next_double(void *st)
+{
+    return unit(pcg_next64(st));
+}
+
 /*
  * The rows first..rows-1 of the sparse Gaussian matrix of
- * build_sparse_gaussian, drawn from bitgen in the order its numpy loop
- * draws them. Row i takes cols uniforms next_double(state), the ones
- * Generator.random(cols) takes, and keeps column j when uniform j is
- * below sparsity; then one normal(bitgen) per kept column, in column
- * order, divided by sqrt(sparsity). normal is NumPy's own
- * random_standard_normal, the function Generator.standard_normal calls,
- * so the stream is consumed and the values are rounded exactly as in the
- * loop. The kept columns and values of row i go to col_indices and values
- * from offsets[i] (set by the caller for i = first), and offsets[i + 1]
- * gets the end. A row starts only when capacity - offsets[i] >= cols, so
+ * build_sparse_gaussian, drawn in the order its numpy loop draws them from
+ * the PCG64 state in pcg: state high and low word, increment high and low
+ * word, has_uint32 and uinteger, updated in place. Row i takes cols
+ * uniforms, the doubles Generator.random(cols) gives, and keeps column j
+ * when uniform j is below sparsity; then one normal(bitgen) per kept
+ * column, in column order, divided by sqrt(sparsity). normal is NumPy's
+ * own random_standard_normal, the function Generator.standard_normal
+ * calls, here on a bitgen_t that steps the same state, so the stream is
+ * consumed and the values are rounded exactly as in the loop.
+ *
+ * The uniforms run in four lanes: lane k holds the state of output
+ * j + k, and each lane steps four states at once, s -> s * A4 + C4 with
+ * A4 = MULT**4 and C4 = inc * (1 + MULT + MULT**2 + MULT**3) (mod 2**128),
+ * so the four multiplications of a group do not wait for each other.
+ *
+ * The kept columns and values of row i go to col_indices and values from
+ * offsets[i] (set by the caller for i = first), and offsets[i + 1] gets
+ * the end. A row starts only when capacity - offsets[i] >= cols, so
  * nothing is drawn for a row that might not fit; the return value is the
  * first row not drawn (rows when all were).
  */
-int64_t csq_draw_sparse(bitgen_t *bitgen, double (*normal)(bitgen_t *),
+int64_t csq_draw_sparse(uint64_t *pcg, double (*normal)(bitgen_t *),
                         int64_t first, int64_t rows, int64_t cols,
                         double sparsity, int64_t *offsets,
                         int64_t *col_indices, double *values,
                         int64_t capacity)
 {
+    pcg64_t g = {((u128)pcg[0] << 64) | pcg[1], ((u128)pcg[2] << 64) | pcg[3],
+                 pcg[4], pcg[5]};
+    bitgen_t bitgen = {&g, pcg_next64, pcg_next32, pcg_next_double,
+                       pcg_next64};
+    const u128 a2 = MULT * MULT, a4 = a2 * a2;
+    const u128 c4 = g.inc * (1 + MULT + a2 + a2 * MULT);
     const double root = sqrt(sparsity);
-    for (int64_t i = first; i < rows; i++) {
+    int64_t i = first;
+    for (; i < rows; i++) {
         const int64_t start = offsets[i];
         if (capacity - start < cols)
-            return i;
-        int64_t end = start;
-        for (int64_t j = 0; j < cols; j++)
-            if (bitgen->next_double(bitgen->state) < sparsity)
-                col_indices[end++] = j;
+            break;
+        int64_t end = start, j = 0;
+        /* Each column index is stored, and kept by moving the end past
+           it: the row fits. */
+        if (cols >= 4) {
+            u128 lane[4];
+            lane[0] = g.s * MULT + g.inc;
+            for (int k = 1; k < 4; k++)
+                lane[k] = lane[k - 1] * MULT + g.inc;
+            for (; j + 4 <= cols; j += 4) {
+                for (int k = 0; k < 4; k++) {
+                    col_indices[end] = j + k;
+                    end += unit(xsl_rr(lane[k])) < sparsity;
+                }
+                g.s = lane[3];
+                for (int k = 0; k < 4; k++)
+                    lane[k] = lane[k] * a4 + c4;
+            }
+        }
+        for (; j < cols; j++) {
+            col_indices[end] = j;
+            end += pcg_next_double(&g) < sparsity;
+        }
         for (int64_t e = start; e < end; e++)
-            values[e] = normal(bitgen) / root;
+            values[e] = normal(&bitgen) / root;
         offsets[i + 1] = end;
     }
-    return rows;
+    pcg[0] = (uint64_t)(g.s >> 64);
+    pcg[1] = (uint64_t)g.s;
+    pcg[4] = g.has_uint32;
+    pcg[5] = g.uinteger;
+    return i;
 }
 
 /*

@@ -19,9 +19,9 @@ library depend on the build host); ``-ffp-contract=off`` forbids fusing
 ``a * b + c`` even where the target has such an instruction. Those keep
 every result bit-identical to the numpy kernels. The query kernels do
 integer arithmetic and copy bytes, so their results are exact. The
-operator draw calls NumPy's own generator functions through their C
-pointers, so it consumes the stream and rounds every value as the numpy
-loop does.
+operator draw steps a ``PCG64`` generator's state as NumPy does and calls
+NumPy's own normal draw on it, so it consumes the stream and rounds every
+value as the numpy loop does.
 
 On x86-64 with glibc the one library holds a baseline and an AVX2 build
 of the embed and l1 kernels (``target_clones``), and the dynamic loader
@@ -59,6 +59,7 @@ NUM, TEXT = 24, 32
 NORMAL = "random_standard_normal"
 
 _int, _i64, _f64 = ctypes.c_int, ctypes.c_int64, ctypes.c_double
+_U64 = (1 << 64) - 1
 _ptr = ctypes.c_void_p
 # The l1 pair kernel of each row dtype.
 L1_KERNELS = {
@@ -70,11 +71,14 @@ L1_KERNELS = {
 _SIGNATURES = {
     "csq_precondition": (None, [_ptr, _i64, _i64, _ptr, _i64, _ptr]),
     "csq_project": (None, [_ptr, _ptr, _ptr, _i64, _ptr, _i64, _i64, _ptr]),
-    "csq_quantize": (_int, [_ptr, _i64, _i64, _ptr, _ptr, _i64, _ptr, _ptr]),
+    "csq_quantize": (
+        _int, [_ptr, _i64, _i64, _ptr, _ptr, _i64, _ptr, _i64, _i64, _ptr, _ptr, _ptr]
+    ),
+    "csq_records": (None, [_ptr, _i64, _i64, _i64, _ptr]),
     "csq_embed_block": (
         _int,
         [_ptr, _i64, _i64, _ptr, _i64, _ptr, _ptr, _ptr, _i64, _ptr, _ptr, _i64,
-         _ptr, _i64, _ptr, _ptr, _ptr],
+         _ptr, _i64, _i64, _ptr, _ptr, _ptr, _ptr],
     ),
     **{
         name: (None, [_ptr, _i64, _i64, _i64, _i64, _ptr])
@@ -141,8 +145,9 @@ class Kernels:
     :meth:`embed_block` is the embed path: it reads the operator, the
     quantizer taps and the condensation kernel from the model, and the C
     kernel allocates its own tile of working memory. :meth:`precondition`,
-    :meth:`project` and :meth:`quantize` run one stage each, so that every
-    kernel can be compared with its numpy counterpart on its own.
+    :meth:`project` and :meth:`quantize` (which also condenses and packs)
+    run one stage each, and :meth:`records` the record writer, so that
+    every kernel can be compared with its numpy counterpart on its own.
     :meth:`draw_sparse` draws the operator; :meth:`l1_pairs` and
     :meth:`pair_lines` serve the all-pairs query.
 
@@ -186,36 +191,63 @@ class Kernels:
             _check(out, np.float64, self.tiled_size(b, matrix.rows)),
         )
 
-    def quantize(self, y, quantizer, codes, peaks) -> None:
-        """Codes (m, b) and peaks (b) of the tiled projections y of b
-        points; see ``_kernels.c``."""
-        m, b = codes.shape
+    def quantize(self, y, quantizer, condensation, records, bits, peaks) -> None:
+        """CSQD records (b, ceil(p * bit_width / 8)), code bits (b,
+        ceil(m/8)) and peaks (b) of the tiled projections y of b points,
+        quantized with ``quantizer`` and condensed with ``condensation``
+        (a :class:`csq.condense.CondensationSpec`) in one loop; see
+        ``_kernels.c``."""
+        b = peaks.size
+        m, kernel = condensation.m, condensation.kernel
         positions, weights = _taps(quantizer)
+        shapes = (records.shape, bits.shape)
+        if shapes != ((b, condensation.record_bytes), (b, (m + 7) // 8)):
+            raise ValueError("block dimensions disagree")
         if self._lib.csq_quantize(
             _check(y, np.float64, self.tiled_size(b, m)), m, b,
             positions.ctypes.data, weights.ctypes.data, positions.size,
-            _check(codes, np.int8, m * b),
+            _check(kernel, np.int64, kernel.size), kernel.size,
+            condensation.bit_width,
+            _check(records, np.uint8, records.size),
+            _check(bits, np.uint8, bits.size),
             _check(peaks, np.float64, b),
         ):
             raise MemoryError("cannot allocate the quantizer state")
 
-    def embed_block(self, model, x, entries, bits, peaks) -> None:
+    def records(self, entries, bit_width: int, out) -> None:
+        """Pack the (k, p) int64 ``entries``, which fit ``bit_width`` bits,
+        into the CSQD records ``out`` (k, ceil(p * bit_width / 8)) with the
+        kernels' record writer: the bytes of
+        :func:`csq.condense.pack_rows`."""
+        k, p = entries.shape
+        if not 1 <= bit_width <= 63 or out.shape != (k, (p * bit_width + 7) // 8):
+            raise ValueError("record dimensions disagree")
+        self._lib.csq_records(
+            _check(entries, np.int64, k * p), k, p, bit_width,
+            _check(out, np.uint8, out.size),
+        )
+
+    def embed_block(self, model, x, records, bits, peaks, ns) -> None:
         """Embed the rows of x (b, n) with the operator, quantizer and
         condensation of ``model`` (a :class:`csq.pipeline.EmbeddingModel`):
-        ``entries`` (b, p) and ``bits`` (b, ceil(m/8)) get the condensed
-        sketches and packed codes the numpy stages give, and ``peaks`` (b)
-        each point's largest |projection|, not finite where the projections
-        overflowed. Raises MemoryError when the kernel cannot allocate the
+        ``records`` (b, ceil(p * bit_width / 8)) and ``bits`` (b,
+        ceil(m/8)) get the CSQD and CSQC records of the sketches and codes
+        the numpy stages give, and ``peaks`` (b) each point's largest
+        |projection|, not finite where the projections overflowed. The
+        int64 ``ns`` (3) is increased by the nanoseconds spent in
+        preconditioning, projection, and quantizing with condensing and
+        packing. Raises MemoryError when the kernel cannot allocate the
         working memory of one tile."""
         op = model.operator
         matrix, signs = op.matrix, op.signs
         b, n = x.shape
         n_pad, m = matrix.cols, matrix.rows
-        kernel = model.condensation.kernel
+        spec = model.condensation
+        kernel = spec.kernel
         positions, weights = _taps(model.quantizer)
         if (
             n != op.n
-            or entries.shape != (b, model.p)
+            or records.shape != (b, spec.record_bytes)
             or bits.shape != (b, (m + 7) // 8)
         ):
             raise ValueError("block dimensions disagree")
@@ -226,10 +258,11 @@ class Kernels:
             matrix.row_offsets.ctypes.data, matrix.col_indices.ctypes.data,
             matrix.values.ctypes.data, m,
             positions.ctypes.data, weights.ctypes.data, positions.size,
-            _check(kernel, np.int64, kernel.size), kernel.size,
-            _check(entries, np.int64, entries.size),
+            _check(kernel, np.int64, kernel.size), kernel.size, spec.bit_width,
+            _check(records, np.uint8, records.size),
             _check(bits, np.uint8, bits.size),
             _check(peaks, np.float64, b),
+            _check(ns, np.int64, 3),
         ):
             raise MemoryError("cannot allocate the embed kernel's tile")
 
@@ -237,35 +270,53 @@ class Kernels:
         """``(row_offsets, col_indices, values)`` of the rows x cols sparse
         Gaussian matrix of :func:`csq.transforms.build_sparse_gaussian`,
         drawn from the numpy Generator ``rng`` as its loop draws them, and
-        leaving ``rng`` in the same state.
+        leaving ``rng`` in the same state. The generator must be a
+        ``PCG64`` (``np.random.default_rng`` makes one); any other raises
+        ValueError. Its state is read and written back through the public
+        ``state`` property, under the bit generator's lock.
 
         The entry arrays start with ``capacity`` slots, by default the
         expected nnz plus eight standard deviations plus one row; when they
         run short they double and the draw resumes at the first row that
         did not fit. The arrays returned are views of the first nnz slots.
         """
+        bitgen = rng.bit_generator
+        if type(bitgen) is not np.random.PCG64:
+            name = type(bitgen).__name__
+            raise ValueError(f"the operator draw needs a PCG64 generator, not {name}")
         if capacity is None:
             expected = rows * cols * sparsity
             capacity = int(expected + 8.0 * math.sqrt(expected)) + cols
         offsets = np.zeros(rows + 1, dtype=np.int64)
         col_indices = np.empty(capacity, dtype=np.int64)
         values = np.empty(capacity, dtype=np.float64)
-        bitgen = rng.bit_generator
         done = 0
         with bitgen.lock:
+            state = bitgen.state
+            s, inc = state["state"]["state"], state["state"]["inc"]
+            pcg = np.array(
+                [s >> 64, s & _U64, inc >> 64, inc & _U64,
+                 state["has_uint32"], state["uinteger"]],
+                dtype=np.uint64,
+            )
             while True:
                 done = self._lib.csq_draw_sparse(
-                    bitgen.ctypes.bit_generator.value, self._normal, done,
-                    rows, cols, sparsity, offsets.ctypes.data,
-                    col_indices.ctypes.data, values.ctypes.data, capacity,
+                    pcg.ctypes.data, self._normal, done, rows, cols, sparsity,
+                    offsets.ctypes.data, col_indices.ctypes.data,
+                    values.ctypes.data, capacity,
                 )
                 if done == rows:
-                    nnz = offsets[-1]
-                    return offsets, col_indices[:nnz], values[:nnz]
+                    break
                 capacity = max(2 * capacity, cols)
                 used = offsets[done]
                 col_indices = _grown(col_indices, capacity, used)
                 values = _grown(values, capacity, used)
+            hi, lo, _, _, has_uint32, uinteger = (int(v) for v in pcg)
+            state["state"]["state"] = hi << 64 | lo
+            state["has_uint32"], state["uinteger"] = has_uint32, uinteger
+            bitgen.state = state
+        nnz = offsets[-1]
+        return offsets, col_indices[:nnz], values[:nnz]
 
     def l1_pairs(self, rows, start: int, stop: int, sums) -> None:
         """The l1 sums of rows start..stop-1 of the C-ordered (k, p) matrix

@@ -182,8 +182,38 @@ def _staged(paths):
                     os.unlink(name)
 
 
+def _refuse_shared_outputs(outputs) -> None:
+    """Refuse two of the ``(flag, path)`` outputs that name one regular or
+    not yet existing file, through symbolic or hard links too: the last
+    one published would replace the others. Devices and other files that
+    are not regular, such as ``/dev/null``, may take several outputs."""
+    import stat
+
+    seen = []
+    for flag, path in outputs:
+        try:
+            info = os.stat(path)
+        except FileNotFoundError:
+            info = None
+        if info is not None and not stat.S_ISREG(info.st_mode):
+            continue
+        real = os.path.realpath(path)
+        for other_flag, other_real, other_info in seen:
+            same = real == other_real or (
+                info is not None
+                and other_info is not None
+                and os.path.samestat(info, other_info)
+            )
+            if same:
+                raise ParameterError(f"{other_flag} and {flag} name the same file")
+        seen.append((flag, real, info))
+
+
 def _cmd_embed(args) -> int:
     t0 = time.perf_counter()
+    paths = (args.out_model, args.out_codes, args.out_condensed)
+    flags = ("--out-model", "--out-codes", "--out-condensed")
+    _refuse_shared_outputs(zip(flags, paths))
     with store.open_vectors(args.input) as source:
         model = pipeline.build_model(
             args.method,
@@ -197,16 +227,15 @@ def _cmd_embed(args) -> int:
         )
         model.operator  # Built here, so that its time is reported on its own.
         t_operator = time.perf_counter()
-        paths = (args.out_model, args.out_codes, args.out_condensed)
         with _staged(paths) as ((_, model_name), (codes_fd, _), (sketch_fd, _)):
             put_codes = store.codes_writer(codes_fd, source.k, model.m)
             put_sketches = store.condensed_writer(
                 sketch_fd, source.k, model.condensation
             )
 
-            def write(lo: int, entries: np.ndarray, bits: np.ndarray) -> None:
+            def write(lo: int, records: np.ndarray, bits: np.ndarray) -> None:
                 put_codes(lo, bits)
-                put_sketches(lo, entries)
+                put_sketches(lo, records)
 
             diag, kappa = pipeline._embed_blocks(model, source, write)
             t_blocks = time.perf_counter()
@@ -241,10 +270,12 @@ def _cmd_embed(args) -> int:
             f"ball radius {suggested:.4g} for mu={model.quantizer.mu}; "
             "consider scaling the dataset"
         )
+    stages = ", ".join(f"{name} {ms:.1f}" for name, ms in diag.stage_ms.items())
     print(
         f"wall ms: operator {1000 * (t_operator - t0):.1f}, "
         f"blocks {1000 * (t_blocks - t_operator):.1f} on {diag.workers} "
-        f"worker(s), publish {1000 * (t_publish - t_blocks):.1f}"
+        f"worker(s), publish {1000 * (t_publish - t_blocks):.1f}; "
+        f"stages summed over workers: {stages}"
     )
     return 0
 

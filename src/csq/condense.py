@@ -57,6 +57,11 @@ class CondensationSpec:
     norm_factor: float = field(compare=False)
     bit_width: int = field(compare=False)
 
+    @property
+    def record_bytes(self) -> int:
+        """Bytes of one packed sketch record (see :func:`pack_rows`)."""
+        return (self.p * self.bit_width + 7) // 8
+
     def kernel_inf_over_l2_sq(self) -> float:
         """Squared ratio ||v||_inf / ||v||_2, used to size sparsity upstream."""
         v = self.kernel.astype(np.float64)

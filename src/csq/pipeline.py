@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -36,6 +37,8 @@ from .condense import (
     build_condensation,
     check_geometry,
     condense_signs_batch,
+    pack_rows,
+    unpack_rows,
 )
 from .errors import (
     DegenerateInputError,
@@ -50,11 +53,15 @@ from .transforms import (
     padded_dim,
     recommended_sparsity,
     sign_diagonal,
+    sparse_matmat,
 )
 
 # Points per call of the compiled embed kernels, the unit of work of one
 # thread; 256 to 1024 measured the same.
 _BLOCK = 512
+
+# The embed stages timed in EmbedDiagnostics.stage_ms, in order.
+STAGES = ("precondition", "project", "quantize")
 
 METHODS = ("sparse", "fjlt")
 
@@ -315,6 +322,10 @@ class EmbedDiagnostics:
     threads, in the build ``isa`` names: ``"avx2"`` or ``"baseline"``) or
     ``"numpy"`` (the numpy stages on one thread, ``isa`` empty;
     ``kernels_note`` says why the compiled kernels are unavailable).
+    ``stage_ms`` maps each of :data:`STAGES` to the milliseconds spent in
+    it, summed over the threads: preconditioning (the tile copy alone for
+    ``sparse`` on the compiled kernels), projection, and quantizing with
+    condensing and packing.
     """
 
     amplitude_violations: np.ndarray
@@ -325,6 +336,7 @@ class EmbedDiagnostics:
     workers: int = 1
     kernels_note: str = ""
     isa: str = ""
+    stage_ms: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -334,34 +346,41 @@ class EmbedResult:
     diagnostics: EmbedDiagnostics
 
 
-def _embed_numpy(model: EmbeddingModel, vectors: np.ndarray):
-    """(entries, packed codes, amplitude violations) of a block of points."""
+def _embed_numpy(model: EmbeddingModel, vectors: np.ndarray, ns: np.ndarray):
+    """(CSQD records, packed codes, amplitude violations) of a block of
+    points; ``ns`` (3) is increased by the nanoseconds of each stage."""
+    op, spec = model.operator, model.condensation
     try:
         # Overflow is refused below, so NumPy's warnings about it would
         # only repeat the refusal.
         with np.errstate(over="ignore", invalid="ignore"):
-            projections = model.operator.apply(vectors)
+            t0 = time.perf_counter_ns()
+            x = vectors if op.signs is None else op.precondition(vectors)
+            t1 = time.perf_counter_ns()
+            projections = sparse_matmat(op.matrix, x)
+            t2 = time.perf_counter_ns()
             quant = quantize_batch(model.quantizer, projections)
     except InputError as exc:
         # The vectors are finite, so the transform or the projection
         # overflowed.
         raise InputError(_OVERFLOW) from exc
-    entries = condense_signs_batch(model.condensation, quant.codes)
+    records = pack_rows(condense_signs_batch(spec, quant.codes), spec.bit_width)
     bits = Codes.from_signs(quant.codes).bits
-    return entries, bits, quant.amplitude_violations
+    ns += (t1 - t0, t2 - t1, time.perf_counter_ns() - t2)
+    return records, bits, quant.amplitude_violations
 
 
-def _embed_native(kern, model: EmbeddingModel, vectors, entries, bits, peaks):
+def _embed_native(kern, model: EmbeddingModel, vectors, records, bits, peaks, ns):
     """:func:`_embed_numpy` with the compiled kernels, into the first
     ``len(vectors)`` rows of the given buffers. The kernels do the same
     floating-point operations as the numpy stages, so the results are
     equal bit for bit."""
     b = len(vectors)
-    entries, bits, peaks = entries[:b], bits[:b], peaks[:b]
-    kern.embed_block(model, np.ascontiguousarray(vectors), entries, bits, peaks)
+    records, bits, peaks = records[:b], bits[:b], peaks[:b]
+    kern.embed_block(model, np.ascontiguousarray(vectors), records, bits, peaks, ns)
     if not np.isfinite(peaks).all():
         raise InputError(_OVERFLOW)
-    return entries, bits, peaks > model.quantizer.mu
+    return records, bits, peaks > model.quantizer.mu
 
 
 def _embed_blocks(model: EmbeddingModel, source, write):
@@ -373,9 +392,10 @@ def _embed_blocks(model: EmbeddingModel, source, write):
     its own ``read(lo, hi)``: rows lo..hi-1 (at most ``rows`` of them),
     checked finite, and their l2 norms. Each block goes from start to
     finish on one thread: it is read, embedded, and handed to
-    ``write(lo, entries, bits)`` as sketch entries (b, p) and packed codes
-    (b, ceil(m/8)) in buffers the thread reuses once ``write`` returns.
-    Threads call ``write`` at once, for disjoint rows.
+    ``write(lo, records, bits)`` as CSQD sketch records (b, ceil(p *
+    bit_width / 8)) and CSQC code records (b, ceil(m/8)) in buffers the
+    thread reuses once ``write`` returns. Threads call ``write`` at once,
+    for disjoint rows.
 
     The compiled kernels run on up to one thread per CPU, thread w taking
     blocks w, w + workers, ...; the numpy stages run on one. Both do the
@@ -403,6 +423,8 @@ def _embed_blocks(model: EmbeddingModel, source, write):
     violations = np.zeros(k, dtype=bool)
     wellspread = np.zeros(k, dtype=bool)
     kappas = [0.0] * workers
+    # Each thread's nanoseconds per stage.
+    ns = np.zeros((workers, len(STAGES)), dtype=np.int64)
     # (first row, error) of each thread's failing block; row k if none.
     failures = [(k, None)] * workers
     rows = min(_BLOCK, k)
@@ -415,7 +437,7 @@ def _embed_blocks(model: EmbeddingModel, source, write):
     if kern is not None:
         outputs = [
             (
-                np.empty((rows, model.p), dtype=np.int64),
+                np.empty((rows, model.condensation.record_bytes), dtype=np.uint8),
                 np.empty((rows, (model.m + 7) // 8), dtype=np.uint8),
                 np.empty(rows),
             )
@@ -431,10 +453,10 @@ def _embed_blocks(model: EmbeddingModel, source, write):
             try:
                 vectors, norms = read(lo, hi)
                 if kern is None:
-                    out = _embed_numpy(model, vectors)
+                    out = _embed_numpy(model, vectors, ns[w])
                 else:
-                    out = _embed_native(kern, model, vectors, *outputs[w])
-                entries, bits, loud = out
+                    out = _embed_native(kern, model, vectors, *outputs[w], ns[w])
+                records, bits, loud = out
                 violations[lo:hi] = loud
                 if threshold is not None:
                     # The tiny slack keeps exact-boundary points (norm
@@ -443,7 +465,7 @@ def _embed_blocks(model: EmbeddingModel, source, write):
                         _row_peaks(vectors) > threshold * norms * (1.0 + 1e-9)
                     )
                 kappas[w] = max(kappas[w], float(norms.max(initial=0.0)))
-                write(lo, entries, bits)
+                write(lo, records, bits)
             except Exception as exc:  # raised below, lowest block first
                 failures[w] = (lo, exc)
                 return
@@ -476,6 +498,7 @@ def _embed_blocks(model: EmbeddingModel, source, write):
         workers=workers,
         kernels_note="" if kern else _native.failure() or "native kernels not loaded",
         isa=kern.isa if kern else "",
+        stage_ms=dict(zip(STAGES, (ns.sum(axis=0) / 1e6).tolist())),
     )
     return diagnostics, max(kappas)
 
@@ -490,18 +513,18 @@ def embed_dataset(model: EmbeddingModel, data: Dataset) -> EmbedResult:
     The compiled kernels run when they can be built and loaded (see
     :mod:`csq._native`), else the numpy ones; both give the same bytes.
     """
-    k = data.k
-    entries = np.empty((k, model.p), dtype=np.int64)
+    k, spec = data.k, model.condensation
+    records = np.empty((k, spec.record_bytes), dtype=np.uint8)
     bits = np.empty((k, (model.m + 7) // 8), dtype=np.uint8)
 
-    def write(lo: int, block_entries: np.ndarray, block_bits: np.ndarray) -> None:
-        entries[lo : lo + len(block_entries)] = block_entries
+    def write(lo: int, block_records: np.ndarray, block_bits: np.ndarray) -> None:
+        records[lo : lo + len(block_records)] = block_records
         bits[lo : lo + len(block_bits)] = block_bits
 
     diagnostics, _ = _embed_blocks(model, data, write)
     return EmbedResult(
         codes=Codes(model.m, bits),
-        condensed=Sketches.of(model.condensation, entries),
+        condensed=Sketches.of(spec, unpack_rows(records, spec.p, spec.bit_width)),
         diagnostics=diagnostics,
     )
 

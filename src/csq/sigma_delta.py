@@ -21,8 +21,9 @@ filter state w; it is the r-fold running sum of y - q, recovered by
 :func:`reconstruct_state`.
 
 :func:`quantize_batch` runs the recursion for many vectors at once and is
-the quantizer of the numpy embed path; the compiled ``csq_quantize``
-kernel does the same floating-point operations. The per-point loop that
+the quantizer of the numpy embed path; the compiled kernels' quantizer
+(``csq_quantize``, which also condenses and packs the codes in its loop)
+does the same floating-point operations. The per-point loop that
 keeps every filter state is ``quantize_oracle`` in ``tests/oracles.py``.
 """
 

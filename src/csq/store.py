@@ -371,18 +371,19 @@ def condensed_writer(fd: int, k: int, geometry):
     """Write the CSQD header of k sketches of ``geometry`` (``p``,
     ``bit_width``, ``norm_factor``: a :class:`Sketches` or a
     :class:`csq.condense.CondensationSpec`) into the file open as ``fd``;
-    returns ``write(lo, entries)``, which packs (b, p) entry rows and
-    writes them as sketches lo.. at their offsets."""
+    returns ``write(lo, records)``, which writes (b, ceil(p * bit_width /
+    8)) packed sketch records (see :func:`csq.condense.pack_rows`) as
+    sketches lo.. at their offsets."""
     p, width = geometry.p, geometry.bit_width
     fields = (k, p, width, geometry.norm_factor)
-    put = _rows_writer(fd, MAGIC_CONDENSED, _CONDENSED, fields, (p * width + 7) // 8)
-    return lambda lo, entries: put(lo, pack_rows(entries, width))
+    return _rows_writer(fd, MAGIC_CONDENSED, _CONDENSED, fields, (p * width + 7) // 8)
 
 
 def write_condensed(path, sketches: Sketches) -> None:
     """Write sketches with their geometry (p, bit_width, norm_factor)."""
+    records = pack_rows(sketches.entries, sketches.bit_width)
     with open(path, "wb") as fh:
-        condensed_writer(fh.fileno(), len(sketches), sketches)(0, sketches.entries)
+        condensed_writer(fh.fileno(), len(sketches), sketches)(0, records)
 
 
 def read_condensed(path) -> Sketches:

@@ -137,12 +137,13 @@ def build_sparse_gaussian(
     Gaussian matrix with unit-variance entries.
 
     The compiled kernels draw it when they load (see :mod:`csq._native`),
-    else the numpy loop below. Both give the same bits: the C kernel holds
-    its own copy of NumPy's public ``bitgen_t`` struct and calls, through
-    the Generator's own pointers, the ``next_double`` that
-    ``Generator.random`` calls and NumPy's exported
-    ``random_standard_normal`` that ``Generator.standard_normal`` calls, in
-    the loop's order, and divides by the same correctly rounded square root.
+    else the numpy loop below. Both give the same bits: the C kernel steps
+    the generator's PCG64 state as NumPy does (read and written back
+    through the public ``state`` property), makes the doubles that
+    ``Generator.random`` makes from it, calls NumPy's exported
+    ``random_standard_normal``, the function ``Generator.standard_normal``
+    calls, on that same state, in the loop's order, and divides by the
+    same correctly rounded square root.
     """
     if rows < 1 or cols < 1:
         raise ParameterError("rows and cols must be positive")

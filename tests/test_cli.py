@@ -507,8 +507,10 @@ def test_embed_of_data_scaled_to_the_bound_prints_no_note(tmp_path, capsys):
 
 
 # sha256 of the CSQM, CSQC and CSQD files `csq embed` writes for fixed
-# inputs. The embed kernels must reproduce these bytes exactly: a kernel
-# change that moves one rounding shows up here.
+# inputs of dimension n (37 where the key does not say). The embed kernels
+# must reproduce these bytes exactly: a kernel change that moves one
+# rounding shows up here. At n = 1000 (n_pad 1024) the transform runs its
+# stages wider than the 128-row chunk.
 EMBED_DIGESTS = {
     ("sparse", 1): (
         "5bbe8286cf3de532c6c1ba3f1102e9277ee971b93b010081e6cd4dd4122bacbf",
@@ -530,14 +532,33 @@ EMBED_DIGESTS = {
         "afcf2e21c7f88252be66972365ee89fb2ad7c0a596bcc7a746ec3641001d57c7",
         "470315e319df89236981add3150cfe86b25ab2894e614b9e588e3613d15ad897",
     ),
+    ("fjlt", 2, 1000): (
+        "09d5925d060ed8591d209808cff9446814f68ea10fb5b7fb160bcc5e712afa8f",
+        "ec35f649143bf70778c0151b7196e2a2b0e9f204372da6388c02180ceacb962a",
+        "c6ca3cb2cfeedead0918e8b2f3027aa79d28191df8f2ce90c713de72b1567f04",
+    ),
+    ("sparse", 3, 1000): (
+        "269d23ce5b3c0aa4d912d3995b64bca42b03befa0f353d721f11e8aac2128492",
+        "04deae86fc25e705900e52391e4773047400b1132193930a9088ff5208727eab",
+        "519707af63ce1818392e998a3109bafdba455142e15643fd788d183ee49c5bb8",
+    ),
 }
 
 
-def _pinned_embed_digests(tmp_path, method, r):
+def _pin_id(key):
+    """The test id: method-r, with -n<n> where the key names n."""
+    method, r, *n = key
+    return f"{method}-{r}" + "".join(f"-n{v}" for v in n)
+
+
+PINNED = [pytest.param(key, id=_pin_id(key)) for key in sorted(EMBED_DIGESTS)]
+
+
+def _pinned_embed_digests(tmp_path, method, r, n=37):
     import hashlib
 
     rng = np.random.default_rng([2026, r])
-    mat = rng.standard_normal((9, 37))
+    mat = rng.standard_normal((9, n))
     mat[4] = 0.0
     mat *= 0.1 / np.linalg.norm(mat, axis=1).max()
     inp = tmp_path / "points.csqv"
@@ -552,9 +573,9 @@ def _pinned_embed_digests(tmp_path, method, r):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("method, r", sorted(EMBED_DIGESTS))
-def test_embed_output_bytes_are_pinned(tmp_path, capsys, method, r):
-    assert _pinned_embed_digests(tmp_path, method, r) == EMBED_DIGESTS[(method, r)]
+@pytest.mark.parametrize("key", PINNED)
+def test_embed_output_bytes_are_pinned(tmp_path, capsys, key):
+    assert _pinned_embed_digests(tmp_path, *key) == EMBED_DIGESTS[key]
 
 
 BLOCKS = [1, 15, 17, 513]
@@ -571,12 +592,12 @@ def _blocks_of(monkeypatch, block, workers):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("block", BLOCKS)
-@pytest.mark.parametrize("method, r", sorted(EMBED_DIGESTS))
+@pytest.mark.parametrize("key", PINNED)
 def test_embed_output_bytes_hold_at_any_block_size(
-    tmp_path, capsys, monkeypatch, method, r, block, workers
+    tmp_path, capsys, monkeypatch, key, block, workers
 ):
     _blocks_of(monkeypatch, block, workers)
-    assert _pinned_embed_digests(tmp_path, method, r) == EMBED_DIGESTS[(method, r)]
+    assert _pinned_embed_digests(tmp_path, *key) == EMBED_DIGESTS[key]
 
 
 def _expected_files(model, xs):
@@ -786,6 +807,86 @@ def test_embed_to_dev_null(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "cond.csqd", "model.csqm", "points.csqv",
     ]
+
+
+OUTPUT_FLAGS = ("--out-model", "--out-codes", "--out-condensed")
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize(
+    "first, second", [(0, 1), (0, 2), (1, 2)],
+    ids=["model-codes", "model-cond", "codes-cond"],
+)
+def test_two_outputs_naming_one_file_are_refused(
+    tmp_path, capsys, monkeypatch, first, second, existing
+):
+    """Refused as a parameter error before the operator is built, and
+    nothing is written: otherwise the output published last would replace
+    the other."""
+    inp, _ = _make_dataset(tmp_path)
+    shared = tmp_path / "shared"
+    if existing:
+        shared.write_bytes(b"old")
+    monkeypatch.setattr(
+        pipeline, "build_sparse_gaussian", lambda *a: pytest.fail("operator built")
+    )
+    argv = _embed_argv(inp, tmp_path)
+    for index in (first, second):
+        argv[argv.index(OUTPUT_FLAGS[index]) + 1] = str(shared)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"parameter error: {OUTPUT_FLAGS[first]} and {OUTPUT_FLAGS[second]} "
+        "name the same file\n"
+    )
+    want = ["points.csqv"] + (["shared"] if existing else [])
+    assert sorted(p.name for p in tmp_path.iterdir()) == want
+    if existing:
+        assert shared.read_bytes() == b"old"
+
+
+@pytest.mark.parametrize("link", ["symlink", "hardlink", "dotted"])
+def test_outputs_naming_one_file_through_links_are_refused(tmp_path, capsys, link):
+    import os
+
+    inp, _ = _make_dataset(tmp_path)
+    argv = _embed_argv(inp, tmp_path)
+    codes = tmp_path / "codes.csqc"
+    other = tmp_path / "other.csqd"
+    if link == "symlink":
+        other.symlink_to(codes)  # dangling until codes exists
+    elif link == "hardlink":
+        codes.write_bytes(b"old")
+        os.link(codes, other)
+    else:
+        other = tmp_path / "sub" / ".." / "codes.csqc"
+        (tmp_path / "sub").mkdir()
+    argv[argv.index("--out-condensed") + 1] = str(other)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "parameter error: --out-codes and --out-condensed name the same file\n"
+    )
+
+
+def test_dev_null_may_take_several_outputs(tmp_path, capsys):
+    import os
+
+    inp, _ = _make_dataset(tmp_path)
+    argv = _embed_argv(inp, tmp_path)
+    for flag in ("--out-codes", "--out-condensed"):
+        argv[argv.index(flag) + 1] = os.devnull
+    assert main(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.csqm", "points.csqv"]
+
+
+def test_embed_reports_the_stage_times(tmp_path, capsys):
+    inp, _ = _make_dataset(tmp_path)
+    assert main(_embed_argv(inp, tmp_path)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    (line,) = [x for x in lines if x.startswith("wall ms:")]
+    stages = line.split("; stages summed over workers: ")[1].split(", ")
+    assert [stage.split()[0] for stage in stages] == list(pipeline.STAGES)
+    assert all(float(stage.split()[1]) >= 0.0 for stage in stages)
 
 
 def test_embed_into_a_fifo_writes_it_in_place(tmp_path, capsys):

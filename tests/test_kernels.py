@@ -18,8 +18,10 @@ from csq import _native, pipeline
 from csq.condense import (
     BinaryCode,
     Codes,
+    build_condensation,
     condense_signs_batch,
     entry_dtype,
+    pack_rows,
     pairwise_l1_blocks,
 )
 from csq.errors import InputError
@@ -50,6 +52,7 @@ from oracles import (
     precondition_oracle,
     project_oracle,
     quantize_oracle,
+    reference_record,
 )
 
 KS = [0, 1, 2, 3, 8, 257]
@@ -358,6 +361,25 @@ def test_native_precondition_matches_oracle(kernels, n, b):
     assert same_bits(copied, tile(xs))
 
 
+# Padded sizes 1 to 2048: odd and even stage counts on both sides of the
+# 128-row chunk (stages of groups of at most 128 rows run chunk by chunk),
+# and n = 1, which has no stage at all.
+PADDED = [1, 2, 3, 5, 9, 17, 33, 65, 129, 257, 513, 1000, 1025]
+
+
+@pytest.mark.parametrize("b", [1, 17])
+@pytest.mark.parametrize("n", PADDED)
+def test_native_precondition_at_every_padded_size(kernels, n, b):
+    n_pad = padded_dim(n)
+    op = Projection(
+        n, build_sparse_gaussian(4, n_pad, 0.5, 1), sign_diagonal(n_pad, n)
+    )
+    xs = _points(b, n, seed=n + b)
+    tiled = np.full(kernels.tiled_size(b, n_pad), np.nan)
+    kernels.precondition(xs, op.signs, n_pad, tiled)
+    assert same_bits(untile(tiled, b, n_pad), precondition_oracle(op, xs))
+
+
 def test_native_precondition_pads_with_signed_zeros(kernels):
     """The padding is 0.0 * sign, as in Projection.precondition: for an
     input whose signed entries are all -0.0, output 0 is -0.0 only when a
@@ -382,50 +404,114 @@ def test_native_project_matches_bincount(kernels, b):
     assert same_bits(untile(out, b, 64), matmat_oracle(mat, xs))
 
 
+def numpy_stages(quantizer, spec, ys):
+    """(records, bits) of the projections ys (b, m) by the numpy stages
+    that the fused kernel replaces: quantize_batch, then
+    condense_signs_batch and pack_rows, and Codes.from_signs."""
+    codes = quantize_batch(quantizer, ys).codes
+    records = pack_rows(condense_signs_batch(spec, codes), spec.bit_width)
+    return records, Codes.from_signs(codes).bits
+
+
+def fused(kernels, quantizer, spec, ys):
+    """(records, bits, peaks) of the kernels' fused quantizer over ys."""
+    b = ys.shape[0]
+    records = np.full((b, spec.record_bytes), 0xAA, dtype=np.uint8)
+    bits = np.full((b, (spec.m + 7) // 8), 0xAA, dtype=np.uint8)
+    peaks = np.full(b, np.nan)
+    kernels.quantize(tile(ys), quantizer, spec, records, bits, peaks)
+    return records, bits, peaks
+
+
+@pytest.mark.parametrize("b", [1, 15, 16, 17, 40])
+@pytest.mark.parametrize("p", [8, 4])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_native_fused_quantizer_matches_the_numpy_stages(kernels, r, p, b):
+    """lambda_tilde 5 gives odd blocks (5, 9, 13, 17), so p = 8 makes
+    m % 8 == 0 and p = 4 makes m % 8 == 4: a last code byte whole or half
+    full, and for r >= 3 more than one 64-bit word of codes."""
+    quantizer, spec = build_quantizer(r), build_condensation(r, 5, p)
+    assert spec.m % 8 == {8: 0, 4: 4}[p]
+    ys = np.random.default_rng([r, p, b]).uniform(-0.9, 0.9, size=(b, spec.m))
+    ys[b // 2] = 0.0
+    ys[b - 1, ::3] = -0.0
+    records, bits, peaks = fused(kernels, quantizer, spec, ys)
+    want_records, want_bits = numpy_stages(quantizer, spec, ys)
+    assert np.array_equal(records, want_records)
+    assert np.array_equal(bits, want_bits)
+    assert np.array_equal(peaks, np.abs(ys).max(axis=1))
+    codes, _, _ = quantize_oracle(quantizer, ys)
+    assert [row.tobytes() for row in records] == [
+        reference_record(row, spec.bit_width) for row in condense_oracle(spec, codes)
+    ]
+    assert all(np.array_equal(a, b) for a, b in zip(bits, bits_oracle(codes)))
+
+
 @pytest.mark.parametrize("b", [1, 5, 33])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_native_quantize_exact_sign_ties(kernels, r, b):
-    spec = build_quantizer(r)
+    """Samples where ``a + y`` is exactly zero give +1 codes, in the
+    records and the bits; a NaN or infinite sample makes its point's peak
+    not finite and leaves the other peaks alone."""
+    quantizer = build_quantizer(r)
+    spec = build_condensation(r, 5, 200 // (r * 5 - r + 1))
     rng = np.random.default_rng(r + b)
-    ys = rng.uniform(-0.5, 0.5, size=(b, 200))
-    ties = rng.random((b, 200)) < 0.3
-    want, _, tied = quantize_oracle(spec, ys, ties)
-    codes = np.empty((tied.shape[1], b), dtype=np.int8)
-    peaks = np.full(b, np.nan)
-    kernels.quantize(tile(tied), spec, codes, peaks)
-    assert np.array_equal(codes.T, want)
+    ys = rng.uniform(-0.5, 0.5, size=(b, spec.m))
+    ties = rng.random((b, spec.m)) < 0.3
+    want, _, tied = quantize_oracle(quantizer, ys, ties)
     assert np.all(want[ties] == 1)
+    records, bits, peaks = fused(kernels, quantizer, spec, tied)
+    assert [row.tobytes() for row in records] == [
+        reference_record(row, spec.bit_width) for row in condense_oracle(spec, want)
+    ]
+    assert all(np.array_equal(a, b) for a, b in zip(bits, bits_oracle(want)))
     assert np.array_equal(peaks, np.abs(tied).max(axis=1))
     for bad in (np.nan, np.inf):
         tied[b - 1, 7] = bad
-        kernels.quantize(tile(tied), spec, codes, peaks)
+        _, _, peaks = fused(kernels, quantizer, spec, tied)
         assert not np.isfinite(peaks[b - 1])
         assert np.all(np.isfinite(peaks[: b - 1]))
 
 
+@pytest.mark.parametrize("p", [1, 5, 64])
+@pytest.mark.parametrize("bit_width", range(1, 64))
+def test_native_records_match_the_documented_layout(kernels, bit_width, p):
+    """Every width: fields that end inside a byte, on a byte boundary and
+    past a 64-bit word, most at the extremes of the width."""
+    entries = extreme_rows(bit_width, 3, p, seed=p).astype(np.int64)
+    out = np.full((3, (p * bit_width + 7) // 8), 0xAA, dtype=np.uint8)
+    kernels.records(entries, bit_width, out)
+    assert [row.tobytes() for row in out] == [
+        reference_record(row, bit_width) for row in entries
+    ]
+    assert np.array_equal(out, pack_rows(entries, bit_width))
+
+
 @pytest.mark.parametrize("method", ["sparse", "fjlt"])
 def test_native_embed_block_refuses_wrong_shapes_before_the_kernel(kernels, method):
-    """Entries of width p - 1 or p + 1, bits of the wrong width and x of
+    """Records one byte short or long, bits of the wrong width and x of
     the wrong n are refused in Python: the stand-in library raises
     AttributeError on any kernel call. For fjlt, n + 1 still fits the
     padded dimension. A kernel that reports a failed allocation raises
     MemoryError."""
     model = build_model(method, 37, 4, 4, 2, seed=1)
-    b, p, nbytes = 5, model.p, (model.m + 7) // 8
+    spec = model.condensation
+    b, record, nbytes = 5, spec.record_bytes, (model.m + 7) // 8
     checked_only = copy.copy(kernels)
     checked_only._lib = types.SimpleNamespace()
 
-    def call(n=37, width=p, bits_width=nbytes):
+    def call(n=37, width=record, bits_width=nbytes):
         checked_only.embed_block(
             model, _points(b, n, seed=n) * 0.01,
-            np.empty((b, width), dtype=np.int64),
+            np.empty((b, width), dtype=np.uint8),
             np.empty((b, bits_width), dtype=np.uint8), np.empty(b),
+            np.zeros(3, dtype=np.int64),
         )
 
     with pytest.raises(AttributeError):
         call()
     for bad in (
-        dict(width=p - 1), dict(width=p + 1),
+        dict(width=record - 1), dict(width=record + 1),
         dict(bits_width=nbytes - 1), dict(bits_width=nbytes + 1),
         dict(n=36), dict(n=38),
     ):
@@ -447,6 +533,33 @@ def test_native_draw_matches_the_loop_and_its_stream(kernels, rows, cols, sparsi
         assert a.dtype == b.dtype and same_bits(a, b)
     assert rng.bit_generator.state == ref.bit_generator.state
     assert rng.standard_normal() == ref.standard_normal()
+
+
+def test_native_draw_keeps_a_buffered_32_bit_draw(kernels):
+    """A 32-bit draw leaves half of a 64-bit output buffered in the PCG64
+    state; the draw neither uses nor loses it."""
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    for g in (rng, ref):
+        g.integers(0, 2**32, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    got = kernels.draw_sparse(rng, 20, 30, 0.4)
+    want = draw_oracle(ref, 20, 30, 0.4)
+    for a, b in zip(got, want):
+        assert same_bits(a, b)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist() == (
+        ref.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
+    )
+
+
+def test_native_draw_refuses_other_bit_generators(kernels):
+    """The kernel steps PCG64's state itself, so a generator of any other
+    bit generator is refused before anything is drawn."""
+    for kind in (np.random.Philox, np.random.PCG64DXSM):
+        rng = np.random.Generator(kind(1))
+        with pytest.raises(ValueError, match="PCG64"):
+            kernels.draw_sparse(rng, 4, 4, 0.5)
+        assert rng.random() == np.random.Generator(kind(1)).random()
 
 
 @pytest.mark.parametrize("capacity", [0, 1, 63, 64, 65, 1000])

@@ -24,9 +24,12 @@ from test_kernels import (  # noqa: F401
     kernels,
     test_embed_block_edges_match_oracles,
     test_embed_matches_row_layout_oracles,
+    test_native_fused_quantizer_matches_the_numpy_stages,
+    test_native_precondition_at_every_padded_size,
     test_native_precondition_matches_oracle,
     test_native_project_matches_bincount,
     test_native_quantize_exact_sign_ties,
+    test_native_records_match_the_documented_layout,
 )
 
 pytestmark = pytest.mark.usefixtures("baseline_loader")

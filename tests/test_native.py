@@ -186,8 +186,10 @@ def test_library_has_no_fused_multiply_add():
 
 
 # Run under the address and undefined-behaviour sanitizers: the operator
-# draw, the embed over partial tiles, whole tiles and two blocks, and the
-# l1 sums of every entry dtype.
+# draw, a draw that runs out of room and resumes, the embed over partial
+# tiles, whole tiles and two blocks, fjlt at r = 4 over transforms of 1,
+# 2, 4 and 512 rows, the record writer at every width, and the l1 sums of
+# every entry dtype.
 SANITIZED_RUN = """
 import ctypes, sys
 import numpy as np
@@ -212,6 +214,15 @@ for method in ("sparse", "fjlt"):
             for dtype in _native.L1_KERNELS:
                 for _ in pairwise_l1_blocks(rows.astype(dtype), 1000):
                     pass
+for n in (1, 2, 3, 300):
+    xs = rng.standard_normal((17, n))
+    xs *= 0.3 / np.abs(xs).max()
+    model = build_model("fjlt", n, 4, 4, 4, seed=n)
+    assert embed_dataset(model, dataset_from_matrix(xs)).diagnostics.kernels == "native"
+kern.draw_sparse(np.random.default_rng(1), 50, 64, 0.3, capacity=1)
+for width in range(1, 64):
+    entries = rng.integers(-(1 << (width - 1)), 1 << (width - 1), size=(3, 5))
+    kern.records(entries, width, np.empty((3, (5 * width + 7) // 8), dtype=np.uint8))
 print("ok")
 """
 

@@ -18,6 +18,7 @@ from csq.condense import (
     Sketches,
     build_condensation,
     condense_signs_batch,
+    pack_rows,
 )
 from csq.errors import (
     CorruptionError,
@@ -560,7 +561,7 @@ def test_row_writers_put_records_in_any_order(tmp_path):
         put_sketches = condensed_writer(fd.fileno(), 7, spec)
         for lo, hi in ((5, 7), (2, 5), (0, 2)):
             put_codes(lo, codes.bits[lo:hi])
-            put_sketches(lo, sketches.entries[lo:hi])
+            put_sketches(lo, pack_rows(sketches.entries[lo:hi], spec.bit_width))
     for ext in ("csqc", "csqd"):
         assert (tmp_path / f"b.{ext}").read_bytes() == (tmp_path / f"a.{ext}").read_bytes()
 
