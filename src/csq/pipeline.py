@@ -3,7 +3,9 @@
 A model bundles a random projection (one :class:`csq.transforms.Projection`:
 a sparse Gaussian matrix, or the same matrix behind a Walsh-Hadamard/sign
 preconditioner), an order-r one-bit quantizer and a condensation. Models
-are immutable and checked when made, and each builds its projection once.
+are immutable and checked when made. A seeded model's projection is drawn
+once and shared with the models that follow it with the same seeds and
+shape (a one-entry process cache).
 Embedding a dataset yields one binary code and one condensed integer
 sketch per point; the l1 pseudometric on sketches approximates Euclidean
 distances of the (suitably scaled) inputs.
@@ -20,6 +22,7 @@ is included for comparison benchmarks.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
 import warnings
@@ -60,8 +63,9 @@ from .transforms import (
 # thread; 256 to 1024 measured the same.
 _BLOCK = 512
 
-# The embed stages timed in EmbedDiagnostics.stage_ms, in order.
-STAGES = ("precondition", "project", "quantize")
+# The embed stages timed in EmbedDiagnostics.stage_ms, in the order a
+# block goes through them; the middle three are the kernels'.
+STAGES = ("read", "precondition", "project", "quantize", "write")
 
 METHODS = ("sparse", "fjlt")
 
@@ -198,7 +202,8 @@ class EmbeddingModel:
     gives a changed copy, checked again. :attr:`operator` is the
     projection: ``explicit`` when the model was loaded from a file written
     with verbatim storage, else regenerated from ``(matrix_seed,
-    diagonal_seed)`` the first time it is read. The geometry is stated
+    diagonal_seed)`` the first time it is read, unless the seeded operator
+    last drawn in the process has the same fields. The geometry is stated
     once: ``n_pad`` follows from ``method`` and ``n``, and ``m``, ``p``,
     ``r`` and ``lambda_tilde`` are read from the condensation.
     """
@@ -253,15 +258,36 @@ class EmbeddingModel:
 
     @cached_property
     def operator(self) -> Projection:
-        """The model's projection, built at most once per model."""
+        """The model's projection: the explicit one, else the seeded one
+        from :func:`_seeded_operator`, which models with the same operator
+        fields share."""
         if self.explicit is not None:
             return self.explicit
-        matrix = build_sparse_gaussian(
-            self.m, self.n_pad, self.sparsity, self.matrix_seed
+        return _seeded_operator(
+            self.method, self.n, self.n_pad, self.m, self.sparsity,
+            self.matrix_seed, self.diagonal_seed,
         )
-        if self.method == "sparse":
-            return Projection(self.n, matrix)
-        return Projection(self.n, matrix, sign_diagonal(self.n_pad, self.diagonal_seed))
+
+
+@functools.lru_cache(maxsize=1)
+def _seeded_operator(
+    method: str, n: int, n_pad: int, m: int, sparsity: float,
+    matrix_seed: int, diagonal_seed: int,
+) -> Projection:
+    """The projection these fields of a seeded model fix, drawn once per
+    process for as long as it is the last one asked for.
+
+    The quantizer and the condensation (beyond ``m``) do not shape the
+    operator, so models that differ only there share it. Its arrays are
+    read-only, so sharing is safe. One entry bounds the memory: at most one
+    operator stays alive beyond those that live models hold.
+    """
+    # Looked up in this module when called, so a wrapper of
+    # pipeline.build_sparse_gaussian sees every draw.
+    matrix = build_sparse_gaussian(m, n_pad, sparsity, matrix_seed)
+    if method == "sparse":
+        return Projection(n, matrix)
+    return Projection(n, matrix, sign_diagonal(n_pad, diagonal_seed))
 
 
 def derive_seeds(seed: int) -> tuple[int, int]:
@@ -323,9 +349,10 @@ class EmbedDiagnostics:
     ``"numpy"`` (the numpy stages on one thread, ``isa`` empty;
     ``kernels_note`` says why the compiled kernels are unavailable).
     ``stage_ms`` maps each of :data:`STAGES` to the milliseconds spent in
-    it, summed over the threads: preconditioning (the tile copy alone for
-    ``sparse`` on the compiled kernels), projection, and quantizing with
-    condensing and packing.
+    it, summed over the threads: reading the rows (with their ``Dataset``
+    check, for a file), preconditioning (the tile copy alone for ``sparse``
+    on the compiled kernels), projection, quantizing with condensing and
+    packing, and handing the records to ``write``.
     """
 
     amplitude_violations: np.ndarray
@@ -348,7 +375,8 @@ class EmbedResult:
 
 def _embed_numpy(model: EmbeddingModel, vectors: np.ndarray, ns: np.ndarray):
     """(CSQD records, packed codes, amplitude violations) of a block of
-    points; ``ns`` (3) is increased by the nanoseconds of each stage."""
+    points; ``ns`` (3) is increased by the nanoseconds of the three
+    kernel stages."""
     op, spec = model.operator, model.condensation
     try:
         # Overflow is refused below, so NumPy's warnings about it would
@@ -451,11 +479,13 @@ def _embed_blocks(model: EmbeddingModel, source, write):
                 return
             hi = min(lo + _BLOCK, k)
             try:
+                t0 = time.perf_counter_ns()
                 vectors, norms = read(lo, hi)
+                ns[w, 0] += time.perf_counter_ns() - t0
                 if kern is None:
-                    out = _embed_numpy(model, vectors, ns[w])
+                    out = _embed_numpy(model, vectors, ns[w, 1:4])
                 else:
-                    out = _embed_native(kern, model, vectors, *outputs[w], ns[w])
+                    out = _embed_native(kern, model, vectors, *outputs[w], ns[w, 1:4])
                 records, bits, loud = out
                 violations[lo:hi] = loud
                 if threshold is not None:
@@ -465,7 +495,9 @@ def _embed_blocks(model: EmbeddingModel, source, write):
                         _row_peaks(vectors) > threshold * norms * (1.0 + 1e-9)
                     )
                 kappas[w] = max(kappas[w], float(norms.max(initial=0.0)))
+                t0 = time.perf_counter_ns()
                 write(lo, records, bits)
+                ns[w, 4] += time.perf_counter_ns() - t0
             except Exception as exc:  # raised below, lowest block first
                 failures[w] = (lo, exc)
                 return

@@ -6,6 +6,9 @@ switches one test to the numpy kernels by making the loader report that
 no compiled kernels exist; ``baseline_loader`` switches it to the kernels
 compiled without their AVX2 clones, which a host with AVX2 never runs
 otherwise.
+
+Every test starts and ends with an empty seeded-operator cache, so that
+it draws its operators with its own kernel set and counts its own draws.
 """
 
 import ctypes
@@ -14,7 +17,7 @@ import subprocess
 
 import pytest
 
-from csq import _native
+from csq import _native, pipeline
 
 # The define that leaves the kernels' CLONES macro empty (see _kernels.c).
 NO_CLONES = "-DCSQ_NO_CLONES"
@@ -28,6 +31,13 @@ def _private_kernel_cache(tmp_path_factory):
     yield
     patch.undo()
     _native._load.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _fresh_operators():
+    pipeline._seeded_operator.cache_clear()
+    yield
+    pipeline._seeded_operator.cache_clear()
 
 
 @pytest.fixture

@@ -554,7 +554,10 @@ def _pin_id(key):
 PINNED = [pytest.param(key, id=_pin_id(key)) for key in sorted(EMBED_DIGESTS)]
 
 
-def _pinned_embed_digests(tmp_path, method, r, n=37):
+def _pinned_embed_digests(tmp_path, method, r, n=37, run=main):
+    """The sha256 of the three files of the pinned embed, run by ``run``
+    (``main``, or another callable of the argv that returns the exit
+    status) in ``tmp_path``."""
     import hashlib
 
     rng = np.random.default_rng([2026, r])
@@ -565,7 +568,7 @@ def _pinned_embed_digests(tmp_path, method, r, n=37):
     store.write_vectors(inp, pipeline.dataset_from_matrix(mat))
     argv = _embed_argv(inp, tmp_path)
     argv[argv.index("--r") + 1] = str(r)
-    assert main(argv + ["--method", method]) == 0
+    assert run(argv + ["--method", method]) == 0
     return tuple(
         hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in ("model.csqm", "codes.csqc", "cond.csqd")
@@ -576,6 +579,34 @@ def _pinned_embed_digests(tmp_path, method, r, n=37):
 @pytest.mark.parametrize("key", PINNED)
 def test_embed_output_bytes_are_pinned(tmp_path, capsys, key):
     assert _pinned_embed_digests(tmp_path, *key) == EMBED_DIGESTS[key]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("key", [("fjlt", 2, 1000), ("sparse", 3)], ids=_pin_id)
+def test_back_to_back_embeds_draw_the_operator_once(tmp_path, capsys, monkeypatch, key):
+    """Two ``csq embed`` jobs of one model in a process draw its operator
+    once, and both write the pinned bytes, as a job in a new process does."""
+    import os
+    import subprocess
+    import sys
+
+    builds = []
+    real = pipeline.build_sparse_gaussian
+    monkeypatch.setattr(
+        pipeline, "build_sparse_gaussian", lambda *a: builds.append(a) or real(*a)
+    )
+    for _ in range(2):
+        assert _pinned_embed_digests(tmp_path, *key) == EMBED_DIGESTS[key]
+    assert len(builds) == 1
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+    def fresh_process(argv):
+        cmd = [sys.executable, "-m", "csq.cli", *argv]
+        return subprocess.run(cmd, env=env, capture_output=True, timeout=120).returncode
+
+    (tmp_path / "cold").mkdir()
+    cold = _pinned_embed_digests(tmp_path / "cold", *key, run=fresh_process)
+    assert cold == EMBED_DIGESTS[key]
 
 
 BLOCKS = [1, 15, 17, 513]
@@ -885,6 +916,7 @@ def test_embed_reports_the_stage_times(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     (line,) = [x for x in lines if x.startswith("wall ms:")]
     stages = line.split("; stages summed over workers: ")[1].split(", ")
+    assert pipeline.STAGES == ("read", "precondition", "project", "quantize", "write")
     assert [stage.split()[0] for stage in stages] == list(pipeline.STAGES)
     assert all(float(stage.split()[1]) >= 0.0 for stage in stages)
 

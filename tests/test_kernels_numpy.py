@@ -1,8 +1,9 @@
 """Every case of ``test_kernels.py``, the CLI's output byte pins of
-``csq embed`` (at any block size too) and ``csq query --all-pairs``, the
-embed files against the oracles, the embed failures, the all-pairs CSV
-against per-pair estimates and Python formatting, and the explicit-model
-round trip, again on the numpy kernels.
+``csq embed`` (at any block size too, and for two jobs in one process)
+and ``csq query --all-pairs``, the embed files against the oracles, the
+embed failures, the all-pairs CSV against per-pair estimates and Python
+formatting, and the explicit-model round trip, again on the numpy
+kernels.
 
 The cases in ``test_kernels.py`` run on the compiled kernels whenever
 they build; here the loader reports that they do not exist, so the same
@@ -13,6 +14,7 @@ the compiled kernels directly skip.
 import pytest
 
 from test_cli import (  # noqa: F401
+    test_back_to_back_embeds_draw_the_operator_once,
     test_all_pairs_csv_bytes_are_pinned,
     test_all_pairs_lines_match_python_formatting,
     test_embed_files_match_oracles_at_any_block_size,

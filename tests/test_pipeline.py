@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import csq.pipeline as pipeline_mod
 from csq.condense import (
     BinaryCode,
     Sketches,
@@ -326,25 +327,32 @@ def test_derive_seeds_is_deterministic_and_split():
 
 
 def test_model_operator_regenerates_same_matrix():
+    """A copy of a seeded model shares its operator through the process
+    cache; once the cache is cleared, a new draw gives equal arrays."""
     model = build_model(method="sparse", n=32, p=2, lambda_tilde=4, r=1, seed=5)
     op1 = model.operator
+    assert dataclasses.replace(model).operator is op1
+    pipeline_mod._seeded_operator.cache_clear()
     op2 = dataclasses.replace(model).operator
-    assert op1 is not op2
-    assert np.array_equal(op1.matrix.values, op2.matrix.values)
-    assert np.array_equal(op1.matrix.col_indices, op2.matrix.col_indices)
+    assert op2 is not op1
+    for name in ("row_offsets", "col_indices", "values"):
+        assert np.array_equal(getattr(op1.matrix, name), getattr(op2.matrix, name))
 
 
-def test_model_operator_is_built_once_per_model(monkeypatch):
-    """Counts calls of ``pipeline.build_sparse_gaussian``, the name the
-    benchmark's operator-build count wraps."""
-    import csq.pipeline as pipeline_mod
-
+def _count_builds(monkeypatch) -> list:
+    """Record every call of ``pipeline.build_sparse_gaussian``, the name
+    the benchmark's operator-build count wraps."""
     builds = []
     real = pipeline_mod.build_sparse_gaussian
     monkeypatch.setattr(
         pipeline_mod, "build_sparse_gaussian",
         lambda *a: builds.append(a) or real(*a),
     )
+    return builds
+
+
+def test_model_operator_is_built_once_per_model(monkeypatch):
+    builds = _count_builds(monkeypatch)
     model = build_model(method="fjlt", n=20, p=2, lambda_tilde=4, r=2, seed=3)
     data = flat_dataset(20, 5, 0.05, seed=1)
     first = embed_dataset(model, data)
@@ -392,8 +400,84 @@ def test_model_operator_follows_explicit_arrays():
     loaded = dataclasses.replace(model, explicit=explicit)
     assert loaded.operator is explicit
     again = dataclasses.replace(loaded, explicit=None).operator
-    assert again is not regenerated
+    # Without its explicit arrays the model draws from its seeds: the
+    # seed-4 draw took the one cache entry, so this is a new seed-3 draw,
+    # equal to the first one and shared with the next seed-3 model.
+    assert again is not regenerated and again is not explicit
     assert np.array_equal(again.matrix.values, regenerated.matrix.values)
+    assert dataclasses.replace(model).operator is again
+
+
+# The operator fields of the model below: n = 32 is its own padded size,
+# so the method alone changes nothing but the signs.
+OPERATOR_MODEL = dict(method="fjlt", n=32, p=2, lambda_tilde=4, r=1, seed=3, sparsity=0.5)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"method": "sparse"},
+        {"n": 31},
+        {"r": 2},
+        {"lambda_tilde": 5},
+        {"p": 3},
+        {"sparsity": 0.25},
+        "matrix_seed",
+        "diagonal_seed",
+    ],
+    ids=lambda c: c if isinstance(c, str) else next(iter(c)),
+)
+def test_each_operator_field_keys_its_own_draw(monkeypatch, change):
+    """A change of any field that shapes the operator draws a new one, and
+    the cache keeps only the last: the first model's copy draws again."""
+    builds = _count_builds(monkeypatch)
+    model = build_model(**OPERATOR_MODEL)
+    op = model.operator
+    if isinstance(change, str):
+        changed = dataclasses.replace(model, **{change: getattr(model, change) + 1})
+    else:
+        changed = build_model(**{**OPERATOR_MODEL, **change})
+    assert changed.operator is not op
+    assert len(builds) == 2
+    assert dataclasses.replace(model).operator is not op
+    assert len(builds) == 3
+
+
+def test_models_that_differ_off_the_operator_share_it(monkeypatch):
+    """The quantizer, ``wellspread_const`` and a condensation of the same
+    m (r = 1, lambda_tilde = 4 and r = 3, lambda_tilde = 2 both make
+    blocks of 4 samples) leave the operator as it is."""
+    builds = _count_builds(monkeypatch)
+    model = build_model(**OPERATOR_MODEL)
+    others = [
+        build_model(**OPERATOR_MODEL, sigma=7),
+        build_model(**OPERATOR_MODEL, mu=0.5),
+        build_model(**OPERATOR_MODEL, wellspread_const=2.0),
+        build_model(**{**OPERATOR_MODEL, "r": 3, "lambda_tilde": 2}),
+    ]
+    assert others[-1].m == model.m and others[-1].r != model.r
+    assert all(other.operator is model.operator for other in others)
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("method", ["sparse", "fjlt"])
+def test_read_model_shares_the_seeded_operator(tmp_path, monkeypatch, method):
+    """A model read from a seeded CSQM file takes the drawn operator from
+    the cache; one read with its explicit arrays neither reads nor fills it."""
+    from csq import store
+
+    builds = _count_builds(monkeypatch)
+    model = build_model(**{**OPERATOR_MODEL, "method": method})
+    store.write_model(tmp_path / "seeded.csqm", model)
+    store.write_model(tmp_path / "explicit.csqm", model, explicit=True)
+    op = model.operator
+    assert store.read_model(tmp_path / "seeded.csqm").operator is op
+    before = pipeline_mod._seeded_operator.cache_info()
+    explicit = store.read_model(tmp_path / "explicit.csqm")
+    assert explicit.operator is explicit.explicit and explicit.operator is not op
+    assert pipeline_mod._seeded_operator.cache_info() == before
+    assert dataclasses.replace(model).operator is op
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("method", ["sparse", "fjlt"])
