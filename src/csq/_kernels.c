@@ -9,10 +9,9 @@
  * are bit-identical to that kernel. That holds only when the compiler neither
  * contracts a*b + c into a fused multiply-add nor reassociates: build with
  * -ffp-contract=off and without -ffast-math. csq_draw_sparse draws the
- * operator from the state of a NumPy PCG64 generator, stepping that state
- * as NumPy does and calling NumPy's own normal draw on it, in the order of
- * the numpy loop, so it gives that loop's matrix and leaves the generator
- * in that loop's state.
+ * operator through NumPy's public bit generator interface and NumPy's own
+ * normal draw, in the order of the numpy loop, so it gives that loop's
+ * matrix and leaves the generator in that loop's state.
  *
  * Points are handled in tiles of TILE points, stored feature-major: row f
  * of point j (0 <= j < TILE) of a tile sits at f * TILE + j, and the lanes
@@ -489,8 +488,7 @@ int csq_embed_block(const double *x, int64_t b, int64_t n,
  * NumPy's public bit generator interface, as numpy/random/bitgen.h declares
  * it: the state and four functions that advance it. It is restated here so
  * that the file needs no NumPy headers or libraries to compile; NumPy
- * keeps this layout as part of its C API. csq_draw_sparse fills one in
- * for its own copy of a PCG64 state.
+ * keeps this layout as part of its C API.
  */
 typedef struct bitgen {
     void *state;
@@ -500,81 +498,16 @@ typedef struct bitgen {
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
 
-#ifndef __SIZEOF_INT128__
-#error "csq_draw_sparse needs a compiler with 128-bit integers"
-#endif
-typedef unsigned __int128 u128;
-
-/*
- * NumPy's PCG64, restated: a 128-bit LCG state s and odd increment inc,
- * stepped as s = s * MULT + inc (MULT is PCG's default 128-bit
- * multiplier), each step giving the 64-bit XSL-RR output of the new
- * state: (hi ^ lo) of s rotated right by the top 6 bits of s. A double
- * is the top 53 bits of an output times 2**-53, a 32-bit draw half of a
- * buffered output, as in numpy/random/src/pcg64. The state, the
- * increment and the 32-bit buffer are the fields of the public
- * PCG64.state dict.
- */
-#define MULT (((u128)0x2360ed051fc65da4ULL << 64) | 0x4385df649fccf645ULL)
-
-typedef struct pcg64 {
-    u128 s, inc;
-    uint64_t has_uint32, uinteger;
-} pcg64_t;
-
-static inline uint64_t xsl_rr(u128 s)
-{
-    const uint64_t v = (uint64_t)(s >> 64) ^ (uint64_t)s;
-    const unsigned rot = (unsigned)(s >> 122);
-    return (v >> rot) | (v << ((64 - rot) & 63));
-}
-
-static inline double unit(uint64_t v)
-{
-    return (double)(v >> 11) * (1.0 / 9007199254740992.0);
-}
-
-static uint64_t pcg_next64(void *st)
-{
-    pcg64_t *g = st;
-    g->s = g->s * MULT + g->inc;
-    return xsl_rr(g->s);
-}
-
-static uint32_t pcg_next32(void *st)
-{
-    pcg64_t *g = st;
-    if (g->has_uint32) {
-        g->has_uint32 = 0;
-        return (uint32_t)g->uinteger;
-    }
-    const uint64_t v = pcg_next64(st);
-    g->has_uint32 = 1;
-    g->uinteger = v >> 32;
-    return (uint32_t)v;
-}
-
-static double pcg_next_double(void *st)
-{
-    return unit(pcg_next64(st));
-}
-
 /*
  * The rows first..rows-1 of the sparse Gaussian matrix of
- * build_sparse_gaussian, drawn in the order its numpy loop draws them from
- * the PCG64 state in pcg: state high and low word, increment high and low
- * word, has_uint32 and uinteger, updated in place. Row i takes cols
- * uniforms, the doubles Generator.random(cols) gives, and keeps column j
- * when uniform j is below sparsity; then one normal(bitgen) per kept
- * column, in column order, divided by sqrt(sparsity). normal is NumPy's
- * own random_standard_normal, the function Generator.standard_normal
- * calls, here on a bitgen_t that steps the same state, so the stream is
- * consumed and the values are rounded exactly as in the loop.
- *
- * The uniforms run in four lanes: lane k holds the state of output
- * j + k, and each lane steps four states at once, s -> s * A4 + C4 with
- * A4 = MULT**4 and C4 = inc * (1 + MULT + MULT**2 + MULT**3) (mod 2**128),
- * so the four multiplications of a group do not wait for each other.
+ * build_sparse_gaussian, drawn from bitgen in the order its numpy loop
+ * draws them. Row i takes cols uniforms next_double(state), the doubles
+ * Generator.random(cols) gives, and keeps column j when uniform j is below
+ * sparsity; then one normal(bitgen) per kept column, in column order,
+ * divided by sqrt(sparsity). normal is NumPy's own random_standard_normal,
+ * the function Generator.standard_normal calls, so the stream is consumed
+ * and the values are rounded exactly as in the loop, whatever the bit
+ * generator.
  *
  * The kept columns and values of row i go to col_indices and values from
  * offsets[i] (set by the caller for i = first), and offsets[i + 1] gets
@@ -582,54 +515,29 @@ static double pcg_next_double(void *st)
  * nothing is drawn for a row that might not fit; the return value is the
  * first row not drawn (rows when all were).
  */
-int64_t csq_draw_sparse(uint64_t *pcg, double (*normal)(bitgen_t *),
+int64_t csq_draw_sparse(bitgen_t *bitgen, double (*normal)(bitgen_t *),
                         int64_t first, int64_t rows, int64_t cols,
                         double sparsity, int64_t *offsets,
                         int64_t *col_indices, double *values,
                         int64_t capacity)
 {
-    pcg64_t g = {((u128)pcg[0] << 64) | pcg[1], ((u128)pcg[2] << 64) | pcg[3],
-                 pcg[4], pcg[5]};
-    bitgen_t bitgen = {&g, pcg_next64, pcg_next32, pcg_next_double,
-                       pcg_next64};
-    const u128 a2 = MULT * MULT, a4 = a2 * a2;
-    const u128 c4 = g.inc * (1 + MULT + a2 + a2 * MULT);
     const double root = sqrt(sparsity);
     int64_t i = first;
     for (; i < rows; i++) {
         const int64_t start = offsets[i];
         if (capacity - start < cols)
             break;
-        int64_t end = start, j = 0;
+        int64_t end = start;
         /* Each column index is stored, and kept by moving the end past
            it: the row fits. */
-        if (cols >= 4) {
-            u128 lane[4];
-            lane[0] = g.s * MULT + g.inc;
-            for (int k = 1; k < 4; k++)
-                lane[k] = lane[k - 1] * MULT + g.inc;
-            for (; j + 4 <= cols; j += 4) {
-                for (int k = 0; k < 4; k++) {
-                    col_indices[end] = j + k;
-                    end += unit(xsl_rr(lane[k])) < sparsity;
-                }
-                g.s = lane[3];
-                for (int k = 0; k < 4; k++)
-                    lane[k] = lane[k] * a4 + c4;
-            }
-        }
-        for (; j < cols; j++) {
+        for (int64_t j = 0; j < cols; j++) {
             col_indices[end] = j;
-            end += pcg_next_double(&g) < sparsity;
+            end += bitgen->next_double(bitgen->state) < sparsity;
         }
         for (int64_t e = start; e < end; e++)
-            values[e] = normal(&bitgen) / root;
+            values[e] = normal(bitgen) / root;
         offsets[i + 1] = end;
     }
-    pcg[0] = (uint64_t)(g.s >> 64);
-    pcg[1] = (uint64_t)g.s;
-    pcg[4] = g.has_uint32;
-    pcg[5] = g.uinteger;
     return i;
 }
 

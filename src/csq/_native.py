@@ -8,8 +8,7 @@ shared library with ``ctypes``; later calls, and later processes, reuse it.
 The file name carries the sha256 of the source, the compiler flags and the
 machine type, so a changed source or flag set builds a new library. When
 anything fails (no compiler, a compile error, an unusable cache directory,
-a library that does not load, a NumPy that does not export
-``random_standard_normal``) :func:`load` returns None, :func:`failure`
+a library that does not load) :func:`load` returns None, :func:`failure`
 says why, and the caller runs the numpy kernels instead. Nothing here runs
 at import.
 
@@ -19,9 +18,11 @@ library depend on the build host); ``-ffp-contract=off`` forbids fusing
 ``a * b + c`` even where the target has such an instruction. Those keep
 every result bit-identical to the numpy kernels. The query kernels do
 integer arithmetic and copy bytes, so their results are exact. The
-operator draw steps a ``PCG64`` generator's state as NumPy does and calls
-NumPy's own normal draw on it, so it consumes the stream and rounds every
-value as the numpy loop does.
+operator draw steps the caller's bit generator through NumPy's public C
+interface and calls NumPy's own normal draw, so it consumes the stream and
+rounds every value as the numpy loop does. That normal draw is looked up on
+the first draw; a NumPy that does not export it leaves the draw to the
+numpy loop and every other kernel compiled.
 
 On x86-64 with glibc the one library holds a baseline and an AVX2 build
 of the embed and l1 kernels (``target_clones``), and the dynamic loader
@@ -59,7 +60,6 @@ NUM, TEXT = 24, 32
 NORMAL = "random_standard_normal"
 
 _int, _i64, _f64 = ctypes.c_int, ctypes.c_int64, ctypes.c_double
-_U64 = (1 << 64) - 1
 _ptr = ctypes.c_void_p
 # The l1 pair kernel of each row dtype.
 L1_KERNELS = {
@@ -155,9 +155,8 @@ class Kernels:
     build, ``"baseline"`` otherwise.
     """
 
-    def __init__(self, lib: ctypes.CDLL, normal):
+    def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
-        self._normal = ctypes.cast(normal, _ptr).value
         for name, (restype, argtypes) in _SIGNATURES.items():
             fn = getattr(lib, name)
             fn.restype, fn.argtypes = restype, argtypes
@@ -270,53 +269,41 @@ class Kernels:
         """``(row_offsets, col_indices, values)`` of the rows x cols sparse
         Gaussian matrix of :func:`csq.transforms.build_sparse_gaussian`,
         drawn from the numpy Generator ``rng`` as its loop draws them, and
-        leaving ``rng`` in the same state. The generator must be a
-        ``PCG64`` (``np.random.default_rng`` makes one); any other raises
-        ValueError. Its state is read and written back through the public
-        ``state`` property, under the bit generator's lock.
+        leaving ``rng`` in the same state, whatever its bit generator. The
+        kernel steps the bit generator through its ``ctypes`` interface,
+        under the bit generator's lock. None, with ``rng`` untouched, when
+        NumPy does not export :data:`NORMAL`.
 
         The entry arrays start with ``capacity`` slots, by default the
         expected nnz plus eight standard deviations plus one row; when they
         run short they double and the draw resumes at the first row that
         did not fit. The arrays returned are views of the first nnz slots.
         """
-        bitgen = rng.bit_generator
-        if type(bitgen) is not np.random.PCG64:
-            name = type(bitgen).__name__
-            raise ValueError(f"the operator draw needs a PCG64 generator, not {name}")
+        draw = _normal()
+        if draw is None:
+            return None
         if capacity is None:
             expected = rows * cols * sparsity
             capacity = int(expected + 8.0 * math.sqrt(expected)) + cols
         offsets = np.zeros(rows + 1, dtype=np.int64)
         col_indices = np.empty(capacity, dtype=np.int64)
         values = np.empty(capacity, dtype=np.float64)
+        bitgen = rng.bit_generator
         done = 0
         with bitgen.lock:
-            state = bitgen.state
-            s, inc = state["state"]["state"], state["state"]["inc"]
-            pcg = np.array(
-                [s >> 64, s & _U64, inc >> 64, inc & _U64,
-                 state["has_uint32"], state["uinteger"]],
-                dtype=np.uint64,
-            )
             while True:
                 done = self._lib.csq_draw_sparse(
-                    pcg.ctypes.data, self._normal, done, rows, cols, sparsity,
-                    offsets.ctypes.data, col_indices.ctypes.data,
-                    values.ctypes.data, capacity,
+                    bitgen.ctypes.bit_generator.value, draw, done,
+                    rows, cols, sparsity, offsets.ctypes.data,
+                    col_indices.ctypes.data, values.ctypes.data, capacity,
                 )
                 if done == rows:
-                    break
+                    nnz = offsets[-1]
+                    return offsets, col_indices[:nnz], values[:nnz]
                 capacity = max(2 * capacity, cols)
                 used = offsets[done]
                 col_indices = _grown(col_indices, capacity, used)
                 values = _grown(values, capacity, used)
-            hi, lo, _, _, has_uint32, uinteger = (int(v) for v in pcg)
-            state["state"]["state"] = hi << 64 | lo
-            state["has_uint32"], state["uinteger"] = has_uint32, uinteger
-            bitgen.state = state
-        nnz = offsets[-1]
-        return offsets, col_indices[:nnz], values[:nnz]
 
     def l1_pairs(self, rows, start: int, stop: int, sums) -> None:
         """The l1 sums of rows start..stop-1 of the C-ordered (k, p) matrix
@@ -377,6 +364,17 @@ def _numpy_random() -> ctypes.CDLL:
     return ctypes.CDLL(np.random._generator.__file__)
 
 
+@functools.cache
+def _normal() -> int | None:
+    """The address of NumPy's :data:`NORMAL`, or None when NumPy does not
+    export it. Looked up on the first operator draw, as it imports
+    ``numpy.random``, which nothing else in :func:`load` needs."""
+    try:
+        return ctypes.cast(getattr(_numpy_random(), NORMAL), _ptr).value
+    except (OSError, AttributeError):
+        return None
+
+
 def _build(cache: Path) -> Path:
     """The shared library for the current source and flags, compiled into
     ``cache`` unless it is there already. Raises OSError or
@@ -415,11 +413,7 @@ def _load() -> tuple[Kernels | None, str]:
     import subprocess
 
     try:
-        normal = getattr(_numpy_random(), NORMAL)
-    except (OSError, AttributeError) as exc:
-        return None, f"cannot use numpy's {NORMAL}: {exc}"
-    try:
-        return Kernels(ctypes.CDLL(str(_build(cache_dir()))), normal), ""
+        return Kernels(ctypes.CDLL(str(_build(cache_dir())))), ""
     except subprocess.CalledProcessError as exc:
         lines = exc.stderr.decode(errors="replace").strip().splitlines()
         return None, "compile failed: " + (lines[0] if lines else f"exit {exc.returncode}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -34,7 +35,11 @@ def _int_list(text: str) -> list[int]:
         raise ParameterError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it unchanged, and a job loop in one process would otherwise
+    build it for every call of :func:`main`."""
     parser = argparse.ArgumentParser(
         prog="csq",
         description=(

@@ -136,14 +136,13 @@ def build_sparse_gaussian(
     ``1/sqrt(sparsity)``). ``sparsity == 1.0`` therefore yields a dense
     Gaussian matrix with unit-variance entries.
 
-    The compiled kernels draw it when they load (see :mod:`csq._native`),
-    else the numpy loop below. Both give the same bits: the C kernel steps
-    the generator's PCG64 state as NumPy does (read and written back
-    through the public ``state`` property), makes the doubles that
-    ``Generator.random`` makes from it, calls NumPy's exported
-    ``random_standard_normal``, the function ``Generator.standard_normal``
-    calls, on that same state, in the loop's order, and divides by the
-    same correctly rounded square root.
+    The compiled kernels draw it when they load (see :mod:`csq._native`)
+    and NumPy exports ``random_standard_normal``, else the numpy loop below.
+    Both give the same bits: the C kernel steps the generator's own bit
+    generator through NumPy's C interface, takes the doubles that
+    ``Generator.random`` takes from it, calls ``random_standard_normal``,
+    the function ``Generator.standard_normal`` calls, in the loop's order,
+    and divides by the same correctly rounded square root.
     """
     if rows < 1 or cols < 1:
         raise ParameterError("rows and cols must be positive")
@@ -156,10 +155,9 @@ def build_sparse_gaussian(
 
     rng = np.random.default_rng(seed)
     kernels = _native.load()
-    if kernels is not None:
-        return SparseGaussianMatrix(
-            rows, cols, *kernels.draw_sparse(rng, rows, cols, sparsity)
-        )
+    drawn = None if kernels is None else kernels.draw_sparse(rng, rows, cols, sparsity)
+    if drawn is not None:
+        return SparseGaussianMatrix(rows, cols, *drawn)
     offsets = np.zeros(rows + 1, dtype=np.int64)
     cols_per_row = []
     vals_per_row = []

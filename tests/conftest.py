@@ -47,11 +47,14 @@ def numpy_kernels(monkeypatch):
 
 @pytest.fixture
 def fresh_loader():
-    """Forget the loaded kernels before and after the test, so that it
-    builds under its own environment and later tests under theirs."""
+    """Forget the loaded kernels and NumPy's normal draw before and after
+    the test, so that it loads them under its own environment and later
+    tests under theirs."""
     _native._load.cache_clear()
+    _native._normal.cache_clear()
     yield _native
     _native._load.cache_clear()
+    _native._normal.cache_clear()
 
 
 @pytest.fixture(scope="session")
@@ -67,8 +70,7 @@ def baseline_kernels(tmp_path_factory):
         ["cc", *_native.FLAGS, NO_CLONES, "-o", str(lib), str(src)],
         check=True, capture_output=True, timeout=120,
     )
-    normal = getattr(_native._numpy_random(), _native.NORMAL)
-    return _native.Kernels(ctypes.CDLL(str(lib)), normal)
+    return _native.Kernels(ctypes.CDLL(str(lib)))
 
 
 @pytest.fixture

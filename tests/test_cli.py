@@ -103,6 +103,18 @@ def test_embed_bad_parameter_reports_kind(tmp_path, capsys):
     assert err.startswith("parameter error:")
 
 
+def test_parser_is_built_once_and_survives_a_usage_error(tmp_path, capsys):
+    """One parser serves every call of main in a process; a call that ends
+    in a usage error (SystemExit 2) leaves it fit for the next one."""
+    assert cli._build_parser() is cli._build_parser()
+    inp, _ = _make_dataset(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", "--input", str(inp), "--p", "four"])
+    assert exc.value.code == 2
+    assert main(_embed_argv(inp, tmp_path)) == 0
+    assert "embedded k=6" in capsys.readouterr().out
+
+
 def test_embed_of_non_finite_input_reports_input_error(tmp_path, capsys):
     inp = tmp_path / "points.csv"
     inp.write_text("0.01,0.02\n-0.02,nan\n")

@@ -537,7 +537,7 @@ def test_native_draw_matches_the_loop_and_its_stream(kernels, rows, cols, sparsi
 
 def test_native_draw_keeps_a_buffered_32_bit_draw(kernels):
     """A 32-bit draw leaves half of a 64-bit output buffered in the PCG64
-    state; the draw neither uses nor loses it."""
+    bit generator; the draw neither uses nor loses it."""
     rng, ref = np.random.default_rng(3), np.random.default_rng(3)
     for g in (rng, ref):
         g.integers(0, 2**32, dtype=np.uint32)
@@ -552,14 +552,27 @@ def test_native_draw_keeps_a_buffered_32_bit_draw(kernels):
     )
 
 
-def test_native_draw_refuses_other_bit_generators(kernels):
-    """The kernel steps PCG64's state itself, so a generator of any other
-    bit generator is refused before anything is drawn."""
-    for kind in (np.random.Philox, np.random.PCG64DXSM):
-        rng = np.random.Generator(kind(1))
-        with pytest.raises(ValueError, match="PCG64"):
-            kernels.draw_sparse(rng, 4, 4, 0.5)
-        assert rng.random() == np.random.Generator(kind(1)).random()
+@pytest.mark.parametrize(
+    "kind",
+    [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
+     np.random.MT19937],
+)
+def test_native_draw_steps_every_bit_generator(kernels, kind):
+    """The kernel steps whatever bit generator the Generator holds, through
+    NumPy's C interface: after a buffered 32-bit draw and with arrays that
+    grow row by row, it gives the loop's arrays and leaves the generator
+    where the loop leaves it."""
+    rng, ref = np.random.Generator(kind(7)), np.random.Generator(kind(7))
+    for g in (rng, ref):
+        g.integers(0, 2**32, dtype=np.uint32)
+    got = kernels.draw_sparse(rng, 40, 30, 0.4, capacity=1)
+    want = draw_oracle(ref, 40, 30, 0.4)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and same_bits(a, b)
+    assert rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist() == (
+        ref.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
+    )
+    assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("capacity", [0, 1, 63, 64, 65, 1000])

@@ -18,8 +18,8 @@ from conftest import NO_CLONES
 from csq import _native, pipeline
 from csq.cli import main
 from csq.pipeline import build_model, dataset_from_matrix, embed_dataset
-from oracles import l1_oracle
-from test_kernels import _check_embed, _points, extreme_rows
+from oracles import draw_oracle, l1_oracle
+from test_kernels import _check_embed, _points, extreme_rows, same_bits
 
 HAS_CC = shutil.which("cc") is not None
 X86_64 = platform.machine() in ("x86_64", "AMD64")
@@ -69,11 +69,14 @@ def test_kernel_source_ships_with_the_package():
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler 'cc' on PATH")
 def test_kernels_compile_without_warnings(tmp_path):
-    """With the clones and without them (NO_CLONES)."""
+    """As ISO C99, with the clones and without them (NO_CLONES)."""
     src = tmp_path / "_kernels.c"
     src.write_bytes(_native.source())
     for define in ((), (NO_CLONES,)):
-        flags = (*_native.FLAGS, *define, "-Wall", "-Wextra", "-Werror")
+        flags = (
+            *_native.FLAGS, *define, "-std=c99", "-Wpedantic", "-Wall", "-Wextra",
+            "-Werror",
+        )
         proc = subprocess.run(
             ["cc", *flags, "-o", str(tmp_path / "kernels.so"), str(src)],
             capture_output=True, timeout=120,
@@ -186,10 +189,10 @@ def test_library_has_no_fused_multiply_add():
 
 
 # Run under the address and undefined-behaviour sanitizers: the operator
-# draw, a draw that runs out of room and resumes, the embed over partial
-# tiles, whole tiles and two blocks, fjlt at r = 4 over transforms of 1,
-# 2, 4 and 512 rows, the record writer at every width, and the l1 sums of
-# every entry dtype.
+# draw, a draw that runs out of room and resumes, a draw from Philox, the
+# embed over partial tiles, whole tiles and two blocks, fjlt at r = 4 over
+# transforms of 1, 2, 4 and 512 rows, the record writer at every width, and
+# the l1 sums of every entry dtype.
 SANITIZED_RUN = """
 import ctypes, sys
 import numpy as np
@@ -197,9 +200,7 @@ from csq import _native
 from csq.condense import pairwise_l1_blocks
 from csq.pipeline import build_model, dataset_from_matrix, embed_dataset
 
-kern = _native.Kernels(
-    ctypes.CDLL(sys.argv[1]), getattr(_native._numpy_random(), _native.NORMAL)
-)
+kern = _native.Kernels(ctypes.CDLL(sys.argv[1]))
 _native.load = lambda: kern
 rng = np.random.default_rng(0)
 for method in ("sparse", "fjlt"):
@@ -220,6 +221,7 @@ for n in (1, 2, 3, 300):
     model = build_model("fjlt", n, 4, 4, 4, seed=n)
     assert embed_dataset(model, dataset_from_matrix(xs)).diagnostics.kernels == "native"
 kern.draw_sparse(np.random.default_rng(1), 50, 64, 0.3, capacity=1)
+kern.draw_sparse(np.random.Generator(np.random.Philox(1)), 50, 64, 0.3)
 for width in range(1, 64):
     entries = rng.integers(-(1 << (width - 1)), 1 << (width - 1), size=(3, 5))
     kern.records(entries, width, np.empty((3, (5 * width + 7) // 8), dtype=np.uint8))
@@ -327,18 +329,41 @@ def test_shared_cache_directory_is_refused(fresh_loader, monkeypatch, tmp_path, 
     _assert_same(res, reference)
 
 
-def test_numpy_without_the_normal_draw_falls_back_to_numpy(
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler 'cc' on PATH")
+def test_numpy_without_the_normal_draw_draws_with_the_loop(
     fresh_loader, monkeypatch, reference
 ):
     """The operator draw calls NumPy's exported random_standard_normal; a
-    NumPy that does not export it leaves no compiled kernels at all."""
+    NumPy that does not export it leaves only the draw to the numpy loop,
+    and every other kernel compiled."""
     monkeypatch.setattr(_native, "_numpy_random", lambda: types.SimpleNamespace())
-    assert fresh_loader.load() is None
-    assert "random_standard_normal" in fresh_loader.failure()
+    assert fresh_loader.load() is not None
+    assert fresh_loader.load().draw_sparse(np.random.default_rng(1), 4, 4, 0.5) is None
     res = _embed()
-    assert res.diagnostics.kernels == "numpy"
-    assert "random_standard_normal" in res.diagnostics.kernels_note
+    assert res.diagnostics.kernels == "native"
     _assert_same(res, reference)
+    model = build_model("sparse", 37, 4, 4, 2, seed=9)
+    rng = np.random.default_rng(model.matrix_seed)
+    want = draw_oracle(rng, model.m, model.n, model.sparsity)
+    got = model.operator.matrix
+    for a, b in zip((got.row_offsets, got.col_indices, got.values), want):
+        assert same_bits(a, b)
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler 'cc' on PATH")
+def test_load_leaves_numpy_random_unimported():
+    """Loading the kernels does not import numpy.random; only a draw does."""
+    code = (
+        "import sys\n"
+        "from csq import _native\n"
+        "assert _native.load() is not None, _native.failure()\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, timeout=300
+    )
+    assert proc.returncode == 0 and proc.stdout == b"False\n", proc.stderr.decode()
 
 
 def test_cli_reports_numpy_kernels_and_why(numpy_kernels, capsys, tmp_path):
