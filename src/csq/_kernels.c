@@ -22,11 +22,12 @@
  * bits and a peak.
  *
  * csq_embed_block embeds a block tile by tile, in one tile of working
- * memory that it allocates and frees itself; csq_precondition,
- * csq_project and csq_quantize run one stage over a block, and
- * csq_records the record writer, so that each can be checked on its own.
- * A kernel that allocates returns nonzero, having written nothing, when
- * the allocation fails.
+ * memory that it takes and gives back itself, reading the rows from memory
+ * or with pread from a file, and measuring each row as it loads it;
+ * csq_precondition, csq_project and csq_quantize run one stage over a
+ * block, and csq_records the record writer, so that each can be checked
+ * on its own. A kernel that allocates returns NO_MEMORY, having written
+ * nothing, when the allocation fails.
  *
  * On x86-64 with glibc the embed stages and the l1 sums are CLONES: the
  * compiler builds each twice, for baseline x86-64 and for AVX2, with every
@@ -44,11 +45,13 @@
 
 #define _POSIX_C_SOURCE 200809L
 
+#include <errno.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 #include <time.h>
+#include <unistd.h>
 
 /* The clones need the dynamic loader's ifunc support, which glibc has. */
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute) && \
@@ -76,6 +79,10 @@ int csq_isa(void)
 }
 
 #define TILE 16
+
+/* What csq_quantize and csq_embed_block return besides 0 (success) and,
+   for a failed read, minus its errno. */
+enum { NO_MEMORY = 1, END_OF_FILE = 2 };
 
 /* W doubles (vdW), loaded and stored without an alignment requirement,
    and the W 64-bit lane masks a comparison of them gives (viW); either may
@@ -114,30 +121,58 @@ static void butterflies(double *restrict x, int64_t rows, int64_t h)
     }
 }
 
-/*
- * Copy t <= TILE point-major rows x (t, n) into one tile. The rows are
- * finite: a Dataset checks its vectors when it is made. With signs == NULL
- * the values are copied as they are (n_pad must equal n) and nothing else
- * happens.
- * Otherwise, as Projection.precondition and fwht_inplace: feature f
- * becomes x * signs[f], the padding features 0.0 * signs[f], and every
- * point goes through the butterfly stages h = 1, 2, 4, ..., n_pad / 2
- * (see butterflies), followed by one multiplication by 1/sqrt(n_pad),
- * correctly rounded as Python's 1.0 / math.sqrt(n_pad).
- */
-static void precondition_tile(const double *restrict x, int64_t t, int64_t n,
-                              const double *restrict signs, int64_t n_pad,
-                              double *restrict tile)
+/* The doubles of a little-endian file, in the host's byte order. */
+static void from_little_endian(double *x, int64_t count)
 {
-    for (int64_t f = 0; f < n; f++) {
-        double *dst = tile + f * TILE;
-        for (int64_t j = 0; j < t; j++) {
-            const double v = x[j * n + f];
-            dst[j] = signs ? v * signs[f] : v;
-        }
-        for (int64_t j = t; j < TILE; j++)
-            dst[j] = 0.0;
+    const uint16_t probe = 1;
+    uint8_t first;
+    memcpy(&first, &probe, 1);
+    if (first)
+        return;
+    for (int64_t i = 0; i < count; i++) {
+        uint8_t b[8];
+        uint64_t v = 0;
+        memcpy(b, x + i, 8);
+        for (int k = 7; k >= 0; k--)
+            v = v << 8 | b[k];
+        memcpy(x + i, &v, 8);
     }
+}
+
+/* Read size bytes at offset of the file open as fd into buf, resuming
+   after a signal or a short read: 0, END_OF_FILE when the file ends
+   first, or minus the errno of a failed read. */
+static int read_at(int fd, void *buf, int64_t size, int64_t offset)
+{
+    char *at = buf;
+    while (size > 0) {
+        const ssize_t got = pread(fd, at, (size_t)size, (off_t)offset);
+        if (got < 0) {
+            if (errno == EINTR)
+                continue;
+            return -errno;
+        }
+        if (got == 0)
+            return END_OF_FILE;
+        at += got;
+        size -= got;
+        offset += got;
+    }
+    return 0;
+}
+
+/*
+ * As Projection.precondition and fwht_inplace, for a tile whose rows
+ * 0..n-1 hold x * signs[f] (load_tile): the padding rows n..n_pad-1 get
+ * 0.0 * signs[f], and every point goes through the butterfly stages h =
+ * 1, 2, 4, ..., n_pad / 2 (see butterflies), followed by one
+ * multiplication by 1/sqrt(n_pad), correctly rounded as Python's
+ * 1.0 / math.sqrt(n_pad). Nothing happens when signs is NULL (n_pad
+ * equals n).
+ */
+static void transform_tile(int64_t n, const double *restrict signs,
+                           int64_t n_pad, double *restrict tile)
+{
     if (!signs)
         return;
     for (int64_t f = n; f < n_pad; f++)
@@ -157,6 +192,188 @@ static void precondition_tile(const double *restrict x, int64_t t, int64_t n,
     const double scale = 1.0 / sqrt((double)n_pad);
     for (int64_t e = 0; e < n_pad * TILE; e++)
         tile[e] *= scale;
+}
+
+/* Terms of one leaf of NumPy's pairwise sum; PW_BLOCKSIZE in NumPy. */
+#define PAIRWISE 128
+/* More than enough levels for the halvings of any row length. */
+#define LEVELS 64
+
+/*
+ * norms[j] for the lanes j < t of a tile, from the sums of squares of the
+ * rows x (t, n) the tile was loaded from: the square root, except NaN for
+ * a row with an infinite entry, whose sum is infinite like that of a
+ * finite row whose norm overflows (a NaN entry makes the sum NaN).
+ */
+static void put_norms(const double *restrict sums, const double *restrict x,
+                      int64_t t, int64_t n, double *restrict norms)
+{
+    for (int64_t j = 0; j < t; j++) {
+        norms[j] = sqrt(sums[j]);
+        for (int64_t f = 0; isinf(norms[j]) && f < n; f++)
+            if (isinf(x[j * n + f]))
+                norms[j] = NAN;
+    }
+}
+
+/*
+ * load_leafW, load_tileW and tile_peaksW, on vectors of W doubles, each
+ * holding one feature of W points (lanes).
+ *
+ * load_tileW: copy t <= TILE point-major rows x (t, n) into rows 0..n-1
+ * of a tile, times signs[f] when signs is not NULL, with zeros in the
+ * lanes past t, and measure them on the way: norms[j] gets the l2 norm of
+ * row j as np.linalg.norm gives it, or NaN or inf (see put_norms). The
+ * norm is the square root of the sum of the row's squares in the order of
+ * NumPy's pairwise sum (pairwise_sum in
+ * numpy/_core/src/umath/loops_utils.h.src), which np.add.reduce runs over
+ * a contiguous row: a part of more than PAIRWISE terms is split after the
+ * largest multiple of 8 not above half its length, and the sums of its
+ * halves are added, left + right; a leaf of at most PAIRWISE terms keeps
+ * eight running sums, sum j taking the terms i = j mod 8 before the last
+ * multiple of 8 (the leaves start at multiples of 8), and adds them as
+ * ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)) before the rest of its terms
+ * in order. The running sums start at 0.0, NumPy's at the first terms:
+ * 0.0 plus a square is that square exactly, so the sums are the same, and
+ * a leaf of fewer than 8 terms is NumPy's sum in order from 0.0. Every
+ * lane does the
+ * same operations in the same order, so the W lanes of a vector are W
+ * rows' sums. The halves are walked depth first with an explicit stack,
+ * so that nothing is recursive and the whole load inlines into the
+ * kernel's builds.
+ *
+ * load_leafW copies and sums the terms lo..lo+len-1 of every lane, W
+ * features of W rows at a time, read as W vectors of one row each and
+ * transposed into W vectors of one feature each.
+ *
+ * tile_peaksW: peaks[j] gets the largest magnitude in rows 0..n-1 of lane
+ * j < t of a loaded tile, each row's largest |entry| (a NaN entry is
+ * passed over; such a row has a NaN norm).
+ */
+#define TILE_LOAD(W)                                                         \
+    static void load_leaf##W(const double *const *rows, int64_t lo,          \
+                             int64_t len, const double *restrict signs,      \
+                             double *restrict tile, vd##W *restrict sums)    \
+    {                                                                        \
+        vd##W r[TILE / W][8];                                                \
+        for (int g = 0; g < TILE / W; g++)                                   \
+            for (int j = 0; j < 8; j++)                                      \
+                r[g][j] = (vd##W){0.0};                                      \
+        const int64_t body = lo + len - len % 8;                             \
+        int64_t f = lo;                                                      \
+        for (; f < body; f += 8)                                             \
+            for (int q = 0; q < 8 / W; q++)                                  \
+                for (int g = 0; g < TILE / W; g++) {                         \
+                    vd##W row[W];                                            \
+                    for (int i = 0; i < W; i++)                              \
+                        row[i] = *(const vd##W *)(rows[g * W + i] + f + q * W); \
+                    for (int c = 0; c < W; c++) {                            \
+                        const int64_t e = f + q * W + c;                     \
+                        vd##W v = {0.0};                                     \
+                        for (int i = 0; i < W; i++)                          \
+                            v[i] = row[i][c];                                \
+                        r[g][q * W + c] += v * v;                            \
+                        if (signs)                                           \
+                            v = v * signs[e];                                \
+                        *(vd##W *)(tile + e * TILE + g * W) = v;             \
+                    }                                                        \
+                }                                                            \
+        for (int g = 0; g < TILE / W; g++)                                   \
+            sums[g] = ((r[g][0] + r[g][1]) + (r[g][2] + r[g][3])) +          \
+                      ((r[g][4] + r[g][5]) + (r[g][6] + r[g][7]));           \
+        for (; f < lo + len; f++)                                            \
+            for (int g = 0; g < TILE / W; g++) {                             \
+                vd##W v = {0.0};                                             \
+                for (int i = 0; i < W; i++)                                  \
+                    v[i] = rows[g * W + i][f];                               \
+                sums[g] += v * v;                                            \
+                if (signs)                                                   \
+                    v = v * signs[f];                                        \
+                *(vd##W *)(tile + f * TILE + g * W) = v;                     \
+            }                                                                \
+    }                                                                        \
+                                                                             \
+    static void load_tile##W(const double *restrict x, int64_t t, int64_t n, \
+                             const double *restrict signs,                   \
+                             double *restrict tile, double *restrict norms)  \
+    {                                                                        \
+        /* The lanes past t read row t - 1 and are zeroed below. */          \
+        const double *rows[TILE];                                            \
+        for (int j = 0; j < TILE; j++)                                       \
+            rows[j] = x + (j < t ? j : t - 1) * n;                           \
+        /* Level d of the stack: the right half (start, size) of a split     \
+           above the current part, and the sums of its left half once they   \
+           are known (ready). */                                             \
+        int64_t start[LEVELS], size[LEVELS];                                 \
+        int ready[LEVELS];                                                   \
+        vd##W left[LEVELS][TILE / W], sums[TILE / W];                        \
+        int depth = 0;                                                       \
+        for (int64_t lo = 0, len = n;;) {                                    \
+            for (; len > PAIRWISE; depth++) {                                \
+                const int64_t half = len / 2 - len / 2 % 8;                  \
+                start[depth] = lo + half;                                    \
+                size[depth] = len - half;                                    \
+                ready[depth] = 0;                                            \
+                len = half;                                                  \
+            }                                                                \
+            load_leaf##W(rows, lo, len, signs, tile, sums);                  \
+            for (; depth > 0 && ready[depth - 1]; depth--)                   \
+                for (int g = 0; g < TILE / W; g++)                           \
+                    sums[g] = left[depth - 1][g] + sums[g];                  \
+            if (depth == 0)                                                  \
+                break;                                                       \
+            memcpy(left[depth - 1], sums, sizeof sums);                      \
+            ready[depth - 1] = 1;                                            \
+            lo = start[depth - 1];                                           \
+            len = size[depth - 1];                                           \
+        }                                                                    \
+        double all[TILE];                                                    \
+        memcpy(all, sums, sizeof all);                                       \
+        put_norms(all, x, t, n, norms);                                      \
+        for (int64_t f = 0; t < TILE && f < n; f++)                          \
+            for (int64_t j = t; j < TILE; j++)                               \
+                tile[f * TILE + j] = 0.0;                                    \
+    }                                                                        \
+                                                                             \
+    static void tile_peaks##W(const double *restrict tile, int64_t n,        \
+                              int64_t t, double *restrict peaks)             \
+    {                                                                        \
+        const vi##W magnitude = (vi##W){0} + INT64_MAX;                      \
+        vd##W top[TILE / W];                                                 \
+        for (int g = 0; g < TILE / W; g++)                                   \
+            top[g] = (vd##W){0.0};                                           \
+        for (int64_t f = 0; f < n; f++)                                      \
+            for (int g = 0; g < TILE / W; g++) {                             \
+                const vd##W a = (vd##W)(                                     \
+                    *(const vi##W *)(tile + f * TILE + g * W) & magnitude);  \
+                const vi##W more = a > top[g];                               \
+                top[g] = (vd##W)(((vi##W)a & more) | ((vi##W)top[g] & ~more)); \
+            }                                                                \
+        memcpy(peaks, top, (size_t)t * sizeof(double));                      \
+    }
+
+TILE_LOAD(2)
+TILE_LOAD(4)
+
+/* load_tileW and tile_peaksW at the width of the build that runs: wide is
+   csq_isa(), 1 in the AVX2 build and 0 in the baseline one. */
+static void load_tile(int wide, const double *restrict x, int64_t t,
+                      int64_t n, const double *restrict signs,
+                      double *restrict tile, double *restrict norms)
+{
+    if (wide)
+        load_tile4(x, t, n, signs, tile, norms);
+    else
+        load_tile2(x, t, n, signs, tile, norms);
+}
+
+static void tile_peaks(int wide, const double *restrict tile, int64_t n,
+                       int64_t t, double *restrict peaks)
+{
+    if (wide)
+        tile_peaks4(tile, n, t, peaks);
+    else
+        tile_peaks2(tile, n, t, peaks);
 }
 
 /* (cur - d) mod len for 0 <= cur < len and 0 < d < len. */
@@ -369,6 +586,58 @@ static void put_tile(const int64_t *restrict sums,
     }
 }
 
+/*
+ * Working memory of a kernel call: take_memory gives count doubles
+ * starting at a cache line, or NULL when they cannot be allocated, and
+ * give_memory takes them back. Tile rows are 128 bytes, and one that
+ * straddled three lines would slow every access to it (by about a third,
+ * measured on the projection). Memory given back is kept in one of KEPT
+ * slots for the calls that follow (the embed path makes one call per
+ * block, about 130 pages of memory each at n = 1000): freed to the C
+ * library, it was often returned to the system and page-faulted in again
+ * by the next call. Only memory of at most KEEP doubles is kept, so the
+ * process holds at most KEPT * KEEP doubles (16 MiB) once the calls are
+ * over. A slot is taken and filled by atomic exchange, so concurrent calls
+ * never share memory. Each block of memory starts with one cache line
+ * holding its size in doubles.
+ */
+#define KEPT 8
+#define KEEP (INT64_C(1) << 18)
+#define HEAD 8
+static double *kept[KEPT];
+
+static double *take_memory(int64_t count)
+{
+    for (int i = 0; i < KEPT; i++) {
+        double *mem = __atomic_exchange_n(&kept[i], NULL, __ATOMIC_ACQUIRE);
+        int64_t size = 0;
+        if (mem)
+            memcpy(&size, mem - HEAD, sizeof size);
+        if (size >= count)
+            return mem;
+        if (mem)
+            free(mem - HEAD);
+    }
+    void *block;
+    if (posix_memalign(&block, 64, (size_t)(HEAD + count) * sizeof(double)))
+        return NULL;
+    memcpy(block, &count, sizeof count);
+    return (double *)block + HEAD;
+}
+
+static void give_memory(double *mem)
+{
+    int64_t size;
+    memcpy(&size, mem - HEAD, sizeof size);
+    for (int i = 0; size <= KEEP && i < KEPT; i++) {
+        double *none = NULL;
+        if (__atomic_compare_exchange_n(&kept[i], &none, mem, 0,
+                                        __ATOMIC_RELEASE, __ATOMIC_RELAXED))
+            return;
+    }
+    free(mem - HEAD);
+}
+
 /* Doubles of tile memory for the ring, the sums and the words of
    quantize_condense_tile. */
 static int64_t quantize_memory(int64_t m, int64_t len, int64_t p)
@@ -376,14 +645,19 @@ static int64_t quantize_memory(int64_t m, int64_t len, int64_t p)
     return (len + p + (m + 63) / 64) * TILE;
 }
 
-/* precondition_tile over a block of b points x (b, n); out is tiled. */
+/* load_tile and transform_tile over a block of b points x (b, n); out is
+   tiled. */
 CLONES
 void csq_precondition(const double *x, int64_t b, int64_t n,
                       const double *signs, int64_t n_pad, double *out)
 {
+    const int wide = csq_isa();
+    double norms[TILE];
     for (int64_t p0 = 0; p0 < b; p0 += TILE) {
         const int64_t t = b - p0 < TILE ? b - p0 : TILE;
-        precondition_tile(x + p0 * n, t, n, signs, n_pad, out + p0 * n_pad);
+        double *tile = out + p0 * n_pad;
+        load_tile(wide, x + p0 * n, t, n, signs, tile, norms);
+        transform_tile(n, signs, n_pad, tile);
     }
 }
 
@@ -411,9 +685,9 @@ int csq_quantize(const double *y, int64_t m, int64_t b, const int64_t *pos,
 {
     const int64_t len = pos[r - 1] + 1, p = m / lam;
     const int64_t record = (p * width + 7) / 8, nbytes = (m + 7) / 8;
-    double *ring = malloc((size_t)quantize_memory(m, len, p) * sizeof(double));
+    double *ring = take_memory(quantize_memory(m, len, p));
     if (!ring)
-        return 1;
+        return NO_MEMORY;
     int64_t *sums = (int64_t *)(ring + len * TILE), *words = sums + p * TILE;
     const int wide = csq_isa();
     for (int64_t p0 = 0; p0 < b; p0 += TILE) {
@@ -423,7 +697,7 @@ int csq_quantize(const double *y, int64_t m, int64_t b, const int64_t *pos,
         put_tile(sums, words, t, m, p, width, records + p0 * record,
                  bits + p0 * nbytes);
     }
-    free(ring);
+    give_memory(ring);
     return 0;
 }
 
@@ -438,50 +712,78 @@ void csq_records(const int64_t *entries, int64_t k, int64_t p, int64_t width,
 }
 
 /*
- * Embed b points x (b, n), one tile at a time: precondition, project, then
- * quantize, condense and pack, each as its function above describes.
- * records (b, ceil(p * width / 8)) and bits (b, ceil(m / 8)) get one row
- * per point, peaks (b) the largest |projection| of each point, NaN or inf
- * where the projections of a point overflowed. ns[0], ns[1] and ns[2] are
- * increased by the nanoseconds the three stages took. The tile's working
- * memory is n_pad + m + reach + 1 + p + ceil(m / 64) rows of TILE doubles.
+ * Embed b points, one tile at a time: load the tile's rows, measuring
+ * them, then precondition, project, and quantize, condense and pack, each
+ * as its function above describes. The rows are x (b, n) when fd < 0;
+ * otherwise the b rows of n little-endian doubles at byte offset of the
+ * file open as fd, which each tile reads with one pread (more after a
+ * short read) into a staging area of its working memory. records (b,
+ * ceil(p * width / 8)) and bits (b, ceil(m / 8)) get one row per point,
+ * peaks (b) the largest |projection| of each point, NaN or inf where the
+ * projections of a point overflowed, norms (b) each row's l2 norm (NaN for
+ * a row with a non-finite entry, inf for a finite row whose norm
+ * overflows; see load_tile) and, unless it is NULL, maxabs (b) each row's
+ * largest |entry| (tile_peaks). ns[0] .. ns[3] are increased by the
+ * nanoseconds that reading and loading and the three stages took. The
+ * tile's working memory is n_pad + m + reach + 1 + p + ceil(m / 64) rows
+ * of TILE doubles, and n more when reading a file. Returns 0, NO_MEMORY
+ * when that memory cannot be allocated, END_OF_FILE when the file ends
+ * before the last row, or minus the errno of a failed read; after a
+ * failure the outputs are incomplete.
  */
 CLONES
-int csq_embed_block(const double *x, int64_t b, int64_t n,
-                    const double *signs, int64_t n_pad,
+int csq_embed_block(const double *x, int fd, int64_t offset, int64_t b,
+                    int64_t n, const double *signs, int64_t n_pad,
                     const int64_t *offsets, const int64_t *cols,
                     const double *vals, int64_t m, const int64_t *pos,
                     const double *w, int64_t r, const int64_t *kernel,
                     int64_t lam, int64_t width, uint8_t *records,
-                    uint8_t *bits, double *peaks, int64_t *ns)
+                    uint8_t *bits, double *peaks, double *norms,
+                    double *maxabs, int64_t *ns)
 {
     const int64_t len = pos[r - 1] + 1, p = m / lam;
     const int64_t record = (p * width + 7) / 8, nbytes = (m + 7) / 8;
-    const int64_t doubles = (n_pad + m) * TILE + quantize_memory(m, len, p);
-    double *xt = malloc((size_t)doubles * sizeof(double));
+    const int64_t tiles = (n_pad + m) * TILE + quantize_memory(m, len, p);
+    double *xt = take_memory(tiles + (fd >= 0 ? n * TILE : 0));
     if (!xt)
-        return 1;
-    double *yt = xt + n_pad * TILE, *ring = yt + m * TILE;
+        return NO_MEMORY;
+    double *yt = xt + n_pad * TILE, *ring = yt + m * TILE, *staged = xt + tiles;
     int64_t *sums = (int64_t *)(ring + len * TILE), *words = sums + p * TILE;
     const int wide = csq_isa();
+    int status = 0;
     for (int64_t p0 = 0; p0 < b; p0 += TILE) {
         const int64_t t = b - p0 < TILE ? b - p0 : TILE;
         const int64_t t0 = now_ns();
-        precondition_tile(x + p0 * n, t, n, signs, n_pad, xt);
+        const double *rows = staged;
+        if (fd < 0) {
+            rows = x + p0 * n;
+        } else {
+            status = read_at(fd, staged, t * n * (int64_t)sizeof(double),
+                             offset + p0 * n * (int64_t)sizeof(double));
+            if (status)
+                break;
+            from_little_endian(staged, t * n);
+        }
+        load_tile(wide, rows, t, n, signs, xt, norms + p0);
+        if (maxabs)
+            tile_peaks(wide, xt, n, t, maxabs + p0);
         const int64_t t1 = now_ns();
-        project_tile(wide, offsets, cols, vals, m, xt, yt);
+        transform_tile(n, signs, n_pad, xt);
         const int64_t t2 = now_ns();
+        project_tile(wide, offsets, cols, vals, m, xt, yt);
+        const int64_t t3 = now_ns();
         quantize_condense_tile(wide, yt, m, t, pos, w, r, kernel, lam, ring,
                                sums, words, peaks + p0);
         put_tile(sums, words, t, m, p, width, records + p0 * record,
                  bits + p0 * nbytes);
-        const int64_t t3 = now_ns();
+        const int64_t t4 = now_ns();
         ns[0] += t1 - t0;
         ns[1] += t2 - t1;
         ns[2] += t3 - t2;
+        ns[3] += t4 - t3;
     }
-    free(xt);
-    return 0;
+    give_memory(xt);
+    return status;
 }
 
 /*

@@ -49,6 +49,9 @@ FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 # Points per tile of the preconditioned block; TILE in _kernels.c.
 TILE = 16
+# What csq_quantize and csq_embed_block return besides 0 and -errno;
+# NO_MEMORY and END_OF_FILE in _kernels.c.
+NO_MEMORY, END_OF_FILE = 1, 2
 # Bytes csq_pair_lines copies per number and per short text; NUM and TEXT
 # in _kernels.c.
 NUM, TEXT = 24, 32
@@ -77,8 +80,8 @@ _SIGNATURES = {
     "csq_records": (None, [_ptr, _i64, _i64, _i64, _ptr]),
     "csq_embed_block": (
         _int,
-        [_ptr, _i64, _i64, _ptr, _i64, _ptr, _ptr, _ptr, _i64, _ptr, _ptr, _i64,
-         _ptr, _i64, _i64, _ptr, _ptr, _ptr, _ptr],
+        [_ptr, _int, _i64, _i64, _i64, _ptr, _i64, _ptr, _ptr, _ptr, _i64, _ptr,
+         _ptr, _i64, _ptr, _i64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr],
     ),
     **{
         name: (None, [_ptr, _i64, _i64, _i64, _i64, _ptr])
@@ -136,15 +139,17 @@ class Kernels:
     """Typed entry points into the loaded library; each checks its buffers
     before passing pointers. ctypes releases the GIL during every call.
 
-    The embed kernels take what the package's types have checked when they
-    were made: finite input rows (a :class:`csq.pipeline.Dataset`) and the
-    CSR arrays of a :class:`csq.transforms.SparseGaussianMatrix` (read-only
-    C-ordered int64/float64, offsets rising from 0 to nnz, every column in
-    range), which they read in place.
+    The embed kernels take the CSR arrays of a
+    :class:`csq.transforms.SparseGaussianMatrix` as its type checked them
+    when it was made (read-only C-ordered int64/float64, offsets rising
+    from 0 to nnz, every column in range), and read them in place. Input
+    rows need no check: :meth:`embed_block` measures every row it loads,
+    and a non-finite entry shows only in the norms it returns.
 
     :meth:`embed_block` is the embed path: it reads the operator, the
-    quantizer taps and the condensation kernel from the model, and the C
-    kernel allocates its own tile of working memory. :meth:`precondition`,
+    quantizer taps and the condensation kernel from the model, reads the
+    rows from memory or from a file, and the C kernel allocates its own
+    tile of working memory. :meth:`precondition`,
     :meth:`project` and :meth:`quantize` (which also condenses and packs)
     run one stage each, and :meth:`records` the record writer, so that
     every kernel can be compared with its numpy counterpart on its own.
@@ -226,32 +231,48 @@ class Kernels:
             _check(out, np.uint8, out.size),
         )
 
-    def embed_block(self, model, x, records, bits, peaks, ns) -> None:
-        """Embed the rows of x (b, n) with the operator, quantizer and
-        condensation of ``model`` (a :class:`csq.pipeline.EmbeddingModel`):
-        ``records`` (b, ceil(p * bit_width / 8)) and ``bits`` (b,
+    def embed_block(
+        self, model, x, records, bits, peaks, norms, maxabs, ns, fd=-1, offset=0
+    ) -> None:
+        """Embed b rows with the operator, quantizer and condensation of
+        ``model`` (a :class:`csq.pipeline.EmbeddingModel`). The rows are x
+        (b, n); or, with x None and ``fd`` >= 0, the b rows of n
+        little-endian float64 at byte ``offset`` of the file open as
+        ``fd``, which the kernel reads itself, one ``pread`` per 16-row
+        tile. ``records`` (b, ceil(p * bit_width / 8)) and ``bits`` (b,
         ceil(m/8)) get the CSQD and CSQC records of the sketches and codes
         the numpy stages give, and ``peaks`` (b) each point's largest
-        |projection|, not finite where the projections overflowed. The
-        int64 ``ns`` (3) is increased by the nanoseconds spent in
-        preconditioning, projection, and quantizing with condensing and
-        packing. Raises MemoryError when the kernel cannot allocate the
-        working memory of one tile."""
+        |projection|, not finite where the projections overflowed.
+        ``norms`` (b) gets each row's l2 norm, bit for bit as
+        ``np.linalg.norm`` gives it: NaN for a row with a non-finite entry,
+        inf for a finite row whose norm overflows. ``maxabs`` (b), unless
+        it is None, gets each row's largest |entry|. The int64 ``ns`` (4)
+        is increased by the nanoseconds spent reading and loading the
+        rows (with their norms and peaks), preconditioning, projecting,
+        and quantizing with condensing and packing.
+
+        Raises MemoryError when the kernel cannot allocate the working
+        memory of one tile, EOFError when the file ends before the last
+        row, and OSError with the errno of a read that fails."""
         op = model.operator
         matrix, signs = op.matrix, op.signs
-        b, n = x.shape
+        b = peaks.size
         n_pad, m = matrix.cols, matrix.rows
         spec = model.condensation
         kernel = spec.kernel
         positions, weights = _taps(model.quantizer)
         if (
-            n != op.n
+            (x is None) != (fd >= 0)
+            or (x is not None and x.shape != (b, op.n))
             or records.shape != (b, spec.record_bytes)
             or bits.shape != (b, (m + 7) // 8)
+            or norms.shape != (b,)
+            or (maxabs is not None and maxabs.shape != (b,))
         ):
             raise ValueError("block dimensions disagree")
-        if self._lib.csq_embed_block(
-            _check(x, np.float64, b * n), b, n,
+        status = self._lib.csq_embed_block(
+            None if x is None else _check(x, np.float64, b * op.n), fd, offset,
+            b, op.n,
             None if signs is None else _check(signs, np.float64, n_pad),
             n_pad,
             matrix.row_offsets.ctypes.data, matrix.col_indices.ctypes.data,
@@ -261,9 +282,16 @@ class Kernels:
             _check(records, np.uint8, records.size),
             _check(bits, np.uint8, bits.size),
             _check(peaks, np.float64, b),
-            _check(ns, np.int64, 3),
-        ):
+            _check(norms, np.float64, b),
+            None if maxabs is None else _check(maxabs, np.float64, b),
+            _check(ns, np.int64, 4),
+        )
+        if status == NO_MEMORY:
             raise MemoryError("cannot allocate the embed kernel's tile")
+        if status == END_OF_FILE:
+            raise EOFError("the file ends before the block's last row")
+        if status:
+            raise OSError(-status, os.strerror(-status))
 
     def draw_sparse(self, rng, rows: int, cols: int, sparsity: float, capacity=None):
         """``(row_offsets, col_indices, values)`` of the rows x cols sparse

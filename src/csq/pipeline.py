@@ -44,6 +44,7 @@ from .condense import (
     unpack_rows,
 )
 from .errors import (
+    CorruptionError,
     DegenerateInputError,
     InputError,
     ParameterError,
@@ -69,6 +70,8 @@ STAGES = ("read", "precondition", "project", "quantize", "write")
 
 METHODS = ("sparse", "fjlt")
 
+_NOT_FINITE = "dataset entries must be finite"
+_NORMS_OVERFLOW = "dataset row norms overflow float64"
 _OVERFLOW = (
     "the projections overflowed: the input is too large to embed; "
     "scale the dataset (see kappa_bound)"
@@ -99,8 +102,8 @@ def _finite_row_norms(matrix: np.ndarray) -> np.ndarray:
         # infinite, so the entries need a scan only when a norm is.
         if not np.isfinite(out).all():
             if not np.isfinite(block).all():
-                raise InputError("dataset entries must be finite")
-            raise InputError("dataset row norms overflow float64")
+                raise InputError(_NOT_FINITE)
+            raise InputError(_NORMS_OVERFLOW)
     return norms
 
 
@@ -349,10 +352,14 @@ class EmbedDiagnostics:
     ``"numpy"`` (the numpy stages on one thread, ``isa`` empty;
     ``kernels_note`` says why the compiled kernels are unavailable).
     ``stage_ms`` maps each of :data:`STAGES` to the milliseconds spent in
-    it, summed over the threads: reading the rows (with their ``Dataset``
-    check, for a file), preconditioning (the tile copy alone for ``sparse``
-    on the compiled kernels), projection, quantizing with condensing and
-    packing, and handing the records to ``write``.
+    it, summed over the threads: reading the rows with their norms and
+    peaks (on the compiled kernels, the kernel's own ``pread`` of each
+    tile of a file and its copy of the rows into the tile, which takes
+    their norms and peaks; on the numpy kernels, a file block's
+    ``preadv`` and ``Dataset`` check), preconditioning (the pad and the
+    transform; nothing for ``sparse`` on the compiled kernels),
+    projection, quantizing with condensing and packing, and handing the
+    records to ``write``.
     """
 
     amplitude_violations: np.ndarray
@@ -398,40 +405,78 @@ def _embed_numpy(model: EmbeddingModel, vectors: np.ndarray, ns: np.ndarray):
     return records, bits, quant.amplitude_violations
 
 
-def _embed_native(kern, model: EmbeddingModel, vectors, records, bits, peaks, ns):
-    """:func:`_embed_numpy` with the compiled kernels, into the first
-    ``len(vectors)`` rows of the given buffers. The kernels do the same
-    floating-point operations as the numpy stages, so the results are
-    equal bit for bit."""
-    b = len(vectors)
-    records, bits, peaks = records[:b], bits[:b], peaks[:b]
-    kern.embed_block(model, np.ascontiguousarray(vectors), records, bits, peaks, ns)
-    if not np.isfinite(peaks).all():
+def _embed_block(kern, model: EmbeddingModel, source, read, lo: int, hi: int, out, ns):
+    """Embed rows lo..hi-1 of ``source``: returns their CSQD records, CSQC
+    records, amplitude violations, l2 norms and peaks (each row's largest
+    |entry|, for the sparse method's well-spread check; None for fjlt).
+    ``ns``, the thread's row of stage nanoseconds, gains the time of the
+    first four stages.
+
+    On the numpy kernels ``read`` is the thread's ``source.block_reader``.
+    The compiled kernel reads the rows itself: a :class:`Dataset`'s in
+    memory, a CSQV file's (a :class:`csq.store.VectorFile`) with
+    ``pread``. It writes into ``out``, the thread's buffers of records,
+    bits, projection peaks, norms and peaks, and measures each row as it
+    loads it; a block with a non-finite entry, a norm that overflows or
+    projections that overflow is refused here, in that order, with the
+    messages of :class:`Dataset` and :func:`embed_dataset`.
+    """
+    if kern is None:
+        t0 = time.perf_counter_ns()
+        vectors, norms = read(lo, hi)
+        ns[0] += time.perf_counter_ns() - t0
+        records, bits, loud = _embed_numpy(model, vectors, ns[1:4])
+        peaks = _row_peaks(vectors) if model.method == "sparse" else None
+        return records, bits, loud, norms, peaks
+    records, bits, projected, norms, peaks = (
+        None if a is None else a[: hi - lo] for a in out
+    )
+    if isinstance(source, Dataset):
+        x = np.ascontiguousarray(source.vectors[lo:hi])
+        kern.embed_block(model, x, records, bits, projected, norms, peaks, ns[:4])
+    else:
+        try:
+            kern.embed_block(
+                model, None, records, bits, projected, norms, peaks, ns[:4],
+                fd=source.fileno(), offset=source.offset(lo),
+            )
+        except EOFError:
+            raise CorruptionError(f"{source.path}: truncated file") from None
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(source.path)) from None
+    if np.isnan(norms).any():
+        raise InputError(_NOT_FINITE)
+    if np.isinf(norms).any():
+        raise InputError(_NORMS_OVERFLOW)
+    if not np.isfinite(projected).all():
         raise InputError(_OVERFLOW)
-    return records, bits, peaks > model.quantizer.mu
+    return records, bits, projected > model.quantizer.mu, norms, peaks
 
 
 def _embed_blocks(model: EmbeddingModel, source, write):
     """Embed the ``source.k`` rows of ``source``, ``_BLOCK`` at a time;
     returns the diagnostics and the largest row norm.
 
-    ``source`` (a :class:`Dataset`, or a :class:`csq.store.VectorFile`)
-    has ``k``, ``n`` and ``block_reader(rows)``, which gives each thread
-    its own ``read(lo, hi)``: rows lo..hi-1 (at most ``rows`` of them),
-    checked finite, and their l2 norms. Each block goes from start to
-    finish on one thread: it is read, embedded, and handed to
-    ``write(lo, records, bits)`` as CSQD sketch records (b, ceil(p *
-    bit_width / 8)) and CSQC code records (b, ceil(m/8)) in buffers the
-    thread reuses once ``write`` returns. Threads call ``write`` at once,
-    for disjoint rows.
+    ``source`` is a :class:`Dataset` or a :class:`csq.store.VectorFile`:
+    it has ``k``, ``n`` and ``block_reader(rows)``, which gives a thread
+    of the numpy kernels its own ``read(lo, hi)``: rows lo..hi-1 (at most
+    ``rows`` of them), checked finite, and their l2 norms. The compiled
+    kernel reads the rows itself (see :func:`_embed_block`), a file's with
+    ``pread`` into a 16-row staging area, so no block of input rows is
+    ever buffered. Each block goes from start to finish on one thread: it
+    is read, checked, embedded, and handed to ``write(lo, records, bits)``
+    as CSQD sketch records (b, ceil(p * bit_width / 8)) and CSQC code
+    records (b, ceil(m/8)) in buffers the thread reuses once ``write``
+    returns. Threads call ``write`` at once, for disjoint rows.
 
     The compiled kernels run on up to one thread per CPU, thread w taking
     blocks w, w + workers, ...; the numpy stages run on one. Both do the
-    same floating-point operations per point, so the outputs depend on
-    neither the block size, the thread count nor the kernel set. A thread
-    stops at its first failing block and skips the blocks above the lowest
-    failure seen so far; once every thread has stopped, the error of the
-    lowest failing block is raised, whatever the timing.
+    same floating-point operations per point, so the outputs, the norms
+    and the peaks depend on neither the block size, the thread count nor
+    the kernel set. A thread stops at its first failing block and skips
+    the blocks above the lowest failure seen so far; once every thread
+    has stopped, the error of the lowest failing block is raised,
+    whatever the timing.
     """
     if source.n != model.n:
         raise ShapeError(f"dataset dim {source.n} != model dim {model.n}")
@@ -458,42 +503,39 @@ def _embed_blocks(model: EmbeddingModel, source, write):
     rows = min(_BLOCK, k)
     starts = range(0, k, _BLOCK)
 
-    # Each thread's reader and kernel buffers are made here, on the calling
+    # Each thread's reader or kernel buffers are made here, on the calling
     # thread, so that their memory returns to its heap, which later work
     # reuses, rather than to the worker thread's.
-    readers = [source.block_reader(rows) for _ in range(workers)]
-    if kern is not None:
+    readers = [None] * workers
+    outputs = [None] * workers
+    if kern is None:
+        readers = [source.block_reader(rows)]
+    else:
         outputs = [
             (
                 np.empty((rows, model.condensation.record_bytes), dtype=np.uint8),
                 np.empty((rows, (model.m + 7) // 8), dtype=np.uint8),
                 np.empty(rows),
+                np.empty(rows),
+                np.empty(rows) if threshold is not None else None,
             )
             for _ in range(workers)
         ]
 
     def run(w: int) -> None:
-        read = readers[w]
         for lo in starts[w::workers]:
             if lo > min(row for row, _ in failures):
                 return
             hi = min(lo + _BLOCK, k)
             try:
-                t0 = time.perf_counter_ns()
-                vectors, norms = read(lo, hi)
-                ns[w, 0] += time.perf_counter_ns() - t0
-                if kern is None:
-                    out = _embed_numpy(model, vectors, ns[w, 1:4])
-                else:
-                    out = _embed_native(kern, model, vectors, *outputs[w], ns[w, 1:4])
-                records, bits, loud = out
+                records, bits, loud, norms, peaks = _embed_block(
+                    kern, model, source, readers[w], lo, hi, outputs[w], ns[w]
+                )
                 violations[lo:hi] = loud
                 if threshold is not None:
                     # The tiny slack keeps exact-boundary points (norm
                     # computed with rounding) from being flagged.
-                    wellspread[lo:hi] = (
-                        _row_peaks(vectors) > threshold * norms * (1.0 + 1e-9)
-                    )
+                    wellspread[lo:hi] = peaks > threshold * norms * (1.0 + 1e-9)
                 kappas[w] = max(kappas[w], float(norms.max(initial=0.0)))
                 t0 = time.perf_counter_ns()
                 write(lo, records, bits)

@@ -17,8 +17,9 @@ used by the writer and the reader alike), then its payload arrays:
 Readers check the header, then check each payload's size against the file
 size before they read it into its final array, so a header claiming more
 data than the file holds allocates nothing. ``read_vectors`` also accepts
-plain CSV (one comma-separated vector per line). ``VectorFile`` reads the
-rows of a CSQV file a block at a time; ``codes_writer`` and
+plain CSV (one comma-separated vector per line). ``VectorFile`` gives the
+rows of a CSQV file a block at a time, or their offsets to the compiled
+embed kernel, which reads them itself; ``codes_writer`` and
 ``condensed_writer`` write a CSQC or CSQD header and then records at their
 offsets, in any order and from several threads, and are the writers of
 ``write_codes`` and ``write_condensed`` too. Curves and stability
@@ -210,8 +211,10 @@ class VectorFile:
 
     Made from a file object at its start: the header is read and checked,
     and so is the file size, which must be exactly the header and k*n
-    float64. The rows are read with ``os.preadv`` at their offsets, so
-    threads may read at once; the file stays open while ``fh`` does.
+    float64. Row lo starts at byte ``offset(lo)`` of the file open as
+    ``fileno()``: the compiled embed kernel reads its rows there itself,
+    and :meth:`read` with ``os.preadv``, so threads may read at once. The
+    file stays open while ``fh`` does.
     """
 
     def __init__(self, fh, path):
@@ -224,11 +227,18 @@ class VectorFile:
         self.path, self.k, self.n = path, k, n
         self._fd, self._start = fh.fileno(), fh.tell()
 
+    def fileno(self) -> int:
+        return self._fd
+
+    def offset(self, lo: int) -> int:
+        """The byte offset of row lo."""
+        return self._start + 8 * lo * self.n
+
     def read(self, lo: int, out: np.ndarray) -> np.ndarray:
         """Rows lo.. into ``out``, a C-ordered little-endian float64
         (b, n) array, unchecked; returns ``out``."""
         view = _bytes(out)
-        offset = self._start + 8 * lo * self.n
+        offset = self.offset(lo)
         while view:
             got = os.preadv(self._fd, [view], offset)
             if got == 0:
@@ -237,9 +247,10 @@ class VectorFile:
         return out
 
     def block_reader(self, rows: int):
-        """``read(lo, hi)`` of :func:`csq.pipeline._embed_blocks`: rows
-        lo..hi-1 (at most ``rows``) read into one buffer, checked as a
-        :class:`Dataset`; returns their vectors and norms."""
+        """``read(lo, hi)`` of the numpy kernels' block loop (see
+        :func:`csq.pipeline._embed_blocks`): rows lo..hi-1 (at most
+        ``rows``) read into one buffer, checked as a :class:`Dataset`;
+        returns their vectors and norms."""
         buffer = np.empty((rows, self.n), dtype="<f8")
 
         def read(lo: int, hi: int):

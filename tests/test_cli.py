@@ -787,11 +787,9 @@ def test_failed_embed_publishes_nothing(
 def test_the_lowest_failing_block_is_reported(
     tmp_path, capsys, monkeypatch, low, high, workers
 ):
-    """Blocks 1 and 3 of 5 fail, in different ways; block 1 is read last,
-    after block 3 has failed on another thread, and its error is the one
-    reported."""
-    import os
-
+    """Blocks 1 and 3 of 5 fail, in different ways; block 1 is embedded
+    last, after block 3 has failed on another thread, and its error is the
+    one reported."""
     _blocks_of(monkeypatch, 4, workers)
     _loud_models(monkeypatch)
     xs = np.full((20, 37), 0.01)
@@ -802,15 +800,14 @@ def test_the_lowest_failing_block_is_reported(
             xs[4 * block + 1] = 1e10
     inp = tmp_path / "points.csqv"
     _write_csqv(inp, xs)
-    preadv = os.preadv
-    slow = 24 + 4 * 37 * 8  # the offset of block 1
+    embed_block = pipeline._embed_block
 
-    def late(fd, buffers, offset):
-        if offset == slow:
+    def late(kern, model, source, read, lo, *args):
+        if lo == 4:  # block 1
             time.sleep(0.3)
-        return preadv(fd, buffers, offset)
+        return embed_block(kern, model, source, read, lo, *args)
 
-    monkeypatch.setattr(os, "preadv", late)
+    monkeypatch.setattr(pipeline, "_embed_block", late)
     capsys.readouterr()
     assert main(_embed_argv(inp, tmp_path)) == 2
     assert capsys.readouterr().err == {"nan": NAN_ERROR, "overflow": OVERFLOW_ERROR}[low]
@@ -818,17 +815,110 @@ def test_the_lowest_failing_block_is_reported(
 
 
 def test_a_short_csqv_is_refused_before_any_block(tmp_path, capsys, monkeypatch):
+    """Neither a read of rows (``os.preadv``) nor an embed kernel call
+    (which reads a file's rows itself) happens; the whole file makes one
+    or the other."""
     import os
 
+    from csq import _native
+
     inp, _ = _make_dataset(tmp_path)
-    inp.write_bytes(inp.read_bytes()[:-1])
+    whole = inp.read_bytes()
+    inp.write_bytes(whole[:-1])
     reads = []
     preadv = os.preadv
     monkeypatch.setattr(os, "preadv", lambda *a: reads.append(a) or preadv(*a))
+    embed_block = _native.Kernels.embed_block
+    monkeypatch.setattr(
+        _native.Kernels, "embed_block", lambda *a, **kw: reads.append(a) or embed_block(*a, **kw)
+    )
     assert main(_embed_argv(inp, tmp_path)) == 2
     assert capsys.readouterr().err.startswith("corruption error:")
     assert reads == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["points.csqv"]
+    inp.write_bytes(whole)
+    assert main(_embed_argv(inp, tmp_path)) == 0
+    assert reads
+
+
+def _kernel_set(monkeypatch, kernels):
+    """Run on the compiled (``"native"``) or the numpy kernels."""
+    from csq import _native
+
+    if kernels == "numpy":
+        monkeypatch.setattr(_native, "load", lambda: None)
+    elif _native.load() is None:
+        pytest.skip("compiled kernels unavailable: " + _native.failure())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "kernels, workers", [("native", 1), ("native", 2), ("numpy", 1)],
+    ids=["native-1", "native-2", "numpy"],
+)
+def test_an_input_cut_short_during_the_job_is_refused(
+    tmp_path, capsys, monkeypatch, kernels, workers
+):
+    """The CSQV file loses its last rows, the last one in part, after its
+    size was checked: the job exits 2 with a corruption error, leaves the
+    outputs of the job before it as they were and leaves no temporary
+    file behind."""
+    import os
+
+    inp, _ = _make_dataset(tmp_path, k=20, n=37)
+    argv = _embed_argv(inp, tmp_path)
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    _kernel_set(monkeypatch, kernels)
+    _blocks_of(monkeypatch, 4, workers)
+    embed_blocks = pipeline._embed_blocks
+
+    def shrinking(model, source, write):
+        os.truncate(inp, inp.stat().st_size - 37 * 8 * 2 - 5)
+        return embed_blocks(model, source, write)
+
+    monkeypatch.setattr(pipeline, "_embed_blocks", shrinking)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"corruption error: {inp}: truncated file\n"
+    before[inp.name] = inp.read_bytes()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_the_native_file_path_buffers_no_block(tmp_path, capsys, monkeypatch):
+    """The compiled kernel reads a CSQV file's rows itself: ``csq embed``
+    never makes a ``VectorFile.block_reader``, and the tracemalloc peak of
+    its block loop over 2048 rows of 1000 stays under 1 MiB (a 512-row
+    block buffer alone is 4 MB). Two threads, as many as blocks of
+    records the peak holds."""
+    import tracemalloc
+
+    _kernel_set(monkeypatch, "native")
+    _blocks_of(monkeypatch, pipeline._BLOCK, 2)
+    monkeypatch.setattr(
+        store.VectorFile, "block_reader", lambda *a: pytest.fail("block buffer made")
+    )
+    inp = tmp_path / "points.csqv"
+    rows = np.random.default_rng(5).standard_normal((2048, 1000)) * (0.01 / np.sqrt(1000))
+    _write_csqv(inp, rows)
+    del rows
+    embed_blocks, peaks = pipeline._embed_blocks, []
+
+    def traced(model, source, write):
+        tracemalloc.start()
+        try:
+            return embed_blocks(model, source, write)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(pipeline, "_embed_blocks", traced)
+    argv = _embed_argv(inp, tmp_path) + ["--method", "fjlt"]
+    for flag, value in (("--p", "64"), ("--lambda-tilde", "16"), ("--r", "2")):
+        argv[argv.index(flag) + 1] = value
+    assert main(argv) == 0
+    (peak,) = peaks
+    assert peak < 2**20
 
 
 def test_embed_to_dev_null(tmp_path, capsys, monkeypatch):

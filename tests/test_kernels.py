@@ -301,6 +301,88 @@ def test_embed_refuses_overflowing_projections(method):
 # ------------------------------------------------------- operator draw
 
 
+def _embed_rows(kern, model, b, x=None, fd=-1, offset=0):
+    """The records, bits, projection peaks, row norms and row peaks of one
+    ``embed_block`` call over b rows, in memory or from a file."""
+    out = (
+        np.empty((b, model.condensation.record_bytes), dtype=np.uint8),
+        np.empty((b, (model.m + 7) // 8), dtype=np.uint8),
+        np.empty(b), np.empty(b), np.empty(b),
+    )
+    kern.embed_block(model, x, *out, np.zeros(4, dtype=np.int64), fd=fd, offset=offset)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 37, 127, 128, 129, 136, 300, 1000, 4099])
+@pytest.mark.parametrize("method", ["sparse", "fjlt"])
+def test_native_rows_are_measured_as_numpy_measures_them(kernels, tmp_path, method, n):
+    """Each row's norm equals np.linalg.norm's bit for bit (the kernel
+    sums the squares in NumPy's pairwise order, whose blocks of 8 and 128
+    terms these n straddle) and its peak equals np.abs(x).max(); reading
+    the rows from a file at an offset gives every output of reading them
+    in memory."""
+    b = 19  # a tile and a partial one
+    rng = np.random.default_rng(n)
+    # Row scales from 1e-13 to 1e13 exercise the rounding of every sum.
+    x = rng.standard_normal((b, n)) * np.exp(rng.uniform(-30, 30, (b, 1)))
+    x[1], x[2] = 0.0, -0.0
+    model = build_model(method, n, 4, 4, 2, seed=n)
+    in_memory = _embed_rows(kernels, model, b, x=x)
+    assert same_bits(in_memory[3], np.linalg.norm(x, axis=1))
+    assert same_bits(in_memory[4], np.abs(x).max(axis=1))
+    path = tmp_path / "rows"
+    path.write_bytes(b"\xff" * 24 + x.astype("<f8").tobytes())
+    with open(path, "rb") as fh:
+        from_file = _embed_rows(kernels, model, b, fd=fh.fileno(), offset=24)
+    for got, want in zip(from_file, in_memory):
+        assert same_bits(got, want) if got.dtype == np.float64 else np.array_equal(got, want)
+
+
+def test_native_rows_flag_non_finite_entries_and_overflowing_norms(kernels):
+    """A row with a NaN or an infinite entry has a NaN norm, a finite row
+    whose norm overflows an infinite one; the other rows keep their norms
+    and peaks, and no peak is asked for when none is wanted."""
+    model = build_model("fjlt", 37, 4, 4, 2, seed=1)
+    x = _points(7, 37, seed=4) * 0.01
+    x[0, 5], x[2, 36], x[3, 0], x[4] = np.nan, np.inf, -np.inf, 1e200
+    x[6, :2] = np.inf, np.nan
+    _, _, _, norms, peaks = _embed_rows(kernels, model, 7, x=x)
+    assert np.isnan(norms[[0, 2, 3, 6]]).all()
+    assert norms[4] == np.inf and peaks[4] == 1e200
+    for row in (1, 5):
+        assert norms[row] == np.linalg.norm(x[row]) and peaks[row] == np.abs(x[row]).max()
+    out = _embed_rows(kernels, model, 7, x=np.nan_to_num(x, posinf=0.0, nan=0.0))
+    kernels.embed_block(model, x, *out[:4], None, np.zeros(4, dtype=np.int64))
+    assert np.isnan(out[3][[0, 2, 3, 6]]).all() and out[3][4] == np.inf
+
+
+def test_native_file_reads_report_the_end_and_errors(kernels, tmp_path):
+    """A file that ends before the last row raises EOFError, and a read
+    that fails raises OSError with its errno: a descriptor open for
+    writing only (EBADF) and a directory (EISDIR)."""
+    import errno
+    import os
+
+    model = build_model("sparse", 37, 4, 4, 2, seed=1)
+    path = tmp_path / "rows"
+    path.write_bytes((_points(20, 37, seed=2) * 0.01).astype("<f8").tobytes())
+    with open(path, "rb") as fh:
+        _embed_rows(kernels, model, 20, fd=fh.fileno())
+        for b, offset in ((21, 0), (20, 8), (1, 20 * 37 * 8)):
+            with pytest.raises(EOFError):
+                _embed_rows(kernels, model, b, fd=fh.fileno(), offset=offset)
+    for target, flags, code in (
+        (path, os.O_WRONLY, errno.EBADF), (tmp_path, os.O_RDONLY, errno.EISDIR),
+    ):
+        fd = os.open(target, flags)
+        try:
+            with pytest.raises(OSError) as caught:
+                _embed_rows(kernels, model, 20, fd=fd)
+        finally:
+            os.close(fd)
+        assert caught.value.errno == code
+
+
 @pytest.mark.parametrize("rows, cols, sparsity", DRAWS)
 def test_build_sparse_gaussian_matches_the_loop(rows, cols, sparsity):
     mat = build_sparse_gaussian(rows, cols, sparsity, seed=rows + cols)
@@ -489,31 +571,35 @@ def test_native_records_match_the_documented_layout(kernels, bit_width, p):
 
 @pytest.mark.parametrize("method", ["sparse", "fjlt"])
 def test_native_embed_block_refuses_wrong_shapes_before_the_kernel(kernels, method):
-    """Records one byte short or long, bits of the wrong width and x of
-    the wrong n are refused in Python: the stand-in library raises
-    AttributeError on any kernel call. For fjlt, n + 1 still fits the
-    padded dimension. A kernel that reports a failed allocation raises
-    MemoryError."""
+    """Records one byte short or long, bits of the wrong width, x of the
+    wrong n, rows given both in memory and as a file, or neither, and row
+    buffers of the wrong length are refused in Python: the stand-in
+    library raises AttributeError on any kernel call. For fjlt, n + 1
+    still fits the padded dimension. A kernel that reports a failed
+    allocation raises MemoryError."""
     model = build_model(method, 37, 4, 4, 2, seed=1)
     spec = model.condensation
     b, record, nbytes = 5, spec.record_bytes, (model.m + 7) // 8
     checked_only = copy.copy(kernels)
     checked_only._lib = types.SimpleNamespace()
 
-    def call(n=37, width=record, bits_width=nbytes):
+    def call(n=37, width=record, bits_width=nbytes, rows=b, x=True, fd=-1):
         checked_only.embed_block(
-            model, _points(b, n, seed=n) * 0.01,
+            model, _points(b, n, seed=n) * 0.01 if x else None,
             np.empty((b, width), dtype=np.uint8),
             np.empty((b, bits_width), dtype=np.uint8), np.empty(b),
-            np.zeros(3, dtype=np.int64),
+            np.empty(rows), np.empty(rows), np.zeros(4, dtype=np.int64), fd=fd,
         )
 
     with pytest.raises(AttributeError):
         call()
+    with pytest.raises(AttributeError):
+        call(x=False, fd=0)
     for bad in (
         dict(width=record - 1), dict(width=record + 1),
         dict(bits_width=nbytes - 1), dict(bits_width=nbytes + 1),
-        dict(n=36), dict(n=38),
+        dict(n=36), dict(n=38), dict(fd=0), dict(x=False),
+        dict(rows=b - 1), dict(rows=b + 1, x=False, fd=0),
     ):
         with pytest.raises(ValueError, match="block dimensions disagree"):
             call(**bad)

@@ -32,6 +32,8 @@ from test_kernels import (  # noqa: F401
     test_native_project_matches_bincount,
     test_native_quantize_exact_sign_ties,
     test_native_records_match_the_documented_layout,
+    test_native_rows_are_measured_as_numpy_measures_them,
+    test_native_rows_flag_non_finite_entries_and_overflowing_norms,
 )
 
 pytestmark = pytest.mark.usefixtures("baseline_loader")

@@ -190,17 +190,21 @@ def test_library_has_no_fused_multiply_add():
 
 # Run under the address and undefined-behaviour sanitizers: the operator
 # draw, a draw that runs out of room and resumes, a draw from Philox, the
-# embed over partial tiles, whole tiles and two blocks, fjlt at r = 4 over
-# transforms of 1, 2, 4 and 512 rows, the record writer at every width, and
-# the l1 sums of every entry dtype.
+# embed over partial tiles, whole tiles and two blocks, from memory and
+# from CSQV files (whose rows the kernel reads itself, one file cut short
+# after its size was checked), fjlt at r = 4 over transforms of 1, 2, 4
+# and 512 rows, the record writer at every width, and the l1 sums of every
+# entry dtype.
 SANITIZED_RUN = """
-import ctypes, sys
+import ctypes, os, sys
 import numpy as np
-from csq import _native
+from csq import _native, store
 from csq.condense import pairwise_l1_blocks
-from csq.pipeline import build_model, dataset_from_matrix, embed_dataset
+from csq.errors import CorruptionError
+from csq.pipeline import _embed_blocks, build_model, dataset_from_matrix, embed_dataset
 
 kern = _native.Kernels(ctypes.CDLL(sys.argv[1]))
+path = os.path.join(sys.argv[2], "points.csqv")
 _native.load = lambda: kern
 rng = np.random.default_rng(0)
 for method in ("sparse", "fjlt"):
@@ -215,6 +219,24 @@ for method in ("sparse", "fjlt"):
             for dtype in _native.L1_KERNELS:
                 for _ in pairwise_l1_blocks(rows.astype(dtype), 1000):
                     pass
+for method in ("sparse", "fjlt"):
+    for n in (37, 300):
+        for k in (1, 17, 513):
+            xs = rng.standard_normal((k, n))
+            xs *= 0.3 / np.abs(xs).max()
+            store.write_vectors(path, dataset_from_matrix(xs))
+            model = build_model(method, n, 4, 4, 2, seed=k)
+            with store.open_vectors(path) as source:
+                diag, _ = _embed_blocks(model, source, lambda *block: None)
+            assert diag.kernels == "native"
+with store.open_vectors(path) as source:
+    os.truncate(path, os.path.getsize(path) - 8 * 300 - 1)
+    try:
+        _embed_blocks(model, source, lambda *block: None)
+    except CorruptionError:
+        pass
+    else:
+        raise AssertionError("a file cut short was embedded")
 for n in (1, 2, 3, 300):
     xs = rng.standard_normal((17, n))
     xs *= 0.3 / np.abs(xs).max()
@@ -262,7 +284,7 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
         ASAN_OPTIONS="detect_leaks=0",
     )
     proc = subprocess.run(
-        [sys.executable, "-c", SANITIZED_RUN, str(lib)],
+        [sys.executable, "-c", SANITIZED_RUN, str(lib), str(tmp_path)],
         env=env, capture_output=True, timeout=300,
     )
     assert proc.returncode == 0 and proc.stdout == b"ok\n", proc.stderr.decode()[-4000:]

@@ -143,11 +143,13 @@ def test_sparse_embed_well_spread_check_makes_no_full_size_temporary():
 
 
 def test_embed_jobs_read_their_input_once(tmp_path, monkeypatch, capsys):
-    """A sparse job from a file makes one finiteness and norm pass (when
-    the dataset is made) and one peaks pass (for the well-spread check);
-    an fjlt job makes no peaks pass. ``csq embed`` makes them once per
-    block of rows it reads."""
-    from csq import pipeline, store
+    """Making a dataset makes one finiteness and norm pass. On the compiled
+    kernels the embed makes no pass of its own: the kernel measures each
+    row as it loads it, from memory or, for ``csq embed``, from the file.
+    On the numpy kernels a sparse embed makes one peaks pass (for the
+    well-spread check) and an fjlt embed none, and ``csq embed`` makes
+    them and the dataset's pass once per block of rows it reads."""
+    from csq import _native, pipeline, store
     from csq.cli import main
 
     passes = []
@@ -158,24 +160,31 @@ def test_embed_jobs_read_their_input_once(tmp_path, monkeypatch, capsys):
         )
     path = tmp_path / "x.csqv"
     store.write_vectors(path, flat_dataset(64, 20, 0.1, seed=2))
-    for method, want in (("sparse", ["_finite_row_norms", "_row_peaks"]),
-                         ("fjlt", ["_finite_row_norms"])):
-        passes.clear()
-        data = store.read_vectors(path)
-        embed_dataset(build_model(method, 64, 4, 4, 2, seed=1), data)
-        assert passes == want
-        # The embed finds its peaks block by block; the dataset's own
-        # whole-matrix peaks stay uncomputed until read.
-        assert "peaks" not in vars(data)
-        passes.clear()
-        with monkeypatch.context() as blocks_of_8:
-            blocks_of_8.setattr(pipeline, "_BLOCK", 8)
-            assert main([
-                "embed", "--input", str(path), "--method", method, "--p", "4",
-                "--lambda-tilde", "4", "--r", "2", "--out-model", str(tmp_path / "m"),
-                "--out-codes", str(tmp_path / "c"), "--out-condensed", str(tmp_path / "d"),
-            ]) == 0
-        assert sorted(passes) == sorted(want * 3)
+    kernel_sets = ["numpy"] + (["native"] if _native.load() is not None else [])
+    for kernels in kernel_sets:
+        for method in ("sparse", "fjlt"):
+            want = ["_row_peaks"] if method == "sparse" and kernels == "numpy" else []
+            with monkeypatch.context() as patch:
+                if kernels == "numpy":
+                    patch.setattr(_native, "load", lambda: None)
+                passes.clear()
+                data = store.read_vectors(path)
+                res = embed_dataset(build_model(method, 64, 4, 4, 2, seed=1), data)
+                assert res.diagnostics.kernels == kernels
+                assert passes == ["_finite_row_norms"] + want
+                # The embed finds its peaks block by block; the dataset's
+                # own whole-matrix peaks stay uncomputed until read.
+                assert "peaks" not in vars(data)
+                passes.clear()
+                patch.setattr(pipeline, "_BLOCK", 8)
+                assert main([
+                    "embed", "--input", str(path), "--method", method, "--p", "4",
+                    "--lambda-tilde", "4", "--r", "2", "--out-model", str(tmp_path / "m"),
+                    "--out-codes", str(tmp_path / "c"), "--out-condensed", str(tmp_path / "d"),
+                ]) == 0
+                assert f"kernels: {kernels}" in capsys.readouterr().out
+            per_block = ["_finite_row_norms"] + want if kernels == "numpy" else []
+            assert sorted(passes) == sorted(per_block * 3)
 
 
 def test_dataset_peaks_are_each_rows_largest_magnitude(monkeypatch):
