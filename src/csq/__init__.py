@@ -1,14 +1,5 @@
 """Binary embedding with noise-shaping quantization and condensed sketches."""
 
-from .bench import (
-    BenchCell,
-    BenchConfig,
-    best_p_per_m,
-    mape,
-    run_mape_bench,
-    run_stability_bench,
-    synth_wellspread,
-)
 from .condense import (
     BinaryCode,
     Codes,
@@ -75,4 +66,27 @@ from .transforms import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names of the bench module, imported on first use (see __getattr__):
+# only benchmarks need it, and its import would slow every `import csq`.
+_BENCH_NAMES = (
+    "BenchCell",
+    "BenchConfig",
+    "best_p_per_m",
+    "mape",
+    "run_mape_bench",
+    "run_stability_bench",
+    "synth_wellspread",
+)
+
+__all__ = sorted(
+    {name for name in dir() if not name.startswith("_")} | {"bench", *_BENCH_NAMES}
+)
+
+
+def __getattr__(name: str):
+    if name == "bench" or name in _BENCH_NAMES:
+        import importlib
+
+        bench = importlib.import_module(".bench", __name__)
+        return bench if name == "bench" else getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,7 +1,7 @@
 /*
  * Compiled kernels for csq, loaded through ctypes (no Python API): the
  * embed stages, the draw of the sparse Gaussian operator, then the l1 sums
- * and CSV line assembly of the all-pairs query (at the end of the file,
+ * and the two passes of the all-pairs query (at the end of the file,
  * integer and byte work only).
  *
  * Each embed kernel performs exactly the floating-point operations of the
@@ -29,7 +29,7 @@
  * on its own. A kernel that allocates returns NO_MEMORY, having written
  * nothing, when the allocation fails.
  *
- * On x86-64 with glibc the embed stages and the l1 sums are CLONES: the
+ * On x86-64 with glibc the embed stages and the l1 kernels are CLONES: the
  * compiler builds each twice, for baseline x86-64 and for AVX2, with every
  * static helper inlined into both (flatten), and the dynamic loader's
  * resolver picks the AVX2 build once, when the library loads, on a CPU
@@ -844,45 +844,82 @@ int64_t csq_draw_sparse(bitgen_t *bitgen, double (*normal)(bitgen_t *),
 }
 
 /*
- * l1 sums between sketch rows, for pairwise_l1_blocks. rows is a C-ordered
- * (k, p) matrix of one signed integer type T; for each i in start..stop-1
- * and each later row j, in (i, j) order, *sums++ gets the sum over e of
- * |rows[i][e] - rows[j][e]|. The term is max - min in the unsigned type U
- * of T's width, exact whenever the difference fits T (entry_dtype holds
- * bit_width + 1 bits, so sketch entries always do). A block of at most
- * CHUNK_E terms is summed in the accumulator type A before it is added
- * to the int64 total, so the sums are exact in int64 for any p; int64
- * rows sum modulo 2**64 as the numpy loop does.
+ * The l1 sum of two sketch rows a and b of p entries of one signed integer
+ * type T, the sum over e of |a[e] - b[e]|. The term is max - min in the
+ * unsigned type U of T's width, exact whenever the difference fits T
+ * (entry_dtype holds bit_width + 1 bits, so sketch entries always do). A
+ * block of at most CHUNK_E terms is summed in the accumulator type A
+ * before it is added to the 64-bit total, so the sums are exact in int64
+ * for any p; int64 rows sum modulo 2**64 as the numpy loop does.
  */
-#define L1_PAIRS(name, T, U, A, CHUNK_E)                                     \
-    CLONES void name(const T *rows, int64_t k, int64_t p, int64_t start,     \
-                     int64_t stop, int64_t *sums)                            \
+#define L1_SUM(name, T, U, A, CHUNK_E)                                       \
+    static uint64_t name(const T *restrict a, const T *restrict b,           \
+                         int64_t p)                                          \
     {                                                                        \
-        for (int64_t i = start; i < stop; i++) {                             \
-            const T *restrict a = rows + i * p;                              \
-            for (int64_t j = i + 1; j < k; j++) {                            \
-                const T *restrict b = rows + j * p;                          \
-                uint64_t total = 0;                                          \
-                for (int64_t e0 = 0; e0 < p; e0 += (CHUNK_E)) {              \
-                    const int64_t e1 =                                       \
-                        p - e0 < (CHUNK_E) ? p : e0 + (CHUNK_E);             \
-                    A acc = 0;                                               \
-                    for (int64_t e = e0; e < e1; e++) {                      \
-                        const T hi = a[e] > b[e] ? a[e] : b[e];              \
-                        const T lo = a[e] > b[e] ? b[e] : a[e];              \
-                        acc += (U)((U)hi - (U)lo);                           \
-                    }                                                        \
-                    total += acc;                                            \
-                }                                                            \
-                *sums++ = (int64_t)total;                                    \
+        uint64_t total = 0;                                                  \
+        for (int64_t e0 = 0; e0 < p; e0 += (CHUNK_E)) {                      \
+            const int64_t e1 = p - e0 < (CHUNK_E) ? p : e0 + (CHUNK_E);      \
+            A acc = 0;                                                       \
+            for (int64_t e = e0; e < e1; e++) {                              \
+                const T hi = a[e] > b[e] ? a[e] : b[e];                      \
+                const T lo = a[e] > b[e] ? b[e] : a[e];                      \
+                acc += (U)((U)hi - (U)lo);                                   \
             }                                                                \
+            total += acc;                                                    \
         }                                                                    \
+        return total;                                                        \
     }
 
-L1_PAIRS(csq_l1_pairs_i8, int8_t, uint8_t, uint32_t, INT64_C(1) << 24)
-L1_PAIRS(csq_l1_pairs_i16, int16_t, uint16_t, uint32_t, INT64_C(1) << 16)
-L1_PAIRS(csq_l1_pairs_i32, int32_t, uint32_t, uint64_t, INT64_C(1) << 32)
-L1_PAIRS(csq_l1_pairs_i64, int64_t, uint64_t, uint64_t, INT64_C(1) << 62)
+L1_SUM(l1_i8, int8_t, uint8_t, uint32_t, INT64_C(1) << 24)
+L1_SUM(l1_i16, int16_t, uint16_t, uint32_t, INT64_C(1) << 16)
+L1_SUM(l1_i32, int32_t, uint32_t, uint64_t, INT64_C(1) << 32)
+L1_SUM(l1_i64, int64_t, uint64_t, uint64_t, INT64_C(1) << 62)
+
+/*
+ * The l1 sums of row i with the n rows from j on, in sums[0..n-1], of the
+ * C-ordered (k, p) matrix rows of entries of one signed integer type of
+ * width (1, 2, 4 or 8) bytes. The one cloned l1 loop of the three l1
+ * kernels below, which call it a row at a time.
+ */
+CLONES static void l1_run(const void *rows, int64_t width, int64_t p,
+                          int64_t i, int64_t j, int64_t n, uint64_t *sums)
+{
+#define L1_RUN(T, sum)                                                       \
+    {                                                                        \
+        const T *const a = (const T *)rows + i * p;                          \
+        const T *const b = (const T *)rows + j * p;                          \
+        for (int64_t q = 0; q < n; q++)                                      \
+            sums[q] = sum(a, b + q * p, p);                                  \
+    }
+    switch (width) {
+    case 1:
+        L1_RUN(int8_t, l1_i8)
+        break;
+    case 2:
+        L1_RUN(int16_t, l1_i16)
+        break;
+    case 4:
+        L1_RUN(int32_t, l1_i32)
+        break;
+    default:
+        L1_RUN(int64_t, l1_i64)
+    }
+#undef L1_RUN
+}
+
+/*
+ * l1 sums between sketch rows, for pairwise_l1_blocks: for each i in
+ * start..stop-1 and each later row j, in (i, j) order, *sums++ gets the l1
+ * sum of rows i and j.
+ */
+void csq_l1_pairs(const void *rows, int64_t width, int64_t k, int64_t p,
+                  int64_t start, int64_t stop, int64_t *sums)
+{
+    for (int64_t i = start; i < stop; i++) {
+        l1_run(rows, width, p, i, i + 1, k - 1 - i, (uint64_t *)sums);
+        sums += k - 1 - i;
+    }
+}
 
 /* Bytes of the number buffers below: 20 digits and a comma fit. */
 #define NUM 24
@@ -920,48 +957,100 @@ static int64_t increment(char *out, int64_t len)
     return len + 1;
 }
 
+/* Pairs whose sums the two passes below take at a time. */
+#define RUN 256
+
 /*
- * The CSV lines "i,j,<estimate>\n" of count pairs in (i, j), i < j order,
- * starting at (start, start + 1), among k rows, written to out. The
- * estimate of pair n is text t = lut[sums[n] - lo], the bytes
- * texts[offsets[t]] .. texts[offsets[t + 1] - 1] of the size-byte texts.
- * Numbers and short texts are copied as fixed-size blocks that may run
- * past the line, so out needs 2 * NUM + TEXT bytes of room beyond it.
- * Returns the bytes written, or -1 if they would not fit in capacity.
+ * The two passes of the all-pairs CSV, over rows as csq_l1_pairs takes
+ * them.
+ *
+ * Pass 1: for each pair (i, j), start <= i < stop, i < j < k, set bit
+ * s % 8 of byte s / 8 of marks, where s is the pair's l1 sum, and, unless
+ * keep is NULL, store s at *keep++. Returns 0, or -1 (having marked some
+ * sums) at the first sum s >= bits; bits is at most 2**32.
  */
-int64_t csq_pair_lines(const int64_t *sums, int64_t count, int64_t start,
-                       int64_t k, int64_t lo, const int32_t *lut,
-                       const int64_t *offsets, const char *texts, int64_t size,
-                       char *out, int64_t capacity)
+int csq_l1_marks(const void *rows, int64_t width, int64_t k, int64_t p,
+                 int64_t start, int64_t stop, unsigned char *marks,
+                 int64_t bits, uint32_t *keep)
+{
+    uint64_t sums[RUN];
+    for (int64_t i = start; i < stop; i++)
+        for (int64_t j = i + 1; j < k; j += RUN) {
+            const int64_t n = k - j < RUN ? k - j : RUN;
+            l1_run(rows, width, p, i, j, n, sums);
+            for (int64_t q = 0; q < n; q++) {
+                if (sums[q] >= (uint64_t)bits)
+                    return -1;
+                marks[sums[q] >> 3] |= (unsigned char)(1u << (sums[q] & 7));
+            }
+            if (keep)
+                for (int64_t q = 0; q < n; q++)
+                    *keep++ = (uint32_t)sums[q];
+        }
+    return 0;
+}
+
+/*
+ * Pass 2: the CSV lines "i,j,<estimate>\n" of count pairs in (i, j), i < j
+ * order from pair (i, j) on, among k rows, written to out. The l1 sums of
+ * the first kept_count pairs are read from kept, as pass 1 kept them; the
+ * others are computed here. The estimate of a pair with l1 sum s is text
+ * t = lut[s - lo], the bytes texts[offsets[t]] .. texts[offsets[t + 1] - 1]
+ * of the size-byte texts; a t < 0 marks a sum without a text. Numbers and
+ * short texts are copied as fixed-size blocks that may run past the line,
+ * so out needs 2 * NUM + TEXT bytes of room beyond it. Returns the bytes
+ * written, -1 if they would not fit in capacity, or -2 at the first sum
+ * without a text.
+ */
+int64_t csq_l1_lines(const void *rows, int64_t width, int64_t k, int64_t p,
+                     int64_t i, int64_t j, int64_t count,
+                     const uint32_t *kept, int64_t kept_count, int64_t lo,
+                     const int32_t *lut, int64_t lut_size,
+                     const int64_t *offsets, const char *texts, int64_t size,
+                     char *out, int64_t capacity)
 {
     char *o = out, *const end = out + capacity;
     char row[NUM], col[NUM];
-    int64_t i = start, j = start + 1;
+    uint64_t sums[RUN];
     int64_t row_len = decimal(row, i), col_len = decimal(col, j);
-    for (int64_t n = 0; n < count; n++) {
-        const int32_t t = lut[sums[n] - lo];
-        const char *text = texts + offsets[t];
-        const int64_t len = offsets[t + 1] - offsets[t];
-        const int fixed = len <= TEXT && offsets[t] + TEXT <= size;
-        if (end - o < 2 * NUM + (fixed ? TEXT : len) + 1)
-            return -1;
-        memcpy(o, row, NUM);
-        o += row_len;
-        memcpy(o, col, NUM);
-        o += col_len;
-        if (fixed)
-            memcpy(o, text, TEXT);
-        else
-            memcpy(o, text, (size_t)len);
-        o += len;
-        *o++ = '\n';
-        if (++j == k) {
+    for (int64_t done = 0; done < count;) {
+        int64_t n = count - done < RUN ? count - done : RUN;
+        n = k - j < n ? k - j : n;
+        if (done < kept_count) {
+            n = kept_count - done < n ? kept_count - done : n;
+            for (int64_t q = 0; q < n; q++)
+                sums[q] = kept[done + q];
+        } else {
+            l1_run(rows, width, p, i, j, n, sums);
+        }
+        for (int64_t q = 0; q < n; q++) {
+            const uint64_t s = sums[q] - (uint64_t)lo;
+            if (s >= (uint64_t)lut_size || lut[s] < 0)
+                return -2;
+            const int64_t from = offsets[lut[s]];
+            const int64_t len = offsets[lut[s] + 1] - from;
+            const int fixed = len <= TEXT && from + TEXT <= size;
+            if (end - o < 2 * NUM + (fixed ? TEXT : len) + 1)
+                return -1;
+            memcpy(o, row, NUM);
+            o += row_len;
+            memcpy(o, col, NUM);
+            o += col_len;
+            if (fixed)
+                memcpy(o, texts + from, TEXT);
+            else
+                memcpy(o, texts + from, (size_t)len);
+            o += len;
+            *o++ = '\n';
+            col_len = increment(col, col_len);
+        }
+        done += n;
+        j += n;
+        if (j == k) {
             i++;
             j = i + 1;
             row_len = decimal(row, i);
             col_len = decimal(col, j);
-        } else {
-            col_len = increment(col, col_len);
         }
     }
     return o - out;

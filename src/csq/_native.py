@@ -1,6 +1,9 @@
 """Build, cache and load the compiled kernels of ``_kernels.c``: the embed
-path, the draw of the sparse Gaussian operator, and the l1 sums and CSV
-line assembly of ``csq query --all-pairs``.
+path, the draw of the sparse Gaussian operator, the l1 sums of
+:func:`csq.condense.pairwise_l1_blocks`, and the two passes of ``csq
+query --all-pairs``: one marks which l1 sums occur, and may keep them;
+the other writes each pair's CSV line with the text of its sum
+(:class:`Texts`), computing again each sum that was not kept.
 
 The source ships with the package. The first :func:`load` compiles it with
 the system C compiler ``cc`` into a per-user cache directory and loads the
@@ -25,7 +28,7 @@ the first draw; a NumPy that does not export it leaves the draw to the
 numpy loop and every other kernel compiled.
 
 On x86-64 with glibc the one library holds a baseline and an AVX2 build
-of the embed and l1 kernels (``target_clones``), and the dynamic loader
+of the embed and all l1 kernels (``target_clones``), and the dynamic loader
 picks one when the library loads, by the CPU it runs on. The AVX2 build
 enables no FMA and gives the same bytes, so the cache key names no CPU
 feature, and a library cached on one host runs on any x86-64 host that
@@ -52,7 +55,7 @@ TILE = 16
 # What csq_quantize and csq_embed_block return besides 0 and -errno;
 # NO_MEMORY and END_OF_FILE in _kernels.c.
 NO_MEMORY, END_OF_FILE = 1, 2
-# Bytes csq_pair_lines copies per number and per short text; NUM and TEXT
+# Bytes csq_l1_lines copies per number and per short text; NUM and TEXT
 # in _kernels.c.
 NUM, TEXT = 24, 32
 
@@ -64,13 +67,8 @@ NORMAL = "random_standard_normal"
 
 _int, _i64, _f64 = ctypes.c_int, ctypes.c_int64, ctypes.c_double
 _ptr = ctypes.c_void_p
-# The l1 pair kernel of each row dtype.
-L1_KERNELS = {
-    np.dtype(np.int8): "csq_l1_pairs_i8",
-    np.dtype(np.int16): "csq_l1_pairs_i16",
-    np.dtype(np.int32): "csq_l1_pairs_i32",
-    np.dtype(np.int64): "csq_l1_pairs_i64",
-}
+# The row dtypes of the l1 kernels, which take the entry width.
+L1_DTYPES = frozenset(map(np.dtype, (np.int8, np.int16, np.int32, np.int64)))
 _SIGNATURES = {
     "csq_precondition": (None, [_ptr, _i64, _i64, _ptr, _i64, _ptr]),
     "csq_project": (None, [_ptr, _ptr, _ptr, _i64, _ptr, _i64, _i64, _ptr]),
@@ -83,12 +81,14 @@ _SIGNATURES = {
         [_ptr, _int, _i64, _i64, _i64, _ptr, _i64, _ptr, _ptr, _ptr, _i64, _ptr,
          _ptr, _i64, _ptr, _i64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr],
     ),
-    **{
-        name: (None, [_ptr, _i64, _i64, _i64, _i64, _ptr])
-        for name in L1_KERNELS.values()
-    },
-    "csq_pair_lines": (
-        _i64, [_ptr, _i64, _i64, _i64, _i64, _ptr, _ptr, _ptr, _i64, _ptr, _i64]
+    "csq_l1_pairs": (None, [_ptr, _i64, _i64, _i64, _i64, _i64, _ptr]),
+    "csq_l1_marks": (
+        _int, [_ptr, _i64, _i64, _i64, _i64, _i64, _ptr, _i64, _ptr]
+    ),
+    "csq_l1_lines": (
+        _i64,
+        [_ptr, _i64, _i64, _i64, _i64, _i64, _i64, _ptr, _i64, _i64, _ptr, _i64,
+         _ptr, _ptr, _i64, _ptr, _i64],
     ),
     "csq_draw_sparse": (
         _i64, [_ptr, _ptr, _i64, _i64, _i64, _f64, _ptr, _ptr, _ptr, _i64]
@@ -135,6 +135,13 @@ def _check(a: np.ndarray, dtype, size: int) -> int:
     return a.ctypes.data
 
 
+def _l1_rows(rows: np.ndarray) -> int:
+    """Address of the C-contiguous rows of an l1 kernel."""
+    if rows.dtype not in L1_DTYPES:
+        raise ValueError(f"no l1 kernel for {rows.dtype} rows")
+    return _check(rows, rows.dtype, rows.size)
+
+
 class Kernels:
     """Typed entry points into the loaded library; each checks its buffers
     before passing pointers. ctypes releases the GIL during every call.
@@ -153,8 +160,11 @@ class Kernels:
     :meth:`project` and :meth:`quantize` (which also condenses and packs)
     run one stage each, and :meth:`records` the record writer, so that
     every kernel can be compared with its numpy counterpart on its own.
-    :meth:`draw_sparse` draws the operator; :meth:`l1_pairs` and
-    :meth:`pair_lines` serve the all-pairs query.
+    :meth:`draw_sparse` draws the operator. :meth:`l1_pairs` gives the
+    l1 sums of a range of rows; :meth:`l1_marks` and :meth:`l1_lines`
+    are the two passes of the all-pairs CSV, each over any range of rows
+    or pairs, so that threads can share a query. Each of the three takes
+    C-ordered rows of a dtype of :data:`L1_DTYPES`.
 
     ``isa`` is ``"avx2"`` when the embed and l1 kernels run their AVX2
     build, ``"baseline"`` otherwise.
@@ -335,7 +345,7 @@ class Kernels:
 
     def l1_pairs(self, rows, start: int, stop: int, sums) -> None:
         """The l1 sums of rows start..stop-1 of the C-ordered (k, p) matrix
-        ``rows`` (a dtype of :data:`L1_KERNELS`) against every later row,
+        ``rows`` (a dtype of :data:`L1_DTYPES`) against every later row,
         in (i, j), i < j order, into the int64 vector ``sums``."""
         k, p = rows.shape
         if not 0 <= start <= stop <= k:
@@ -343,41 +353,93 @@ class Kernels:
         count = (stop - start) * (2 * k - start - stop - 1) // 2
         if sums.shape != (count,):
             raise ValueError(f"expected {count} sums, got {sums.shape}")
-        getattr(self._lib, L1_KERNELS[rows.dtype])(
-            _check(rows, rows.dtype, k * p), k, p, start, stop,
+        self._lib.csq_l1_pairs(
+            _l1_rows(rows), rows.itemsize, k, p, start, stop,
             _check(sums, np.int64, count),
         )
 
+    def l1_marks(self, rows, start: int, stop: int, marks, keep=None) -> None:
+        """Set bit s % 8 of byte s // 8 of the uint8 vector ``marks`` for
+        the l1 sum s of each pair of a row start..stop-1 of ``rows`` (as
+        :meth:`l1_pairs` takes them) with a later row; with ``keep``, also
+        store the sums there, in (i, j) order, as uint32. Raises
+        ValueError, having marked some sums, when a sum lies past the last
+        bit."""
+        k, p = rows.shape
+        if not 0 <= start <= stop <= k:
+            raise ValueError("row range out of bounds")
+        count = (stop - start) * (2 * k - start - stop - 1) // 2
+        if keep is not None and keep.shape != (count,):
+            raise ValueError(f"expected room for {count} sums, got {keep.shape}")
+        if self._lib.csq_l1_marks(
+            _l1_rows(rows), rows.itemsize, k, p, start, stop,
+            _check(marks, np.uint8, 0), min(8 * marks.size, 1 << 32),
+            None if keep is None else _check(keep, np.uint32, count),
+        ):
+            raise ValueError("an l1 sum lies past the last mark")
+
     @staticmethod
     def lines_size(count: int, k: int, longest: int) -> int:
-        """Bytes of buffer :meth:`pair_lines` needs for ``count`` lines among
+        """Bytes of buffer :meth:`l1_lines` needs for ``count`` lines among
         k rows whose texts have at most ``longest`` bytes."""
         return count * (2 * len(str(k)) + 3 + longest) + 2 * NUM + TEXT
 
-    def pair_lines(self, sums, start: int, k: int, lo: int, lut, texts, out) -> int:
-        """Write the CSV lines ``i,j,<text>\\n`` of the pairs from (start,
-        start + 1) on, one per int64 sum, into the uint8 buffer ``out``
-        (see :meth:`lines_size`); pair n gets the bytes
-        ``texts[lut[sums[n] - lo]]``. Returns the bytes written."""
-        count = sums.size
-        if not 0 <= start < k:
-            raise ValueError("first row out of bounds")
-        if count and (sums.min() < lo or sums.max() - lo >= lut.size):
-            raise ValueError("sums outside the lookup table")
-        if lut.size and (lut.min() < 0 or lut.max() >= len(texts)):
-            raise ValueError("lookup table outside the texts")
-        offsets = np.zeros(len(texts) + 1, dtype=np.int64)
-        np.cumsum([len(t) for t in texts], out=offsets[1:])
-        # Padded so that every text can be copied as one TEXT-byte block.
-        blob = b"".join(texts) + bytes(TEXT)
-        written = self._lib.csq_pair_lines(
-            _check(sums, np.int64, count), count, start, k, lo,
-            _check(lut, np.int32, lut.size), offsets.ctypes.data,
-            blob, len(blob), _check(out, np.uint8, 0), out.size,
+    def l1_lines(
+        self, rows, i: int, j: int, count: int, texts, out, kept=None
+    ) -> int:
+        """Write the CSV lines ``i,j,<text>\\n`` of ``count`` pairs of
+        ``rows`` (as :meth:`l1_pairs` takes them), in (i, j), i < j order
+        from pair (i, j) on, into the uint8 buffer ``out`` (see
+        :meth:`lines_size`); the text of a pair is the one ``texts`` (a
+        :class:`Texts`) holds for its l1 sum. The sums of the first
+        ``kept.size`` pairs are read from the uint32 vector ``kept``, as
+        :meth:`l1_marks` keeps them, the others computed. Returns the bytes
+        written. Raises ValueError when a sum has no text or the lines do
+        not fit."""
+        k, p = rows.shape
+        if not (0 <= i < j <= k and (j < k or count == 0)):
+            raise ValueError("first pair out of bounds")
+        if not 0 <= count <= k - j + (k - 1 - i) * (k - 2 - i) // 2:
+            raise ValueError("more pairs than follow the first")
+        if kept is None:
+            kept = np.zeros(0, dtype=np.uint32)
+        if kept.size > count:
+            raise ValueError("more kept sums than pairs")
+        written = self._lib.csq_l1_lines(
+            _l1_rows(rows), rows.itemsize, k, p, i, j, count,
+            _check(kept, np.uint32, 0), kept.size,
+            texts.lo, texts.lut.ctypes.data, texts.lut.size,
+            texts.offsets.ctypes.data, texts.blob, len(texts.blob),
+            _check(out, np.uint8, 0), out.size,
         )
+        if written == -2:
+            raise ValueError("an l1 sum has no text")
         if written < 0:
             raise ValueError("line buffer too small")
         return written
+
+
+class Texts:
+    """The text of each l1 sum, as :meth:`Kernels.l1_lines` reads them:
+    ``texts[n]`` (bytes) for the sum ``sums[n]``, the sums rising
+    strictly. Made once per query, so that each kernel call checks only
+    its own sums against the table. ``longest`` is the longest text's
+    length."""
+
+    def __init__(self, sums, texts):
+        sums = np.asarray(sums, dtype=np.int64)
+        if sums.shape != (len(texts),) or np.any(sums[1:] <= sums[:-1]):
+            raise ValueError("expected one text per sum, the sums rising strictly")
+        self.lo = int(sums[0]) if sums.size else 0
+        span = int(sums[-1]) - self.lo + 1 if sums.size else 0
+        # lut[s - lo] is the text of sum s, -1 for a sum without one.
+        self.lut = np.full(span, -1, dtype=np.int32)
+        self.lut[sums - self.lo] = np.arange(sums.size, dtype=np.int32)
+        self.offsets = np.zeros(sums.size + 1, dtype=np.int64)
+        np.cumsum([len(t) for t in texts], out=self.offsets[1:])
+        self.longest = max(map(len, texts), default=0)
+        # Padded so that every text can be copied as one TEXT-byte block.
+        self.blob = b"".join(texts) + bytes(TEXT)
 
 
 def _grown(a: np.ndarray, size: int, used: int) -> np.ndarray:

@@ -12,18 +12,20 @@ diagnostics and in the benchmark CSV's wall_ms column.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import functools
+import itertools
 import math
 import os
 import sys
+import threading
 import time
 
 import numpy as np
 
-from . import bench as bench_mod
 from . import pipeline, store
-from .condense import check_geometry, pairwise_l1_blocks
+from .condense import _pair_blocks, check_geometry, pairwise_l1_blocks
 from .errors import CapacityError, CsqError, ParameterError
 
 
@@ -92,8 +94,9 @@ def _build_parser() -> argparse.ArgumentParser:
     mape_p.add_argument("--m-list", required=True, dest="m_list")
     mape_p.add_argument("--r-list", required=True, dest="r_list")
     mape_p.add_argument("--trials", type=int, default=3)
+    # bench.GENERATORS, named here so that the parser does not import bench.
     mape_p.add_argument(
-        "--generator", choices=bench_mod.GENERATORS, default="signflat"
+        "--generator", choices=("signflat", "gaussian"), default="signflat"
     )
     mape_p.add_argument("--seed", type=int, default=0)
     mape_p.add_argument("--out", required=True)
@@ -301,36 +304,159 @@ def _distinct_sums(sums: np.ndarray):
     return present + lo, sums, lo, lut
 
 
+# The compiled all-pairs path marks every l1 sum in a bitmap over [0, B],
+# B the sum of the entries' column spreads, and looks each sum's text up
+# in a table over the sums that occur; it runs when B < _MARK_LIMIT, so
+# that the bitmap takes at most 128 KiB and the table 4 MiB.
+_MARK_LIMIT = 1 << 20
+# Pairs per chunk of compiled CSV lines, and about as many per row range
+# of the marking pass.
+_CHUNK_PAIRS = 1 << 16
+# Chunks filled ahead of the one being written, at most: the writing
+# thread keeps up with about two or three filling ones.
+_AHEAD = 3
+# The marking pass keeps the sums of the first row ranges that fit in this
+# many pairs (2 MiB of uint32), and the line pass reads them rather than
+# computing them again: all the pairs of k <= 1024 rows.
+_KEPT_PAIRS = 1 << 19
+
+
+def _column_spread(entries: np.ndarray) -> int:
+    """The sum over the columns of ``entries`` of max - min: a bound on
+    the l1 sum of any two of its rows (0 without rows)."""
+    if entries.shape[0] == 0:
+        return 0
+    return sum((entries.max(axis=0).astype(np.int64) - entries.min(axis=0)).tolist())
+
+
+def _pair_chunks(k: int, size: int):
+    """``(i, j, count)``: the pairs (i, j), i < j < k, in order, as runs of
+    ``size`` pairs (the last one shorter) that start at pair (i, j)."""
+    i, j = 0, 1
+    while j < k:
+        count, left = 0, size
+        first = i, j
+        while left and j < k:
+            step = min(left, k - j)
+            count, left, j = count + step, left - step, j + step
+            if j == k:
+                i, j = i + 1, i + 2
+        yield (*first, count)
+
+
+def _in_order(pool, fn, jobs, ahead: int):
+    """``fn(*job)`` for each job, in order. With a ``pool``, up to
+    ``ahead`` later jobs run on it while the caller reads one result."""
+    if pool is None:
+        for job in jobs:
+            yield fn(*job)
+        return
+    pending = collections.deque()
+    for job in jobs:
+        pending.append(pool.submit(fn, *job))
+        if len(pending) > ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def _write_all_pairs(out, sketches, divisor: float) -> None:
-    """Stream the ``i,j,estimate`` CSV to the binary stream ``out`` one
-    block of rows at a time.
+    """Stream the ``i,j,estimate`` CSV to the binary stream ``out``.
 
     An estimate is a pure function of its integer l1 sum, computed with the
     same float operations as :func:`pipeline.estimate_distance`, so each
-    distinct sum of a block is formatted once and shared by its pairs. The
-    compiled kernels copy those texts into a block's lines in one reused
-    buffer; without them, Python strings make the lines.
+    distinct sum is formatted once and shared by its pairs.
+
+    With the compiled kernels, and sums that the column spreads bound
+    below :data:`_MARK_LIMIT`, two passes run on every CPU: the first
+    marks which sums occur, keeping the first :data:`_KEPT_PAIRS` of
+    them; Python formats each sum that occurs; the second copies each
+    pair's line, with its sum kept or computed again, into one of a few
+    reused chunk buffers, which this thread writes in order. Otherwise
+    the sums come from :func:`pairwise_l1_blocks` a block at a time, and
+    Python strings make the lines.
     """
     from . import _native
 
+    entries = sketches.entries
+    kern = _native.load()
+    bound = _column_spread(entries)
+    if kern is None or bound >= _MARK_LIMIT:
+        _write_all_pairs_python(out, sketches, divisor)
+        return
+    k = len(sketches)
+    workers = _native._worker_count()
+    # Each worker's bitmap, and the chunk buffers, are made on this thread
+    # (see pipeline._embed_blocks).
+    marks = np.zeros((workers, bound // 8 + 1), dtype=np.uint8)
+    # Each row range of the marking pass, with its pairs' first and end
+    # index; the ranges that end within _KEPT_PAIRS keep their sums.
+    ranges, end, kept_size = [], 0, 0
+    for start, stop, count in _pair_blocks(k, _CHUNK_PAIRS):
+        end += count
+        kept_size = end if end <= _KEPT_PAIRS else kept_size
+        ranges.append((start, stop, end - count, end))
+    kept = np.empty(kept_size, dtype=np.uint32)
+    taken = itertools.count()
+
+    def mark(w: int) -> None:
+        while (n := next(taken)) < len(ranges):
+            start, stop, first, end = ranges[n]
+            keep = kept[first:end] if end <= kept.size else None
+            kern.l1_marks(entries, start, stop, marks[w], keep)
+
+    runner = contextlib.nullcontext()
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        runner = ThreadPoolExecutor(workers)
+    with runner as pool:
+        # Pass 1: this thread and the pool's take the row ranges in turn.
+        others = [pool.submit(mark, w) for w in range(1, workers)]
+        mark(0)
+        for other in others:
+            other.result()
+        seen = np.bitwise_or.reduce(marks, axis=0)
+        sums = np.flatnonzero(np.unpackbits(seen, bitorder="little"))
+        ests = (sums.astype(np.float64) * sketches.norm_factor / divisor).tolist()
+        texts = _native.Texts(sums, [repr(est).encode() for est in ests])
+
+        # Pass 2: the pool fills the chunks, this thread writes them.
+        most = min(_CHUNK_PAIRS, k * (k - 1) // 2)
+        size = kern.lines_size(most, k, texts.longest)
+        ahead = min(workers, _AHEAD) if pool is not None else 0
+        buffers = [np.empty(size, dtype=np.uint8) for _ in range(ahead + 1)]
+
+        def lines(n: int, i: int, j: int, count: int) -> np.ndarray:
+            buf = buffers[n % len(buffers)]
+            known = kept[n * _CHUNK_PAIRS : n * _CHUNK_PAIRS + count]
+            return buf[: kern.l1_lines(entries, i, j, count, texts, buf, known)]
+
+        jobs = (
+            (n, *chunk) for n, chunk in enumerate(_pair_chunks(k, _CHUNK_PAIRS))
+        )
+        # Chunk n + len(buffers) reuses chunk n's buffer, and is submitted
+        # only once chunk n is written.
+        chunks = _in_order(pool, lines, jobs, ahead)
+        # An --out still opening is waited for here, while the first
+        # chunks are computed.
+        first = next(chunks, b"")
+        out.write(b"i,j,estimate\n")
+        out.write(first)
+        for chunk in chunks:
+            out.write(chunk)
+
+
+def _write_all_pairs_python(out, sketches, divisor: float) -> None:
+    """The CSV of :func:`_write_all_pairs`, from the sums of
+    :func:`pairwise_l1_blocks` and Python strings."""
     out.write(b"i,j,estimate\n")
     k, norm_factor = len(sketches), sketches.norm_factor
-    kern = _native.load()
-    if kern is None:
-        j_prefix = np.array([f"{j}," for j in range(k)], dtype=object)
-    buf = np.empty(0, dtype=np.uint8)
+    j_prefix = np.array([f"{j}," for j in range(k)], dtype=object)
     for start, stop, sums in pairwise_l1_blocks(sketches.entries):
         distinct, keys, lo, lut = _distinct_sums(sums)
         ests = (distinct.astype(np.float64) * norm_factor / divisor).tolist()
-        texts = [repr(est) for est in ests]
-        if kern is not None:
-            texts = [t.encode() for t in texts]
-            need = kern.lines_size(sums.size, k, max(map(len, texts)))
-            if buf.size < need:
-                buf = np.empty(need, dtype=np.uint8)
-            out.write(buf[: kern.pair_lines(keys, start, k, lo, lut, texts, buf)])
-            continue
-        texts = np.array(texts, dtype=object)[lut[keys - lo]]
+        texts = np.array([repr(est) for est in ests], dtype=object)[lut[keys - lo]]
         parts, off = [], 0
         for i in range(start, stop):
             n = k - 1 - i
@@ -338,6 +464,49 @@ def _write_all_pairs(out, sketches, divisor: float) -> None:
             parts.append(f"{i}," + f"\n{i},".join(lines) + "\n")
             off += n
         out.write("".join(parts).encode())
+
+
+class _OpeningFile:
+    """The binary file ``open(path, "wb")``, opened on a thread of its own
+    from construction on; :meth:`write` and :meth:`flush` wait for it,
+    and raise the open's error if it failed.
+
+    An open that truncates a file waits for the file system to write back
+    what was written into the file before, which may take milliseconds;
+    this way the caller's work runs meanwhile. Used as a context manager,
+    it joins the thread and closes the file on exit.
+    """
+
+    def __init__(self, path):
+        self._file = self._error = None
+        self._thread = threading.Thread(target=self._open, args=(path,))
+        self._thread.start()
+
+    def _open(self, path) -> None:
+        try:
+            self._file = open(path, "wb")
+        except Exception as exc:  # raised on the caller's thread
+            self._error = exc
+
+    def _opened(self):
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return self._file
+
+    def write(self, data) -> None:
+        self._opened().write(data)
+
+    def flush(self) -> None:
+        self._opened().flush()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._thread.join()
+        if self._file is not None:
+            self._file.close()
 
 
 class _TextSink:
@@ -380,7 +549,7 @@ def _cmd_query(args) -> int:
         stream = getattr(sys.stdout, "buffer", None) or _TextSink(sys.stdout)
         sink = contextlib.nullcontext(stream)
     else:
-        sink = open(args.out, "wb")
+        sink = _OpeningFile(args.out)
     with sink as out:
         if args.pair is not None:
             out.write(repr(est).encode() + b"\n")
@@ -394,6 +563,8 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_bench_mape(args) -> int:
+    from . import bench as bench_mod
+
     cfg = bench_mod.BenchConfig(
         n=args.n,
         k=args.k,
@@ -421,6 +592,8 @@ def _cmd_bench_mape(args) -> int:
 
 
 def _cmd_bench_stability(args) -> int:
+    from . import bench as bench_mod
+
     rows = bench_mod.run_stability_bench(
         r_list=_int_list(args.r_list),
         sigma=args.sigma,

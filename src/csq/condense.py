@@ -336,7 +336,7 @@ def pairwise_l1_blocks(rows: np.ndarray, block_pairs: int = 1 << 17):
     # Imported here, not at the top, as in pipeline.embed_dataset.
     from . import _native
 
-    kern = _native.load() if rows.dtype in _native.L1_KERNELS else None
+    kern = _native.load() if rows.dtype in _native.L1_DTYPES else None
     if kern is None:
         l1_pairs, dtype = _numpy_l1_pairs, rows[:0].sum(axis=1).dtype
     else:

@@ -1,8 +1,10 @@
 """End-to-end tests for the csq command line, driven in-process via main()."""
 
 import functools
+import os
 import struct
 import time
+import types
 
 import numpy as np
 import pytest
@@ -1238,3 +1240,207 @@ def test_all_pairs_to_a_text_stdout(embedded, capsys):
         assert main(query) == 0
     assert main(query + ["--out", str(tmp_path / "pairs.csv")]) == 0
     assert text.getvalue() == (tmp_path / "pairs.csv").read_text()
+
+
+@functools.cache
+def _random_sketches(k, bit_width, p=6):
+    half = 1 << (bit_width - 1)
+    entries = np.random.default_rng([k, bit_width]).integers(-half, half, size=(k, p))
+    return Sketches(p, bit_width, 0.0123, entries)
+
+
+@functools.cache
+def _oracle_csv(k, bit_width, divisor):
+    sketches = _random_sketches(k, bit_width)
+    model = types.SimpleNamespace(condensation=sketches)
+    return _per_pair_csv(model, sketches, divisor).encode()
+
+
+@pytest.mark.parametrize("bit_width", [5, 10, 14, 17])
+@pytest.mark.parametrize("divisor", [1.0, 0.37])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 11, 70])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kept", [0, 7, 1 << 19])
+@pytest.mark.parametrize("chunk", [1, 5, 1 << 16])
+def test_all_pairs_routes_give_the_same_bytes(
+    monkeypatch, chunk, kept, workers, k, divisor, bit_width
+):
+    """Int8, int16, int16 and int32 entries on whichever kernels load, in
+    chunks of 1, 5 and 2**16 pairs, with the first pass keeping no sums,
+    those of its first few rows or all of them for the second, and both
+    passes inline or on a pool."""
+    import io
+
+    from csq import _native
+
+    monkeypatch.setattr(cli, "_CHUNK_PAIRS", chunk)
+    monkeypatch.setattr(cli, "_KEPT_PAIRS", kept)
+    monkeypatch.setattr(_native, "_worker_count", lambda: workers)
+    sketches = _random_sketches(k, bit_width)
+    assert cli._column_spread(sketches.entries) < cli._MARK_LIMIT
+    out = io.BytesIO()
+    cli._write_all_pairs(out, sketches, divisor)
+    assert out.getvalue() == _oracle_csv(k, bit_width, divisor)
+
+
+def test_all_pairs_bytes_hold_with_more_workers_than_cpus(monkeypatch):
+    """Eight workers, chunks of 5 pairs, some sums kept and a short switch
+    interval: the shared count of row ranges, the workers' bitmaps, the
+    kept sums and the reused chunk buffers still give the oracle's bytes."""
+    import io
+    import sys
+
+    from csq import _native
+
+    monkeypatch.setattr(cli, "_CHUNK_PAIRS", 5)
+    monkeypatch.setattr(cli, "_KEPT_PAIRS", 600)
+    monkeypatch.setattr(_native, "_worker_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            out = io.BytesIO()
+            cli._write_all_pairs(out, _random_sketches(70, 10), 0.37)
+            assert out.getvalue() == _oracle_csv(70, 10, 0.37)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("over", [False, True])
+def test_all_pairs_cutover_keeps_the_bytes(monkeypatch, over):
+    """Column spreads that sum to 2**20 - 1 still take the compiled passes
+    (when the kernels load); one more takes the reference branch, with
+    the same bytes."""
+    import io
+
+    from csq import _native
+
+    bound = cli._MARK_LIMIT - 1 + over
+    entries = np.array(
+        [[0, 0], [1 << 19, bound - (1 << 19)], [3, 7], [1 << 18, 1 << 18], [5, 2]]
+    )
+    sketches = Sketches(2, 21, 0.0123, entries - (1 << 20))
+    assert cli._column_spread(sketches.entries) == bound
+    calls = []
+    monkeypatch.setattr(
+        cli, "pairwise_l1_blocks",
+        lambda rows: calls.append(rows) or pairwise_l1_blocks(rows),
+    )
+    out = io.BytesIO()
+    cli._write_all_pairs(out, sketches, 0.37)
+    model = types.SimpleNamespace(condensation=sketches)
+    assert out.getvalue() == _per_pair_csv(model, sketches, 0.37).encode()
+    assert bool(calls) == (over or _native.load() is None)
+
+
+def _query_argv(tmp_path, *rest):
+    return [
+        "query", "--model", str(tmp_path / "model.csqm"),
+        "--condensed", str(tmp_path / "cond.csqd"), "--all-pairs", *rest,
+    ]
+
+
+@pytest.mark.parametrize("which", ["missing directory", "directory", "read-only"])
+def test_all_pairs_out_errors_write_nothing(embedded, capsys, monkeypatch, which):
+    """The --out open runs on a thread of its own; its errors still end
+    the query with exit 2 and the open's message, nothing is written, and
+    no thread is left behind."""
+    import threading
+
+    tmp_path, _, _ = embedded
+    target = {
+        "missing directory": tmp_path / "absent" / "pairs.csv",
+        "directory": tmp_path,
+        "read-only": tmp_path / "pairs.csv",
+    }[which]
+    if which == "read-only":
+        target.write_bytes(b"kept\n")
+        target.chmod(0o444)
+        if os.geteuid() == 0:
+            # The superuser may write any file; refuse it as the kernel
+            # refuses everyone else.
+            def refused(path, mode="r", *args, **kwargs):
+                if str(path) == str(target) and "w" in mode:
+                    raise PermissionError(13, "Permission denied", str(path))
+                return open(path, mode, *args, **kwargs)
+
+            monkeypatch.setattr(cli, "open", refused, raising=False)
+    before = sorted(tmp_path.iterdir())
+    threads = threading.active_count()
+    capsys.readouterr()
+    assert main(_query_argv(tmp_path, "--out", str(target))) == 2
+    assert threading.active_count() == threads
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("file error: ") and str(target) in err
+    assert sorted(tmp_path.iterdir()) == before
+    if which == "read-only":
+        assert target.read_bytes() == b"kept\n"
+
+
+def test_all_pairs_to_dev_null(embedded, capsys):
+    import threading
+
+    tmp_path, _, condensed = embedded
+    threads = threading.active_count()
+    capsys.readouterr()
+    assert main(_query_argv(tmp_path, "--out", "/dev/null")) == 0
+    assert threading.active_count() == threads
+    count = 1 + len(condensed) * (len(condensed) - 1) // 2
+    assert capsys.readouterr().out == f"wrote {count} line(s) to /dev/null\n"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_all_pairs_memory_does_not_grow_with_k(monkeypatch, workers):
+    """Sketches of the benchmark's geometry (p = 64, int16 entries): from
+    k = 1500 to 3000 the CSV grows from 29 to 117 MB, and the traced peak
+    stays under 12 MiB: the 2 MiB of sums the first pass keeps, at most
+    three chunk buffers of about 2.2 MB, and small tables. Neither the
+    output nor all the sums are held."""
+    import tracemalloc
+
+    from csq import _native
+
+    monkeypatch.setattr(_native, "_worker_count", lambda: workers)
+    entries = np.random.default_rng(6).integers(-400, 400, size=(3000, 64))
+    with open("/dev/null", "wb") as out:
+        for k in (1500, 3000):
+            sketches = Sketches(64, 10, 1.7e-3, entries[:k])
+            tracemalloc.start()
+            try:
+                cli._write_all_pairs(out, sketches, 1.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 12 << 20, (k, peak)
+
+
+def test_import_cli_leaves_bench_unimported():
+    """`import csq.cli` does not import the bench module, and the parser
+    offers bench's generators; every name of csq, the bench ones too, is
+    still there."""
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, csq.cli\n"
+        "assert 'csq.bench' not in sys.modules\n"
+        "mape = csq.cli._build_parser().parse_args(\n"
+        "    ['bench', 'mape', '--n', '1', '--k', '1', '--p', '1', '--m-list', '1',\n"
+        "     '--r-list', '1', '--out', 'x'])\n"
+        "actions = csq.cli._build_parser()._subparsers._group_actions[0].choices\n"
+        "bench = actions['bench']._subparsers._group_actions[0].choices['mape']\n"
+        "choices = bench._option_string_actions['--generator'].choices\n"
+        "assert 'csq.bench' not in sys.modules\n"
+        "import csq\n"
+        "missing = [n for n in csq.__all__ if not hasattr(csq, n)]\n"
+        "assert not missing, missing\n"
+        "from csq import BenchConfig, run_mape_bench\n"
+        "assert csq.bench.BenchConfig is BenchConfig\n"
+        "assert tuple(choices) == csq.bench.GENERATORS, choices\n"
+        "print('ok')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, timeout=120, env=env
+    )
+    assert proc.stdout == b"ok\n", proc.stderr.decode()

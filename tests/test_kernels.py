@@ -748,32 +748,121 @@ def test_pairwise_l1_blocks_take_any_layout_and_dtype():
     assert floats.dtype == np.float64 and np.array_equal(floats, want)
 
 
-def test_native_pair_lines_match_python_formatting(kernels):
-    k, start = 12, 3
-    count = sum(k - 1 - i for i in range(start, k))
-    rng = np.random.default_rng(4)
-    sums = rng.integers(100, 140, size=count)
-    texts = [repr(float(v) / 7).encode() for v in range(100, 140)]
-    texts[5] = b"x" * 70  # longer than one fixed-size copy
-    lut = np.arange(40, dtype=np.int32)[::-1].copy()
-    out = np.empty(kernels.lines_size(count, k, 70), dtype=np.uint8)
-    n = kernels.pair_lines(sums, start, k, 100, lut, texts, out)
-    pairs = [(i, j) for i in range(start, k) for j in range(i + 1, k)]
-    want = b"".join(
-        b"%d,%d,%s\n" % (i, j, texts[lut[s - 100]]) for (i, j), s in zip(pairs, sums)
+def _all_sums(rows):
+    """Every pair's l1 sum, in (i, j), i < j order, from the oracle."""
+    return np.concatenate(
+        [np.zeros(0, dtype=np.int64)] + [sums for _, _, sums in l1_oracle(rows)]
     )
-    assert out[:n].tobytes() == want
 
 
-def test_native_pair_lines_refuse_what_does_not_fit(kernels):
-    sums = np.array([5, 6, 7], dtype=np.int64)
-    lut = np.zeros(3, dtype=np.int32)
-    texts = [b"0.5"]
-    out = np.empty(kernels.lines_size(3, 4, 3), dtype=np.uint8)
-    assert kernels.pair_lines(sums, 0, 4, 5, lut, texts, out) == 3 * len(b"0,1,0.5\n")
+@pytest.mark.parametrize("bit_width", [1, 7, 8, 15, 16, 31, 32, 40])
+@pytest.mark.parametrize("k", [1, 2, 3, 40])
+def test_native_l1_marks_mark_every_sum(kernels, bit_width, k):
+    """The bitmap of each row range holds exactly the sums of its pairs,
+    for rows of every entry dtype; the ranges' bitmaps OR to all of them.
+    Wide rows are shifted down, keeping their dtype, so that their sums
+    fit a small bitmap."""
+    rows = extreme_rows(bit_width, k, 7, seed=5) >> max(0, bit_width - 14)
+    want = _all_sums(rows)
+    bits = int(want.max(initial=0)) + 1
+    total = np.zeros(-(-bits // 8), dtype=np.uint8)
+    for start, stop in ((0, k // 2), (k // 2, k)):
+        marks = np.zeros_like(total)
+        first = sum(k - 1 - i for i in range(start))
+        count = sum(k - 1 - i for i in range(start, stop))
+        keep = np.zeros(count, dtype=np.uint32)
+        kernels.l1_marks(rows, start, stop, marks, keep)
+        got = np.flatnonzero(np.unpackbits(marks, bitorder="little"))
+        assert np.array_equal(got, np.unique(want[first : first + count]))
+        assert np.array_equal(keep, want[first : first + count])
+        again = np.zeros_like(total)
+        kernels.l1_marks(rows, start, stop, again)
+        assert np.array_equal(again, marks)
+        total |= marks
+    got = np.flatnonzero(np.unpackbits(total, bitorder="little"))
+    assert np.array_equal(got, np.unique(want))
+
+
+def test_native_l1_marks_refuse_a_sum_past_the_last_bit(kernels):
+    rows = np.array([[0, 0], [3, 4]], dtype=np.int16)  # one pair, sum 7
+    marks = np.zeros(1, dtype=np.uint8)
+    kernels.l1_marks(rows, 0, 2, marks)
+    assert marks[0] == 1 << 7
     with pytest.raises(ValueError):
-        kernels.pair_lines(sums, 0, 4, 5, lut, texts, out[:40])
+        kernels.l1_marks(rows, 0, 2, np.zeros(0, dtype=np.uint8))
+    for keep in (np.zeros(2, dtype=np.uint32), np.zeros(1, dtype=np.int64)):
+        with pytest.raises(ValueError):
+            kernels.l1_marks(rows, 0, 2, marks, keep)
+    rows[1, 1] = 5  # sum 8, one past the first byte
     with pytest.raises(ValueError):
-        kernels.pair_lines(sums, 0, 4, 6, lut, texts, out)
+        kernels.l1_marks(rows, 0, 2, marks)
     with pytest.raises(ValueError):
-        kernels.pair_lines(sums, 0, 4, 5, lut + 1, texts, out)
+        kernels.l1_marks(rows, 1, 3, marks)
+
+
+def _texts_of(sums):
+    """One text per distinct sum; one text longer than a fixed-size copy."""
+    sums = np.unique(sums)
+    texts = [repr(int(s) / 7).encode() for s in sums]
+    texts[len(texts) // 2] = b"x" * 70
+    return _native.Texts(sums, texts), dict(zip(sums.tolist(), texts))
+
+
+@pytest.mark.parametrize("kept", [0, 30, 1 << 20])
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+def test_native_l1_lines_match_python_formatting(kernels, dtype, kept):
+    """From pair (3, 50) to the last one, in chunks that end mid-row and at
+    row ends; i and j both roll over from 9 to 10 and from 99 to 100. Each
+    chunk reads the sums of none, some or all of its pairs from the kept
+    ones of the first pass and computes the others."""
+    k = 103
+    rows = np.random.default_rng(4).integers(-40, 40, size=(k, 9)).astype(dtype)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    sums = _all_sums(rows)
+    texts, text_of = _texts_of(sums)
+    first = pairs.index((3, 50))
+    want = b"".join(
+        b"%d,%d,%s\n" % (i, j, text_of[s])
+        for (i, j), s in zip(pairs[first:], sums[first:].tolist())
+    )
+    got, n = b"", first
+    for count in (1, 51, 200, 1, 96, 3000, len(pairs)):
+        count = min(count, len(pairs) - n)
+        out = np.empty(kernels.lines_size(count, k, texts.longest), dtype=np.uint8)
+        sums_kept = sums[n : n + min(kept, count)].astype(np.uint32)
+        written = kernels.l1_lines(rows, *pairs[n], count, texts, out, sums_kept)
+        got += out[:written].tobytes()
+        n += count
+    assert n == len(pairs) and got == want
+
+
+def test_native_l1_lines_refuse_what_does_not_fit(kernels):
+    rows = np.array([[0], [5], [7], [6]], dtype=np.int16)
+    # Sums (0,1) 5, (0,2) 7, (0,3) 6, (1,2) 2, (1,3) 1, (2,3) 1.
+    texts = _native.Texts([1, 2, 5, 6, 7], [b"a", b"b", b"0.5", b"c", b"dd"])
+    out = np.empty(kernels.lines_size(6, 4, 3), dtype=np.uint8)
+    n = kernels.l1_lines(rows, 0, 1, 6, texts, out)
+    assert out[:n].tobytes() == b"0,1,0.5\n0,2,dd\n0,3,c\n1,2,b\n1,3,a\n2,3,a\n"
+    assert kernels.l1_lines(rows, 1, 3, 0, texts, out) == 0
+    kept = np.array([5, 7], dtype=np.uint32)
+    assert kernels.l1_lines(rows, 0, 1, 6, texts, out, kept) == n
+    kept[1] = 8  # a kept sum is read as it is
+    with pytest.raises(ValueError):
+        kernels.l1_lines(rows, 0, 1, 6, texts, out, kept)
+    with pytest.raises(ValueError):  # more kept sums than pairs
+        kernels.l1_lines(rows, 0, 1, 1, texts, out, kept)
+    with pytest.raises(ValueError):  # an undersized buffer
+        kernels.l1_lines(rows, 0, 1, 6, texts, out[:40])
+    for sums, text in (([1, 2, 5, 6], [b"a", b"b", b"0.5", b"c"]),  # 7 past the table
+                       ([2, 5, 6, 7], [b"b", b"0.5", b"c", b"dd"]),  # 1 before it
+                       ([1, 2, 5, 7], [b"a", b"b", b"0.5", b"dd"])):  # 6 in a gap
+        with pytest.raises(ValueError):
+            kernels.l1_lines(rows, 0, 1, 6, _native.Texts(sums, text), out)
+    bad = ((0, 0, 1), (1, 0, 1), (0, 4, 1), (2, 3, 2), (0, 1, 7), (0, 1, -1))
+    for i, j, count in bad:
+        with pytest.raises(ValueError):
+            kernels.l1_lines(rows, i, j, count, texts, out)
+    with pytest.raises(ValueError):
+        _native.Texts([1, 1], [b"a", b"b"])
+    with pytest.raises(ValueError):
+        _native.Texts([1, 2], [b"a"])

@@ -62,7 +62,8 @@ def test_kernel_source_ships_with_the_package():
     assert src.is_file()
     assert src.read_bytes() == _native.source()
     for name in (
-        "csq_precondition", "csq_project", "csq_quantize", "csq_draw_sparse", "csq_isa"
+        "csq_precondition", "csq_project", "csq_quantize", "csq_draw_sparse",
+        "csq_isa", "csq_l1_pairs", "csq_l1_marks", "csq_l1_lines",
     ):
         assert name.encode() in _native.source()
 
@@ -193,13 +194,15 @@ def test_library_has_no_fused_multiply_add():
 # embed over partial tiles, whole tiles and two blocks, from memory and
 # from CSQV files (whose rows the kernel reads itself, one file cut short
 # after its size was checked), fjlt at r = 4 over transforms of 1, 2, 4
-# and 512 rows, the record writer at every width, and the l1 sums of every
-# entry dtype.
+# and 512 rows, the record writer at every width, the l1 sums of every
+# entry dtype, and both all-pairs passes over int8, int16 and int32 rows,
+# in buffers of the exact size, with chunks that end at row ends and
+# within rows.
 SANITIZED_RUN = """
-import ctypes, os, sys
+import ctypes, io, os, sys
 import numpy as np
-from csq import _native, store
-from csq.condense import pairwise_l1_blocks
+from csq import _native, cli, store
+from csq.condense import Sketches, pairwise_l1_blocks
 from csq.errors import CorruptionError
 from csq.pipeline import _embed_blocks, build_model, dataset_from_matrix, embed_dataset
 
@@ -216,7 +219,7 @@ for method in ("sparse", "fjlt"):
             res = embed_dataset(model, dataset_from_matrix(xs))
             assert res.diagnostics.kernels == "native"
             rows = res.condensed.entries
-            for dtype in _native.L1_KERNELS:
+            for dtype in _native.L1_DTYPES:
                 for _ in pairwise_l1_blocks(rows.astype(dtype), 1000):
                     pass
 for method in ("sparse", "fjlt"):
@@ -247,6 +250,29 @@ kern.draw_sparse(np.random.Generator(np.random.Philox(1)), 50, 64, 0.3)
 for width in range(1, 64):
     entries = rng.integers(-(1 << (width - 1)), 1 << (width - 1), size=(3, 5))
     kern.records(entries, width, np.empty((3, (5 * width + 7) // 8), dtype=np.uint8))
+for k in (1, 2, 17, 513):
+    for width in (7, 10, 18):  # int8, int16 and int32 entries
+        half = 1 << (width - 1)
+        rows = Sketches(5, width, 0.5, rng.integers(-half, half, size=(k, 5))).entries
+        marks = np.zeros(cli._column_spread(rows) // 8 + 1, dtype=np.uint8)
+        kept = np.empty(k * (k - 1) // 2, dtype=np.uint32)
+        kern.l1_marks(rows, 0, k, marks, kept)
+        sums = np.flatnonzero(np.unpackbits(marks, bitorder="little"))
+        texts = _native.Texts(sums, [b"%d" % s for s in sums])
+        by_row = [(i, i + 1, k - 1 - i) for i in range(k - 1)]
+        first = 0
+        for i, j, count in by_row + list(cli._pair_chunks(k, 7)):
+            out = np.empty(kern.lines_size(count, k, texts.longest), dtype=np.uint8)
+            kern.l1_lines(rows, i, j, count, texts, out)
+            some = kept[first : first + count // 2].copy()
+            kern.l1_lines(rows, i, j, count, texts, out, some)
+            first = (first + count) % kept.size
+        for chunk in (1, max(1, k - 1), 1 << 16):
+            cli._CHUNK_PAIRS = chunk
+            for keep in (0, chunk + 3):
+                cli._KEPT_PAIRS = keep
+                sketches = Sketches(5, width, 0.5, rows)
+                cli._write_all_pairs(io.BytesIO(), sketches, 1.0)
 print("ok")
 """
 
