@@ -1,8 +1,8 @@
 /*
  * Compiled kernels for csq, loaded through ctypes (no Python API): the
  * embed stages, the draw of the sparse Gaussian operator, then the l1 sums
- * and the two passes of the all-pairs query (at the end of the file,
- * integer and byte work only).
+ * and the two steps of each chunk of the all-pairs query (at the end of
+ * the file, integer and byte work only).
  *
  * Each embed kernel performs exactly the floating-point operations of the
  * numpy kernel it mirrors, in the same order per output value, so results
@@ -29,7 +29,7 @@
  * on its own. A kernel that allocates returns NO_MEMORY, having written
  * nothing, when the allocation fails.
  *
- * On x86-64 with glibc the embed stages and the l1 kernels are CLONES: the
+ * On x86-64 with glibc the embed stages and the l1 sum loop are CLONES: the
  * compiler builds each twice, for baseline x86-64 and for AVX2, with every
  * static helper inlined into both (flatten), and the dynamic loader's
  * resolver picks the AVX2 build once, when the library loads, on a CPU
@@ -878,8 +878,8 @@ L1_SUM(l1_i64, int64_t, uint64_t, uint64_t, INT64_C(1) << 62)
 /*
  * The l1 sums of row i with the n rows from j on, in sums[0..n-1], of the
  * C-ordered (k, p) matrix rows of entries of one signed integer type of
- * width (1, 2, 4 or 8) bytes. The one cloned l1 loop of the three l1
- * kernels below, which call it a row at a time.
+ * width (1, 2, 4 or 8) bytes. The one cloned l1 loop of csq_l1_pairs and
+ * csq_l1_marks below, which call it a row at a time.
  */
 CLONES static void l1_run(const void *rows, int64_t width, int64_t p,
                           int64_t i, int64_t j, int64_t n, uint64_t *sums)
@@ -923,7 +923,7 @@ void csq_l1_pairs(const void *rows, int64_t width, int64_t k, int64_t p,
 
 /* Bytes of the number buffers below: 20 digits and a comma fit. */
 #define NUM 24
-/* Texts up to this long are copied as one fixed-size block. */
+/* Bytes of a text slot: up to TEXT - 1 bytes of text, then its length. */
 #define TEXT 32
 
 /* The decimal digits of v >= 0 followed by a comma at out; returns their
@@ -957,96 +957,85 @@ static int64_t increment(char *out, int64_t len)
     return len + 1;
 }
 
-/* Pairs whose sums the two passes below take at a time. */
+/* Pairs whose sums csq_l1_marks takes at a time. */
 #define RUN 256
 
 /*
- * The two passes of the all-pairs CSV, over rows as csq_l1_pairs takes
- * them.
+ * The two steps of a chunk of the all-pairs CSV, over rows as csq_l1_pairs
+ * takes them.
  *
- * Pass 1: for each pair (i, j), start <= i < stop, i < j < k, set bit
- * s % 8 of byte s / 8 of marks, where s is the pair's l1 sum, and, unless
- * keep is NULL, store s at *keep++. Returns 0, or -1 (having marked some
- * sums) at the first sum s >= bits; bits is at most 2**32.
+ * Sums: for each pair (i, j), start <= i < stop, i < j < k, store its l1
+ * sum s at *keep++ and, when base <= s < base + bits, set bit d % 8 of
+ * byte d / 8 of marks, d = s - base; span[0] and span[1] get the least and
+ * the largest sum (2**32 and -1 without pairs). Returns the number of sums
+ * outside [base, base + bits), or -1 (having stored some sums) at the
+ * first sum of 2**32 or more.
  */
-int csq_l1_marks(const void *rows, int64_t width, int64_t k, int64_t p,
-                 int64_t start, int64_t stop, unsigned char *marks,
-                 int64_t bits, uint32_t *keep)
+int64_t csq_l1_marks(const void *rows, int64_t width, int64_t k, int64_t p,
+                     int64_t start, int64_t stop, unsigned char *marks,
+                     int64_t base, int64_t bits, uint32_t *keep,
+                     int64_t *span)
 {
-    uint64_t sums[RUN];
+    uint64_t sums[RUN], lo = UINT32_MAX + UINT64_C(1), hi = 0;
+    int64_t outside = 0, any = 0;
     for (int64_t i = start; i < stop; i++)
         for (int64_t j = i + 1; j < k; j += RUN) {
             const int64_t n = k - j < RUN ? k - j : RUN;
             l1_run(rows, width, p, i, j, n, sums);
             for (int64_t q = 0; q < n; q++) {
-                if (sums[q] >= (uint64_t)bits)
+                const uint64_t s = sums[q], d = s - (uint64_t)base;
+                if (s > UINT32_MAX)
                     return -1;
-                marks[sums[q] >> 3] |= (unsigned char)(1u << (sums[q] & 7));
+                if (d < (uint64_t)bits)
+                    marks[d >> 3] |= (unsigned char)(1u << (d & 7));
+                else
+                    outside++;
+                *keep++ = (uint32_t)s;
+                lo = s < lo ? s : lo;
+                hi = s > hi ? s : hi;
             }
-            if (keep)
-                for (int64_t q = 0; q < n; q++)
-                    *keep++ = (uint32_t)sums[q];
+            any = 1;
         }
-    return 0;
+    span[0] = (int64_t)lo;
+    span[1] = any ? (int64_t)hi : -1;
+    return outside;
 }
 
 /*
- * Pass 2: the CSV lines "i,j,<estimate>\n" of count pairs in (i, j), i < j
- * order from pair (i, j) on, among k rows, written to out. The l1 sums of
- * the first kept_count pairs are read from kept, as pass 1 kept them; the
- * others are computed here. The estimate of a pair with l1 sum s is text
- * t = lut[s - lo], the bytes texts[offsets[t]] .. texts[offsets[t + 1] - 1]
- * of the size-byte texts; a t < 0 marks a sum without a text. Numbers and
- * short texts are copied as fixed-size blocks that may run past the line,
- * so out needs 2 * NUM + TEXT bytes of room beyond it. Returns the bytes
- * written, -1 if they would not fit in capacity, or -2 at the first sum
- * without a text.
+ * Lines: the CSV lines "i,j,<estimate>\n" of count pairs in (i, j), i < j
+ * order from pair (i, j) on, among k rows, written to out; sums[q] is the
+ * l1 sum of the q-th pair. The estimate of a pair with l1 sum s is the
+ * text in slot t = lut[s - lo] of the slot_count TEXT-byte slots: its
+ * first slot[TEXT - 1] bytes. Slot 0 is no text. Numbers and texts are
+ * copied as fixed-size blocks that may run past the line, so out needs
+ * 2 * NUM + TEXT bytes of room beyond it. Returns the bytes written, -1 if
+ * they would not fit in capacity, or -2 at the first sum without a text.
  */
-int64_t csq_l1_lines(const void *rows, int64_t width, int64_t k, int64_t p,
-                     int64_t i, int64_t j, int64_t count,
-                     const uint32_t *kept, int64_t kept_count, int64_t lo,
-                     const int32_t *lut, int64_t lut_size,
-                     const int64_t *offsets, const char *texts, int64_t size,
-                     char *out, int64_t capacity)
+int64_t csq_l1_lines(int64_t k, int64_t i, int64_t j, int64_t count,
+                     const uint32_t *sums, int64_t lo, const int32_t *lut,
+                     int64_t lut_size, const unsigned char *slots,
+                     int64_t slot_count, char *out, int64_t capacity)
 {
     char *o = out, *const end = out + capacity;
     char row[NUM], col[NUM];
-    uint64_t sums[RUN];
     int64_t row_len = decimal(row, i), col_len = decimal(col, j);
-    for (int64_t done = 0; done < count;) {
-        int64_t n = count - done < RUN ? count - done : RUN;
-        n = k - j < n ? k - j : n;
-        if (done < kept_count) {
-            n = kept_count - done < n ? kept_count - done : n;
-            for (int64_t q = 0; q < n; q++)
-                sums[q] = kept[done + q];
-        } else {
-            l1_run(rows, width, p, i, j, n, sums);
-        }
-        for (int64_t q = 0; q < n; q++) {
-            const uint64_t s = sums[q] - (uint64_t)lo;
-            if (s >= (uint64_t)lut_size || lut[s] < 0)
-                return -2;
-            const int64_t from = offsets[lut[s]];
-            const int64_t len = offsets[lut[s] + 1] - from;
-            const int fixed = len <= TEXT && from + TEXT <= size;
-            if (end - o < 2 * NUM + (fixed ? TEXT : len) + 1)
-                return -1;
-            memcpy(o, row, NUM);
-            o += row_len;
-            memcpy(o, col, NUM);
-            o += col_len;
-            if (fixed)
-                memcpy(o, texts + from, TEXT);
-            else
-                memcpy(o, texts + from, (size_t)len);
-            o += len;
-            *o++ = '\n';
+    for (int64_t q = 0; q < count; q++) {
+        const uint64_t d = sums[q] - (uint64_t)lo;
+        const int64_t t = d < (uint64_t)lut_size ? lut[d] : 0;
+        if (t <= 0 || t >= slot_count || slots[t * TEXT + TEXT - 1] >= TEXT)
+            return -2;
+        if (end - o < 2 * NUM + TEXT + 1)
+            return -1;
+        memcpy(o, row, NUM);
+        o += row_len;
+        memcpy(o, col, NUM);
+        o += col_len;
+        memcpy(o, slots + t * TEXT, TEXT);
+        o += slots[t * TEXT + TEXT - 1];
+        *o++ = '\n';
+        if (++j < k) {
             col_len = increment(col, col_len);
-        }
-        done += n;
-        j += n;
-        if (j == k) {
+        } else {
             i++;
             j = i + 1;
             row_len = decimal(row, i);

@@ -1,9 +1,9 @@
 """Build, cache and load the compiled kernels of ``_kernels.c``: the embed
 path, the draw of the sparse Gaussian operator, the l1 sums of
-:func:`csq.condense.pairwise_l1_blocks`, and the two passes of ``csq
-query --all-pairs``: one marks which l1 sums occur, and may keep them;
-the other writes each pair's CSV line with the text of its sum
-(:class:`Texts`), computing again each sum that was not kept.
+:func:`csq.condense.pairwise_l1_blocks`, and the two steps of each chunk
+of ``csq query --all-pairs``: one computes the chunk's l1 sums and marks
+which occur; the other writes each pair's CSV line with the text of its
+sum (:class:`Texts`).
 
 The source ships with the package. The first :func:`load` compiles it with
 the system C compiler ``cc`` into a per-user cache directory and loads the
@@ -28,7 +28,7 @@ the first draw; a NumPy that does not export it leaves the draw to the
 numpy loop and every other kernel compiled.
 
 On x86-64 with glibc the one library holds a baseline and an AVX2 build
-of the embed and all l1 kernels (``target_clones``), and the dynamic loader
+of the embed and the l1 sum loop (``target_clones``), and the dynamic loader
 picks one when the library loads, by the CPU it runs on. The AVX2 build
 enables no FMA and gives the same bytes, so the cache key names no CPU
 feature, and a library cached on one host runs on any x86-64 host that
@@ -55,8 +55,9 @@ TILE = 16
 # What csq_quantize and csq_embed_block return besides 0 and -errno;
 # NO_MEMORY and END_OF_FILE in _kernels.c.
 NO_MEMORY, END_OF_FILE = 1, 2
-# Bytes csq_l1_lines copies per number and per short text; NUM and TEXT
-# in _kernels.c.
+# Bytes csq_l1_lines copies per number and per text slot; NUM and TEXT in
+# _kernels.c. A slot holds up to TEXT - 1 bytes of text, and a float's
+# repr has at most 24.
 NUM, TEXT = 24, 32
 
 # NumPy's standard normal draw from a bitgen_t, the function
@@ -83,12 +84,11 @@ _SIGNATURES = {
     ),
     "csq_l1_pairs": (None, [_ptr, _i64, _i64, _i64, _i64, _i64, _ptr]),
     "csq_l1_marks": (
-        _int, [_ptr, _i64, _i64, _i64, _i64, _i64, _ptr, _i64, _ptr]
+        _i64, [_ptr, _i64, _i64, _i64, _i64, _i64, _ptr, _i64, _i64, _ptr, _ptr]
     ),
     "csq_l1_lines": (
         _i64,
-        [_ptr, _i64, _i64, _i64, _i64, _i64, _i64, _ptr, _i64, _i64, _ptr, _i64,
-         _ptr, _ptr, _i64, _ptr, _i64],
+        [_i64, _i64, _i64, _i64, _ptr, _i64, _ptr, _i64, _ptr, _i64, _ptr, _i64],
     ),
     "csq_draw_sparse": (
         _i64, [_ptr, _ptr, _i64, _i64, _i64, _f64, _ptr, _ptr, _ptr, _i64]
@@ -161,13 +161,14 @@ class Kernels:
     run one stage each, and :meth:`records` the record writer, so that
     every kernel can be compared with its numpy counterpart on its own.
     :meth:`draw_sparse` draws the operator. :meth:`l1_pairs` gives the
-    l1 sums of a range of rows; :meth:`l1_marks` and :meth:`l1_lines`
-    are the two passes of the all-pairs CSV, each over any range of rows
-    or pairs, so that threads can share a query. Each of the three takes
-    C-ordered rows of a dtype of :data:`L1_DTYPES`.
+    l1 sums of a range of rows; :meth:`l1_marks` (the sums of a range of
+    rows, and which occur) and :meth:`l1_lines` (the CSV lines of those
+    sums) are the two steps of a chunk of the all-pairs CSV, so that
+    threads can share a query a chunk each. The first two take C-ordered
+    rows of a dtype of :data:`L1_DTYPES`.
 
-    ``isa`` is ``"avx2"`` when the embed and l1 kernels run their AVX2
-    build, ``"baseline"`` otherwise.
+    ``isa`` is ``"avx2"`` when the embed kernels and the l1 sums run their
+    AVX2 build, ``"baseline"`` otherwise.
     """
 
     def __init__(self, lib: ctypes.CDLL):
@@ -358,25 +359,32 @@ class Kernels:
             _check(sums, np.int64, count),
         )
 
-    def l1_marks(self, rows, start: int, stop: int, marks, keep=None) -> None:
-        """Set bit s % 8 of byte s // 8 of the uint8 vector ``marks`` for
-        the l1 sum s of each pair of a row start..stop-1 of ``rows`` (as
-        :meth:`l1_pairs` takes them) with a later row; with ``keep``, also
-        store the sums there, in (i, j) order, as uint32. Raises
-        ValueError, having marked some sums, when a sum lies past the last
-        bit."""
+    def l1_marks(self, rows, start: int, stop: int, marks, keep, base: int = 0):
+        """Store in the uint32 vector ``keep`` the l1 sum s of each pair of
+        a row start..stop-1 of ``rows`` (as :meth:`l1_pairs` takes them)
+        with a later row, in (i, j) order, and set bit d % 8 of byte d // 8
+        of the uint8 vector ``marks``, d = s - base, for the sums with a
+        bit there. Returns ``(lo, hi, outside)``: the least and the largest
+        sum (2**32 and -1 without pairs) and how many sums have no bit.
+        Raises ValueError, having stored some sums, at a sum of 2**32 or
+        more."""
         k, p = rows.shape
         if not 0 <= start <= stop <= k:
             raise ValueError("row range out of bounds")
         count = (stop - start) * (2 * k - start - stop - 1) // 2
-        if keep is not None and keep.shape != (count,):
+        if keep.shape != (count,):
             raise ValueError(f"expected room for {count} sums, got {keep.shape}")
-        if self._lib.csq_l1_marks(
+        if not 0 <= base < 1 << 32:
+            raise ValueError("mark base out of range")
+        span = np.empty(2, dtype=np.int64)
+        outside = self._lib.csq_l1_marks(
             _l1_rows(rows), rows.itemsize, k, p, start, stop,
-            _check(marks, np.uint8, 0), min(8 * marks.size, 1 << 32),
-            None if keep is None else _check(keep, np.uint32, count),
-        ):
-            raise ValueError("an l1 sum lies past the last mark")
+            _check(marks, np.uint8, 0), base, min(8 * marks.size, 1 << 32),
+            _check(keep, np.uint32, count), span.ctypes.data,
+        )
+        if outside < 0:
+            raise ValueError("an l1 sum does not fit in 32 bits")
+        return int(span[0]), int(span[1]), outside
 
     @staticmethod
     def lines_size(count: int, k: int, longest: int) -> int:
@@ -384,32 +392,23 @@ class Kernels:
         k rows whose texts have at most ``longest`` bytes."""
         return count * (2 * len(str(k)) + 3 + longest) + 2 * NUM + TEXT
 
-    def l1_lines(
-        self, rows, i: int, j: int, count: int, texts, out, kept=None
-    ) -> int:
-        """Write the CSV lines ``i,j,<text>\\n`` of ``count`` pairs of
-        ``rows`` (as :meth:`l1_pairs` takes them), in (i, j), i < j order
-        from pair (i, j) on, into the uint8 buffer ``out`` (see
-        :meth:`lines_size`); the text of a pair is the one ``texts`` (a
-        :class:`Texts`) holds for its l1 sum. The sums of the first
-        ``kept.size`` pairs are read from the uint32 vector ``kept``, as
-        :meth:`l1_marks` keeps them, the others computed. Returns the bytes
-        written. Raises ValueError when a sum has no text or the lines do
-        not fit."""
-        k, p = rows.shape
+    def l1_lines(self, k: int, i: int, j: int, sums, texts, out) -> int:
+        """Write the CSV lines ``i,j,<text>\\n`` of ``sums.size`` pairs
+        among ``k`` rows, in (i, j), i < j order from pair (i, j) on, into
+        the uint8 buffer ``out`` (see :meth:`lines_size`); the uint32
+        vector ``sums`` holds each pair's l1 sum, and the text of a pair is
+        the one ``texts`` (a :class:`Texts`) holds for its sum. Returns the
+        bytes written. Raises ValueError when a sum has no text or the
+        lines do not fit."""
+        count = sums.size
         if not (0 <= i < j <= k and (j < k or count == 0)):
             raise ValueError("first pair out of bounds")
         if not 0 <= count <= k - j + (k - 1 - i) * (k - 2 - i) // 2:
             raise ValueError("more pairs than follow the first")
-        if kept is None:
-            kept = np.zeros(0, dtype=np.uint32)
-        if kept.size > count:
-            raise ValueError("more kept sums than pairs")
+        lut, slots = texts.view()
         written = self._lib.csq_l1_lines(
-            _l1_rows(rows), rows.itemsize, k, p, i, j, count,
-            _check(kept, np.uint32, 0), kept.size,
-            texts.lo, texts.lut.ctypes.data, texts.lut.size,
-            texts.offsets.ctypes.data, texts.blob, len(texts.blob),
+            k, i, j, count, _check(sums, np.uint32, count),
+            texts.lo, lut.ctypes.data, lut.size, slots.ctypes.data, len(slots),
             _check(out, np.uint8, 0), out.size,
         )
         if written == -2:
@@ -420,26 +419,67 @@ class Kernels:
 
 
 class Texts:
-    """The text of each l1 sum, as :meth:`Kernels.l1_lines` reads them:
-    ``texts[n]`` (bytes) for the sum ``sums[n]``, the sums rising
-    strictly. Made once per query, so that each kernel call checks only
-    its own sums against the table. ``longest`` is the longest text's
-    length."""
+    """The text of each l1 sum s in [lo, hi], as :meth:`Kernels.l1_lines`
+    reads them, added as the sums turn up. ``lut[s - lo]`` is the slot of
+    sum s, 0 for none; a slot holds up to TEXT - 1 bytes of text and, in
+    its last byte, their length. ``longest`` is the longest text's length.
 
-    def __init__(self, sums, texts):
-        sums = np.asarray(sums, dtype=np.int64)
-        if sums.shape != (len(texts),) or np.any(sums[1:] <= sums[:-1]):
-            raise ValueError("expected one text per sum, the sums rising strictly")
-        self.lo = int(sums[0]) if sums.size else 0
-        span = int(sums[-1]) - self.lo + 1 if sums.size else 0
-        # lut[s - lo] is the text of sum s, -1 for a sum without one.
-        self.lut = np.full(span, -1, dtype=np.int32)
-        self.lut[sums - self.lo] = np.arange(sums.size, dtype=np.int32)
-        self.offsets = np.zeros(sums.size + 1, dtype=np.int64)
-        np.cumsum([len(t) for t in texts], out=self.offsets[1:])
-        self.longest = max(map(len, texts), default=0)
-        # Padded so that every text can be copied as one TEXT-byte block.
-        self.blob = b"".join(texts) + bytes(TEXT)
+    An :meth:`add` writes only slots and ``lut`` entries that no sum named
+    before, and moves the slots to a new array, leaving the old one as it
+    was, when they run out. So while one thread adds texts, others may run
+    :meth:`Kernels.l1_lines` over sums that already had theirs; the adds
+    themselves must not overlap.
+    """
+
+    def __init__(self, lo: int, hi: int):
+        self.lo = lo
+        self.lut = np.zeros(hi - lo + 1, dtype=np.int32)
+        self.longest = 0
+        # The slots and how many are in use, slot 0 standing for no text,
+        # replaced together so that view() reads them in one step.
+        self._slots = (np.zeros((16, TEXT), dtype=np.uint8), 1)
+
+    def view(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(lut, slots)``: the table and the slots in use."""
+        slots, used = self._slots
+        return self.lut, slots[:used]
+
+    def missing(self, sums: np.ndarray) -> np.ndarray:
+        """The sums of the vector ``sums`` (each in [lo, hi]) that have no
+        text."""
+        return sums[self.lut[sums - self.lo] == 0]
+
+    def add(self, sums, texts) -> None:
+        """Give sum ``sums[n]`` the bytes ``texts[n]``, of fewer than TEXT;
+        the sums lie in [lo, hi], differ, and have no text yet."""
+        at = np.asarray(sums, dtype=np.int64) - self.lo
+        if at.shape != (len(texts),):
+            raise ValueError("expected one text per sum")
+        if at.size and not (0 <= at.min() and at.max() < self.lut.size):
+            hi = self.lo + self.lut.size - 1
+            raise ValueError(f"sums must lie in [{self.lo}, {hi}]")
+        if np.any(self.lut[at]):
+            raise ValueError("a sum has a text already")
+        lens = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+        if np.any(lens >= TEXT):
+            raise ValueError(f"texts must be shorter than {TEXT} bytes")
+        slots, used = self._slots
+        total = used + len(texts)
+        self.lut[at] = np.arange(used, total, dtype=np.int32)
+        if not np.array_equal(self.lut[at], np.arange(used, total)):
+            self.lut[at] = 0
+            raise ValueError("the sums must differ")
+        if total > len(slots):
+            grown = np.zeros((max(total, 2 * len(slots)), TEXT), dtype=np.uint8)
+            grown[:used] = slots[:used]
+            slots = grown
+        # Text n's bytes go to the start of slot used + n, its length last.
+        if texts:
+            padded = np.array(texts, dtype=f"S{TEXT - 1}")
+            slots[used:total, : TEXT - 1] = padded.view(np.uint8).reshape(-1, TEXT - 1)
+        slots[used:total, TEXT - 1] = lens
+        self.longest = max(self.longest, int(lens.max(initial=0)))
+        self._slots = slots, total
 
 
 def _grown(a: np.ndarray, size: int, used: int) -> np.ndarray:

@@ -24,10 +24,8 @@ import numpy as np
 
 from .condense import condense_real_batch, pairwise_l1_blocks
 from .errors import DegenerateInputError, ParameterError
-from .pipeline import Dataset, build_model, embed_dataset, scale_dataset
+from .pipeline import GENERATORS, Dataset, build_model, embed_dataset, scale_dataset
 from .sigma_delta import build_quantizer, seed_sequence, stability_scan
-
-GENERATORS = ("signflat", "gaussian")
 
 # Stream tags keep the data draw distinct from the model draw at equal
 # (seed, r, p, m, trial) coordinates.

@@ -15,7 +15,6 @@ import argparse
 import collections
 import contextlib
 import functools
-import itertools
 import math
 import os
 import sys
@@ -94,10 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mape_p.add_argument("--m-list", required=True, dest="m_list")
     mape_p.add_argument("--r-list", required=True, dest="r_list")
     mape_p.add_argument("--trials", type=int, default=3)
-    # bench.GENERATORS, named here so that the parser does not import bench.
-    mape_p.add_argument(
-        "--generator", choices=("signflat", "gaussian"), default="signflat"
-    )
+    mape_p.add_argument("--generator", choices=pipeline.GENERATORS, default="signflat")
     mape_p.add_argument("--seed", type=int, default=0)
     mape_p.add_argument("--out", required=True)
 
@@ -304,21 +300,27 @@ def _distinct_sums(sums: np.ndarray):
     return present + lo, sums, lo, lut
 
 
-# The compiled all-pairs path marks every l1 sum in a bitmap over [0, B],
-# B the sum of the entries' column spreads, and looks each sum's text up
-# in a table over the sums that occur; it runs when B < _MARK_LIMIT, so
-# that the bitmap takes at most 128 KiB and the table 4 MiB.
-_MARK_LIMIT = 1 << 20
-# Pairs per chunk of compiled CSV lines, and about as many per row range
-# of the marking pass.
+# The compiled all-pairs path keeps the text of each l1 sum that occurs
+# in one table over a window of _WINDOW sums, and marks each chunk's sums
+# in a bitmap over it: 4 and 1/8 bytes a sum, which the system zeroes as
+# their pages are first touched, and only the pages of the sums that occur
+# are. The window covers [0, B], B the sum of the entries' column spreads
+# (a bound on every sum), when B < _WINDOW; otherwise it is centred on the
+# sums of row 0, and a chunk with a sum outside it gets a table of its own.
+# A multiple of 8.
+_WINDOW = 1 << 24
+# Pairs per chunk of compiled CSV lines: a chunk is a range of rows with at
+# most this many pairs, or one row.
 _CHUNK_PAIRS = 1 << 16
-# Chunks filled ahead of the one being written, at most: the writing
-# thread keeps up with about two or three filling ones.
+# Chunks whose sums may be computed ahead of their lines (2 MiB of sums):
+# a query's first ones, all of them for k <= 1024, run before any line is
+# written, while an --out may still be opening.
+_SUMS_AHEAD = 8
+# Chunks of lines filled ahead of the one being written, at most: the
+# writing thread keeps up with about two or three filling ones.
 _AHEAD = 3
-# The marking pass keeps the sums of the first row ranges that fit in this
-# many pairs (2 MiB of uint32), and the line pass reads them rather than
-# computing them again: all the pairs of k <= 1024 rows.
-_KEPT_PAIRS = 1 << 19
+# Bytes of the longest repr of a float, "-2.2250738585072014e-308".
+_REPR_BYTES = 24
 
 
 def _column_spread(entries: np.ndarray) -> int:
@@ -329,35 +331,25 @@ def _column_spread(entries: np.ndarray) -> int:
     return sum((entries.max(axis=0).astype(np.int64) - entries.min(axis=0)).tolist())
 
 
-def _pair_chunks(k: int, size: int):
-    """``(i, j, count)``: the pairs (i, j), i < j < k, in order, as runs of
-    ``size`` pairs (the last one shorter) that start at pair (i, j)."""
-    i, j = 0, 1
-    while j < k:
-        count, left = 0, size
-        first = i, j
-        while left and j < k:
-            step = min(left, k - j)
-            count, left, j = count + step, left - step, j + step
-            if j == k:
-                i, j = i + 1, i + 2
-        yield (*first, count)
+class _Inline:
+    """An executor that runs each job on the caller's thread as it is
+    submitted."""
 
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
 
-def _in_order(pool, fn, jobs, ahead: int):
-    """``fn(*job)`` for each job, in order. With a ``pool``, up to
-    ``ahead`` later jobs run on it while the caller reads one result."""
-    if pool is None:
-        for job in jobs:
-            yield fn(*job)
-        return
-    pending = collections.deque()
-    for job in jobs:
-        pending.append(pool.submit(fn, *job))
-        if len(pending) > ahead:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # raised by result(), as a pool's would be
+            future.set_exception(exc)
+        return future
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
 
 
 def _write_all_pairs(out, sketches, divisor: float) -> None:
@@ -367,84 +359,131 @@ def _write_all_pairs(out, sketches, divisor: float) -> None:
     same float operations as :func:`pipeline.estimate_distance`, so each
     distinct sum is formatted once and shared by its pairs.
 
-    With the compiled kernels, and sums that the column spreads bound
-    below :data:`_MARK_LIMIT`, two passes run on every CPU: the first
-    marks which sums occur, keeping the first :data:`_KEPT_PAIRS` of
-    them; Python formats each sum that occurs; the second copies each
-    pair's line, with its sum kept or computed again, into one of a few
-    reused chunk buffers, which this thread writes in order. Otherwise
-    the sums come from :func:`pairwise_l1_blocks` a block at a time, and
-    Python strings make the lines.
+    With the compiled kernels the pairs go in chunks of rows, each in two
+    compiled steps on a pool of one thread per CPU (inline on one CPU).
+    The first computes the chunk's sums and marks which occur, and Python
+    formats those without a text yet (see :data:`_WINDOW`); it runs up to
+    :data:`_SUMS_AHEAD` chunks ahead. The second copies each pair's line
+    into one of a few reused buffers, which this thread writes in order.
+    Every sum is computed once. Without the kernels the sums come from
+    :func:`pairwise_l1_blocks` a block at a time, and Python strings make
+    the lines.
     """
     from . import _native
 
     entries = sketches.entries
     kern = _native.load()
-    bound = _column_spread(entries)
-    if kern is None or bound >= _MARK_LIMIT:
+    if kern is None:
         _write_all_pairs_python(out, sketches, divisor)
         return
-    k = len(sketches)
+    k, norm_factor = len(sketches), sketches.norm_factor
+    bound = _column_spread(entries)
+    # Sums of 2**32 or more are computed as int64, each chunk on its own.
+    narrow = bound < 1 << 32
+    # A whole number of bitmap bytes.
+    base, window = 0, -(-min(bound + 1, _WINDOW) // 8) * 8
+    if narrow and bound >= _WINDOW and k > 1:
+        probe = np.empty(k - 1, dtype=np.int64)
+        kern.l1_pairs(entries, 0, 1, probe)
+        middle = (int(probe.min()) + int(probe.max())) // 2
+        base = max(0, min(middle - window // 2, bound + 1 - window))
+    chunks = list(_pair_blocks(k, _CHUNK_PAIRS))
     workers = _native._worker_count()
-    # Each worker's bitmap, and the chunk buffers, are made on this thread
-    # (see pipeline._embed_blocks).
-    marks = np.zeros((workers, bound // 8 + 1), dtype=np.uint8)
-    # Each row range of the marking pass, with its pairs' first and end
-    # index; the ranges that end within _KEPT_PAIRS keep their sums.
-    ranges, end, kept_size = [], 0, 0
-    for start, stop, count in _pair_blocks(k, _CHUNK_PAIRS):
-        end += count
-        kept_size = end if end <= _KEPT_PAIRS else kept_size
-        ranges.append((start, stop, end - count, end))
-    kept = np.empty(kept_size, dtype=np.uint32)
-    taken = itertools.count()
+    ahead = min(workers, _AHEAD) if workers > 1 else 0
+    most = max((count for _, _, count in chunks), default=0)
+    size = kern.lines_size(most, k, _REPR_BYTES)
+    # The buffers of the chunks in flight, made on this thread (see
+    # pipeline._embed_blocks): chunk n's sums and bitmap (or, for wide
+    # sums, int64 sums) are those of chunk n - len(sums_slots), which is
+    # written by the time chunk n starts, and its line buffer is that of
+    # chunk n - len(line_slots).
+    sums_slots = [
+        (np.empty(most, dtype=np.uint32),
+         np.zeros(window // 8, dtype=np.uint8) if narrow
+         else np.empty(most, dtype=np.int64))
+        for _ in range(max(_SUMS_AHEAD, ahead + 1))
+    ]
+    line_slots = [np.empty(size, dtype=np.uint8) for _ in range(ahead + 1)]
+    texts = _native.Texts(base, base + window - 1) if narrow else None
+    adding = threading.Lock()
 
-    def mark(w: int) -> None:
-        while (n := next(taken)) < len(ranges):
-            start, stop, first, end = ranges[n]
-            keep = kept[first:end] if end <= kept.size else None
-            kern.l1_marks(entries, start, stop, marks[w], keep)
+    def format_sums(sums: np.ndarray) -> list[bytes]:
+        ests = (sums.astype(np.float64) * norm_factor / divisor).tolist()
+        return [repr(est).encode() for est in ests]
 
-    runner = contextlib.nullcontext()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    def own_texts(values: np.ndarray, sums: np.ndarray):
+        """A table of a chunk's own for its sums ``values``: ``sums`` gets
+        each pair's key into it (as :func:`_distinct_sums` finds them)."""
+        lo, hi = int(values.min()), int(values.max())
+        if hi - lo <= 4 * values.size:
+            np.subtract(values, lo, out=sums, casting="unsafe")
+            keys = np.flatnonzero(np.bincount(sums))
+            distinct = keys + lo
+        else:
+            distinct, inverse = np.unique(values, return_inverse=True)
+            sums[:] = inverse
+            keys = np.arange(distinct.size)
+        own = _native.Texts(0, int(keys[-1]))
+        own.add(keys, format_sums(distinct))
+        return sums, own
 
-        runner = ThreadPoolExecutor(workers)
-    with runner as pool:
-        # Pass 1: this thread and the pool's take the row ranges in turn.
-        others = [pool.submit(mark, w) for w in range(1, workers)]
-        mark(0)
-        for other in others:
-            other.result()
-        seen = np.bitwise_or.reduce(marks, axis=0)
-        sums = np.flatnonzero(np.unpackbits(seen, bitorder="little"))
-        ests = (sums.astype(np.float64) * sketches.norm_factor / divisor).tolist()
-        texts = _native.Texts(sums, [repr(est).encode() for est in ests])
+    def sums_of(n: int, start: int, stop: int, count: int):
+        """Chunk n's sums, or keys, and the table of their texts."""
+        sums, marks = sums_slots[n % len(sums_slots)]
+        sums = sums[:count]
+        if not narrow:
+            kern.l1_pairs(entries, start, stop, marks[:count])
+            return own_texts(marks[:count], sums)
+        lo, hi, outside = kern.l1_marks(entries, start, stop, marks, sums, base)
+        # The sums that occur, from the bytes of the bitmap they set, which
+        # are cleared for the slot's next chunk.
+        first = max(lo - base, 0) >> 3
+        last = max(min(hi - base, window - 1) >> 3, first - 1) + 1
+        span = marks[first:last]
+        full = np.flatnonzero(span)
+        bits = np.unpackbits(span[full], bitorder="little").reshape(-1, 8)
+        row, bit = np.nonzero(bits)
+        occur = base + 8 * (full[row] + first) + bit
+        span[full] = 0
+        if outside:
+            return own_texts(sums, sums)
+        with adding:
+            new = texts.missing(occur)
+            if new.size:
+                texts.add(new, format_sums(new))
+        return sums, texts
 
-        # Pass 2: the pool fills the chunks, this thread writes them.
-        most = min(_CHUNK_PAIRS, k * (k - 1) // 2)
-        size = kern.lines_size(most, k, texts.longest)
-        ahead = min(workers, _AHEAD) if pool is not None else 0
-        buffers = [np.empty(size, dtype=np.uint8) for _ in range(ahead + 1)]
+    def lines(n: int, summed, start: int) -> np.ndarray:
+        # A pool runs its jobs in the order they came, so chunk n's sums
+        # started before this job did.
+        buf = line_slots[n % len(line_slots)]
+        return buf[: kern.l1_lines(k, start, start + 1, *summed.result(), buf)]
 
-        def lines(n: int, i: int, j: int, count: int) -> np.ndarray:
-            buf = buffers[n % len(buffers)]
-            known = kept[n * _CHUNK_PAIRS : n * _CHUNK_PAIRS + count]
-            return buf[: kern.l1_lines(entries, i, j, count, texts, buf, known)]
+    from concurrent.futures import ThreadPoolExecutor
 
-        jobs = (
-            (n, *chunk) for n, chunk in enumerate(_pair_chunks(k, _CHUNK_PAIRS))
-        )
-        # Chunk n + len(buffers) reuses chunk n's buffer, and is submitted
-        # only once chunk n is written.
-        chunks = _in_order(pool, lines, jobs, ahead)
-        # An --out still opening is waited for here, while the first
-        # chunks are computed.
-        first = next(chunks, b"")
+    with ThreadPoolExecutor(workers) if ahead else _Inline() as pool:
+        summing = {}
+        filling = collections.deque()
+
+        def sum_chunk(n: int) -> None:
+            if n < len(chunks):
+                summing[n] = pool.submit(sums_of, n, *chunks[n])
+
+        def fill_chunk(n: int) -> None:
+            if n < len(chunks):
+                filling.append(pool.submit(lines, n, summing.pop(n), chunks[n][0]))
+
+        for n in range(len(sums_slots)):
+            sum_chunk(n)
+        for n in range(len(line_slots)):
+            fill_chunk(n)
         out.write(b"i,j,estimate\n")
-        out.write(first)
-        for chunk in chunks:
-            out.write(chunk)
+        for n in range(len(chunks)):
+            # An --out still opening is waited for at the first write, while
+            # the first chunks are computed.
+            out.write(filling.popleft().result())
+            sum_chunk(n + len(sums_slots))
+            fill_chunk(n + len(line_slots))
 
 
 def _write_all_pairs_python(out, sketches, divisor: float) -> None:

@@ -69,6 +69,9 @@ _BLOCK = 512
 STAGES = ("read", "precondition", "project", "quantize", "write")
 
 METHODS = ("sparse", "fjlt")
+# The synthetic point sets of csq.bench.synth_wellspread, named here so that
+# the command-line parser offers them without importing the bench module.
+GENERATORS = ("signflat", "gaussian")
 
 _NOT_FINITE = "dataset entries must be finite"
 _NORMS_OVERFLOW = "dataset row norms overflow float64"

@@ -1260,40 +1260,62 @@ def _oracle_csv(k, bit_width, divisor):
 @pytest.mark.parametrize("divisor", [1.0, 0.37])
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 11, 70])
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("kept", [0, 7, 1 << 19])
+@pytest.mark.parametrize("ahead", [1, 3, 8])
 @pytest.mark.parametrize("chunk", [1, 5, 1 << 16])
 def test_all_pairs_routes_give_the_same_bytes(
-    monkeypatch, chunk, kept, workers, k, divisor, bit_width
+    monkeypatch, chunk, ahead, workers, k, divisor, bit_width
 ):
     """Int8, int16, int16 and int32 entries on whichever kernels load, in
-    chunks of 1, 5 and 2**16 pairs, with the first pass keeping no sums,
-    those of its first few rows or all of them for the second, and both
-    passes inline or on a pool."""
+    chunks of 1, 5 and 2**16 pairs, with the sums of 1, 3 or 8 chunks
+    computed ahead of their lines, inline or on a pool."""
     import io
 
     from csq import _native
 
     monkeypatch.setattr(cli, "_CHUNK_PAIRS", chunk)
-    monkeypatch.setattr(cli, "_KEPT_PAIRS", kept)
+    monkeypatch.setattr(cli, "_SUMS_AHEAD", ahead)
     monkeypatch.setattr(_native, "_worker_count", lambda: workers)
     sketches = _random_sketches(k, bit_width)
-    assert cli._column_spread(sketches.entries) < cli._MARK_LIMIT
+    assert cli._column_spread(sketches.entries) < cli._WINDOW
     out = io.BytesIO()
     cli._write_all_pairs(out, sketches, divisor)
     assert out.getvalue() == _oracle_csv(k, bit_width, divisor)
 
 
+@pytest.mark.parametrize("bit_width", [10, 17, 40])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("window", [8, 1024])
+def test_all_pairs_windows_give_the_same_bytes(monkeypatch, window, workers, bit_width):
+    """Sums wider than the table's window: it is centred on the sums of
+    row 0, the chunks with a sum outside it get tables of their own (most
+    of them with a window of 8 sums, a third of them with 1024), and sums
+    of 2**32 or more (bit width 40) are computed as int64."""
+    import io
+
+    from csq import _native
+
+    monkeypatch.setattr(cli, "_WINDOW", window)
+    monkeypatch.setattr(cli, "_CHUNK_PAIRS", 5)
+    monkeypatch.setattr(_native, "_worker_count", lambda: workers)
+    for k in (2, 11, 70):
+        sketches = _random_sketches(k, bit_width)
+        assert cli._column_spread(sketches.entries) >= window
+        out = io.BytesIO()
+        cli._write_all_pairs(out, sketches, 0.37)
+        assert out.getvalue() == _oracle_csv(k, bit_width, 0.37)
+
+
 def test_all_pairs_bytes_hold_with_more_workers_than_cpus(monkeypatch):
-    """Eight workers, chunks of 5 pairs, some sums kept and a short switch
-    interval: the shared count of row ranges, the workers' bitmaps, the
-    kept sums and the reused chunk buffers still give the oracle's bytes."""
+    """Eight workers, chunks of 5 pairs, the sums of 3 chunks ahead and a
+    short switch interval: the shared table, the chunks' bitmaps and the
+    reused buffers still give the oracle's bytes."""
     import io
     import sys
 
     from csq import _native
 
     monkeypatch.setattr(cli, "_CHUNK_PAIRS", 5)
-    monkeypatch.setattr(cli, "_KEPT_PAIRS", 600)
+    monkeypatch.setattr(cli, "_SUMS_AHEAD", 3)
     monkeypatch.setattr(_native, "_worker_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1308,18 +1330,19 @@ def test_all_pairs_bytes_hold_with_more_workers_than_cpus(monkeypatch):
 
 @pytest.mark.parametrize("over", [False, True])
 def test_all_pairs_cutover_keeps_the_bytes(monkeypatch, over):
-    """Column spreads that sum to 2**20 - 1 still take the compiled passes
-    (when the kernels load); one more takes the reference branch, with
-    the same bytes."""
+    """Column spreads that sum to 2**24 - 1 give a table over [0, 2**24);
+    one more, a window of 2**24 sums centred on row 0's. Both take the
+    compiled path when the kernels load, with the reference's bytes."""
     import io
 
     from csq import _native
 
-    bound = cli._MARK_LIMIT - 1 + over
+    assert cli._WINDOW == 1 << 24
+    bound = (1 << 24) - 1 + over
     entries = np.array(
-        [[0, 0], [1 << 19, bound - (1 << 19)], [3, 7], [1 << 18, 1 << 18], [5, 2]]
+        [[0, 0], [1 << 23, bound - (1 << 23)], [3, 7], [1 << 22, 1 << 22], [5, 2]]
     )
-    sketches = Sketches(2, 21, 0.0123, entries - (1 << 20))
+    sketches = Sketches(2, 25, 0.0123, entries - (1 << 24))
     assert cli._column_spread(sketches.entries) == bound
     calls = []
     monkeypatch.setattr(
@@ -1330,7 +1353,7 @@ def test_all_pairs_cutover_keeps_the_bytes(monkeypatch, over):
     cli._write_all_pairs(out, sketches, 0.37)
     model = types.SimpleNamespace(condensation=sketches)
     assert out.getvalue() == _per_pair_csv(model, sketches, 0.37).encode()
-    assert bool(calls) == (over or _native.load() is None)
+    assert bool(calls) == (_native.load() is None)
 
 
 def _query_argv(tmp_path, *rest):
@@ -1393,9 +1416,9 @@ def test_all_pairs_to_dev_null(embedded, capsys):
 def test_all_pairs_memory_does_not_grow_with_k(monkeypatch, workers):
     """Sketches of the benchmark's geometry (p = 64, int16 entries): from
     k = 1500 to 3000 the CSV grows from 29 to 117 MB, and the traced peak
-    stays under 12 MiB: the 2 MiB of sums the first pass keeps, at most
-    three chunk buffers of about 2.2 MB, and small tables. Neither the
-    output nor all the sums are held."""
+    stays under 12 MiB: the 2 MiB of sums computed ahead, at most three
+    line buffers of about 2.3 MB, and small tables. Neither the output nor
+    all the sums are held."""
     import tracemalloc
 
     from csq import _native

@@ -758,10 +758,12 @@ def _all_sums(rows):
 @pytest.mark.parametrize("bit_width", [1, 7, 8, 15, 16, 31, 32, 40])
 @pytest.mark.parametrize("k", [1, 2, 3, 40])
 def test_native_l1_marks_mark_every_sum(kernels, bit_width, k):
-    """The bitmap of each row range holds exactly the sums of its pairs,
-    for rows of every entry dtype; the ranges' bitmaps OR to all of them.
-    Wide rows are shifted down, keeping their dtype, so that their sums
-    fit a small bitmap."""
+    """Each row range's sums are stored in order and its bitmap holds
+    exactly the sums that occur, for rows of every entry dtype; the ranges'
+    bitmaps OR to all of them. A bitmap from a base in the middle of the
+    sums marks those in its window and counts the others. Wide rows are
+    shifted down, keeping their dtype, so that their sums fit a small
+    bitmap."""
     rows = extreme_rows(bit_width, k, 7, seed=5) >> max(0, bit_width - 14)
     want = _all_sums(rows)
     bits = int(want.max(initial=0)) + 1
@@ -770,56 +772,68 @@ def test_native_l1_marks_mark_every_sum(kernels, bit_width, k):
         marks = np.zeros_like(total)
         first = sum(k - 1 - i for i in range(start))
         count = sum(k - 1 - i for i in range(start, stop))
+        mine = want[first : first + count]
         keep = np.zeros(count, dtype=np.uint32)
-        kernels.l1_marks(rows, start, stop, marks, keep)
+        lo, hi, outside = kernels.l1_marks(rows, start, stop, marks, keep)
         got = np.flatnonzero(np.unpackbits(marks, bitorder="little"))
-        assert np.array_equal(got, np.unique(want[first : first + count]))
-        assert np.array_equal(keep, want[first : first + count])
-        again = np.zeros_like(total)
-        kernels.l1_marks(rows, start, stop, again)
-        assert np.array_equal(again, marks)
+        assert np.array_equal(got, np.unique(mine))
+        assert np.array_equal(keep, mine) and outside == 0
+        assert (lo, hi) == ((int(mine.min()), int(mine.max())) if count else (1 << 32, -1))
         total |= marks
+        base = bits // 2
+        window = np.zeros(1, dtype=np.uint8)
+        inside = (mine >= base) & (mine < base + 8)
+        assert kernels.l1_marks(rows, start, stop, window, keep, base)[2] == np.sum(~inside)
+        got = np.flatnonzero(np.unpackbits(window, bitorder="little")) + base
+        assert np.array_equal(got, np.unique(mine[inside]))
     got = np.flatnonzero(np.unpackbits(total, bitorder="little"))
     assert np.array_equal(got, np.unique(want))
 
 
-def test_native_l1_marks_refuse_a_sum_past_the_last_bit(kernels):
+def test_native_l1_marks_refuse_what_does_not_fit(kernels):
     rows = np.array([[0, 0], [3, 4]], dtype=np.int16)  # one pair, sum 7
-    marks = np.zeros(1, dtype=np.uint8)
-    kernels.l1_marks(rows, 0, 2, marks)
-    assert marks[0] == 1 << 7
-    with pytest.raises(ValueError):
-        kernels.l1_marks(rows, 0, 2, np.zeros(0, dtype=np.uint8))
-    for keep in (np.zeros(2, dtype=np.uint32), np.zeros(1, dtype=np.int64)):
+    marks, keep = np.zeros(1, dtype=np.uint8), np.zeros(1, dtype=np.uint32)
+    assert kernels.l1_marks(rows, 0, 2, marks, keep) == (7, 7, 0)
+    assert marks[0] == 1 << 7 and keep[0] == 7
+    # No bitmap, or one from past the sum: the sum is stored, not marked.
+    assert kernels.l1_marks(rows, 0, 2, np.zeros(0, dtype=np.uint8), keep) == (7, 7, 1)
+    assert kernels.l1_marks(rows, 0, 2, marks, keep, 8) == (7, 7, 1)
+    for bad in (np.zeros(2, dtype=np.uint32), np.zeros(1, dtype=np.int64)):
         with pytest.raises(ValueError):
-            kernels.l1_marks(rows, 0, 2, marks, keep)
-    rows[1, 1] = 5  # sum 8, one past the first byte
+            kernels.l1_marks(rows, 0, 2, marks, bad)
+    for base in (-1, 1 << 32):
+        with pytest.raises(ValueError):
+            kernels.l1_marks(rows, 0, 2, marks, keep, base)
     with pytest.raises(ValueError):
-        kernels.l1_marks(rows, 0, 2, marks)
+        kernels.l1_marks(rows, 1, 3, marks, keep)
+    wide = np.array([[0, 0], [1 << 31, 1 << 31]], dtype=np.int64)  # sum 2**32
     with pytest.raises(ValueError):
-        kernels.l1_marks(rows, 1, 3, marks)
+        kernels.l1_marks(wide, 0, 2, marks, keep)
 
 
-def _texts_of(sums):
-    """One text per distinct sum; one text longer than a fixed-size copy."""
+def _texts_of(sums, lo):
+    """One text per distinct sum, in a table from ``lo``, added in two
+    steps; one text of the most bytes a slot holds."""
     sums = np.unique(sums)
     texts = [repr(int(s) / 7).encode() for s in sums]
-    texts[len(texts) // 2] = b"x" * 70
-    return _native.Texts(sums, texts), dict(zip(sums.tolist(), texts))
+    texts[len(texts) // 2] = b"x" * (_native.TEXT - 1)
+    table = _native.Texts(lo, int(sums.max(initial=lo)))
+    half = len(texts) // 3
+    table.add(sums[:half], texts[:half])
+    table.add(sums[half:], texts[half:])
+    return table, dict(zip(sums.tolist(), texts))
 
 
-@pytest.mark.parametrize("kept", [0, 30, 1 << 20])
-@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
-def test_native_l1_lines_match_python_formatting(kernels, dtype, kept):
+@pytest.mark.parametrize("origin", ["zero", "least"])
+def test_native_l1_lines_match_python_formatting(kernels, origin):
     """From pair (3, 50) to the last one, in chunks that end mid-row and at
-    row ends; i and j both roll over from 9 to 10 and from 99 to 100. Each
-    chunk reads the sums of none, some or all of its pairs from the kept
-    ones of the first pass and computes the others."""
+    row ends; i and j both roll over from 9 to 10 and from 99 to 100. The
+    table starts at 0 or at the least sum."""
     k = 103
-    rows = np.random.default_rng(4).integers(-40, 40, size=(k, 9)).astype(dtype)
+    rows = np.random.default_rng(4).integers(-40, 40, size=(k, 9)).astype(np.int16)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     sums = _all_sums(rows)
-    texts, text_of = _texts_of(sums)
+    texts, text_of = _texts_of(sums, 0 if origin == "zero" else int(sums.min()))
     first = pairs.index((3, 50))
     want = b"".join(
         b"%d,%d,%s\n" % (i, j, text_of[s])
@@ -829,40 +843,49 @@ def test_native_l1_lines_match_python_formatting(kernels, dtype, kept):
     for count in (1, 51, 200, 1, 96, 3000, len(pairs)):
         count = min(count, len(pairs) - n)
         out = np.empty(kernels.lines_size(count, k, texts.longest), dtype=np.uint8)
-        sums_kept = sums[n : n + min(kept, count)].astype(np.uint32)
-        written = kernels.l1_lines(rows, *pairs[n], count, texts, out, sums_kept)
+        chunk = sums[n : n + count].astype(np.uint32)
+        written = kernels.l1_lines(k, *pairs[n], chunk, texts, out)
         got += out[:written].tobytes()
         n += count
     assert n == len(pairs) and got == want
 
 
 def test_native_l1_lines_refuse_what_does_not_fit(kernels):
-    rows = np.array([[0], [5], [7], [6]], dtype=np.int16)
-    # Sums (0,1) 5, (0,2) 7, (0,3) 6, (1,2) 2, (1,3) 1, (2,3) 1.
-    texts = _native.Texts([1, 2, 5, 6, 7], [b"a", b"b", b"0.5", b"c", b"dd"])
+    # Sums of rows [0], [5], [7], [6]: (0,1) 5, (0,2) 7, (0,3) 6, (1,2) 2,
+    # (1,3) 1, (2,3) 1.
+    sums = np.array([5, 7, 6, 2, 1, 1], dtype=np.uint32)
+
+    def table(lo, hi, given, text):
+        texts = _native.Texts(lo, hi)
+        texts.add(given, text)
+        return texts
+
+    texts = table(1, 7, [1, 2, 5, 6, 7], [b"a", b"b", b"0.5", b"c", b"dd"])
     out = np.empty(kernels.lines_size(6, 4, 3), dtype=np.uint8)
-    n = kernels.l1_lines(rows, 0, 1, 6, texts, out)
+    n = kernels.l1_lines(4, 0, 1, sums, texts, out)
     assert out[:n].tobytes() == b"0,1,0.5\n0,2,dd\n0,3,c\n1,2,b\n1,3,a\n2,3,a\n"
-    assert kernels.l1_lines(rows, 1, 3, 0, texts, out) == 0
-    kept = np.array([5, 7], dtype=np.uint32)
-    assert kernels.l1_lines(rows, 0, 1, 6, texts, out, kept) == n
-    kept[1] = 8  # a kept sum is read as it is
-    with pytest.raises(ValueError):
-        kernels.l1_lines(rows, 0, 1, 6, texts, out, kept)
-    with pytest.raises(ValueError):  # more kept sums than pairs
-        kernels.l1_lines(rows, 0, 1, 1, texts, out, kept)
+    assert kernels.l1_lines(4, 1, 3, sums[:0], texts, out) == 0
     with pytest.raises(ValueError):  # an undersized buffer
-        kernels.l1_lines(rows, 0, 1, 6, texts, out[:40])
-    for sums, text in (([1, 2, 5, 6], [b"a", b"b", b"0.5", b"c"]),  # 7 past the table
-                       ([2, 5, 6, 7], [b"b", b"0.5", b"c", b"dd"]),  # 1 before it
-                       ([1, 2, 5, 7], [b"a", b"b", b"0.5", b"dd"])):  # 6 in a gap
+        kernels.l1_lines(4, 0, 1, sums, texts, out[:40])
+    with pytest.raises(ValueError):  # a sum is read as it is
+        kernels.l1_lines(4, 0, 1, np.array([5, 8], dtype=np.uint32), texts, out)
+    with pytest.raises(ValueError):  # sums of the wrong dtype
+        kernels.l1_lines(4, 0, 1, sums.astype(np.int64), texts, out)
+    for missing in (table(1, 7, [1, 2, 5, 6], [b"a", b"b", b"0.5", b"c"]),  # 7
+                    table(2, 7, [2, 5, 6, 7], [b"b", b"0.5", b"c", b"dd"]),  # 1, before it
+                    table(1, 6, [1, 2, 5, 6], [b"a", b"b", b"0.5", b"c"]),  # 7, past it
+                    table(1, 7, [1, 2, 5, 7], [b"a", b"b", b"0.5", b"dd"])):  # 6, a gap
         with pytest.raises(ValueError):
-            kernels.l1_lines(rows, 0, 1, 6, _native.Texts(sums, text), out)
-    bad = ((0, 0, 1), (1, 0, 1), (0, 4, 1), (2, 3, 2), (0, 1, 7), (0, 1, -1))
+            kernels.l1_lines(4, 0, 1, sums, missing, out)
+    bad = ((0, 0, 1), (1, 0, 1), (0, 4, 1), (2, 3, 2), (0, 1, 7))
     for i, j, count in bad:
         with pytest.raises(ValueError):
-            kernels.l1_lines(rows, i, j, count, texts, out)
-    with pytest.raises(ValueError):
-        _native.Texts([1, 1], [b"a", b"b"])
-    with pytest.raises(ValueError):
-        _native.Texts([1, 2], [b"a"])
+            kernels.l1_lines(4, i, j, np.ones(count, dtype=np.uint32), texts, out)
+    for given, text in (([1, 1], [b"a", b"b"]),  # the same sum twice
+                        ([1, 2], [b"a"]),  # a sum without its text
+                        ([0], [b"a"]), ([8], [b"a"]),  # outside [1, 7]
+                        ([3], [b"x" * _native.TEXT]),  # longer than a slot holds
+                        ([5], [b"e"])):  # a sum that has its text
+        with pytest.raises(ValueError):
+            texts.add(given, text)
+    assert kernels.l1_lines(4, 0, 1, sums, texts, out) == n

@@ -255,23 +255,29 @@ for k in (1, 2, 17, 513):
         half = 1 << (width - 1)
         rows = Sketches(5, width, 0.5, rng.integers(-half, half, size=(k, 5))).entries
         marks = np.zeros(cli._column_spread(rows) // 8 + 1, dtype=np.uint8)
-        kept = np.empty(k * (k - 1) // 2, dtype=np.uint32)
-        kern.l1_marks(rows, 0, k, marks, kept)
-        sums = np.flatnonzero(np.unpackbits(marks, bitorder="little"))
-        texts = _native.Texts(sums, [b"%d" % s for s in sums])
-        by_row = [(i, i + 1, k - 1 - i) for i in range(k - 1)]
-        first = 0
-        for i, j, count in by_row + list(cli._pair_chunks(k, 7)):
+        sums = np.empty(k * (k - 1) // 2, dtype=np.uint32)
+        kern.l1_marks(rows, 0, k, marks, sums)
+        middle = int(np.median(sums)) if k > 1 else 0
+        kern.l1_marks(rows, 0, k, np.zeros(1, dtype=np.uint8), sums, middle)
+        distinct = np.flatnonzero(np.unpackbits(marks, bitorder="little"))
+        texts = _native.Texts(0, 8 * marks.size - 1)
+        texts.add(distinct, [b"%d" % s for s in distinct])
+        # Chunks of each row, and of 7 pairs, that start at pair (i, j).
+        starts = [(i, i + 1) for i in range(k - 1)]
+        firsts = [sum(k - 1 - r for r in range(i)) for i, _ in starts]
+        runs = [(i, j, first, k - 1 - i) for (i, j), first in zip(starts, firsts)]
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        runs += [
+            (*pairs[n], n, min(7, len(pairs) - n)) for n in range(0, len(pairs), 7)
+        ]
+        for i, j, first, count in runs:
             out = np.empty(kern.lines_size(count, k, texts.longest), dtype=np.uint8)
-            kern.l1_lines(rows, i, j, count, texts, out)
-            some = kept[first : first + count // 2].copy()
-            kern.l1_lines(rows, i, j, count, texts, out, some)
-            first = (first + count) % kept.size
+            kern.l1_lines(k, i, j, sums[first : first + count], texts, out)
+        sketches = Sketches(5, width, 0.5, rows)
         for chunk in (1, max(1, k - 1), 1 << 16):
             cli._CHUNK_PAIRS = chunk
-            for keep in (0, chunk + 3):
-                cli._KEPT_PAIRS = keep
-                sketches = Sketches(5, width, 0.5, rows)
+            for ahead, window in ((1, 1 << 24), (3, 8)):
+                cli._SUMS_AHEAD, cli._WINDOW = ahead, window
                 cli._write_all_pairs(io.BytesIO(), sketches, 1.0)
 print("ok")
 """
