@@ -3,7 +3,9 @@ path, the draw of the sparse Gaussian operator, the l1 sums of
 :func:`csq.condense.pairwise_l1_blocks`, and the two steps of each chunk
 of ``csq query --all-pairs``: one computes the chunk's l1 sums and marks
 which occur; the other writes each pair's CSV line with the text of its
-sum (:class:`Texts`).
+sum (:class:`Texts`). The l1 kernels take the rows :func:`narrow` gives:
+rows whose columns each span at most 255 as bytes, which the kernels sum
+with ``psadbw``, and other rows at their own width.
 
 The source ships with the package. The first :func:`load` compiles it with
 the system C compiler ``cc`` into a per-user cache directory and loads the
@@ -32,7 +34,8 @@ of the embed and the l1 sum loop (``target_clones``), and the dynamic loader
 picks one when the library loads, by the CPU it runs on. The AVX2 build
 enables no FMA and gives the same bytes, so the cache key names no CPU
 feature, and a library cached on one host runs on any x86-64 host that
-shares the cache. ``Kernels.isa`` says which build runs.
+shares the cache. ``Kernels.isa`` says which build runs. A library already
+in the cache loads without importing ``subprocess``; only a compile does.
 """
 
 from __future__ import annotations
@@ -68,8 +71,11 @@ NORMAL = "random_standard_normal"
 
 _int, _i64, _f64 = ctypes.c_int, ctypes.c_int64, ctypes.c_double
 _ptr = ctypes.c_void_p
-# The row dtypes of the l1 kernels, which take the entry width.
-L1_DTYPES = frozenset(map(np.dtype, (np.int8, np.int16, np.int32, np.int64)))
+# The signed integer rows :func:`narrow` takes, and the rows of the l1
+# kernels, which take the entry width: bytes from narrow(), and signed
+# integers that span more than a byte.
+ROW_DTYPES = frozenset(map(np.dtype, (np.int8, np.int16, np.int32, np.int64)))
+L1_DTYPES = frozenset(map(np.dtype, (np.uint8, np.int16, np.int32, np.int64)))
 _SIGNATURES = {
     "csq_precondition": (None, [_ptr, _i64, _i64, _ptr, _i64, _ptr]),
     "csq_project": (None, [_ptr, _ptr, _ptr, _i64, _ptr, _i64, _i64, _ptr]),
@@ -142,6 +148,34 @@ def _l1_rows(rows: np.ndarray) -> int:
     return _check(rows, rows.dtype, rows.size)
 
 
+def narrow(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(narrowed, bound)`` for the (k, p) rows of a dtype of
+    :data:`ROW_DTYPES`. ``bound`` is the sum over the columns of max - min,
+    which bounds the l1 sum of any two rows (0 without rows). ``narrowed``
+    holds C-ordered rows of a dtype of :data:`L1_DTYPES` with the same l1
+    sums: when every column spans at most 255, the rows less their column
+    minima as uint8 (|a - b| does not change when a and b shift alike),
+    else the rows themselves. Int8 rows always narrow.
+
+    The byte rows are for the l1 kernels only: a numpy subtraction of two
+    of them wraps around."""
+    rows = np.ascontiguousarray(rows)
+    if rows.dtype not in ROW_DTYPES or rows.ndim != 2:
+        raise ValueError(f"cannot narrow {rows.dtype} rows of shape {rows.shape}")
+    if rows.shape[0] == 0:
+        return rows.astype(np.uint8), 0
+    lo = rows.min(axis=0)
+    # max - min in the unsigned type of the rows' width: exact, as it lies
+    # in [0, 2**bits) however far apart the two are.
+    unsigned = np.dtype(f"u{rows.itemsize}")
+    spread = rows.max(axis=0).view(unsigned) - lo.view(unsigned)
+    bound = sum(spread.tolist())
+    if spread.max(initial=0) > 255:
+        return rows, bound
+    # Each shifted entry lies in [0, 255], so subtracting modulo 256 gives it.
+    return np.subtract(rows, lo, dtype=np.uint8, casting="unsafe"), bound
+
+
 class Kernels:
     """Typed entry points into the loaded library; each checks its buffers
     before passing pointers. ctypes releases the GIL during every call.
@@ -165,7 +199,9 @@ class Kernels:
     rows, and which occur) and :meth:`l1_lines` (the CSV lines of those
     sums) are the two steps of a chunk of the all-pairs CSV, so that
     threads can share a query a chunk each. The first two take C-ordered
-    rows of a dtype of :data:`L1_DTYPES`.
+    rows of a dtype of :data:`L1_DTYPES`, as :func:`narrow` gives them:
+    uint8 rows run the byte loop (``psadbw``), the others a loop at their
+    width.
 
     ``isa`` is ``"avx2"`` when the embed kernels and the l1 sums run their
     AVX2 build, ``"baseline"`` otherwise.
@@ -346,8 +382,10 @@ class Kernels:
 
     def l1_pairs(self, rows, start: int, stop: int, sums) -> None:
         """The l1 sums of rows start..stop-1 of the C-ordered (k, p) matrix
-        ``rows`` (a dtype of :data:`L1_DTYPES`) against every later row,
-        in (i, j), i < j order, into the int64 vector ``sums``."""
+        ``rows`` (a dtype of :data:`L1_DTYPES`; :func:`narrow` makes them)
+        against every later row, in (i, j), i < j order, into the int64
+        vector ``sums``. Byte rows are read as unsigned, so their sums are
+        those of the rows they were narrowed from."""
         k, p = rows.shape
         if not 0 <= start <= stop <= k:
             raise ValueError("row range out of bounds")
@@ -361,11 +399,12 @@ class Kernels:
 
     def l1_marks(self, rows, start: int, stop: int, marks, keep, base: int = 0):
         """Store in the uint32 vector ``keep`` the l1 sum s of each pair of
-        a row start..stop-1 of ``rows`` (as :meth:`l1_pairs` takes them)
-        with a later row, in (i, j) order, and set bit d % 8 of byte d // 8
-        of the uint8 vector ``marks``, d = s - base, for the sums with a
-        bit there. Returns ``(lo, hi, outside)``: the least and the largest
-        sum (2**32 and -1 without pairs) and how many sums have no bit.
+        a row start..stop-1 of ``rows`` (as :meth:`l1_pairs` takes them,
+        from :func:`narrow`) with a later row, in (i, j) order, and set
+        bit d % 8 of byte d // 8 of the uint8 vector ``marks``, d = s -
+        base, for the sums with a bit there. Returns ``(lo, hi, outside)``:
+        the least and the largest sum (2**32 and -1 without pairs) and how
+        many sums have no bit.
         Raises ValueError, having stored some sums, at a sum of 2**32 or
         more."""
         k, p = rows.shape
@@ -505,13 +544,14 @@ def _normal() -> int | None:
         return None
 
 
+class CompileError(Exception):
+    """The C compiler failed or timed out."""
+
+
 def _build(cache: Path) -> Path:
     """The shared library for the current source and flags, compiled into
-    ``cache`` unless it is there already. Raises OSError or
-    subprocess.SubprocessError."""
-    import subprocess
-    import tempfile
-
+    ``cache`` unless it is there already. Raises OSError, or CompileError
+    with the compiler's first line of output."""
     src = source()
     key = hashlib.sha256(
         b"\0".join([src, " ".join(FLAGS).encode(), platform.machine().encode()])
@@ -526,28 +566,36 @@ def _build(cache: Path) -> Path:
     cc = shutil.which("cc")
     if cc is None:
         raise FileNotFoundError("no C compiler 'cc' on PATH")
+    # Imported here, not at the top: a cached library loads without them,
+    # and subprocess alone costs milliseconds of import.
+    import subprocess
+    import tempfile
+
     with tempfile.TemporaryDirectory(dir=cache) as work:
         c_file = Path(work) / "_kernels.c"
         c_file.write_bytes(src)
         so_file = Path(work) / "kernels.so"
-        subprocess.run(
-            [cc, *FLAGS, "-o", str(so_file), str(c_file)],
-            check=True, capture_output=True, timeout=120,
-        )
+        try:
+            subprocess.run(
+                [cc, *FLAGS, "-o", str(so_file), str(c_file)],
+                check=True, capture_output=True, timeout=120,
+            )
+        except subprocess.CalledProcessError as exc:
+            lines = exc.stderr.decode(errors="replace").strip().splitlines()
+            raise CompileError(lines[0] if lines else f"exit {exc.returncode}") from None
+        except subprocess.SubprocessError as exc:  # the timeout
+            raise CompileError(str(exc)) from None
         os.replace(so_file, lib)
     return lib
 
 
 @functools.cache
 def _load() -> tuple[Kernels | None, str]:
-    import subprocess
-
     try:
         return Kernels(ctypes.CDLL(str(_build(cache_dir())))), ""
-    except subprocess.CalledProcessError as exc:
-        lines = exc.stderr.decode(errors="replace").strip().splitlines()
-        return None, "compile failed: " + (lines[0] if lines else f"exit {exc.returncode}")
-    except (OSError, subprocess.SubprocessError) as exc:
+    except CompileError as exc:
+        return None, f"compile failed: {exc}"
+    except OSError as exc:
         return None, str(exc)
     except AttributeError as exc:  # a library without the kernel symbols
         return None, f"broken kernel library: {exc}"

@@ -305,30 +305,22 @@ def _distinct_sums(sums: np.ndarray):
 # in a bitmap over it: 4 and 1/8 bytes a sum, which the system zeroes as
 # their pages are first touched, and only the pages of the sums that occur
 # are. The window covers [0, B], B the sum of the entries' column spreads
-# (a bound on every sum), when B < _WINDOW; otherwise it is centred on the
-# sums of row 0, and a chunk with a sum outside it gets a table of its own.
-# A multiple of 8.
+# (a bound on every sum, from _native.narrow), when B < _WINDOW; otherwise
+# it is centred on the sums of row 0, and a chunk with a sum outside it
+# gets a table of its own. A multiple of 8.
 _WINDOW = 1 << 24
 # Pairs per chunk of compiled CSV lines: a chunk is a range of rows with at
 # most this many pairs, or one row.
 _CHUNK_PAIRS = 1 << 16
 # Chunks whose sums may be computed ahead of their lines (2 MiB of sums):
 # a query's first ones, all of them for k <= 1024, run before any line is
-# written, while an --out may still be opening.
+# written.
 _SUMS_AHEAD = 8
 # Chunks of lines filled ahead of the one being written, at most: the
 # writing thread keeps up with about two or three filling ones.
 _AHEAD = 3
 # Bytes of the longest repr of a float, "-2.2250738585072014e-308".
 _REPR_BYTES = 24
-
-
-def _column_spread(entries: np.ndarray) -> int:
-    """The sum over the columns of ``entries`` of max - min: a bound on
-    the l1 sum of any two of its rows (0 without rows)."""
-    if entries.shape[0] == 0:
-        return 0
-    return sum((entries.max(axis=0).astype(np.int64) - entries.min(axis=0)).tolist())
 
 
 class _Inline:
@@ -359,10 +351,12 @@ def _write_all_pairs(out, sketches, divisor: float) -> None:
     same float operations as :func:`pipeline.estimate_distance`, so each
     distinct sum is formatted once and shared by its pairs.
 
-    With the compiled kernels the pairs go in chunks of rows, each in two
-    compiled steps on a pool of one thread per CPU (inline on one CPU).
-    The first computes the chunk's sums and marks which occur, and Python
-    formats those without a text yet (see :data:`_WINDOW`); it runs up to
+    With the compiled kernels the entries are narrowed once
+    (:func:`csq._native.narrow`: to bytes when every column spans at most
+    255), and the pairs go in chunks of rows, each in two compiled steps on
+    a pool of one thread per CPU (inline on one CPU). The first computes
+    the chunk's sums and marks which occur, and Python formats those
+    without a text yet (see :data:`_WINDOW`); it runs up to
     :data:`_SUMS_AHEAD` chunks ahead. The second copies each pair's line
     into one of a few reused buffers, which this thread writes in order.
     Every sum is computed once. Without the kernels the sums come from
@@ -371,18 +365,17 @@ def _write_all_pairs(out, sketches, divisor: float) -> None:
     """
     from . import _native
 
-    entries = sketches.entries
     kern = _native.load()
     if kern is None:
         _write_all_pairs_python(out, sketches, divisor)
         return
     k, norm_factor = len(sketches), sketches.norm_factor
-    bound = _column_spread(entries)
+    entries, bound = _native.narrow(sketches.entries)
     # Sums of 2**32 or more are computed as int64, each chunk on its own.
-    narrow = bound < 1 << 32
+    fits = bound < 1 << 32
     # A whole number of bitmap bytes.
     base, window = 0, -(-min(bound + 1, _WINDOW) // 8) * 8
-    if narrow and bound >= _WINDOW and k > 1:
+    if fits and bound >= _WINDOW and k > 1:
         probe = np.empty(k - 1, dtype=np.int64)
         kern.l1_pairs(entries, 0, 1, probe)
         middle = (int(probe.min()) + int(probe.max())) // 2
@@ -399,12 +392,12 @@ def _write_all_pairs(out, sketches, divisor: float) -> None:
     # chunk n - len(line_slots).
     sums_slots = [
         (np.empty(most, dtype=np.uint32),
-         np.zeros(window // 8, dtype=np.uint8) if narrow
+         np.zeros(window // 8, dtype=np.uint8) if fits
          else np.empty(most, dtype=np.int64))
         for _ in range(max(_SUMS_AHEAD, ahead + 1))
     ]
     line_slots = [np.empty(size, dtype=np.uint8) for _ in range(ahead + 1)]
-    texts = _native.Texts(base, base + window - 1) if narrow else None
+    texts = _native.Texts(base, base + window - 1) if fits else None
     adding = threading.Lock()
 
     def format_sums(sums: np.ndarray) -> list[bytes]:
@@ -431,7 +424,7 @@ def _write_all_pairs(out, sketches, divisor: float) -> None:
         """Chunk n's sums, or keys, and the table of their texts."""
         sums, marks = sums_slots[n % len(sums_slots)]
         sums = sums[:count]
-        if not narrow:
+        if not fits:
             kern.l1_pairs(entries, start, stop, marks[:count])
             return own_texts(marks[:count], sums)
         lo, hi, outside = kern.l1_marks(entries, start, stop, marks, sums, base)
@@ -479,8 +472,6 @@ def _write_all_pairs(out, sketches, divisor: float) -> None:
             fill_chunk(n)
         out.write(b"i,j,estimate\n")
         for n in range(len(chunks)):
-            # An --out still opening is waited for at the first write, while
-            # the first chunks are computed.
             out.write(filling.popleft().result())
             sum_chunk(n + len(sums_slots))
             fill_chunk(n + len(line_slots))
@@ -505,47 +496,50 @@ def _write_all_pairs_python(out, sketches, divisor: float) -> None:
         out.write("".join(parts).encode())
 
 
-class _OpeningFile:
-    """The binary file ``open(path, "wb")``, opened on a thread of its own
-    from construction on; :meth:`write` and :meth:`flush` wait for it,
-    and raise the open's error if it failed.
+def _keep_contents(path, flags: int) -> int:
+    """The opener of :class:`_Rewritten`: ``open``'s own, without
+    ``O_TRUNC``."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
-    An open that truncates a file waits for the file system to write back
-    what was written into the file before, which may take milliseconds;
-    this way the caller's work runs meanwhile. Used as a context manager,
-    it joins the thread and closes the file on exit.
+
+class _Rewritten:
+    """The binary file ``path`` as ``open(path, "wb")`` gives it, but
+    opened without ``O_TRUNC``: writes go from its first byte over the
+    bytes it holds. When the ``with`` block ends, however it ends, a
+    regular file is cut to the bytes written, so it holds what an
+    ``O_TRUNC`` open would have left; other files (``/dev/null``, a FIFO, a
+    terminal) are never cut. The file keeps its inode, mode, owner and
+    links.
+
+    A truncating open waits for the file system to write back what the
+    file held (ext4 starts that when a truncated file is closed), which
+    takes milliseconds after a rewrite of a large file; this open does not.
+    A process killed while it writes leaves the new bytes followed by the
+    old file's tail.
     """
 
     def __init__(self, path):
-        self._file = self._error = None
-        self._thread = threading.Thread(target=self._open, args=(path,))
-        self._thread.start()
+        import stat
 
-    def _open(self, path) -> None:
-        try:
-            self._file = open(path, "wb")
-        except Exception as exc:  # raised on the caller's thread
-            self._error = exc
-
-    def _opened(self):
-        self._thread.join()
-        if self._error is not None:
-            raise self._error
-        return self._file
+        self._file = open(path, "wb", buffering=0, opener=_keep_contents)
+        self._regular = stat.S_ISREG(os.fstat(self._file.fileno()).st_mode)
 
     def write(self, data) -> None:
-        self._opened().write(data)
+        view = memoryview(data)
+        while view.nbytes:  # an unbuffered write may take part of it
+            view = view[self._file.write(view) :]
 
     def flush(self) -> None:
-        self._opened().flush()
+        pass
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
-        self._thread.join()
-        if self._file is not None:
-            self._file.close()
+        with self._file:
+            if self._regular:
+                # At the file's offset: the bytes the writes put there.
+                self._file.truncate()
 
 
 class _TextSink:
@@ -588,7 +582,7 @@ def _cmd_query(args) -> int:
         stream = getattr(sys.stdout, "buffer", None) or _TextSink(sys.stdout)
         sink = contextlib.nullcontext(stream)
     else:
-        sink = _OpeningFile(args.out)
+        sink = _Rewritten(args.out)
     with sink as out:
         if args.pair is not None:
             out.write(repr(est).encode() + b"\n")

@@ -328,18 +328,22 @@ def pairwise_l1_blocks(rows: np.ndarray, block_pairs: int = 1 << 17):
     the row dtype (see :func:`entry_dtype`).
 
     Signed integer rows run on the compiled kernel when it loads (see
-    :mod:`csq._native`); other rows, and every row without it, on a numpy
-    loop that gives the same sums. With more than one CPU, a thread
-    computes the next block while the caller reads the current one.
+    :mod:`csq._native`), narrowed once for all the blocks: rows whose
+    columns each span at most 255 are summed as bytes. Other rows, and
+    every row without the kernel, run on a numpy loop that gives the same
+    sums. With more than one CPU, a thread computes the next block while
+    the caller reads the current one.
     """
     rows = np.ascontiguousarray(rows)
     # Imported here, not at the top, as in pipeline.embed_dataset.
     from . import _native
 
-    kern = _native.load() if rows.dtype in _native.L1_DTYPES else None
+    kern = _native.load() if rows.dtype in _native.ROW_DTYPES else None
     if kern is None:
         l1_pairs, dtype = _numpy_l1_pairs, rows[:0].sum(axis=1).dtype
     else:
+        # The numpy loop never sees the byte rows, whose differences wrap.
+        rows = _native.narrow(rows)[0]
         l1_pairs, dtype = kern.l1_pairs, np.int64
 
     def compute(start: int, stop: int, count: int):

@@ -1,11 +1,12 @@
 """Fixtures shared by the test modules.
 
 The compiled kernels are built once per session into a private cache, so
-the tests neither read nor write the user's cache. ``numpy_kernels``
-switches one test to the numpy kernels by making the loader report that
-no compiled kernels exist; ``baseline_loader`` switches it to the kernels
-compiled without their AVX2 clones, which a host with AVX2 never runs
-otherwise.
+the tests neither read nor write the user's cache. They are built before
+the first test, so that no test's own time includes the compiler's.
+``numpy_kernels`` switches one test to the numpy kernels by making the
+loader report that no compiled kernels exist; ``baseline_loader``
+switches it to the kernels compiled without their AVX2 clones, which a
+host with AVX2 never runs otherwise.
 
 Every test starts and ends with an empty seeded-operator cache, so that
 it draws its operators with its own kernel set and counts its own draws.
@@ -28,6 +29,7 @@ def _private_kernel_cache(tmp_path_factory):
     patch = pytest.MonkeyPatch()
     patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
     _native._load.cache_clear()
+    _native.load()
     yield
     patch.undo()
     _native._load.cache_clear()

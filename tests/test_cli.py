@@ -1276,7 +1276,7 @@ def test_all_pairs_routes_give_the_same_bytes(
     monkeypatch.setattr(cli, "_SUMS_AHEAD", ahead)
     monkeypatch.setattr(_native, "_worker_count", lambda: workers)
     sketches = _random_sketches(k, bit_width)
-    assert cli._column_spread(sketches.entries) < cli._WINDOW
+    assert _native.narrow(sketches.entries)[1] < cli._WINDOW
     out = io.BytesIO()
     cli._write_all_pairs(out, sketches, divisor)
     assert out.getvalue() == _oracle_csv(k, bit_width, divisor)
@@ -1299,7 +1299,7 @@ def test_all_pairs_windows_give_the_same_bytes(monkeypatch, window, workers, bit
     monkeypatch.setattr(_native, "_worker_count", lambda: workers)
     for k in (2, 11, 70):
         sketches = _random_sketches(k, bit_width)
-        assert cli._column_spread(sketches.entries) >= window
+        assert _native.narrow(sketches.entries)[1] >= window
         out = io.BytesIO()
         cli._write_all_pairs(out, sketches, 0.37)
         assert out.getvalue() == _oracle_csv(k, bit_width, 0.37)
@@ -1343,7 +1343,7 @@ def test_all_pairs_cutover_keeps_the_bytes(monkeypatch, over):
         [[0, 0], [1 << 23, bound - (1 << 23)], [3, 7], [1 << 22, 1 << 22], [5, 2]]
     )
     sketches = Sketches(2, 25, 0.0123, entries - (1 << 24))
-    assert cli._column_spread(sketches.entries) == bound
+    assert _native.narrow(sketches.entries)[1] == bound
     calls = []
     monkeypatch.setattr(
         cli, "pairwise_l1_blocks",
@@ -1365,9 +1365,8 @@ def _query_argv(tmp_path, *rest):
 
 @pytest.mark.parametrize("which", ["missing directory", "directory", "read-only"])
 def test_all_pairs_out_errors_write_nothing(embedded, capsys, monkeypatch, which):
-    """The --out open runs on a thread of its own; its errors still end
-    the query with exit 2 and the open's message, nothing is written, and
-    no thread is left behind."""
+    """Errors of the --out open end the query with exit 2 and the open's
+    message, nothing is written, and no thread is left behind."""
     import threading
 
     tmp_path, _, _ = embedded
@@ -1410,6 +1409,99 @@ def test_all_pairs_to_dev_null(embedded, capsys):
     assert threading.active_count() == threads
     count = 1 + len(condensed) * (len(condensed) - 1) // 2
     assert capsys.readouterr().out == f"wrote {count} line(s) to /dev/null\n"
+
+
+@pytest.mark.parametrize("before", ["longer", "shorter", "equal"])
+def test_all_pairs_out_is_rewritten_in_place(embedded, capsys, before):
+    """--out over a file of more, fewer or as many bytes as the CSV: the
+    same file, holding the per-pair oracle's bytes and nothing of the old
+    ones."""
+    tmp_path, model, condensed = embedded
+    want = _per_pair_csv(model, condensed, 1.0).encode()
+    size = {"longer": 3 * len(want) + 5, "shorter": len(want) // 3, "equal": len(want)}
+    target = tmp_path / "pairs.csv"
+    target.write_bytes(b"x" * size[before])
+    inode = target.stat().st_ino
+    assert main(_query_argv(tmp_path, "--out", str(target))) == 0
+    assert target.read_bytes() == want
+    assert target.stat().st_ino == inode
+
+
+def test_all_pairs_out_through_links_keeps_file_links_and_mode(embedded, capsys):
+    """--out naming a symbolic link writes the link's target and leaves the
+    link; a hard link to the file sees the new bytes; the file keeps its
+    mode."""
+    import stat
+
+    tmp_path, model, condensed = embedded
+    want = _per_pair_csv(model, condensed, 1.0).encode()
+    target, link, hard = tmp_path / "pairs.csv", tmp_path / "link", tmp_path / "hard"
+    target.write_bytes(b"0,1,old\n" * 1000)
+    target.chmod(0o640)
+    link.symlink_to(target)
+    os.link(target, hard)
+    assert main(_query_argv(tmp_path, "--out", str(link))) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == hard.read_bytes() == want
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+def test_query_pair_out_over_a_large_file_leaves_one_line(embedded, capsys):
+    tmp_path, model, condensed = embedded
+    target = tmp_path / "pairs.csv"
+    target.write_bytes(b"0,1,0.5\n" * (13 << 17))  # 13 MiB
+    assert main([
+        "query", "--model", str(tmp_path / "model.csqm"),
+        "--condensed", str(tmp_path / "cond.csqd"),
+        "--pair", "0", "1", "--out", str(target),
+    ]) == 0
+    want = pipeline.estimate_distance(model, condensed[0], condensed[1])
+    assert target.read_bytes() == repr(want).encode() + b"\n"
+
+
+@pytest.mark.parametrize("short", [False, True])
+def test_all_pairs_out_on_a_full_disk_keeps_only_what_was_written(
+    embedded, capsys, monkeypatch, short
+):
+    """The disk fills after the header and the first chunk, at once or
+    after a short write of the second chunk (as a write that meets the end
+    of the space returns): exit 2 with the error, and the file holds just
+    the bytes written, a prefix of the CSV, with no tail of the longer
+    file it replaced."""
+    import errno
+    import io
+
+    tmp_path, model, condensed = embedded
+    want = _per_pair_csv(model, condensed, 1.0).encode()
+    monkeypatch.setattr(cli, "_CHUNK_PAIRS", 3)
+    monkeypatch.setattr(
+        cli, "pairwise_l1_blocks", functools.partial(pairwise_l1_blocks, block_pairs=3)
+    )
+    calls = []
+
+    class Full(io.FileIO):
+        def write(self, data):
+            calls.append(len(data))
+            if len(calls) == 3 and short:
+                return super().write(memoryview(data)[: len(data) // 2])
+            if len(calls) >= 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return super().write(data)
+
+    def full_open(path, mode="r", buffering=-1, opener=None):
+        assert mode == "wb" and opener is not None
+        return Full(opener(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC), mode)
+
+    target = tmp_path / "pairs.csv"
+    target.write_bytes(b"x" * (2 * len(want)))
+    monkeypatch.setattr(cli, "open", full_open, raising=False)
+    capsys.readouterr()
+    assert main(_query_argv(tmp_path, "--out", str(target))) == 2
+    assert capsys.readouterr().err.startswith("file error: ")
+    got = target.read_bytes()
+    assert len(calls) == 3 + short
+    assert len(got) == calls[0] + calls[1] + short * (calls[2] // 2)
+    assert 0 < len(got) < len(want) and got == want[: len(got)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -755,17 +755,60 @@ def _all_sums(rows):
     )
 
 
+@pytest.mark.parametrize(
+    "dtype, spread",
+    [(np.int8, 255)]
+    + [(dtype, spread) for dtype in (np.int16, np.int32, np.int64)
+       for spread in (0, 255, 256)],
+)
+def test_narrowed_rows_give_the_sums_of_the_rows(kernels, dtype, spread):
+    """Rows whose columns each span exactly ``spread``, at offsets from
+    the dtype's least to its largest values (int8 rows span -128..127),
+    narrow to bytes up to a spread of 255 and keep their dtype at 256. The
+    bound is the spreads' sum, and the kernels' sums from the narrowed rows,
+    in 37 columns (a vector of 32 bytes, one of 4 and single bytes), are
+    the oracle's from the rows."""
+    info = np.iinfo(dtype)
+    k, p = 40, 37
+    rng = np.random.default_rng([spread, info.bits])
+    lows = rng.integers(info.min, info.max - spread, size=p, endpoint=True)
+    lows[:2] = info.min, info.max - spread
+    rows = lows + rng.integers(0, spread, size=(k, p), endpoint=True).astype(dtype)
+    rows[0], rows[1] = lows, lows + spread
+    rows = rows.astype(dtype)
+    narrowed, bound = _native.narrow(rows)
+    assert bound == spread * p
+    assert narrowed.dtype == (np.uint8 if spread <= 255 else dtype)
+    want = _all_sums(rows)
+    sums = np.empty(want.size, dtype=np.int64)
+    kernels.l1_pairs(narrowed, 0, k, sums)
+    assert np.array_equal(sums, want)
+    assert np.array_equal(np.concatenate([s for _, _, s in pairwise_l1_blocks(rows)]), want)
+
+
+def test_narrow_takes_signed_rows_only():
+    assert _native.narrow(np.zeros((0, 3), dtype=np.int16))[1] == 0
+    assert _native.narrow(np.zeros((0, 3), dtype=np.int16))[0].dtype == np.uint8
+    bad_rows = (np.zeros((2, 3), dtype=np.uint8), np.zeros((2, 3)), np.zeros(3, dtype=np.int8))
+    for bad in bad_rows:
+        with pytest.raises(ValueError):
+            _native.narrow(bad)
+
+
 @pytest.mark.parametrize("bit_width", [1, 7, 8, 15, 16, 31, 32, 40])
 @pytest.mark.parametrize("k", [1, 2, 3, 40])
 def test_native_l1_marks_mark_every_sum(kernels, bit_width, k):
     """Each row range's sums are stored in order and its bitmap holds
-    exactly the sums that occur, for rows of every entry dtype; the ranges'
-    bitmaps OR to all of them. A bitmap from a base in the middle of the
-    sums marks those in its window and counts the others. Wide rows are
-    shifted down, keeping their dtype, so that their sums fit a small
+    exactly the sums that occur, for rows of every entry dtype as
+    :func:`csq._native.narrow` gives them (bytes up to width 8); the
+    ranges' bitmaps OR to all of them. A bitmap from a base in the middle
+    of the sums marks those in its window and counts the others. Wide rows
+    are shifted down, keeping their dtype, so that their sums fit a small
     bitmap."""
-    rows = extreme_rows(bit_width, k, 7, seed=5) >> max(0, bit_width - 14)
-    want = _all_sums(rows)
+    entries = extreme_rows(bit_width, k, 7, seed=5) >> max(0, bit_width - 14)
+    want = _all_sums(entries)
+    rows = _native.narrow(entries)[0]
+    assert (rows.dtype == np.uint8) == (bit_width <= 8 or k == 1)
     bits = int(want.max(initial=0)) + 1
     total = np.zeros(-(-bits // 8), dtype=np.uint8)
     for start, stop in ((0, k // 2), (k // 2, k)):

@@ -5,8 +5,9 @@ files against the oracles and the embed failures, again on the kernels
 compiled without their AVX2 clones.
 
 On a host with AVX2 the loaded library always runs its AVX2 build, whose
-tile stages work on vectors of four doubles; here the loader hands out the
-baseline build instead (``baseline_loader``), with vectors of two, so the
+tile stages work on vectors of four doubles and whose byte l1 loop on 32
+bytes; here the loader hands out the baseline build instead
+(``baseline_loader``), with vectors of two doubles and of 16 bytes, so the
 same oracles and sha256 pins check it too.
 """
 
@@ -26,6 +27,7 @@ from test_kernels import (  # noqa: F401
     kernels,
     test_embed_block_edges_match_oracles,
     test_embed_matches_row_layout_oracles,
+    test_narrowed_rows_give_the_sums_of_the_rows,
     test_native_fused_quantizer_matches_the_numpy_stages,
     test_native_precondition_at_every_padded_size,
     test_native_precondition_matches_oracle,

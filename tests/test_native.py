@@ -180,13 +180,31 @@ def test_library_has_no_fused_multiply_add():
     """No build in the library, the AVX2 one included, fuses a * b + c:
     a fused multiply-add skips a rounding, and the bytes would then depend
     on the CPU that ran."""
-    assert _native.load() is not None, _native.failure()
-    lib = _native._build(_native.cache_dir())
-    text = subprocess.run(
-        ["objdump", "-d", str(lib)], check=True, capture_output=True, timeout=60
-    ).stdout.decode()
+    text = _disassembly()
     assert "<csq_embed_block" in text
     assert not re.findall(r"\bvfn?m(?:add|sub)\w*", text)
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler 'cc' on PATH")
+@pytest.mark.skipif(
+    not X86_64 or shutil.which("objdump") is None,
+    reason="needs objdump and an x86-64 host",
+)
+def test_library_sums_bytes_with_psadbw():
+    """The byte l1 loop compiles to psadbw in the baseline build and to
+    vpsadbw in the AVX2 one."""
+    text = _disassembly()
+    assert re.search(r"\spsadbw\s", text)
+    if platform.libc_ver()[0] == "glibc":
+        assert re.search(r"\svpsadbw\s", text)
+
+
+def _disassembly() -> str:
+    assert _native.load() is not None, _native.failure()
+    lib = _native._build(_native.cache_dir())
+    return subprocess.run(
+        ["objdump", "-d", str(lib)], check=True, capture_output=True, timeout=60
+    ).stdout.decode()
 
 
 # Run under the address and undefined-behaviour sanitizers: the operator
@@ -195,9 +213,10 @@ def test_library_has_no_fused_multiply_add():
 # from CSQV files (whose rows the kernel reads itself, one file cut short
 # after its size was checked), fjlt at r = 4 over transforms of 1, 2, 4
 # and 512 rows, the record writer at every width, the l1 sums of every
-# entry dtype, and both all-pairs passes over int8, int16 and int32 rows,
-# in buffers of the exact size, with chunks that end at row ends and
-# within rows.
+# entry dtype, narrowed to bytes and at their own width, and both
+# all-pairs passes over int8, int16 and int32 entries, narrowed to bytes
+# and not, in buffers of the exact size, with chunks that end at row ends
+# and within rows.
 SANITIZED_RUN = """
 import ctypes, io, os, sys
 import numpy as np
@@ -218,10 +237,11 @@ for method in ("sparse", "fjlt"):
             model = build_model(method, 37, 4, 4, r, seed=k)
             res = embed_dataset(model, dataset_from_matrix(xs))
             assert res.diagnostics.kernels == "native"
-            rows = res.condensed.entries
-            for dtype in _native.L1_DTYPES:
-                for _ in pairwise_l1_blocks(rows.astype(dtype), 1000):
-                    pass
+            rows = res.condensed.entries.astype(np.int64)
+            for dtype in _native.ROW_DTYPES:
+                for scale in (1, 300):  # bytes, and wider but for int8
+                    for _ in pairwise_l1_blocks((rows * scale).astype(dtype), 1000):
+                        pass
 for method in ("sparse", "fjlt"):
     for n in (37, 300):
         for k in (1, 17, 513):
@@ -253,8 +273,9 @@ for width in range(1, 64):
 for k in (1, 2, 17, 513):
     for width in (7, 10, 18):  # int8, int16 and int32 entries
         half = 1 << (width - 1)
-        rows = Sketches(5, width, 0.5, rng.integers(-half, half, size=(k, 5))).entries
-        marks = np.zeros(cli._column_spread(rows) // 8 + 1, dtype=np.uint8)
+        entries = Sketches(5, width, 0.5, rng.integers(-half, half, size=(k, 5))).entries
+        rows, bound = _native.narrow(entries)
+        marks = np.zeros(bound // 8 + 1, dtype=np.uint8)
         sums = np.empty(k * (k - 1) // 2, dtype=np.uint32)
         kern.l1_marks(rows, 0, k, marks, sums)
         middle = int(np.median(sums)) if k > 1 else 0
@@ -273,7 +294,7 @@ for k in (1, 2, 17, 513):
         for i, j, first, count in runs:
             out = np.empty(kern.lines_size(count, k, texts.longest), dtype=np.uint8)
             kern.l1_lines(k, i, j, sums[first : first + count], texts, out)
-        sketches = Sketches(5, width, 0.5, rows)
+        sketches = Sketches(5, width, 0.5, entries)
         for chunk in (1, max(1, k - 1), 1 << 16):
             cli._CHUNK_PAIRS = chunk
             for ahead, window in ((1, 1 << 24), (3, 8)):
@@ -402,6 +423,24 @@ def test_numpy_without_the_normal_draw_draws_with_the_loop(
     got = model.operator.matrix
     for a, b in zip((got.row_offsets, got.col_indices, got.values), want):
         assert same_bits(a, b)
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler 'cc' on PATH")
+def test_cached_load_leaves_subprocess_unimported():
+    """A library already in the cache loads without importing subprocess;
+    only a compile needs it."""
+    assert _native.load() is not None, _native.failure()
+    code = (
+        "import sys\n"
+        "from csq import _native\n"
+        "assert _native.load() is not None, _native.failure()\n"
+        "print('subprocess' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, timeout=300
+    )
+    assert proc.returncode == 0 and proc.stdout == b"False\n", proc.stderr.decode()
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler 'cc' on PATH")
