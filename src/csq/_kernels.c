@@ -987,16 +987,14 @@ static int64_t increment(char *out, int64_t len)
  * takes them.
  *
  * Sums: for each pair (i, j), start <= i < stop, i < j < k, store its l1
- * sum s at *keep++ and, when base <= s < base + bits, set bit d % 8 of
- * byte d / 8 of marks, d = s - base; span[0] and span[1] get the least and
- * the largest sum (2**32 and -1 without pairs). Returns the number of sums
- * outside [base, base + bits), or -1 (having stored some sums) at the
- * first sum of 2**32 or more.
+ * sum s at *keep++ and, when s < bits, set bit s % 8 of byte s / 8 of
+ * marks; span[0] and span[1] get the least and the largest sum (2**32 and
+ * -1 without pairs). Returns the number of sums of bits or more, or -1
+ * (having stored some sums) at the first sum of 2**32 or more.
  */
 int64_t csq_l1_marks(const void *rows, int64_t width, int64_t k, int64_t p,
                      int64_t start, int64_t stop, unsigned char *marks,
-                     int64_t base, int64_t bits, uint32_t *keep,
-                     int64_t *span)
+                     int64_t bits, uint32_t *keep, int64_t *span)
 {
     uint64_t sums[RUN], lo = UINT32_MAX + UINT64_C(1), hi = 0;
     int64_t outside = 0, any = 0;
@@ -1005,11 +1003,11 @@ int64_t csq_l1_marks(const void *rows, int64_t width, int64_t k, int64_t p,
             const int64_t n = k - j < RUN ? k - j : RUN;
             l1_run(rows, width, p, i, j, n, sums);
             for (int64_t q = 0; q < n; q++) {
-                const uint64_t s = sums[q], d = s - (uint64_t)base;
+                const uint64_t s = sums[q];
                 if (s > UINT32_MAX)
                     return -1;
-                if (d < (uint64_t)bits)
-                    marks[d >> 3] |= (unsigned char)(1u << (d & 7));
+                if (s < (uint64_t)bits)
+                    marks[s >> 3] |= (unsigned char)(1u << (s & 7));
                 else
                     outside++;
                 *keep++ = (uint32_t)s;
@@ -1027,14 +1025,14 @@ int64_t csq_l1_marks(const void *rows, int64_t width, int64_t k, int64_t p,
  * Lines: the CSV lines "i,j,<estimate>\n" of count pairs in (i, j), i < j
  * order from pair (i, j) on, among k rows, written to out; sums[q] is the
  * l1 sum of the q-th pair. The estimate of a pair with l1 sum s is the
- * text in slot t = lut[s - lo] of the slot_count TEXT-byte slots: its
+ * text in slot t = lut[s] of the slot_count TEXT-byte slots: its
  * first slot[TEXT - 1] bytes. Slot 0 is no text. Numbers and texts are
  * copied as fixed-size blocks that may run past the line, so out needs
  * 2 * NUM + TEXT bytes of room beyond it. Returns the bytes written, -1 if
  * they would not fit in capacity, or -2 at the first sum without a text.
  */
 int64_t csq_l1_lines(int64_t k, int64_t i, int64_t j, int64_t count,
-                     const uint32_t *sums, int64_t lo, const int32_t *lut,
+                     const uint32_t *sums, const int32_t *lut,
                      int64_t lut_size, const unsigned char *slots,
                      int64_t slot_count, char *out, int64_t capacity)
 {
@@ -1042,8 +1040,8 @@ int64_t csq_l1_lines(int64_t k, int64_t i, int64_t j, int64_t count,
     char row[NUM], col[NUM];
     int64_t row_len = decimal(row, i), col_len = decimal(col, j);
     for (int64_t q = 0; q < count; q++) {
-        const uint64_t d = sums[q] - (uint64_t)lo;
-        const int64_t t = d < (uint64_t)lut_size ? lut[d] : 0;
+        const uint64_t s = sums[q];
+        const int64_t t = s < (uint64_t)lut_size ? lut[s] : 0;
         if (t <= 0 || t >= slot_count || slots[t * TEXT + TEXT - 1] >= TEXT)
             return -2;
         if (end - o < 2 * NUM + TEXT + 1)

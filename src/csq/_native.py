@@ -1,9 +1,9 @@
 """Build, cache and load the compiled kernels of ``_kernels.c``: the embed
 path, the draw of the sparse Gaussian operator, the l1 sums of
-:func:`csq.condense.pairwise_l1_blocks`, and the two steps of each chunk
-of ``csq query --all-pairs``: one computes the chunk's l1 sums and marks
-which occur; the other writes each pair's CSV line with the text of its
-sum (:class:`Texts`). The l1 kernels take the rows :func:`narrow` gives:
+:func:`csq.condense.pairwise_l1_blocks`, and the two C calls of each
+chunk job of ``csq query --all-pairs``: one computes the chunk's l1 sums
+and marks which occur; the other writes each pair's CSV line with the
+text of its sum (:class:`Texts`). The l1 kernels take the rows :func:`narrow` gives:
 rows whose columns each span at most 255 as bytes, which the kernels sum
 with ``psadbw``, and other rows at their own width.
 
@@ -90,11 +90,10 @@ _SIGNATURES = {
     ),
     "csq_l1_pairs": (None, [_ptr, _i64, _i64, _i64, _i64, _i64, _ptr]),
     "csq_l1_marks": (
-        _i64, [_ptr, _i64, _i64, _i64, _i64, _i64, _ptr, _i64, _i64, _ptr, _ptr]
+        _i64, [_ptr, _i64, _i64, _i64, _i64, _i64, _ptr, _i64, _ptr, _ptr]
     ),
     "csq_l1_lines": (
-        _i64,
-        [_i64, _i64, _i64, _i64, _ptr, _i64, _ptr, _i64, _ptr, _i64, _ptr, _i64],
+        _i64, [_i64, _i64, _i64, _i64, _ptr, _ptr, _i64, _ptr, _i64, _ptr, _i64]
     ),
     "csq_draw_sparse": (
         _i64, [_ptr, _ptr, _i64, _i64, _i64, _f64, _ptr, _ptr, _ptr, _i64]
@@ -197,11 +196,11 @@ class Kernels:
     :meth:`draw_sparse` draws the operator. :meth:`l1_pairs` gives the
     l1 sums of a range of rows; :meth:`l1_marks` (the sums of a range of
     rows, and which occur) and :meth:`l1_lines` (the CSV lines of those
-    sums) are the two steps of a chunk of the all-pairs CSV, so that
-    threads can share a query a chunk each. The first two take C-ordered
-    rows of a dtype of :data:`L1_DTYPES`, as :func:`narrow` gives them:
-    uint8 rows run the byte loop (``psadbw``), the others a loop at their
-    width.
+    sums) are the two C calls of one chunk job of the all-pairs CSV, so
+    that threads can share a query a chunk each. The first two take
+    C-ordered rows of a dtype of :data:`L1_DTYPES`, as :func:`narrow` gives
+    them: uint8 rows run the byte loop (``psadbw``), the others a loop at
+    their width.
 
     ``isa`` is ``"avx2"`` when the embed kernels and the l1 sums run their
     AVX2 build, ``"baseline"`` otherwise.
@@ -397,14 +396,14 @@ class Kernels:
             _check(sums, np.int64, count),
         )
 
-    def l1_marks(self, rows, start: int, stop: int, marks, keep, base: int = 0):
+    def l1_marks(self, rows, start: int, stop: int, marks, keep):
         """Store in the uint32 vector ``keep`` the l1 sum s of each pair of
         a row start..stop-1 of ``rows`` (as :meth:`l1_pairs` takes them,
         from :func:`narrow`) with a later row, in (i, j) order, and set
-        bit d % 8 of byte d // 8 of the uint8 vector ``marks``, d = s -
-        base, for the sums with a bit there. Returns ``(lo, hi, outside)``:
-        the least and the largest sum (2**32 and -1 without pairs) and how
-        many sums have no bit.
+        bit s % 8 of byte s // 8 of the uint8 vector ``marks`` for the
+        sums with a bit there. Returns ``(lo, hi, outside)``: the least and
+        the largest sum (2**32 and -1 without pairs) and how many sums have
+        no bit.
         Raises ValueError, having stored some sums, at a sum of 2**32 or
         more."""
         k, p = rows.shape
@@ -413,12 +412,10 @@ class Kernels:
         count = (stop - start) * (2 * k - start - stop - 1) // 2
         if keep.shape != (count,):
             raise ValueError(f"expected room for {count} sums, got {keep.shape}")
-        if not 0 <= base < 1 << 32:
-            raise ValueError("mark base out of range")
         span = np.empty(2, dtype=np.int64)
         outside = self._lib.csq_l1_marks(
             _l1_rows(rows), rows.itemsize, k, p, start, stop,
-            _check(marks, np.uint8, 0), base, min(8 * marks.size, 1 << 32),
+            _check(marks, np.uint8, 0), min(8 * marks.size, 1 << 32),
             _check(keep, np.uint32, count), span.ctypes.data,
         )
         if outside < 0:
@@ -447,7 +444,7 @@ class Kernels:
         lut, slots = texts.view()
         written = self._lib.csq_l1_lines(
             k, i, j, count, _check(sums, np.uint32, count),
-            texts.lo, lut.ctypes.data, lut.size, slots.ctypes.data, len(slots),
+            lut.ctypes.data, lut.size, slots.ctypes.data, len(slots),
             _check(out, np.uint8, 0), out.size,
         )
         if written == -2:
@@ -458,10 +455,10 @@ class Kernels:
 
 
 class Texts:
-    """The text of each l1 sum s in [lo, hi], as :meth:`Kernels.l1_lines`
-    reads them, added as the sums turn up. ``lut[s - lo]`` is the slot of
-    sum s, 0 for none; a slot holds up to TEXT - 1 bytes of text and, in
-    its last byte, their length. ``longest`` is the longest text's length.
+    """The text of each l1 sum s in [0, hi], as :meth:`Kernels.l1_lines`
+    reads them, added as the sums turn up. ``lut[s]`` is the slot of sum s,
+    0 for none; a slot holds up to TEXT - 1 bytes of text and, in its last
+    byte, their length. ``longest`` is the longest text's length.
 
     An :meth:`add` writes only slots and ``lut`` entries that no sum named
     before, and moves the slots to a new array, leaving the old one as it
@@ -470,9 +467,8 @@ class Texts:
     themselves must not overlap.
     """
 
-    def __init__(self, lo: int, hi: int):
-        self.lo = lo
-        self.lut = np.zeros(hi - lo + 1, dtype=np.int32)
+    def __init__(self, hi: int):
+        self.lut = np.zeros(hi + 1, dtype=np.int32)
         self.longest = 0
         # The slots and how many are in use, slot 0 standing for no text,
         # replaced together so that view() reads them in one step.
@@ -484,19 +480,18 @@ class Texts:
         return self.lut, slots[:used]
 
     def missing(self, sums: np.ndarray) -> np.ndarray:
-        """The sums of the vector ``sums`` (each in [lo, hi]) that have no
+        """The sums of the vector ``sums`` (each in [0, hi]) that have no
         text."""
-        return sums[self.lut[sums - self.lo] == 0]
+        return sums[self.lut[sums] == 0]
 
     def add(self, sums, texts) -> None:
         """Give sum ``sums[n]`` the bytes ``texts[n]``, of fewer than TEXT;
-        the sums lie in [lo, hi], differ, and have no text yet."""
-        at = np.asarray(sums, dtype=np.int64) - self.lo
+        the sums lie in [0, hi], differ, and have no text yet."""
+        at = np.asarray(sums, dtype=np.int64)
         if at.shape != (len(texts),):
             raise ValueError("expected one text per sum")
         if at.size and not (0 <= at.min() and at.max() < self.lut.size):
-            hi = self.lo + self.lut.size - 1
-            raise ValueError(f"sums must lie in [{self.lo}, {hi}]")
+            raise ValueError(f"sums must lie in [0, {self.lut.size - 1}]")
         if np.any(self.lut[at]):
             raise ValueError("a sum has a text already")
         lens = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))

@@ -286,7 +286,7 @@ def _cmd_embed(args) -> int:
 
 def _distinct_sums(sums: np.ndarray):
     """``(distinct, keys, lo, lut)``: the sorted distinct values of
-    ``sums``, and int64 keys with ``distinct[lut[keys - lo]]`` equal to
+    ``sums``, and integer keys with ``distinct[lut[keys - lo]]`` equal to
     ``sums``."""
     lo, hi = int(sums.min()), int(sums.max())
     if hi - lo > 4 * sums.size:
@@ -300,48 +300,50 @@ def _distinct_sums(sums: np.ndarray):
     return present + lo, sums, lo, lut
 
 
-# The compiled all-pairs path keeps the text of each l1 sum that occurs
-# in one table over a window of _WINDOW sums, and marks each chunk's sums
-# in a bitmap over it: 4 and 1/8 bytes a sum, which the system zeroes as
-# their pages are first touched, and only the pages of the sums that occur
-# are. The window covers [0, B], B the sum of the entries' column spreads
-# (a bound on every sum, from _native.narrow), when B < _WINDOW; otherwise
-# it is centred on the sums of row 0, and a chunk with a sum outside it
-# gets a table of its own. A multiple of 8.
+def _estimates(sums, norm_factor: float, divisor: float) -> list[str]:
+    """The estimate texts of the l1 sums ``sums``, by the float operations
+    of :func:`pipeline.estimate_distance`."""
+    ests = (sums.astype(np.float64) * norm_factor / divisor).tolist()
+    return [repr(est) for est in ests]
+
+
+def _block_lines(columns, start: int, stop: int, sums, norm_factor, divisor) -> bytes:
+    """The CSV lines of the pairs (i, j), start <= i < stop, i < j, of the
+    k rows whose ``f"{j},"`` texts are the object array ``columns``; their
+    l1 sums are ``sums``, in (i, j) order. Each distinct sum is formatted
+    once."""
+    k = len(columns)
+    distinct, keys, lo, lut = _distinct_sums(sums)
+    texts = np.array(_estimates(distinct, norm_factor, divisor), dtype=object)
+    texts = texts[lut[keys - lo]]
+    parts, off = [], 0
+    for i in range(start, stop):
+        n = k - 1 - i
+        lines = (columns[i + 1 :] + texts[off : off + n]).tolist()
+        parts.append(f"{i}," + f"\n{i},".join(lines) + "\n")
+        off += n
+    return "".join(parts).encode()
+
+
+def _column_texts(k: int) -> np.ndarray:
+    """The texts ``f"{j},"`` of the k rows, as :func:`_block_lines` takes
+    them."""
+    return np.array([f"{j}," for j in range(k)], dtype=object)
+
+
+# The compiled all-pairs path keeps the text of each l1 sum that occurs in
+# one table over [0, min(B, _WINDOW - 1)], B the sum of the entries' column
+# spreads (a bound on every sum, from _native.narrow), and marks each
+# chunk's sums in a bitmap over it: 4 and 1/8 bytes a sum, which the system
+# zeroes as their pages are first touched, and only the pages of the sums
+# that occur are. A chunk with a sum past the table takes its lines from
+# _block_lines. A multiple of 8.
 _WINDOW = 1 << 24
-# Pairs per chunk of compiled CSV lines: a chunk is a range of rows with at
-# most this many pairs, or one row.
+# Pairs per chunk of CSV lines, on every path: a chunk is a range of rows
+# with at most this many pairs, or one row.
 _CHUNK_PAIRS = 1 << 16
-# Chunks whose sums may be computed ahead of their lines (2 MiB of sums):
-# a query's first ones, all of them for k <= 1024, run before any line is
-# written.
-_SUMS_AHEAD = 8
-# Chunks of lines filled ahead of the one being written, at most: the
-# writing thread keeps up with about two or three filling ones.
-_AHEAD = 3
 # Bytes of the longest repr of a float, "-2.2250738585072014e-308".
 _REPR_BYTES = 24
-
-
-class _Inline:
-    """An executor that runs each job on the caller's thread as it is
-    submitted."""
-
-    def submit(self, fn, *args):
-        from concurrent.futures import Future
-
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:  # raised by result(), as a pool's would be
-            future.set_exception(exc)
-        return future
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
 
 
 def _write_all_pairs(out, sketches, divisor: float) -> None:
@@ -353,147 +355,86 @@ def _write_all_pairs(out, sketches, divisor: float) -> None:
 
     With the compiled kernels the entries are narrowed once
     (:func:`csq._native.narrow`: to bytes when every column spans at most
-    255), and the pairs go in chunks of rows, each in two compiled steps on
-    a pool of one thread per CPU (inline on one CPU). The first computes
-    the chunk's sums and marks which occur, and Python formats those
-    without a text yet (see :data:`_WINDOW`); it runs up to
-    :data:`_SUMS_AHEAD` chunks ahead. The second copies each pair's line
-    into one of a few reused buffers, which this thread writes in order.
-    Every sum is computed once. Without the kernels the sums come from
-    :func:`pairwise_l1_blocks` a block at a time, and Python strings make
-    the lines.
+    255), and each chunk of rows is one job on a pool of one thread per
+    CPU. The job computes the chunk's sums and marks which occur, formats
+    those without a text yet into the query's one table (see
+    :data:`_WINDOW`), and copies each pair's line into its buffer. This
+    thread keeps at most one chunk more than there are workers in flight,
+    each with buffers of its own, and writes them in order. Every sum is
+    computed once. Sums of 2**32 or more, and every sum without the
+    kernels, come from :func:`pairwise_l1_blocks` a chunk at a time, and
+    :func:`_block_lines` makes the lines.
     """
     from . import _native
 
     kern = _native.load()
-    if kern is None:
-        _write_all_pairs_python(out, sketches, divisor)
+    if kern is not None:
+        entries, bound = _native.narrow(sketches.entries)
+    if kern is None or bound >= 1 << 32:
+        _write_all_pairs_blocks(out, sketches, divisor)
         return
     k, norm_factor = len(sketches), sketches.norm_factor
-    entries, bound = _native.narrow(sketches.entries)
-    # Sums of 2**32 or more are computed as int64, each chunk on its own.
-    fits = bound < 1 << 32
     # A whole number of bitmap bytes.
-    base, window = 0, -(-min(bound + 1, _WINDOW) // 8) * 8
-    if fits and bound >= _WINDOW and k > 1:
-        probe = np.empty(k - 1, dtype=np.int64)
-        kern.l1_pairs(entries, 0, 1, probe)
-        middle = (int(probe.min()) + int(probe.max())) // 2
-        base = max(0, min(middle - window // 2, bound + 1 - window))
+    window = -(-min(bound + 1, _WINDOW) // 8) * 8
     chunks = list(_pair_blocks(k, _CHUNK_PAIRS))
     workers = _native._worker_count()
-    ahead = min(workers, _AHEAD) if workers > 1 else 0
     most = max((count for _, _, count in chunks), default=0)
     size = kern.lines_size(most, k, _REPR_BYTES)
-    # The buffers of the chunks in flight, made on this thread (see
-    # pipeline._embed_blocks): chunk n's sums and bitmap (or, for wide
-    # sums, int64 sums) are those of chunk n - len(sums_slots), which is
-    # written by the time chunk n starts, and its line buffer is that of
-    # chunk n - len(line_slots).
-    sums_slots = [
-        (np.empty(most, dtype=np.uint32),
-         np.zeros(window // 8, dtype=np.uint8) if fits
-         else np.empty(most, dtype=np.int64))
-        for _ in range(max(_SUMS_AHEAD, ahead + 1))
+    # The sums, bitmap and line buffer of each chunk in flight, made on
+    # this thread (see pipeline._embed_blocks): chunk n's are those of
+    # chunk n - len(slots), which is written by the time chunk n starts.
+    slots = [
+        (np.empty(most, dtype=np.uint32), np.zeros(window // 8, dtype=np.uint8),
+         np.empty(size, dtype=np.uint8))
+        for _ in range(workers + 1)
     ]
-    line_slots = [np.empty(size, dtype=np.uint8) for _ in range(ahead + 1)]
-    texts = _native.Texts(base, base + window - 1) if fits else None
+    texts = _native.Texts(window - 1)
     adding = threading.Lock()
+    columns = functools.cache(functools.partial(_column_texts, k))
 
-    def format_sums(sums: np.ndarray) -> list[bytes]:
-        ests = (sums.astype(np.float64) * norm_factor / divisor).tolist()
-        return [repr(est).encode() for est in ests]
-
-    def own_texts(values: np.ndarray, sums: np.ndarray):
-        """A table of a chunk's own for its sums ``values``: ``sums`` gets
-        each pair's key into it (as :func:`_distinct_sums` finds them)."""
-        lo, hi = int(values.min()), int(values.max())
-        if hi - lo <= 4 * values.size:
-            np.subtract(values, lo, out=sums, casting="unsafe")
-            keys = np.flatnonzero(np.bincount(sums))
-            distinct = keys + lo
-        else:
-            distinct, inverse = np.unique(values, return_inverse=True)
-            sums[:] = inverse
-            keys = np.arange(distinct.size)
-        own = _native.Texts(0, int(keys[-1]))
-        own.add(keys, format_sums(distinct))
-        return sums, own
-
-    def sums_of(n: int, start: int, stop: int, count: int):
-        """Chunk n's sums, or keys, and the table of their texts."""
-        sums, marks = sums_slots[n % len(sums_slots)]
+    def chunk_lines(n: int, start: int, stop: int, count: int):
+        sums, marks, buf = slots[n % len(slots)]
         sums = sums[:count]
-        if not fits:
-            kern.l1_pairs(entries, start, stop, marks[:count])
-            return own_texts(marks[:count], sums)
-        lo, hi, outside = kern.l1_marks(entries, start, stop, marks, sums, base)
-        # The sums that occur, from the bytes of the bitmap they set, which
-        # are cleared for the slot's next chunk.
-        first = max(lo - base, 0) >> 3
-        last = max(min(hi - base, window - 1) >> 3, first - 1) + 1
-        span = marks[first:last]
+        lo, hi, outside = kern.l1_marks(entries, start, stop, marks, sums)
+        # The bytes of the bitmap the chunk's sums set, which are cleared
+        # for the slot's next chunk.
+        span = marks[lo >> 3 : (min(hi, window - 1) >> 3) + 1]
+        if outside:
+            span[:] = 0
+            return _block_lines(columns(), start, stop, sums, norm_factor, divisor)
         full = np.flatnonzero(span)
         bits = np.unpackbits(span[full], bitorder="little").reshape(-1, 8)
         row, bit = np.nonzero(bits)
-        occur = base + 8 * (full[row] + first) + bit
+        occur = 8 * (full[row] + (lo >> 3)) + bit
         span[full] = 0
-        if outside:
-            return own_texts(sums, sums)
         with adding:
             new = texts.missing(occur)
             if new.size:
-                texts.add(new, format_sums(new))
-        return sums, texts
-
-    def lines(n: int, summed, start: int) -> np.ndarray:
-        # A pool runs its jobs in the order they came, so chunk n's sums
-        # started before this job did.
-        buf = line_slots[n % len(line_slots)]
-        return buf[: kern.l1_lines(k, start, start + 1, *summed.result(), buf)]
+                ests = _estimates(new, norm_factor, divisor)
+                texts.add(new, [est.encode() for est in ests])
+        return buf[: kern.l1_lines(k, start, start + 1, sums, texts, buf)]
 
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(workers) if ahead else _Inline() as pool:
-        summing = {}
-        filling = collections.deque()
-
-        def sum_chunk(n: int) -> None:
-            if n < len(chunks):
-                summing[n] = pool.submit(sums_of, n, *chunks[n])
-
-        def fill_chunk(n: int) -> None:
-            if n < len(chunks):
-                filling.append(pool.submit(lines, n, summing.pop(n), chunks[n][0]))
-
-        for n in range(len(sums_slots)):
-            sum_chunk(n)
-        for n in range(len(line_slots)):
-            fill_chunk(n)
-        out.write(b"i,j,estimate\n")
-        for n in range(len(chunks)):
-            out.write(filling.popleft().result())
-            sum_chunk(n + len(sums_slots))
-            fill_chunk(n + len(line_slots))
-
-
-def _write_all_pairs_python(out, sketches, divisor: float) -> None:
-    """The CSV of :func:`_write_all_pairs`, from the sums of
-    :func:`pairwise_l1_blocks` and Python strings."""
     out.write(b"i,j,estimate\n")
-    k, norm_factor = len(sketches), sketches.norm_factor
-    j_prefix = np.array([f"{j}," for j in range(k)], dtype=object)
-    for start, stop, sums in pairwise_l1_blocks(sketches.entries):
-        distinct, keys, lo, lut = _distinct_sums(sums)
-        ests = (distinct.astype(np.float64) * norm_factor / divisor).tolist()
-        texts = np.array([repr(est) for est in ests], dtype=object)[lut[keys - lo]]
-        parts, off = [], 0
-        for i in range(start, stop):
-            n = k - 1 - i
-            lines = (j_prefix[i + 1 :] + texts[off : off + n]).tolist()
-            parts.append(f"{i}," + f"\n{i},".join(lines) + "\n")
-            off += n
-        out.write("".join(parts).encode())
+    with ThreadPoolExecutor(workers) as pool:
+        pending = collections.deque()
+        for n, chunk in enumerate(chunks):
+            if len(pending) == len(slots):
+                out.write(pending.popleft().result())
+            pending.append(pool.submit(chunk_lines, n, *chunk))
+        while pending:
+            out.write(pending.popleft().result())
+
+
+def _write_all_pairs_blocks(out, sketches, divisor: float) -> None:
+    """The CSV of :func:`_write_all_pairs`, from the sums of
+    :func:`pairwise_l1_blocks` and :func:`_block_lines`."""
+    out.write(b"i,j,estimate\n")
+    columns = _column_texts(len(sketches))
+    blocks = pairwise_l1_blocks(sketches.entries, block_pairs=_CHUNK_PAIRS)
+    for start, stop, sums in blocks:
+        out.write(_block_lines(columns, start, stop, sums, sketches.norm_factor, divisor))
 
 
 def _keep_contents(path, flags: int) -> int:

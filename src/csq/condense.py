@@ -325,7 +325,9 @@ def pairwise_l1_blocks(rows: np.ndarray, block_pairs: int = 1 << 17):
     """Yield ``(start, stop, sums)``: the l1 distances of rows start..stop-1
     to every later row, in (i, j), i < j order, about ``block_pairs`` at a
     time. Integer rows give exact int64 sums when their differences fit
-    the row dtype (see :func:`entry_dtype`).
+    the row dtype (see :func:`entry_dtype`). Unsigned rows of up to 32 bits
+    are widened to the next signed dtype first, so that their differences
+    fit; uint64 rows raise :class:`ShapeError`.
 
     Signed integer rows run on the compiled kernel when it loads (see
     :mod:`csq._native`), narrowed once for all the blocks: rows whose
@@ -335,6 +337,10 @@ def pairwise_l1_blocks(rows: np.ndarray, block_pairs: int = 1 << 17):
     the caller reads the current one.
     """
     rows = np.ascontiguousarray(rows)
+    if rows.dtype.kind == "u":
+        if rows.itemsize == 8:
+            raise ShapeError("uint64 rows have no signed dtype that holds them")
+        rows = rows.astype(f"i{2 * rows.itemsize}")
     # Imported here, not at the top, as in pipeline.embed_dataset.
     from . import _native
 

@@ -1256,66 +1256,100 @@ def _oracle_csv(k, bit_width, divisor):
     return _per_pair_csv(model, sketches, divisor).encode()
 
 
+# The kernel sets of the route test: 1 is whichever kernels load, 2 the
+# numpy kernels.
+NUMPY_SET = 2
+
+
 @pytest.mark.parametrize("bit_width", [5, 10, 14, 17])
 @pytest.mark.parametrize("divisor", [1.0, 0.37])
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 11, 70])
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("ahead", [1, 3, 8])
+@pytest.mark.parametrize("kernel_set", [1, NUMPY_SET])
+@pytest.mark.parametrize("workers", [1, 3, 8])
 @pytest.mark.parametrize("chunk", [1, 5, 1 << 16])
 def test_all_pairs_routes_give_the_same_bytes(
-    monkeypatch, chunk, ahead, workers, k, divisor, bit_width
+    monkeypatch, chunk, workers, kernel_set, k, divisor, bit_width
 ):
-    """Int8, int16, int16 and int32 entries on whichever kernels load, in
-    chunks of 1, 5 and 2**16 pairs, with the sums of 1, 3 or 8 chunks
-    computed ahead of their lines, inline or on a pool."""
+    """Int8, int16, int16 and int32 entries on both kernel sets, in chunks
+    of 1, 5 and 2**16 pairs, on 1, 3 or 8 workers: with the compiled
+    kernels, that many chunks and one more in flight."""
     import io
 
     from csq import _native
 
     monkeypatch.setattr(cli, "_CHUNK_PAIRS", chunk)
-    monkeypatch.setattr(cli, "_SUMS_AHEAD", ahead)
     monkeypatch.setattr(_native, "_worker_count", lambda: workers)
     sketches = _random_sketches(k, bit_width)
     assert _native.narrow(sketches.entries)[1] < cli._WINDOW
+    if kernel_set == NUMPY_SET:
+        monkeypatch.setattr(_native, "load", lambda: None)
     out = io.BytesIO()
     cli._write_all_pairs(out, sketches, divisor)
     assert out.getvalue() == _oracle_csv(k, bit_width, divisor)
+
+
+def _spy(monkeypatch, name):
+    """Calls of ``cli.<name>``, each recorded as its positional arguments."""
+    calls, real = [], getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    return calls
 
 
 @pytest.mark.parametrize("bit_width", [10, 17, 40])
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("window", [8, 1024])
 def test_all_pairs_windows_give_the_same_bytes(monkeypatch, window, workers, bit_width):
-    """Sums wider than the table's window: it is centred on the sums of
-    row 0, the chunks with a sum outside it get tables of their own (most
-    of them with a window of 8 sums, a third of them with 1024), and sums
-    of 2**32 or more (bit width 40) are computed as int64."""
+    """Sums past a table of 8 or 1024 sums: with the compiled kernels,
+    exactly the chunks with such a sum take their lines from
+    :func:`cli._block_lines` (most of them with a window of 8 sums, a third
+    of them with 1024), and sums of 2**32 or more (bit width 40) take the
+    block path for the whole query, as every query does without the
+    kernels."""
     import io
 
     from csq import _native
+    from csq.condense import _pair_blocks
 
     monkeypatch.setattr(cli, "_WINDOW", window)
     monkeypatch.setattr(cli, "_CHUNK_PAIRS", 5)
     monkeypatch.setattr(_native, "_worker_count", lambda: workers)
+    blocks = _spy(monkeypatch, "pairwise_l1_blocks")
+    lines = _spy(monkeypatch, "_block_lines")
+    whole = bit_width == 40 or _native.load() is None
     for k in (2, 11, 70):
         sketches = _random_sketches(k, bit_width)
         assert _native.narrow(sketches.entries)[1] >= window
+        blocks.clear()
+        lines.clear()
         out = io.BytesIO()
         cli._write_all_pairs(out, sketches, 0.37)
         assert out.getvalue() == _oracle_csv(k, bit_width, 0.37)
+        # The chunks with a sum past the table, from the real sums.
+        sums = np.concatenate([s for _, _, s in pairwise_l1_blocks(sketches.entries)])
+        first, past = 0, []
+        for start, stop, count in _pair_blocks(k, 5):
+            if whole or sums[first : first + count].max() >= window:
+                past.append((start, stop))
+            first += count
+        assert sorted(call[1:3] for call in lines) == past
+        assert len(blocks) == whole
 
 
 def test_all_pairs_bytes_hold_with_more_workers_than_cpus(monkeypatch):
-    """Eight workers, chunks of 5 pairs, the sums of 3 chunks ahead and a
-    short switch interval: the shared table, the chunks' bitmaps and the
-    reused buffers still give the oracle's bytes."""
+    """Eight workers, chunks of 5 pairs and a short switch interval: the
+    shared table, the chunks' bitmaps and the reused buffers still give
+    the oracle's bytes."""
     import io
     import sys
 
     from csq import _native
 
     monkeypatch.setattr(cli, "_CHUNK_PAIRS", 5)
-    monkeypatch.setattr(cli, "_SUMS_AHEAD", 3)
     monkeypatch.setattr(_native, "_worker_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1330,9 +1364,11 @@ def test_all_pairs_bytes_hold_with_more_workers_than_cpus(monkeypatch):
 
 @pytest.mark.parametrize("over", [False, True])
 def test_all_pairs_cutover_keeps_the_bytes(monkeypatch, over):
-    """Column spreads that sum to 2**24 - 1 give a table over [0, 2**24);
-    one more, a window of 2**24 sums centred on row 0's. Both take the
-    compiled path when the kernels load, with the reference's bytes."""
+    """Column spreads that sum to 2**24 - 1 give a table over [0, 2**24)
+    that holds every sum; one more, the same table and a chunk whose pair
+    (0, 1) sums to 2**24, past it, so that the chunk takes its lines from
+    :func:`cli._block_lines`. Both take the compiled path when the kernels
+    load, with the reference's bytes."""
     import io
 
     from csq import _native
@@ -1344,16 +1380,15 @@ def test_all_pairs_cutover_keeps_the_bytes(monkeypatch, over):
     )
     sketches = Sketches(2, 25, 0.0123, entries - (1 << 24))
     assert _native.narrow(sketches.entries)[1] == bound
-    calls = []
-    monkeypatch.setattr(
-        cli, "pairwise_l1_blocks",
-        lambda rows: calls.append(rows) or pairwise_l1_blocks(rows),
-    )
+    blocks = _spy(monkeypatch, "pairwise_l1_blocks")
+    lines = _spy(monkeypatch, "_block_lines")
     out = io.BytesIO()
     cli._write_all_pairs(out, sketches, 0.37)
     model = types.SimpleNamespace(condensation=sketches)
     assert out.getvalue() == _per_pair_csv(model, sketches, 0.37).encode()
-    assert bool(calls) == (_native.load() is None)
+    compiled = _native.load() is not None
+    assert bool(blocks) == (not compiled)
+    assert bool(lines) == (over or not compiled)
 
 
 def _query_argv(tmp_path, *rest):
@@ -1508,9 +1543,9 @@ def test_all_pairs_out_on_a_full_disk_keeps_only_what_was_written(
 def test_all_pairs_memory_does_not_grow_with_k(monkeypatch, workers):
     """Sketches of the benchmark's geometry (p = 64, int16 entries): from
     k = 1500 to 3000 the CSV grows from 29 to 117 MB, and the traced peak
-    stays under 12 MiB: the 2 MiB of sums computed ahead, at most three
-    line buffers of about 2.3 MB, and small tables. Neither the output nor
-    all the sums are held."""
+    stays under 10 MiB: for each of the workers + 1 chunks in flight, a
+    line buffer of about 2.3 MB and 256 KiB of sums, and small tables.
+    Neither the output nor all the sums are held."""
     import tracemalloc
 
     from csq import _native
@@ -1526,7 +1561,7 @@ def test_all_pairs_memory_does_not_grow_with_k(monkeypatch, workers):
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 12 << 20, (k, peak)
+            assert peak < 10 << 20, (k, peak)
 
 
 def test_import_cli_leaves_bench_unimported():

@@ -24,7 +24,7 @@ from csq.condense import (
     pack_rows,
     pairwise_l1_blocks,
 )
-from csq.errors import InputError
+from csq.errors import InputError, ShapeError
 from csq.pipeline import (
     Dataset,
     build_model,
@@ -748,6 +748,29 @@ def test_pairwise_l1_blocks_take_any_layout_and_dtype():
     assert floats.dtype == np.float64 and np.array_equal(floats, want)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+def test_pairwise_l1_blocks_of_unsigned_rows(dtype):
+    """Unsigned rows of up to 32 bits give exact int64 sums, their
+    differences in both directions and at the dtype's extremes included;
+    uint64 rows, which no signed dtype holds, are refused."""
+    rows = np.array([[0, 5], [1, 3]], dtype=dtype)
+    if dtype == np.uint64:
+        with pytest.raises(ShapeError):
+            next(pairwise_l1_blocks(rows))
+        return
+    ((start, stop, sums),) = pairwise_l1_blocks(rows)
+    assert (start, stop) == (0, 1) and sums.tolist() == [3]
+    top = int(np.iinfo(dtype).max)
+    values = [[0, 5, top], [1, 3, 0], [top, 0, top], [top, top, 1]]
+    rows = np.array(values, dtype=dtype)
+    got = np.concatenate([s for _, _, s in pairwise_l1_blocks(rows, 2)])
+    want = [
+        sum(abs(a - b) for a, b in zip(values[i], values[j]))
+        for i in range(4) for j in range(i + 1, 4)
+    ]
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
 def _all_sums(rows):
     """Every pair's l1 sum, in (i, j), i < j order, from the oracle."""
     return np.concatenate(
@@ -801,8 +824,8 @@ def test_native_l1_marks_mark_every_sum(kernels, bit_width, k):
     """Each row range's sums are stored in order and its bitmap holds
     exactly the sums that occur, for rows of every entry dtype as
     :func:`csq._native.narrow` gives them (bytes up to width 8); the
-    ranges' bitmaps OR to all of them. A bitmap from a base in the middle
-    of the sums marks those in its window and counts the others. Wide rows
+    ranges' bitmaps OR to all of them. A bitmap shorter than the sums
+    marks those it has bits for and counts the others. Wide rows
     are shifted down, keeping their dtype, so that their sums fit a small
     bitmap."""
     entries = extreme_rows(bit_width, k, 7, seed=5) >> max(0, bit_width - 14)
@@ -823,11 +846,10 @@ def test_native_l1_marks_mark_every_sum(kernels, bit_width, k):
         assert np.array_equal(keep, mine) and outside == 0
         assert (lo, hi) == ((int(mine.min()), int(mine.max())) if count else (1 << 32, -1))
         total |= marks
-        base = bits // 2
-        window = np.zeros(1, dtype=np.uint8)
-        inside = (mine >= base) & (mine < base + 8)
-        assert kernels.l1_marks(rows, start, stop, window, keep, base)[2] == np.sum(~inside)
-        got = np.flatnonzero(np.unpackbits(window, bitorder="little")) + base
+        short = np.zeros(bits // 16, dtype=np.uint8)
+        inside = mine < 8 * short.size
+        assert kernels.l1_marks(rows, start, stop, short, keep)[2] == np.sum(~inside)
+        got = np.flatnonzero(np.unpackbits(short, bitorder="little"))
         assert np.array_equal(got, np.unique(mine[inside]))
     got = np.flatnonzero(np.unpackbits(total, bitorder="little"))
     assert np.array_equal(got, np.unique(want))
@@ -838,15 +860,15 @@ def test_native_l1_marks_refuse_what_does_not_fit(kernels):
     marks, keep = np.zeros(1, dtype=np.uint8), np.zeros(1, dtype=np.uint32)
     assert kernels.l1_marks(rows, 0, 2, marks, keep) == (7, 7, 0)
     assert marks[0] == 1 << 7 and keep[0] == 7
-    # No bitmap, or one from past the sum: the sum is stored, not marked.
+    # No bitmap, or one that ends before the sum: the sum is stored, not
+    # marked.
     assert kernels.l1_marks(rows, 0, 2, np.zeros(0, dtype=np.uint8), keep) == (7, 7, 1)
-    assert kernels.l1_marks(rows, 0, 2, marks, keep, 8) == (7, 7, 1)
+    eight = np.array([[0, 0], [4, 4]], dtype=np.int16)
+    assert kernels.l1_marks(eight, 0, 2, marks, keep) == (8, 8, 1)
+    assert marks[0] == 1 << 7 and keep[0] == 8
     for bad in (np.zeros(2, dtype=np.uint32), np.zeros(1, dtype=np.int64)):
         with pytest.raises(ValueError):
             kernels.l1_marks(rows, 0, 2, marks, bad)
-    for base in (-1, 1 << 32):
-        with pytest.raises(ValueError):
-            kernels.l1_marks(rows, 0, 2, marks, keep, base)
     with pytest.raises(ValueError):
         kernels.l1_marks(rows, 1, 3, marks, keep)
     wide = np.array([[0, 0], [1 << 31, 1 << 31]], dtype=np.int64)  # sum 2**32
@@ -854,13 +876,13 @@ def test_native_l1_marks_refuse_what_does_not_fit(kernels):
         kernels.l1_marks(wide, 0, 2, marks, keep)
 
 
-def _texts_of(sums, lo):
-    """One text per distinct sum, in a table from ``lo``, added in two
-    steps; one text of the most bytes a slot holds."""
+def _texts_of(sums):
+    """One text per distinct sum, added in two steps; one text of the most
+    bytes a slot holds."""
     sums = np.unique(sums)
     texts = [repr(int(s) / 7).encode() for s in sums]
     texts[len(texts) // 2] = b"x" * (_native.TEXT - 1)
-    table = _native.Texts(lo, int(sums.max(initial=lo)))
+    table = _native.Texts(int(sums.max(initial=0)))
     half = len(texts) // 3
     table.add(sums[:half], texts[:half])
     table.add(sums[half:], texts[half:])
@@ -871,12 +893,18 @@ def _texts_of(sums, lo):
 def test_native_l1_lines_match_python_formatting(kernels, origin):
     """From pair (3, 50) to the last one, in chunks that end mid-row and at
     row ends; i and j both roll over from 9 to 10 and from 99 to 100. The
-    table starts at 0 or at the least sum."""
+    least sum is 0 (rows 3 and 50 are equal), or over 100, so that the
+    table's first entries have no text."""
     k = 103
     rows = np.random.default_rng(4).integers(-40, 40, size=(k, 9)).astype(np.int16)
+    if origin == "zero":
+        rows[50] = rows[3]
+    else:
+        rows[:, 0] += (200 * np.arange(k)).astype(np.int16)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     sums = _all_sums(rows)
-    texts, text_of = _texts_of(sums, 0 if origin == "zero" else int(sums.min()))
+    assert sums.min() == 0 if origin == "zero" else sums.min() > 100
+    texts, text_of = _texts_of(sums)
     first = pairs.index((3, 50))
     want = b"".join(
         b"%d,%d,%s\n" % (i, j, text_of[s])
@@ -898,12 +926,12 @@ def test_native_l1_lines_refuse_what_does_not_fit(kernels):
     # (1,3) 1, (2,3) 1.
     sums = np.array([5, 7, 6, 2, 1, 1], dtype=np.uint32)
 
-    def table(lo, hi, given, text):
-        texts = _native.Texts(lo, hi)
+    def table(hi, given, text):
+        texts = _native.Texts(hi)
         texts.add(given, text)
         return texts
 
-    texts = table(1, 7, [1, 2, 5, 6, 7], [b"a", b"b", b"0.5", b"c", b"dd"])
+    texts = table(7, [1, 2, 5, 6, 7], [b"a", b"b", b"0.5", b"c", b"dd"])
     out = np.empty(kernels.lines_size(6, 4, 3), dtype=np.uint8)
     n = kernels.l1_lines(4, 0, 1, sums, texts, out)
     assert out[:n].tobytes() == b"0,1,0.5\n0,2,dd\n0,3,c\n1,2,b\n1,3,a\n2,3,a\n"
@@ -914,10 +942,10 @@ def test_native_l1_lines_refuse_what_does_not_fit(kernels):
         kernels.l1_lines(4, 0, 1, np.array([5, 8], dtype=np.uint32), texts, out)
     with pytest.raises(ValueError):  # sums of the wrong dtype
         kernels.l1_lines(4, 0, 1, sums.astype(np.int64), texts, out)
-    for missing in (table(1, 7, [1, 2, 5, 6], [b"a", b"b", b"0.5", b"c"]),  # 7
-                    table(2, 7, [2, 5, 6, 7], [b"b", b"0.5", b"c", b"dd"]),  # 1, before it
-                    table(1, 6, [1, 2, 5, 6], [b"a", b"b", b"0.5", b"c"]),  # 7, past it
-                    table(1, 7, [1, 2, 5, 7], [b"a", b"b", b"0.5", b"dd"])):  # 6, a gap
+    for missing in (table(7, [1, 2, 5, 6], [b"a", b"b", b"0.5", b"c"]),  # 7
+                    table(7, [2, 5, 6, 7], [b"b", b"0.5", b"c", b"dd"]),  # 1
+                    table(6, [1, 2, 5, 6], [b"a", b"b", b"0.5", b"c"]),  # 7, past it
+                    table(7, [1, 2, 5, 7], [b"a", b"b", b"0.5", b"dd"])):  # 6, a gap
         with pytest.raises(ValueError):
             kernels.l1_lines(4, 0, 1, sums, missing, out)
     bad = ((0, 0, 1), (1, 0, 1), (0, 4, 1), (2, 3, 2), (0, 1, 7))
@@ -926,7 +954,7 @@ def test_native_l1_lines_refuse_what_does_not_fit(kernels):
             kernels.l1_lines(4, i, j, np.ones(count, dtype=np.uint32), texts, out)
     for given, text in (([1, 1], [b"a", b"b"]),  # the same sum twice
                         ([1, 2], [b"a"]),  # a sum without its text
-                        ([0], [b"a"]), ([8], [b"a"]),  # outside [1, 7]
+                        ([-1], [b"a"]), ([8], [b"a"]),  # outside [0, 7]
                         ([3], [b"x" * _native.TEXT]),  # longer than a slot holds
                         ([5], [b"e"])):  # a sum that has its text
         with pytest.raises(ValueError):

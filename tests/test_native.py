@@ -214,9 +214,10 @@ def _disassembly() -> str:
 # after its size was checked), fjlt at r = 4 over transforms of 1, 2, 4
 # and 512 rows, the record writer at every width, the l1 sums of every
 # entry dtype, narrowed to bytes and at their own width, and both
-# all-pairs passes over int8, int16 and int32 entries, narrowed to bytes
+# all-pairs kernels over int8, int16 and int32 entries, narrowed to bytes
 # and not, in buffers of the exact size, with chunks that end at row ends
-# and within rows.
+# and within rows; then the query itself, with a table over every sum and
+# with one of 8 sums, past which chunks take the block path's lines.
 SANITIZED_RUN = """
 import ctypes, io, os, sys
 import numpy as np
@@ -278,10 +279,9 @@ for k in (1, 2, 17, 513):
         marks = np.zeros(bound // 8 + 1, dtype=np.uint8)
         sums = np.empty(k * (k - 1) // 2, dtype=np.uint32)
         kern.l1_marks(rows, 0, k, marks, sums)
-        middle = int(np.median(sums)) if k > 1 else 0
-        kern.l1_marks(rows, 0, k, np.zeros(1, dtype=np.uint8), sums, middle)
+        kern.l1_marks(rows, 0, k, np.zeros(1, dtype=np.uint8), sums)
         distinct = np.flatnonzero(np.unpackbits(marks, bitorder="little"))
-        texts = _native.Texts(0, 8 * marks.size - 1)
+        texts = _native.Texts(8 * marks.size - 1)
         texts.add(distinct, [b"%d" % s for s in distinct])
         # Chunks of each row, and of 7 pairs, that start at pair (i, j).
         starts = [(i, i + 1) for i in range(k - 1)]
@@ -297,8 +297,8 @@ for k in (1, 2, 17, 513):
         sketches = Sketches(5, width, 0.5, entries)
         for chunk in (1, max(1, k - 1), 1 << 16):
             cli._CHUNK_PAIRS = chunk
-            for ahead, window in ((1, 1 << 24), (3, 8)):
-                cli._SUMS_AHEAD, cli._WINDOW = ahead, window
+            for window in (1 << 24, 8):
+                cli._WINDOW = window
                 cli._write_all_pairs(io.BytesIO(), sketches, 1.0)
 print("ok")
 """

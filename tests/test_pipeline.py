@@ -122,6 +122,7 @@ def test_row_peaks_match_numpy_exactly():
     x[9, 4] = -50.0
     for layout in (x, np.asfortranarray(x)):
         assert np.array_equal(_row_peaks(layout), np.abs(x).max(axis=1))
+    assert np.array_equal(_row_peaks(np.empty((3, 0))), np.zeros(3))
 
 
 def test_sparse_embed_well_spread_check_makes_no_full_size_temporary():
@@ -172,9 +173,6 @@ def test_embed_jobs_read_their_input_once(tmp_path, monkeypatch, capsys):
                 res = embed_dataset(build_model(method, 64, 4, 4, 2, seed=1), data)
                 assert res.diagnostics.kernels == kernels
                 assert passes == ["_finite_row_norms"] + want
-                # The embed finds its peaks block by block; the dataset's
-                # own whole-matrix peaks stay uncomputed until read.
-                assert "peaks" not in vars(data)
                 passes.clear()
                 patch.setattr(pipeline, "_BLOCK", 8)
                 assert main([
@@ -185,23 +183,6 @@ def test_embed_jobs_read_their_input_once(tmp_path, monkeypatch, capsys):
                 assert f"kernels: {kernels}" in capsys.readouterr().out
             per_block = ["_finite_row_norms"] + want if kernels == "numpy" else []
             assert sorted(passes) == sorted(per_block * 3)
-
-
-def test_dataset_peaks_are_each_rows_largest_magnitude(monkeypatch):
-    """Over several blocks of rows, in one pass, cached once read; an
-    empty row's peak is 0.0."""
-    from csq import pipeline
-
-    passes = []
-    real = pipeline._row_peaks
-    monkeypatch.setattr(pipeline, "_row_peaks", lambda m: passes.append(m) or real(m))
-    x = np.random.default_rng(3).standard_normal((1100, 70))
-    data = dataset_from_matrix(x)
-    assert len(passes) == 0
-    np.testing.assert_array_equal(data.peaks, np.abs(x).max(axis=1))
-    assert data.peaks is data.peaks
-    assert len(passes) == 1
-    np.testing.assert_array_equal(dataset_from_matrix(np.empty((3, 0))).peaks, np.zeros(3))
 
 
 def test_scale_dataset_puts_points_in_ball():
