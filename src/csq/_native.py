@@ -5,7 +5,9 @@ chunk job of ``csq query --all-pairs``: one computes the chunk's l1 sums
 and marks which occur; the other writes each pair's CSV line with the
 text of its sum (:class:`Texts`). The l1 kernels take the rows :func:`narrow` gives:
 rows whose columns each span at most 255 as bytes, which the kernels sum
-with ``psadbw``, and other rows at their own width.
+with ``psadbw``, and other rows at their own width. :func:`in_order` is
+the thread pool of every loop over the kernels: the embed blocks, the l1
+blocks and the all-pairs chunks.
 
 The source ships with the package. The first :func:`load` compiles it with
 the system C compiler ``cc`` into a per-user cache directory and loads the
@@ -40,6 +42,7 @@ in the cache loads without importing ``subprocess``; only a compile does.
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import functools
 import hashlib
@@ -107,6 +110,32 @@ def _worker_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def in_order(job, items, workers: int):
+    """Yield ``job(n, *item)`` for the n-th of ``items``, in their order.
+
+    The jobs run on a pool of ``workers`` threads, at most ``workers + 1``
+    of them in flight: job n is submitted once job n - workers - 1 has been
+    yielded and the caller has asked for the next, so job n may reuse that
+    job's buffers (slot ``n % (workers + 1)``). The first error in job order
+    is raised, and no job starts after it. However the generator ends (the
+    last job yielded, an error, or closed early), every job it started has
+    ended by then.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers)
+    pending = collections.deque()
+    try:
+        for n, item in enumerate(items):
+            if len(pending) > workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(job, n, *item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def source() -> bytes:

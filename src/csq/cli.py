@@ -12,7 +12,6 @@ diagnostics and in the benchmark CSV's wall_ms column.
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import functools
 import math
@@ -355,21 +354,28 @@ def _write_all_pairs(out, sketches, divisor: float) -> None:
 
     With the compiled kernels the entries are narrowed once
     (:func:`csq._native.narrow`: to bytes when every column spans at most
-    255), and each chunk of rows is one job on a pool of one thread per
-    CPU. The job computes the chunk's sums and marks which occur, formats
-    those without a text yet into the query's one table (see
-    :data:`_WINDOW`), and copies each pair's line into its buffer. This
-    thread keeps at most one chunk more than there are workers in flight,
-    each with buffers of its own, and writes them in order. Every sum is
-    computed once. Sums of 2**32 or more, and every sum without the
-    kernels, come from :func:`pairwise_l1_blocks` a chunk at a time, and
-    :func:`_block_lines` makes the lines.
+    255), and each chunk of rows is one job of
+    :func:`csq._native.in_order` on one thread per CPU, with the buffers
+    of its slot. The job computes the chunk's sums and marks which occur,
+    formats those without a text yet into the query's one table (see
+    :data:`_WINDOW`), and copies each pair's line into its line buffer,
+    which this thread writes out, chunk by chunk in order. Every sum is
+    computed once. A set whose bound ``B`` on every sum (from
+    :func:`csq._native.narrow`) reaches 2**63 is refused with a
+    :class:`CapacityError` before anything is written, as its sums could
+    wrap. A set with ``B`` of 2**32 or more, and every set without the
+    kernels, takes its sums from :func:`pairwise_l1_blocks` a chunk at a
+    time, and :func:`_block_lines` makes the lines.
     """
     from . import _native
 
+    entries, bound = _native.narrow(sketches.entries)
+    if bound >= 1 << 63:
+        raise CapacityError(
+            f"the l1 sums of these sketches may reach {bound} (the sum of the "
+            "columns' spreads), past the int64 range the estimates are summed in"
+        )
     kern = _native.load()
-    if kern is not None:
-        entries, bound = _native.narrow(sketches.entries)
     if kern is None or bound >= 1 << 32:
         _write_all_pairs_blocks(out, sketches, divisor)
         return
@@ -414,17 +420,9 @@ def _write_all_pairs(out, sketches, divisor: float) -> None:
                 texts.add(new, [est.encode() for est in ests])
         return buf[: kern.l1_lines(k, start, start + 1, sums, texts, buf)]
 
-    from concurrent.futures import ThreadPoolExecutor
-
     out.write(b"i,j,estimate\n")
-    with ThreadPoolExecutor(workers) as pool:
-        pending = collections.deque()
-        for n, chunk in enumerate(chunks):
-            if len(pending) == len(slots):
-                out.write(pending.popleft().result())
-            pending.append(pool.submit(chunk_lines, n, *chunk))
-        while pending:
-            out.write(pending.popleft().result())
+    for lines in _native.in_order(chunk_lines, chunks, workers):
+        out.write(lines)
 
 
 def _write_all_pairs_blocks(out, sketches, divisor: float) -> None:

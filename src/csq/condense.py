@@ -333,8 +333,9 @@ def pairwise_l1_blocks(rows: np.ndarray, block_pairs: int = 1 << 17):
     :mod:`csq._native`), narrowed once for all the blocks: rows whose
     columns each span at most 255 are summed as bytes. Other rows, and
     every row without the kernel, run on a numpy loop that gives the same
-    sums. With more than one CPU, a thread computes the next block while
-    the caller reads the current one.
+    sums. Signed int64 sums that reach 2**63 wrap modulo 2**64, on either.
+    One thread computes the blocks, the next while the caller reads the
+    current one (:func:`csq._native.in_order`).
     """
     rows = np.ascontiguousarray(rows)
     if rows.dtype.kind == "u":
@@ -352,27 +353,12 @@ def pairwise_l1_blocks(rows: np.ndarray, block_pairs: int = 1 << 17):
         rows = _native.narrow(rows)[0]
         l1_pairs, dtype = kern.l1_pairs, np.int64
 
-    def compute(start: int, stop: int, count: int):
+    def compute(n: int, start: int, stop: int, count: int):
         sums = np.empty(count, dtype=dtype)
         l1_pairs(rows, start, stop, sums)
         return start, stop, sums
 
-    blocks = _pair_blocks(rows.shape[0], block_pairs)
-    if _native._worker_count() == 1:
-        for block in blocks:
-            yield compute(*block)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(1) as pool:
-        pending = None
-        for block in blocks:
-            ahead = pool.submit(compute, *block)
-            if pending is not None:
-                yield pending.result()
-            pending = ahead
-        if pending is not None:
-            yield pending.result()
+    yield from _native.in_order(compute, _pair_blocks(rows.shape[0], block_pairs), 1)
 
 
 def operator_bound(spec: CondensationSpec) -> float:

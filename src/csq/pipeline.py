@@ -160,11 +160,6 @@ class Dataset:
     def n(self) -> int:
         return self.vectors.shape[1]
 
-    def block_reader(self, rows: int):
-        """``read(lo, hi)`` of :func:`_embed_blocks`: views of rows lo..hi-1
-        and their norms (``rows`` bounds hi - lo; views need no buffer)."""
-        return lambda lo, hi: (self.vectors[lo:hi], self.norms[lo:hi])
-
 
 # The library's name for making a checked dataset from a (k, n) matrix.
 dataset_from_matrix = Dataset
@@ -350,14 +345,14 @@ class EmbedDiagnostics:
     ``"numpy"`` (the numpy stages on one thread, ``isa`` empty;
     ``kernels_note`` says why the compiled kernels are unavailable).
     ``stage_ms`` maps each of :data:`STAGES` to the milliseconds spent in
-    it, summed over the threads: reading the rows with their norms and
-    peaks (on the compiled kernels, the kernel's own ``pread`` of each
-    tile of a file and its copy of the rows into the tile, which takes
-    their norms and peaks; on the numpy kernels, a file block's
-    ``preadv`` and ``Dataset`` check), preconditioning (the pad and the
-    transform; nothing for ``sparse`` on the compiled kernels),
-    projection, quantizing with condensing and packing, and handing the
-    records to ``write``.
+    it, summed over the blocks, whichever threads ran them: reading the
+    rows with their norms and peaks (on the compiled kernels, the kernel's
+    own ``pread`` of each tile of a file and its copy of the rows into the
+    tile, which takes their norms and peaks; on the numpy kernels, a file
+    block's ``preadv`` into its slot's buffer and ``Dataset`` check),
+    preconditioning (the pad and the transform; nothing for ``sparse`` on
+    the compiled kernels), projection, quantizing with condensing and
+    packing, and handing the records to ``write``.
     """
 
     amplitude_violations: np.ndarray
@@ -403,25 +398,31 @@ def _embed_numpy(model: EmbeddingModel, vectors: np.ndarray, ns: np.ndarray):
     return records, bits, quant.amplitude_violations
 
 
-def _embed_block(kern, model: EmbeddingModel, source, read, lo: int, hi: int, out, ns):
+def _embed_block(kern, model: EmbeddingModel, source, lo: int, hi: int, out, ns):
     """Embed rows lo..hi-1 of ``source``: returns their CSQD records, CSQC
     records, amplitude violations, l2 norms and peaks (each row's largest
     |entry|, for the sparse method's well-spread check; None for fjlt).
-    ``ns``, the thread's row of stage nanoseconds, gains the time of the
-    first four stages.
+    ``out`` holds the buffers of the block's slot, and ``ns``, the slot's
+    row of stage nanoseconds, gains the time of the first four stages.
 
-    On the numpy kernels ``read`` is the thread's ``source.block_reader``.
-    The compiled kernel reads the rows itself: a :class:`Dataset`'s in
-    memory, a CSQV file's (a :class:`csq.store.VectorFile`) with
-    ``pread``. It writes into ``out``, the thread's buffers of records,
-    bits, projection peaks, norms and peaks, and measures each row as it
-    loads it; a block with a non-finite entry, a norm that overflows or
-    projections that overflow is refused here, in that order, with the
-    messages of :class:`Dataset` and :func:`embed_dataset`.
+    On the numpy kernels the rows of a :class:`Dataset` are views, and
+    those of a CSQV file (a :class:`csq.store.VectorFile`) are read with
+    ``VectorFile.read`` into ``out``, the slot's (b, n) buffer, and checked
+    as a :class:`Dataset`. The compiled kernel reads the rows itself: a
+    :class:`Dataset`'s in memory, a CSQV file's with ``pread``. It writes
+    into ``out``, the slot's buffers of records, bits, projection peaks,
+    norms and peaks, and measures each row as it loads it; a block with a
+    non-finite entry, a norm that overflows or projections that overflow
+    is refused here, in that order, with the messages of :class:`Dataset`
+    and :func:`embed_dataset`.
     """
     if kern is None:
         t0 = time.perf_counter_ns()
-        vectors, norms = read(lo, hi)
+        if isinstance(source, Dataset):
+            vectors, norms = source.vectors[lo:hi], source.norms[lo:hi]
+        else:
+            block = Dataset(source.read(lo, out[: hi - lo]))
+            vectors, norms = block.vectors, block.norms
         ns[0] += time.perf_counter_ns() - t0
         records, bits, loud = _embed_numpy(model, vectors, ns[1:4])
         peaks = _row_peaks(vectors) if model.method == "sparse" else None
@@ -455,26 +456,24 @@ def _embed_blocks(model: EmbeddingModel, source, write):
     """Embed the ``source.k`` rows of ``source``, ``_BLOCK`` at a time;
     returns the diagnostics and the largest row norm.
 
-    ``source`` is a :class:`Dataset` or a :class:`csq.store.VectorFile`:
-    it has ``k``, ``n`` and ``block_reader(rows)``, which gives a thread
-    of the numpy kernels its own ``read(lo, hi)``: rows lo..hi-1 (at most
-    ``rows`` of them), checked finite, and their l2 norms. The compiled
-    kernel reads the rows itself (see :func:`_embed_block`), a file's with
-    ``pread`` into a 16-row staging area, so no block of input rows is
-    ever buffered. Each block goes from start to finish on one thread: it
-    is read, checked, embedded, and handed to ``write(lo, records, bits)``
-    as CSQD sketch records (b, ceil(p * bit_width / 8)) and CSQC code
-    records (b, ceil(m/8)) in buffers the thread reuses once ``write``
-    returns. Threads call ``write`` at once, for disjoint rows.
+    ``source`` is a :class:`Dataset` or a :class:`csq.store.VectorFile`
+    (``k``, ``n``, and its rows by ``read(lo, out)`` or, for the compiled
+    kernel, by their file offsets; see :func:`_embed_block`). The compiled
+    kernel reads a file's rows with ``pread`` into a 16-row staging area,
+    so no block of input rows is ever buffered; the numpy kernels read a
+    file's block into the buffer of its slot. Each block is one job of
+    :func:`csq._native.in_order`: it is read, checked, embedded, and handed
+    to ``write(lo, records, bits)`` as CSQD sketch records (b, ceil(p *
+    bit_width / 8)) and CSQC code records (b, ceil(m/8)) in the buffers of
+    its slot, which a later block reuses once ``write`` returns. Jobs call
+    ``write`` at once, for disjoint rows.
 
-    The compiled kernels run on up to one thread per CPU, thread w taking
-    blocks w, w + workers, ...; the numpy stages run on one. Both do the
-    same floating-point operations per point, so the outputs, the norms
-    and the peaks depend on neither the block size, the thread count nor
-    the kernel set. A thread stops at its first failing block and skips
-    the blocks above the lowest failure seen so far; once every thread
-    has stopped, the error of the lowest failing block is raised,
-    whatever the timing.
+    The compiled kernels run on up to one thread per CPU, the numpy stages
+    on one. Both do the same floating-point operations per point, so the
+    outputs, the norms and the peaks depend on neither the block size, the
+    thread count nor the kernel set. The error of the lowest failing block
+    is raised, whatever the timing, once every block that started has
+    ended; no block starts after it.
     """
     if source.n != model.n:
         raise ShapeError(f"dataset dim {source.n} != model dim {model.n}")
@@ -487,72 +486,52 @@ def _embed_blocks(model: EmbeddingModel, source, write):
     workers = 1
     if kern is not None:
         workers = max(1, min(_native._worker_count(), -(-k // _BLOCK)))
-    model.operator  # Built once, here, rather than by each thread's first block.
+    model.operator  # Built once, here, rather than by the first block.
     threshold = None
     if model.method == "sparse":
         threshold = model.wellspread_const / math.sqrt(model.n)
     violations = np.zeros(k, dtype=bool)
     wellspread = np.zeros(k, dtype=bool)
-    kappas = [0.0] * workers
-    # Each thread's nanoseconds per stage.
-    ns = np.zeros((workers, len(STAGES)), dtype=np.int64)
-    # (first row, error) of each thread's failing block; row k if none.
-    failures = [(k, None)] * workers
     rows = min(_BLOCK, k)
-    starts = range(0, k, _BLOCK)
 
-    # Each thread's reader or kernel buffers are made here, on the calling
-    # thread, so that their memory returns to its heap, which later work
-    # reuses, rather than to the worker thread's.
-    readers = [None] * workers
-    outputs = [None] * workers
-    if kern is None:
-        readers = [source.block_reader(rows)]
-    else:
-        outputs = [
-            (
+    def buffers():
+        if kern is not None:
+            return (
                 np.empty((rows, model.condensation.record_bytes), dtype=np.uint8),
                 np.empty((rows, (model.m + 7) // 8), dtype=np.uint8),
                 np.empty(rows),
                 np.empty(rows),
                 np.empty(rows) if threshold is not None else None,
             )
-            for _ in range(workers)
-        ]
+        if isinstance(source, Dataset):
+            return None
+        return np.empty((rows, source.n), dtype="<f8")
 
-    def run(w: int) -> None:
-        for lo in starts[w::workers]:
-            if lo > min(row for row, _ in failures):
-                return
-            hi = min(lo + _BLOCK, k)
-            try:
-                records, bits, loud, norms, peaks = _embed_block(
-                    kern, model, source, readers[w], lo, hi, outputs[w], ns[w]
-                )
-                violations[lo:hi] = loud
-                if threshold is not None:
-                    # The tiny slack keeps exact-boundary points (norm
-                    # computed with rounding) from being flagged.
-                    wellspread[lo:hi] = peaks > threshold * norms * (1.0 + 1e-9)
-                kappas[w] = max(kappas[w], float(norms.max(initial=0.0)))
-                t0 = time.perf_counter_ns()
-                write(lo, records, bits)
-                ns[w, 4] += time.perf_counter_ns() - t0
-            except Exception as exc:  # raised below, lowest block first
-                failures[w] = (lo, exc)
-                return
+    # Each slot's buffers are made here, on the calling thread, so that
+    # their memory returns to its heap, which later work reuses, rather
+    # than to a worker thread's.
+    slots = [buffers() for _ in range(workers + 1)]
+    # Each slot's nanoseconds per stage.
+    ns = np.zeros((len(slots), len(STAGES)), dtype=np.int64)
 
-    if workers == 1:
-        run(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    def embed(n: int, lo: int) -> float:
+        hi = min(lo + _BLOCK, k)
+        slot = n % len(slots)
+        records, bits, loud, norms, peaks = _embed_block(
+            kern, model, source, lo, hi, slots[slot], ns[slot]
+        )
+        violations[lo:hi] = loud
+        if threshold is not None:
+            # The tiny slack keeps exact-boundary points (norm computed
+            # with rounding) from being flagged.
+            wellspread[lo:hi] = peaks > threshold * norms * (1.0 + 1e-9)
+        t0 = time.perf_counter_ns()
+        write(lo, records, bits)
+        ns[slot, 4] += time.perf_counter_ns() - t0
+        return float(norms.max(initial=0.0))
 
-        with ThreadPoolExecutor(workers) as pool:
-            for future in [pool.submit(run, w) for w in range(workers)]:
-                future.result()
-    error = min(failures, key=lambda failure: failure[0])[1]
-    if error is not None:
-        raise error
+    starts = ((lo,) for lo in range(0, k, _BLOCK))
+    kappa = max(_native.in_order(embed, starts, workers), default=0.0)
     if wellspread.any():
         warnings.warn(
             f"{int(wellspread.sum())} of {k} points are not "
@@ -572,7 +551,7 @@ def _embed_blocks(model: EmbeddingModel, source, write):
         isa=kern.isa if kern else "",
         stage_ms=dict(zip(STAGES, (ns.sum(axis=0) / 1e6).tolist())),
     )
-    return diagnostics, max(kappas)
+    return diagnostics, kappa
 
 
 def embed_dataset(model: EmbeddingModel, data: Dataset) -> EmbedResult:
@@ -606,15 +585,16 @@ def estimate_distance(
 ) -> float:
     """Distance estimate between two sketches produced under ``model``.
 
-    The absolute differences of the integer entries are summed exactly and
-    the total is scaled by ``norm_factor`` in one floating-point
+    The absolute differences of the integer entries are summed exactly, as
+    Python integers (p int64 differences can sum past 2**63), and the
+    total is scaled by ``norm_factor`` in one floating-point
     multiplication, so the result is a deterministic function of the
     entries.
     """
     spec = model.condensation
     check_geometry(a, spec)
     check_geometry(b, spec)
-    return int(np.abs(a.entries - b.entries).sum()) * spec.norm_factor
+    return sum(np.abs(a.entries - b.entries).tolist()) * spec.norm_factor
 
 
 def sign_msq_baseline_embed(g_seed: int, m: int, x: np.ndarray) -> BinaryCode:

@@ -246,19 +246,6 @@ class VectorFile:
             view, offset = view[got:], offset + got
         return out
 
-    def block_reader(self, rows: int):
-        """``read(lo, hi)`` of the numpy kernels' block loop (see
-        :func:`csq.pipeline._embed_blocks`): rows lo..hi-1 (at most
-        ``rows``) read into one buffer, checked as a :class:`Dataset`;
-        returns their vectors and norms."""
-        buffer = np.empty((rows, self.n), dtype="<f8")
-
-        def read(lo: int, hi: int):
-            block = Dataset(self.read(lo, buffer[: hi - lo]))
-            return block.vectors, block.norms
-
-        return read
-
 
 @contextlib.contextmanager
 def open_vectors(path):

@@ -804,10 +804,10 @@ def test_the_lowest_failing_block_is_reported(
     _write_csqv(inp, xs)
     embed_block = pipeline._embed_block
 
-    def late(kern, model, source, read, lo, *args):
+    def late(kern, model, source, lo, *args):
         if lo == 4:  # block 1
             time.sleep(0.3)
-        return embed_block(kern, model, source, read, lo, *args)
+        return embed_block(kern, model, source, lo, *args)
 
     monkeypatch.setattr(pipeline, "_embed_block", late)
     capsys.readouterr()
@@ -889,16 +889,16 @@ def test_an_input_cut_short_during_the_job_is_refused(
 
 def test_the_native_file_path_buffers_no_block(tmp_path, capsys, monkeypatch):
     """The compiled kernel reads a CSQV file's rows itself: ``csq embed``
-    never makes a ``VectorFile.block_reader``, and the tracemalloc peak of
-    its block loop over 2048 rows of 1000 stays under 1 MiB (a 512-row
-    block buffer alone is 4 MB). Two threads, as many as blocks of
-    records the peak holds."""
+    never calls ``VectorFile.read``, and the tracemalloc peak of its block
+    loop over 2048 rows of 1000 stays under 1 MiB (a 512-row block buffer
+    alone is 4 MB). Two threads, and three slots of records, as many as
+    the peak holds."""
     import tracemalloc
 
     _kernel_set(monkeypatch, "native")
     _blocks_of(monkeypatch, pipeline._BLOCK, 2)
     monkeypatch.setattr(
-        store.VectorFile, "block_reader", lambda *a: pytest.fail("block buffer made")
+        store.VectorFile, "read", lambda *a: pytest.fail("block of rows read")
     )
     inp = tmp_path / "points.csqv"
     rows = np.random.default_rng(5).standard_normal((2048, 1000)) * (0.01 / np.sqrt(1000))
@@ -1223,6 +1223,41 @@ def test_all_pairs_lines_match_python_formatting(bit_width, divisor):
             l1 = sum(abs(a - b) for a, b in zip(rows[i], rows[j]))
             want.append(f"{i},{j},{l1 * 0.0123 / divisor!r}")
     assert out.getvalue().decode() == "\n".join(want) + "\n"
+
+
+def test_wide_sketch_sums_are_exact_or_refused(tmp_path, capsys):
+    """Entries of bit width 63 whose l1 sums pass 2**63: rows 0 and 1 are
+    4 * (2**63 - 1) apart and rows 1 and 2 exactly 2**64. ``--pair``
+    sums them exactly; ``--all-pairs`` refuses the set, whose column
+    spreads add up to 2**63 or more, before it writes a line, and leaves
+    an ``--out`` file empty, as any failed query does."""
+    model = pipeline.build_model("sparse", 16, 4, 1200, 6)
+    spec = model.condensation
+    assert spec.bit_width == 63
+    entries = np.array([[2**62 - 1] * 4, [-(2**62)] * 4, [0] * 4])
+    store.write_model(tmp_path / "model.csqm", model)
+    store.write_condensed(tmp_path / "cond.csqd", Sketches.of(spec, entries))
+    argv = _query_argv(tmp_path)[:-1]
+    capsys.readouterr()
+    for (i, j), l1 in (((0, 1), 4 * (2**63 - 1)), ((1, 2), 2**64), ((0, 2), 4 * (2**62 - 1))):
+        assert main([*argv, "--pair", str(i), str(j)]) == 0
+        assert capsys.readouterr().out == f"{l1 * spec.norm_factor!r}\n"
+    assert main([*argv, "--pair", "0", "1"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(213.67, abs=0.01)
+    assert main([*argv, "--all-pairs"]) == 2
+    got = capsys.readouterr()
+    assert got.out == "" and got.err.startswith("capacity error: ")
+    target = tmp_path / "pairs.csv"
+    target.write_bytes(b"old lines\n")
+    assert main([*argv, "--all-pairs", "--out", str(target)]) == 2
+    assert target.read_bytes() == b""
+    # The cut-over: column spreads that add up to 2**63 - 1 and to 2**63.
+    for last, code in ((0, 0), (1, 2)):
+        entries = np.array([[2**62 - 1, 0, 0, 0], [-(2**62), 0, 0, last]])
+        store.write_condensed(tmp_path / "cond.csqd", Sketches.of(spec, entries))
+        assert main([*argv, "--all-pairs"]) == code
+        want = f"i,j,estimate\n0,1,{(2**63 - 1) * spec.norm_factor!r}\n"
+        assert capsys.readouterr().out == (want if code == 0 else "")
 
 
 def test_all_pairs_to_a_text_stdout(embedded, capsys):

@@ -695,8 +695,8 @@ def test_pairwise_l1_blocks_match_numpy_loop(
 ):
     """Widths 7, 15, 31 and 63 are the widest of int8, int16, int32 and
     int64 entries; at 63 the sums wrap modulo 2**64, in the kernels as in
-    the oracle. With two CPUs the next block is computed while the current
-    one is read."""
+    the oracle. On one CPU as on two, a thread computes the next block
+    while the current one is read."""
     monkeypatch.setattr(_native, "_worker_count", lambda: workers)
     rows = extreme_rows(bit_width, k, 37, seed=1)
     got = list(pairwise_l1_blocks(rows, block_pairs))

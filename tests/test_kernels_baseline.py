@@ -1,8 +1,9 @@
 """The compiled kernels' cases of ``test_kernels.py``, the CLI's output
 byte pins of ``csq embed`` (at any block size too, and for two jobs in one
 process), the explicit model and ``csq query --all-pairs``, the embed
-files against the oracles and the embed failures, again on the kernels
-compiled without their AVX2 clones.
+files against the oracles, the embed failures and the exact or refused
+sums of wide sketches in ``csq query``, again on the kernels compiled
+without their AVX2 clones.
 
 On a host with AVX2 the loaded library always runs its AVX2 build, whose
 tile stages work on vectors of four doubles and whose byte l1 loop on 32
@@ -22,6 +23,7 @@ from test_cli import (  # noqa: F401
     test_explicit_model_bytes_are_pinned,
     test_failed_embed_publishes_nothing,
     test_the_lowest_failing_block_is_reported,
+    test_wide_sketch_sums_are_exact_or_refused,
 )
 from test_kernels import (  # noqa: F401
     kernels,

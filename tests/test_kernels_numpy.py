@@ -2,8 +2,8 @@
 ``csq embed`` (at any block size too, and for two jobs in one process)
 and ``csq query --all-pairs``, the embed files against the oracles, the
 embed failures, the all-pairs CSV against per-pair estimates and Python
-formatting, and the explicit-model round trip, again on the numpy
-kernels.
+formatting, the exact or refused sums of wide sketches in ``csq query``,
+and the explicit-model round trip, again on the numpy kernels.
 
 The cases in ``test_kernels.py`` run on the compiled kernels whenever
 they build; here the loader reports that they do not exist, so the same
@@ -23,6 +23,7 @@ from test_cli import (  # noqa: F401
     test_failed_embed_publishes_nothing,
     test_query_all_pairs_equals_per_pair_estimates,
     test_the_lowest_failing_block_is_reported,
+    test_wide_sketch_sums_are_exact_or_refused,
 )
 from test_kernels import *  # noqa: F401,F403
 from test_store import test_model_round_trip_explicit_matrix  # noqa: F401

@@ -1,5 +1,6 @@
 """Building, caching and loading the compiled kernels, the fallback to the
-numpy kernels when that fails, and the thread pool of the block path."""
+numpy kernels when that fails, and ``_native.in_order``, the thread pool
+of every threaded loop."""
 
 import os
 import platform
@@ -503,3 +504,129 @@ def test_import_starts_no_compiler_and_no_pool():
         [sys.executable, "-c", code], env=env, capture_output=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_in_order_yields_in_order_with_at_most_workers_plus_one_in_flight(workers):
+    """Jobs of shuffled lengths come back in the order of their items; job
+    n starts only once job n - workers - 1 has been yielded and the caller
+    has asked for the next, and the pool is that deep when the caller is
+    slow."""
+    import random
+    import threading
+    import time
+
+    delays = [0.004 * (n % 4) for n in range(24)]
+    random.Random(workers).shuffle(delays)
+    lock = threading.Lock()
+    yielded, running, depth, most = [0], [0], [], [0]
+
+    def job(n, delay, tag):
+        with lock:
+            depth.append(n - yielded[0])
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+        time.sleep(delay)
+        with lock:
+            running[0] -= 1
+        return n, tag
+
+    got = []
+    for result in _native.in_order(job, [(d, f"t{n}") for n, d in enumerate(delays)], workers):
+        got.append(result)
+        time.sleep(0.002)
+        yielded[0] += 1
+    assert got == [(n, f"t{n}") for n in range(24)]
+    assert max(depth) == workers and most[0] <= workers
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_in_order_raises_the_first_error_in_order_once_every_job_ended(workers):
+    """Job 2 fails late and job 3 at once: job 2's error is raised, no job
+    starts after it, and every job that started has ended by then, its
+    thread too."""
+    import threading
+    import time
+
+    before = threading.active_count()
+    started, ended = [], []
+
+    def job(n):
+        started.append(n)
+        try:
+            if n == 2:
+                time.sleep(0.1)
+            if n in (2, 3):
+                raise ValueError(f"job {n}")
+            time.sleep(0.03)
+            return n
+        finally:
+            ended.append(n)
+
+    got = []
+    with pytest.raises(ValueError, match="job 2"):
+        for n in _native.in_order(job, [()] * 40, workers):
+            got.append(n)
+    assert got == [0, 1]
+    assert sorted(ended) == sorted(started)
+    assert max(started) <= 2 + workers
+    assert threading.active_count() == before
+    count = len(started)
+    time.sleep(0.1)
+    assert len(started) == count
+
+
+def test_in_order_closed_early_ends_every_job():
+    import threading
+    import time
+
+    before = threading.active_count()
+    started, ended = [], []
+
+    def job(n):
+        started.append(n)
+        time.sleep(0.05)
+        ended.append(n)
+        return n
+
+    results = _native.in_order(job, [()] * 40, 3)
+    assert [next(results), next(results)] == [0, 1]
+    results.close()
+    assert sorted(ended) == sorted(started) and len(started) <= 6
+    assert threading.active_count() == before
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler 'cc' on PATH")
+def test_no_block_writes_after_the_embed_raises(monkeypatch):
+    """Block 0 fails while blocks 1 to 3 are embedding on other threads;
+    their slow writes all end before ``_embed_blocks`` raises, as
+    ``cli._staged`` closes the output files right after it."""
+    import threading
+    import time
+
+    monkeypatch.setattr(pipeline, "_BLOCK", 16)
+    monkeypatch.setattr(_native, "_worker_count", lambda: 3)
+    embed_block = pipeline._embed_block
+
+    def failing(kern, model, source, lo, *args):
+        if lo == 0:
+            time.sleep(0.02)
+            raise ValueError("block 0")
+        return embed_block(kern, model, source, lo, *args)
+
+    monkeypatch.setattr(pipeline, "_embed_block", failing)
+    raised, late = [], []
+
+    def write(lo, records, bits):
+        time.sleep(0.05)
+        late.append(bool(raised))
+
+    xs = np.full((160, 37), 0.01)
+    model = build_model("fjlt", 37, 4, 4, 2, seed=1)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="block 0"):
+        pipeline._embed_blocks(model, dataset_from_matrix(xs), write)
+    raised.append(True)
+    assert threading.active_count() == before
+    time.sleep(0.2)
+    assert late and not any(late)

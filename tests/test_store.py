@@ -533,15 +533,16 @@ def test_vector_file_reads_blocks_at_their_offsets(tmp_path):
     with open_vectors(path) as source:
         assert isinstance(source, VectorFile)
         assert (source.k, source.n) == (11, 5)
-        read = source.block_reader(4)
+        buffer = np.empty((4, 5), dtype="<f8")
         for lo in (8, 0, 4):
-            vectors, norms = read(lo, min(lo + 4, 11))
-            assert np.array_equal(vectors, data.vectors[lo : lo + 4])
-            assert np.array_equal(norms, data.norms[lo : lo + 4])
+            rows = buffer[: min(4, 11 - lo)]
+            assert source.read(lo, rows) is rows
+            assert np.array_equal(rows, data.vectors[lo : lo + 4])
+            assert np.array_equal(Dataset(rows).norms, data.norms[lo : lo + 4])
         # A file cut short after its size was checked.
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CorruptionError, match="truncated"):
-            read(8, 11)
+            source.read(8, buffer[:3])
 
 
 # --------------------------------------------------------------- codes
