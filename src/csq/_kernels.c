@@ -987,29 +987,26 @@ static int64_t increment(char *out, int64_t len)
  * takes them.
  *
  * Sums: for each pair (i, j), start <= i < stop, i < j < k, store its l1
- * sum s at *keep++ and, when s < bits, set bit s % 8 of byte s / 8 of
- * marks; span[0] and span[1] get the least and the largest sum (2**32 and
- * -1 without pairs). Returns the number of sums of bits or more, or -1
- * (having stored some sums) at the first sum of 2**32 or more.
+ * sum s at *keep++ and set bit s % 8 of byte s / 8 of marks, which has
+ * bits <= 2**32 bits; span[0] and span[1] get the least and the largest
+ * sum (2**32 and -1 without pairs). Returns 0, or -1 (having stored and
+ * marked some sums) at the first sum of bits or more.
  */
 int64_t csq_l1_marks(const void *rows, int64_t width, int64_t k, int64_t p,
                      int64_t start, int64_t stop, unsigned char *marks,
                      int64_t bits, uint32_t *keep, int64_t *span)
 {
     uint64_t sums[RUN], lo = UINT32_MAX + UINT64_C(1), hi = 0;
-    int64_t outside = 0, any = 0;
+    int64_t any = 0;
     for (int64_t i = start; i < stop; i++)
         for (int64_t j = i + 1; j < k; j += RUN) {
             const int64_t n = k - j < RUN ? k - j : RUN;
             l1_run(rows, width, p, i, j, n, sums);
             for (int64_t q = 0; q < n; q++) {
                 const uint64_t s = sums[q];
-                if (s > UINT32_MAX)
+                if (s >= (uint64_t)bits)
                     return -1;
-                if (s < (uint64_t)bits)
-                    marks[s >> 3] |= (unsigned char)(1u << (s & 7));
-                else
-                    outside++;
+                marks[s >> 3] |= (unsigned char)(1u << (s & 7));
                 *keep++ = (uint32_t)s;
                 lo = s < lo ? s : lo;
                 hi = s > hi ? s : hi;
@@ -1018,7 +1015,7 @@ int64_t csq_l1_marks(const void *rows, int64_t width, int64_t k, int64_t p,
         }
     span[0] = (int64_t)lo;
     span[1] = any ? (int64_t)hi : -1;
-    return outside;
+    return 0;
 }
 
 /*

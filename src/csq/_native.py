@@ -2,8 +2,9 @@
 path, the draw of the sparse Gaussian operator, the l1 sums of
 :func:`csq.condense.pairwise_l1_blocks`, and the two C calls of each
 chunk job of ``csq query --all-pairs``: one computes the chunk's l1 sums
-and marks which occur; the other writes each pair's CSV line with the
-text of its sum (:class:`Texts`). The l1 kernels take the rows :func:`narrow` gives:
+and marks which occur in a bitmap with a bit for every sum, refusing a sum
+past it; the other writes each pair's CSV line with the text of its sum
+(:class:`Texts`). The l1 kernels take the rows :func:`narrow` gives:
 rows whose columns each span at most 255 as bytes, which the kernels sum
 with ``psadbw``, and other rows at their own width. :func:`in_order` is
 the thread pool of every loop over the kernels: the embed blocks, the l1
@@ -224,9 +225,10 @@ class Kernels:
     every kernel can be compared with its numpy counterpart on its own.
     :meth:`draw_sparse` draws the operator. :meth:`l1_pairs` gives the
     l1 sums of a range of rows; :meth:`l1_marks` (the sums of a range of
-    rows, and which occur) and :meth:`l1_lines` (the CSV lines of those
-    sums) are the two C calls of one chunk job of the all-pairs CSV, so
-    that threads can share a query a chunk each. The first two take
+    rows, and which occur, in a bitmap that has a bit for each) and
+    :meth:`l1_lines` (the CSV lines of those sums) are the two C calls of
+    one chunk job of the all-pairs CSV, so that threads can share a query
+    a chunk each. The first two take
     C-ordered rows of a dtype of :data:`L1_DTYPES`, as :func:`narrow` gives
     them: uint8 rows run the byte loop (``psadbw``), the others a loop at
     their width.
@@ -429,12 +431,10 @@ class Kernels:
         """Store in the uint32 vector ``keep`` the l1 sum s of each pair of
         a row start..stop-1 of ``rows`` (as :meth:`l1_pairs` takes them,
         from :func:`narrow`) with a later row, in (i, j) order, and set
-        bit s % 8 of byte s // 8 of the uint8 vector ``marks`` for the
-        sums with a bit there. Returns ``(lo, hi, outside)``: the least and
-        the largest sum (2**32 and -1 without pairs) and how many sums have
-        no bit.
-        Raises ValueError, having stored some sums, at a sum of 2**32 or
-        more."""
+        bit s % 8 of byte s // 8 of the uint8 vector ``marks``. Returns
+        ``(lo, hi)``: the least and the largest sum (2**32 and -1 without
+        pairs). Raises ValueError, having stored and marked some sums, at a
+        sum without a bit in ``marks``, and writes no byte past it."""
         k, p = rows.shape
         if not 0 <= start <= stop <= k:
             raise ValueError("row range out of bounds")
@@ -442,14 +442,13 @@ class Kernels:
         if keep.shape != (count,):
             raise ValueError(f"expected room for {count} sums, got {keep.shape}")
         span = np.empty(2, dtype=np.int64)
-        outside = self._lib.csq_l1_marks(
+        if self._lib.csq_l1_marks(
             _l1_rows(rows), rows.itemsize, k, p, start, stop,
             _check(marks, np.uint8, 0), min(8 * marks.size, 1 << 32),
             _check(keep, np.uint32, count), span.ctypes.data,
-        )
-        if outside < 0:
-            raise ValueError("an l1 sum does not fit in 32 bits")
-        return int(span[0]), int(span[1]), outside
+        ):
+            raise ValueError("an l1 sum has no bit in the bitmap")
+        return int(span[0]), int(span[1])
 
     @staticmethod
     def lines_size(count: int, k: int, longest: int) -> int:

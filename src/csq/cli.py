@@ -324,48 +324,40 @@ def _block_lines(columns, start: int, stop: int, sums, norm_factor, divisor) -> 
     return "".join(parts).encode()
 
 
-def _column_texts(k: int) -> np.ndarray:
-    """The texts ``f"{j},"`` of the k rows, as :func:`_block_lines` takes
-    them."""
-    return np.array([f"{j}," for j in range(k)], dtype=object)
-
-
-# The compiled all-pairs path keeps the text of each l1 sum that occurs in
-# one table over [0, min(B, _WINDOW - 1)], B the sum of the entries' column
-# spreads (a bound on every sum, from _native.narrow), and marks each
-# chunk's sums in a bitmap over it: 4 and 1/8 bytes a sum, which the system
-# zeroes as their pages are first touched, and only the pages of the sums
-# that occur are. A chunk with a sum past the table takes its lines from
-# _block_lines. A multiple of 8.
+# The compiled all-pairs route runs when B, the sum of the entries' column
+# spreads (a bound on every l1 sum, from _native.narrow), is below this. It
+# keeps the text of each sum that occurs in one table over [0, B], and marks
+# each chunk's sums in a bitmap over it: 4 and 1/8 bytes a sum, which the
+# system zeroes as their pages are first touched, and only the pages of the
+# sums that occur are. A set with B of this or more takes the block route.
 _WINDOW = 1 << 24
-# Pairs per chunk of CSV lines, on every path: a chunk is a range of rows
+# Pairs per chunk of CSV lines, on every route: a chunk is a range of rows
 # with at most this many pairs, or one row.
 _CHUNK_PAIRS = 1 << 16
 # Bytes of the longest repr of a float, "-2.2250738585072014e-308".
 _REPR_BYTES = 24
 
 
-def _write_all_pairs(out, sketches, divisor: float) -> None:
-    """Stream the ``i,j,estimate`` CSV to the binary stream ``out``.
+def _all_pairs(sketches, divisor: float):
+    """The ``i,j,estimate`` CSV of every pair, as an iterator of byte
+    chunks to close once read. This call checks the set and picks its
+    route, before any chunk: a set whose bound ``B`` on every l1 sum (from
+    :func:`csq._native.narrow`) reaches 2**63 is refused with a
+    :class:`CapacityError`, as its sums could wrap.
 
     An estimate is a pure function of its integer l1 sum, computed with the
     same float operations as :func:`pipeline.estimate_distance`, so each
     distinct sum is formatted once and shared by its pairs.
 
-    With the compiled kernels the entries are narrowed once
-    (:func:`csq._native.narrow`: to bytes when every column spans at most
-    255), and each chunk of rows is one job of
-    :func:`csq._native.in_order` on one thread per CPU, with the buffers
-    of its slot. The job computes the chunk's sums and marks which occur,
-    formats those without a text yet into the query's one table (see
-    :data:`_WINDOW`), and copies each pair's line into its line buffer,
-    which this thread writes out, chunk by chunk in order. Every sum is
-    computed once. A set whose bound ``B`` on every sum (from
-    :func:`csq._native.narrow`) reaches 2**63 is refused with a
-    :class:`CapacityError` before anything is written, as its sums could
-    wrap. A set with ``B`` of 2**32 or more, and every set without the
-    kernels, takes its sums from :func:`pairwise_l1_blocks` a chunk at a
-    time, and :func:`_block_lines` makes the lines.
+    With the compiled kernels and ``B`` below :data:`_WINDOW` the entries
+    are narrowed once (to bytes when every column spans at most 255), and
+    each chunk of rows is one job of :func:`csq._native.in_order` on one
+    thread per CPU, with the buffers of its slot. The job computes the
+    chunk's sums and marks which occur, formats those without a text yet
+    into the query's one table over ``[0, B]``, and copies each pair's line
+    into its line buffer. Every sum is computed once. Every other set takes
+    its sums from :func:`pairwise_l1_blocks` a chunk at a time, and
+    :func:`_block_lines` makes the lines.
     """
     from . import _native
 
@@ -376,38 +368,32 @@ def _write_all_pairs(out, sketches, divisor: float) -> None:
             "columns' spreads), past the int64 range the estimates are summed in"
         )
     kern = _native.load()
-    if kern is None or bound >= 1 << 32:
-        _write_all_pairs_blocks(out, sketches, divisor)
-        return
+    if kern is None or bound >= _WINDOW:
+        return _block_route(sketches, divisor)
     k, norm_factor = len(sketches), sketches.norm_factor
-    # A whole number of bitmap bytes.
-    window = -(-min(bound + 1, _WINDOW) // 8) * 8
     chunks = list(_pair_blocks(k, _CHUNK_PAIRS))
     workers = _native._worker_count()
     most = max((count for _, _, count in chunks), default=0)
     size = kern.lines_size(most, k, _REPR_BYTES)
-    # The sums, bitmap and line buffer of each chunk in flight, made on
-    # this thread (see pipeline._embed_blocks): chunk n's are those of
-    # chunk n - len(slots), which is written by the time chunk n starts.
+    # The sums, bitmap (a bit for each sum in [0, B]) and line buffer of
+    # each chunk in flight, made on this thread (see
+    # pipeline._embed_blocks): chunk n's are those of chunk n - len(slots),
+    # which is written by the time chunk n starts.
     slots = [
-        (np.empty(most, dtype=np.uint32), np.zeros(window // 8, dtype=np.uint8),
+        (np.empty(most, dtype=np.uint32), np.zeros(bound // 8 + 1, dtype=np.uint8),
          np.empty(size, dtype=np.uint8))
         for _ in range(workers + 1)
     ]
-    texts = _native.Texts(window - 1)
+    texts = _native.Texts(bound)
     adding = threading.Lock()
-    columns = functools.cache(functools.partial(_column_texts, k))
 
     def chunk_lines(n: int, start: int, stop: int, count: int):
         sums, marks, buf = slots[n % len(slots)]
         sums = sums[:count]
-        lo, hi, outside = kern.l1_marks(entries, start, stop, marks, sums)
+        lo, hi = kern.l1_marks(entries, start, stop, marks, sums)
         # The bytes of the bitmap the chunk's sums set, which are cleared
         # for the slot's next chunk.
-        span = marks[lo >> 3 : (min(hi, window - 1) >> 3) + 1]
-        if outside:
-            span[:] = 0
-            return _block_lines(columns(), start, stop, sums, norm_factor, divisor)
+        span = marks[lo >> 3 : (hi >> 3) + 1]
         full = np.flatnonzero(span)
         bits = np.unpackbits(span[full], bitorder="little").reshape(-1, 8)
         row, bit = np.nonzero(bits)
@@ -420,19 +406,30 @@ def _write_all_pairs(out, sketches, divisor: float) -> None:
                 texts.add(new, [est.encode() for est in ests])
         return buf[: kern.l1_lines(k, start, start + 1, sums, texts, buf)]
 
-    out.write(b"i,j,estimate\n")
-    for lines in _native.in_order(chunk_lines, chunks, workers):
-        out.write(lines)
+    def compiled_route():
+        yield b"i,j,estimate\n"
+        yield from _native.in_order(chunk_lines, chunks, workers)
+
+    return compiled_route()
 
 
-def _write_all_pairs_blocks(out, sketches, divisor: float) -> None:
-    """The CSV of :func:`_write_all_pairs`, from the sums of
-    :func:`pairwise_l1_blocks` and :func:`_block_lines`."""
-    out.write(b"i,j,estimate\n")
-    columns = _column_texts(len(sketches))
+def _block_route(sketches, divisor: float):
+    """The CSV of :func:`_all_pairs` from the sums of
+    :func:`pairwise_l1_blocks` and the lines of :func:`_block_lines`."""
+    yield b"i,j,estimate\n"
+    columns = np.array([f"{j}," for j in range(len(sketches))], dtype=object)
     blocks = pairwise_l1_blocks(sketches.entries, block_pairs=_CHUNK_PAIRS)
-    for start, stop, sums in blocks:
-        out.write(_block_lines(columns, start, stop, sums, sketches.norm_factor, divisor))
+    with contextlib.closing(blocks):
+        for start, stop, sums in blocks:
+            yield _block_lines(columns, start, stop, sums, sketches.norm_factor, divisor)
+
+
+def _write_all_pairs(out, sketches, divisor: float) -> None:
+    """Write the CSV of :func:`_all_pairs` to the binary stream ``out``.
+    Every pool job has ended when this returns or raises."""
+    with contextlib.closing(_all_pairs(sketches, divisor)) as chunks:
+        for chunk in chunks:
+            out.write(chunk)
 
 
 def _keep_contents(path, flags: int) -> int:
@@ -513,6 +510,11 @@ def _cmd_query(args) -> int:
         if not (0 <= i < k and 0 <= j < k):
             raise ParameterError(f"pair indices must lie in [0, {k})")
         est = pipeline.estimate_distance(model, sketches[i], sketches[j]) / divisor
+        chunks = contextlib.nullcontext([repr(est).encode() + b"\n"])
+    else:
+        # Checked, and its route picked, before --out is opened, so that a
+        # refused set leaves an existing file as it was.
+        chunks = contextlib.closing(_all_pairs(sketches, divisor))
 
     if args.out is None:
         # Bytes go straight to the stream under sys.stdout, after what was
@@ -522,11 +524,10 @@ def _cmd_query(args) -> int:
         sink = contextlib.nullcontext(stream)
     else:
         sink = _Rewritten(args.out)
-    with sink as out:
-        if args.pair is not None:
-            out.write(repr(est).encode() + b"\n")
-        else:
-            _write_all_pairs(out, sketches, divisor)
+    # The chunks end, with every pool job, before the file is closed.
+    with sink as out, chunks as lines:
+        for line in lines:
+            out.write(line)
         out.flush()
     if args.out is not None:
         count = 1 if args.pair is not None else 1 + k * (k - 1) // 2

@@ -1229,8 +1229,8 @@ def test_wide_sketch_sums_are_exact_or_refused(tmp_path, capsys):
     """Entries of bit width 63 whose l1 sums pass 2**63: rows 0 and 1 are
     4 * (2**63 - 1) apart and rows 1 and 2 exactly 2**64. ``--pair``
     sums them exactly; ``--all-pairs`` refuses the set, whose column
-    spreads add up to 2**63 or more, before it writes a line, and leaves
-    an ``--out`` file empty, as any failed query does."""
+    spreads add up to 2**63 or more, before it opens ``--out``, and leaves
+    an existing file as it was, as the other refusals of a query do."""
     model = pipeline.build_model("sparse", 16, 4, 1200, 6)
     spec = model.condensation
     assert spec.bit_width == 63
@@ -1250,7 +1250,7 @@ def test_wide_sketch_sums_are_exact_or_refused(tmp_path, capsys):
     target = tmp_path / "pairs.csv"
     target.write_bytes(b"old lines\n")
     assert main([*argv, "--all-pairs", "--out", str(target)]) == 2
-    assert target.read_bytes() == b""
+    assert target.read_bytes() == b"old lines\n"
     # The cut-over: column spreads that add up to 2**63 - 1 and to 2**63.
     for last, code in ((0, 0), (1, 2)):
         entries = np.array([[2**62 - 1, 0, 0, 0], [-(2**62), 0, 0, last]])
@@ -1323,56 +1323,68 @@ def test_all_pairs_routes_give_the_same_bytes(
     assert out.getvalue() == _oracle_csv(k, bit_width, divisor)
 
 
-def _spy(monkeypatch, name):
-    """Calls of ``cli.<name>``, each recorded as its positional arguments."""
-    calls, real = [], getattr(cli, name)
+def _spy(monkeypatch, name, owner=cli):
+    """Calls of ``owner.<name>``, each recorded as its positional
+    arguments."""
+    calls, real = [], getattr(owner, name)
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, name, spy)
+    monkeypatch.setattr(owner, name, spy)
     return calls
+
+
+def _route_spies(monkeypatch):
+    """The calls of the two routes of :func:`cli._all_pairs`: those of
+    ``pairwise_l1_blocks`` and ``_block_lines`` (the block route) and
+    those of ``Kernels.l1_marks`` (the compiled route)."""
+    from csq import _native
+
+    return (
+        _spy(monkeypatch, "pairwise_l1_blocks"),
+        _spy(monkeypatch, "_block_lines"),
+        _spy(monkeypatch, "l1_marks", _native.Kernels),
+    )
 
 
 @pytest.mark.parametrize("bit_width", [10, 17, 40])
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("window", [8, 1024])
 def test_all_pairs_windows_give_the_same_bytes(monkeypatch, window, workers, bit_width):
-    """Sums past a table of 8 or 1024 sums: with the compiled kernels,
-    exactly the chunks with such a sum take their lines from
-    :func:`cli._block_lines` (most of them with a window of 8 sums, a third
-    of them with 1024), and sums of 2**32 or more (bit width 40) take the
-    block path for the whole query, as every query does without the
-    kernels."""
+    """The route is picked once a query, from ``B``, the bound on every
+    sum: with a window of 8 or 1024 sums at or below ``B``, the whole query
+    takes the block route, :func:`cli._block_lines` making the lines of
+    every chunk, and never ``Kernels.l1_marks``; with a window just past
+    ``B``, and the compiled kernels, it takes the compiled route with its
+    table over ``[0, B]`` and never the block route. Both give the
+    oracle's bytes."""
     import io
 
     from csq import _native
     from csq.condense import _pair_blocks
 
-    monkeypatch.setattr(cli, "_WINDOW", window)
     monkeypatch.setattr(cli, "_CHUNK_PAIRS", 5)
     monkeypatch.setattr(_native, "_worker_count", lambda: workers)
-    blocks = _spy(monkeypatch, "pairwise_l1_blocks")
-    lines = _spy(monkeypatch, "_block_lines")
-    whole = bit_width == 40 or _native.load() is None
+    blocks, lines, marks = _route_spies(monkeypatch)
     for k in (2, 11, 70):
         sketches = _random_sketches(k, bit_width)
-        assert _native.narrow(sketches.entries)[1] >= window
-        blocks.clear()
-        lines.clear()
-        out = io.BytesIO()
-        cli._write_all_pairs(out, sketches, 0.37)
-        assert out.getvalue() == _oracle_csv(k, bit_width, 0.37)
-        # The chunks with a sum past the table, from the real sums.
-        sums = np.concatenate([s for _, _, s in pairwise_l1_blocks(sketches.entries)])
-        first, past = 0, []
-        for start, stop, count in _pair_blocks(k, 5):
-            if whole or sums[first : first + count].max() >= window:
-                past.append((start, stop))
-            first += count
-        assert sorted(call[1:3] for call in lines) == past
-        assert len(blocks) == whole
+        bound = _native.narrow(sketches.entries)[1]
+        assert bound >= window
+        # A table over [0, B] of bit width 40's sums would not fit in memory.
+        for cutoff in (window, bound + 1) if bit_width < 40 else (window,):
+            monkeypatch.setattr(cli, "_WINDOW", cutoff)
+            for calls in (blocks, lines, marks):
+                calls.clear()
+            out = io.BytesIO()
+            cli._write_all_pairs(out, sketches, 0.37)
+            assert out.getvalue() == _oracle_csv(k, bit_width, 0.37)
+            compiled = cutoff > bound and _native.load() is not None
+            chunks = [(start, stop) for start, stop, _ in _pair_blocks(k, 5)]
+            assert sorted(call[1:3] for call in lines) == ([] if compiled else chunks)
+            assert len(blocks) == (not compiled)
+            assert sorted(call[2:4] for call in marks) == (chunks if compiled else [])
 
 
 def test_all_pairs_bytes_hold_with_more_workers_than_cpus(monkeypatch):
@@ -1399,11 +1411,13 @@ def test_all_pairs_bytes_hold_with_more_workers_than_cpus(monkeypatch):
 
 @pytest.mark.parametrize("over", [False, True])
 def test_all_pairs_cutover_keeps_the_bytes(monkeypatch, over):
-    """Column spreads that sum to 2**24 - 1 give a table over [0, 2**24)
-    that holds every sum; one more, the same table and a chunk whose pair
-    (0, 1) sums to 2**24, past it, so that the chunk takes its lines from
-    :func:`cli._block_lines`. Both take the compiled path when the kernels
-    load, with the reference's bytes."""
+    """Column spreads that sum to ``B`` = 2**24 - 1, one below
+    :data:`cli._WINDOW`: with the compiled kernels the query takes the
+    compiled route, its table over ``[0, B]`` holding every sum, and never
+    calls ``pairwise_l1_blocks`` or ``_block_lines``. One more, ``B`` =
+    2**24: the whole query takes the block route and never calls
+    ``Kernels.l1_marks``, as every query does without the kernels. Both
+    give the reference's bytes."""
     import io
 
     from csq import _native
@@ -1415,15 +1429,14 @@ def test_all_pairs_cutover_keeps_the_bytes(monkeypatch, over):
     )
     sketches = Sketches(2, 25, 0.0123, entries - (1 << 24))
     assert _native.narrow(sketches.entries)[1] == bound
-    blocks = _spy(monkeypatch, "pairwise_l1_blocks")
-    lines = _spy(monkeypatch, "_block_lines")
+    blocks, lines, marks = _route_spies(monkeypatch)
     out = io.BytesIO()
     cli._write_all_pairs(out, sketches, 0.37)
     model = types.SimpleNamespace(condensation=sketches)
     assert out.getvalue() == _per_pair_csv(model, sketches, 0.37).encode()
-    compiled = _native.load() is not None
-    assert bool(blocks) == (not compiled)
-    assert bool(lines) == (over or not compiled)
+    compiled = not over and _native.load() is not None
+    assert bool(marks) == compiled
+    assert bool(blocks) == bool(lines) == (not compiled)
 
 
 def _query_argv(tmp_path, *rest):

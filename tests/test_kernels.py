@@ -824,10 +824,10 @@ def test_native_l1_marks_mark_every_sum(kernels, bit_width, k):
     """Each row range's sums are stored in order and its bitmap holds
     exactly the sums that occur, for rows of every entry dtype as
     :func:`csq._native.narrow` gives them (bytes up to width 8); the
-    ranges' bitmaps OR to all of them. A bitmap shorter than the sums
-    marks those it has bits for and counts the others. Wide rows
-    are shifted down, keeping their dtype, so that their sums fit a small
-    bitmap."""
+    ranges' bitmaps OR to all of them. A bitmap shorter than a sum is
+    refused with no byte written past it, having marked only sums that
+    occur. Wide rows are shifted down, keeping their dtype, so that their
+    sums fit a small bitmap."""
     entries = extreme_rows(bit_width, k, 7, seed=5) >> max(0, bit_width - 14)
     want = _all_sums(entries)
     rows = _native.narrow(entries)[0]
@@ -840,17 +840,22 @@ def test_native_l1_marks_mark_every_sum(kernels, bit_width, k):
         count = sum(k - 1 - i for i in range(start, stop))
         mine = want[first : first + count]
         keep = np.zeros(count, dtype=np.uint32)
-        lo, hi, outside = kernels.l1_marks(rows, start, stop, marks, keep)
+        lo, hi = kernels.l1_marks(rows, start, stop, marks, keep)
         got = np.flatnonzero(np.unpackbits(marks, bitorder="little"))
         assert np.array_equal(got, np.unique(mine))
-        assert np.array_equal(keep, mine) and outside == 0
+        assert np.array_equal(keep, mine)
         assert (lo, hi) == ((int(mine.min()), int(mine.max())) if count else (1 << 32, -1))
         total |= marks
-        short = np.zeros(bits // 16, dtype=np.uint8)
-        inside = mine < 8 * short.size
-        assert kernels.l1_marks(rows, start, stop, short, keep)[2] == np.sum(~inside)
+        room = np.zeros(bits // 16 + 8, dtype=np.uint8)
+        short = room[: bits // 16]
+        if count and mine.max() >= 8 * short.size:
+            with pytest.raises(ValueError):
+                kernels.l1_marks(rows, start, stop, short, keep)
+        else:
+            assert kernels.l1_marks(rows, start, stop, short, keep) == (lo, hi)
+        assert not room[short.size :].any()
         got = np.flatnonzero(np.unpackbits(short, bitorder="little"))
-        assert np.array_equal(got, np.unique(mine[inside]))
+        assert np.isin(got, mine).all()
     got = np.flatnonzero(np.unpackbits(total, bitorder="little"))
     assert np.array_equal(got, np.unique(want))
 
@@ -858,14 +863,18 @@ def test_native_l1_marks_mark_every_sum(kernels, bit_width, k):
 def test_native_l1_marks_refuse_what_does_not_fit(kernels):
     rows = np.array([[0, 0], [3, 4]], dtype=np.int16)  # one pair, sum 7
     marks, keep = np.zeros(1, dtype=np.uint8), np.zeros(1, dtype=np.uint32)
-    assert kernels.l1_marks(rows, 0, 2, marks, keep) == (7, 7, 0)
+    assert kernels.l1_marks(rows, 0, 2, marks, keep) == (7, 7)
     assert marks[0] == 1 << 7 and keep[0] == 7
-    # No bitmap, or one that ends before the sum: the sum is stored, not
-    # marked.
-    assert kernels.l1_marks(rows, 0, 2, np.zeros(0, dtype=np.uint8), keep) == (7, 7, 1)
+    # No bitmap, or one that ends before the sum: refused, and no byte
+    # past the bitmap written.
+    room = np.zeros(2, dtype=np.uint8)
     eight = np.array([[0, 0], [4, 4]], dtype=np.int16)
-    assert kernels.l1_marks(eight, 0, 2, marks, keep) == (8, 8, 1)
-    assert marks[0] == 1 << 7 and keep[0] == 8
+    for sums, short in ((rows, room[:0]), (eight, room[:1])):
+        with pytest.raises(ValueError):
+            kernels.l1_marks(sums, 0, 2, short, keep)
+        assert not room.any()
+    assert kernels.l1_marks(eight, 0, 2, room, keep) == (8, 8)
+    assert room.tolist() == [0, 1] and keep[0] == 8
     for bad in (np.zeros(2, dtype=np.uint32), np.zeros(1, dtype=np.int64)):
         with pytest.raises(ValueError):
             kernels.l1_marks(rows, 0, 2, marks, bad)

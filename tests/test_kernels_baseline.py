@@ -1,9 +1,9 @@
 """The compiled kernels' cases of ``test_kernels.py``, the CLI's output
 byte pins of ``csq embed`` (at any block size too, and for two jobs in one
-process), the explicit model and ``csq query --all-pairs``, the embed
-files against the oracles, the embed failures and the exact or refused
-sums of wide sketches in ``csq query``, again on the kernels compiled
-without their AVX2 clones.
+process), the explicit model and ``csq query --all-pairs``, the
+all-pairs route at its cut-over, the embed files against the oracles, the
+embed failures and the exact or refused sums of wide sketches in ``csq
+query``, again on the kernels compiled without their AVX2 clones.
 
 On a host with AVX2 the loaded library always runs its AVX2 build, whose
 tile stages work on vectors of four doubles and whose byte l1 loop on 32
@@ -17,6 +17,7 @@ import pytest
 from test_cli import (  # noqa: F401
     test_back_to_back_embeds_draw_the_operator_once,
     test_all_pairs_csv_bytes_are_pinned,
+    test_all_pairs_cutover_keeps_the_bytes,
     test_embed_files_match_oracles_at_any_block_size,
     test_embed_output_bytes_are_pinned,
     test_embed_output_bytes_hold_at_any_block_size,

@@ -2,7 +2,7 @@
 ``csq embed`` (at any block size too, and for two jobs in one process)
 and ``csq query --all-pairs``, the embed files against the oracles, the
 embed failures, the all-pairs CSV against per-pair estimates and Python
-formatting, the exact or refused sums of wide sketches in ``csq query``,
+formatting and at the route's cut-over, the exact or refused sums of wide sketches in ``csq query``,
 and the explicit-model round trip, again on the numpy kernels.
 
 The cases in ``test_kernels.py`` run on the compiled kernels whenever
@@ -16,6 +16,7 @@ import pytest
 from test_cli import (  # noqa: F401
     test_back_to_back_embeds_draw_the_operator_once,
     test_all_pairs_csv_bytes_are_pinned,
+    test_all_pairs_cutover_keeps_the_bytes,
     test_all_pairs_lines_match_python_formatting,
     test_embed_files_match_oracles_at_any_block_size,
     test_embed_output_bytes_are_pinned,
